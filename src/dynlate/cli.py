@@ -9,6 +9,7 @@ writes a versioned machine-readable report. Exit codes: 0 success,
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 
@@ -18,23 +19,20 @@ from . import dgp as dgp_mod
 from . import inference, reporting, simulate
 from .errors import AssumptionRequired, DynlateError
 from .estimators import (
+    BOUND_METHODS,
     CALENDAR_HOMOGENEITY,
     CROSS_GROUP_HOMOGENEITY,
     KNOWN_ASSUMPTIONS,
     NO_LATE_SWITCHERS,
     NegativeWeightStatus,
-    bounds_general,
-    bounds_general_unrestricted,
-    bounds_tight,
     estimate as estimate_fn,
     identify as identify_fn,
     negative_weight_diagnostic,
     outcome_range_bounds,
+    selected_methods,
 )
 from .panel import check_assumptions, ingest, serialize
 from .reporting import fnum, render_table
-
-REPORT_SCHEMA_VERSION = reporting.REPORT_SCHEMA_VERSION
 
 
 def _parse_bounds(ctx, param, value):
@@ -130,9 +128,14 @@ def _negative_weight_warnings(est):
     return warnings
 
 
+def _tight_declared(assume):
+    """Tight bounds are reported only under an assumption that makes them valid."""
+    return CROSS_GROUP_HOMOGENEITY in assume or NO_LATE_SWITCHERS in assume
+
+
 def _report(command, inputs, outputs, assume=(), warnings=()):
     return {
-        "schema_version": REPORT_SCHEMA_VERSION,
+        "schema_version": reporting.REPORT_SCHEMA_VERSION,
         "command": command,
         "inputs": inputs,
         "assume": list(assume),
@@ -270,15 +273,9 @@ def bounds(panel_path, dgp_path, period, effect_bounds, assume, json_path):
             effect_bounds = dgp_mod.contaminating_effect_range(spec)
     lo, hi = effect_bounds
     periods = [period] if period is not None else list(range(2, est.T + 1))
-    signs_ok = lo <= 0.0 <= hi
-    tight_declared = CROSS_GROUP_HOMOGENEITY in assume or NO_LATE_SWITCHERS in assume
-    reports = []
-    for t in periods:
-        if signs_ok:
-            reports.append(bounds_general(est, t, lo, hi))
-        reports.append(bounds_general_unrestricted(est, t, lo, hi))
-        if signs_ok and tight_declared:
-            reports.append(bounds_tight(est, t, lo, hi))
+    tight_declared = _tight_declared(assume)
+    methods = [m for m in selected_methods(lo, hi) if m != "tight" or tight_declared]
+    reports = [BOUND_METHODS[m](est, t, lo, hi) for t in periods for m in methods]
     warnings = []
     if not tight_declared:
         warnings.append(
@@ -430,15 +427,10 @@ def bootstrap_cmd(panel_path, reps, alpha, seed, effect_bounds, assume, threads,
         panel, reps=reps, alpha=alpha, seed=seed, lo=lo, hi=hi,
         include_identify=include_identify, threads=threads,
     )
-    tight_declared = CROSS_GROUP_HOMOGENEITY in assume or NO_LATE_SWITCHERS in assume
-    targets = tuple(
+    tight_declared = _tight_declared(assume)
+    res = dataclasses.replace(res, targets=tuple(
         t for t in res.targets if tight_declared or not t.name.startswith("tight_")
-    )
-    res = inference.BootstrapResult(
-        n=res.n, T=res.T, reps=res.reps, alpha=res.alpha, seed=res.seed,
-        n_failed_resamples=res.n_failed_resamples, lo=res.lo, hi=res.hi,
-        targets=targets,
-    )
+    ))
     warnings = []
     if not include_identify:
         warnings.append(

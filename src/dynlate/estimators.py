@@ -86,21 +86,35 @@ class IdentifiedProfile:
     warnings: tuple[str, ...] = ()
 
 
-def identify(est: EstimandSet) -> IdentifiedProfile:
-    """Solve the lower-triangular system rf = P delta by forward substitution.
+def identify_rows(rf: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """Solve the lower-triangular system rf = P delta row by row.
 
-    Row t reads rf_t = fs_1 * delta[t-1] - sum_{k=2..t} rho_k * delta[t-k],
-    so each new exposure is the current reduced form corrected by the
-    already-identified shorter-exposure effects, scaled by 1/fs_1. Only
-    first-period relevance is required; later first stages may vanish.
+    Row t reads rf_t = fs_1 * delta[t-1] - sum_{k=2..t} rho_k * delta[t-k]
+    with rho_k = fs_{k-1} - fs_k, so each new exposure is the current
+    reduced form corrected by the already-identified shorter-exposure
+    effects, scaled by 1/fs_1. ``rf`` and ``fs`` are (rows, T); every row
+    is solved independently, so one call serves a point estimate and a
+    whole set of bootstrap resamples.
+    """
+    T = rf.shape[1]
+    fs1 = fs[:, 0]
+    rho = fs[:, :-1] - fs[:, 1:]
+    delta = np.empty_like(rf)
+    for t in range(1, T + 1):
+        acc = rf[:, t - 1].copy()
+        for k in range(2, t + 1):
+            acc += rho[:, k - 2] * delta[:, t - k]
+        delta[:, t - 1] = acc / fs1
+    return delta
+
+
+def identify(est: EstimandSet) -> IdentifiedProfile:
+    """Solve the recursion of :func:`identify_rows` for one estimand set.
+
+    Only first-period relevance is required; later first stages may vanish.
     """
     fs1 = _require_nonzero_fs1(est)
-    deltas: list[float] = []
-    for t in range(1, est.T + 1):
-        acc = est.rf[t - 1] + math.fsum(
-            est.rho[k - 2] * deltas[t - k] for k in range(2, t + 1)
-        )
-        deltas.append(acc / fs1)
+    deltas = tuple(identify_rows(np.array([est.rf]), np.array([est.fs]))[0].tolist())
     residual = max(
         abs(
             fs1 * deltas[t - 1]
@@ -116,7 +130,7 @@ def identify(est: EstimandSet) -> IdentifiedProfile:
             " identified effects may be unstable",
         )
     return IdentifiedProfile(
-        deltas=tuple(deltas),
+        deltas=deltas,
         fs1=fs1,
         rho=est.rho,
         residual=residual,
@@ -158,16 +172,70 @@ def _require_positive_fs1(est: EstimandSet) -> float:
     return fs1
 
 
-def _check_signed(lo: float, hi: float) -> None:
-    if lo > 0.0 or hi < 0.0:
-        raise SignedBoundViolation(
-            "this method needs lo <= 0 <= hi; use the unrestricted general bounds"
-        )
-
-
 def _check_ordered(lo: float, hi: float) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValueError(f"effect bounds must satisfy lo <= hi, got ({lo}, {hi})")
+
+
+def _signs_ok(method: str, lo: float, hi: float) -> bool:
+    """General and tight bounds require lo <= 0 <= hi; unrestricted always works."""
+    return method == "unrestricted" or lo <= 0.0 <= hi
+
+
+def bound_rows(method, rf, fs, sw0, sw1, t, lo, hi):
+    """Lower and upper period-t bound endpoints of ``method`` for every row.
+
+    ``rf`` and ``fs`` are (rows, T), ``sw0`` and ``sw1`` are (rows, T-1);
+    the caller guarantees fs_1 > 0 in every row and lo <= hi.
+
+    - general: arm-wise switching probabilities times the effect bounds.
+    - unrestricted: general, except that a bound of the "unexpected" sign
+      uses the tighter first-stage gap max(fs_1 - fs_t, 0) or
+      max(fs_t - fs_1, 0) in place of a switching probability; equal to
+      general whenever lo <= 0 <= hi.
+    - tight: the first-stage path alone, through the drop fs_1 - fs_t
+      and the increases fs_k - fs_{k-1} > 0 for k <= t.
+    """
+    fs1 = fs[:, 0]
+    base = rf[:, t - 1] / fs1
+    fst = fs[:, t - 1]
+    if method == "general":
+        lower = base + sw0[:, t - 2] * lo / fs1 - sw1[:, t - 2] * hi / fs1
+        upper = base + sw0[:, t - 2] * hi / fs1 - sw1[:, t - 2] * lo / fs1
+    elif method == "unrestricted":
+        drop = np.maximum(fs1 - fst, 0.0)
+        rise = np.maximum(fst - fs1, 0.0)
+        lower = (
+            base
+            + (sw0[:, t - 2] if lo < 0.0 else drop) * lo / fs1
+            - (sw1[:, t - 2] if hi >= 0.0 else rise) * hi / fs1
+        )
+        upper = (
+            base
+            + (sw0[:, t - 2] if hi >= 0.0 else drop) * hi / fs1
+            - (sw1[:, t - 2] if lo < 0.0 else rise) * lo / fs1
+        )
+    else:  # tight
+        diffs = fs[:, : t - 1] - fs[:, 1:t]  # column k-2 holds fs_{k-1} - fs_k
+        inc = np.where(diffs < 0.0, diffs, 0.0).sum(axis=1) / fs1
+        drop = (fs1 - fst) / fs1
+        lower = base + lo * drop + (hi - lo) * inc
+        upper = base + hi * drop + (lo - hi) * inc
+    return lower, upper
+
+
+def _bound_row(method: str, est: EstimandSet, t: int, lo: float, hi: float):
+    """Checked one-row :func:`bound_rows` call: (fs_1, lower, upper)."""
+    est._check_period(t, lo=2)
+    _check_ordered(lo, hi)
+    if not _signs_ok(method, lo, hi):
+        raise SignedBoundViolation(
+            "this method needs lo <= 0 <= hi; use the unrestricted general bounds"
+        )
+    fs1 = _require_positive_fs1(est)
+    rows = (np.array([v]) for v in (est.rf, est.fs, est.switch_z0, est.switch_z1))
+    lower, upper = bound_rows(method, *rows, t, lo, hi)
+    return fs1, float(lower[0]), float(upper[0])
 
 
 def bounds_general(est: EstimandSet, t: int, lo: float, hi: float) -> BoundsReport:
@@ -176,25 +244,19 @@ def bounds_general(est: EstimandSet, t: int, lo: float, hi: float) -> BoundsRepo
     Valid whenever every switcher-group effect entering the period-t
     reduced form lies in [lo, hi]; no homogeneity is assumed.
     """
-    est._check_period(t, lo=2)
-    _check_ordered(lo, hi)
-    _check_signed(lo, hi)
-    fs1 = _require_positive_fs1(est)
-    base = est.rf_at(t) / fs1
-    sw0 = est.switch_at(t, 0)
-    sw1 = est.switch_at(t, 1)
+    fs1, lower, upper = _bound_row("general", est, t, lo, hi)
     return BoundsReport(
         t=t,
         method="general",
-        lower=base + sw0 * lo / fs1 - sw1 * hi / fs1,
-        upper=base + sw0 * hi / fs1 - sw1 * lo / fs1,
+        lower=lower,
+        upper=upper,
         lo=lo,
         hi=hi,
         rf_t=est.rf_at(t),
         fs1=fs1,
         fs_t=est.fs_at(t),
-        switch_z0_t=sw0,
-        switch_z1_t=sw1,
+        switch_z0_t=est.switch_at(t, 0),
+        switch_z1_t=est.switch_at(t, 1),
     )
 
 
@@ -203,30 +265,9 @@ def bounds_general_unrestricted(
 ) -> BoundsReport:
     """General bounds for effect bounds of arbitrary sign.
 
-    Indicator-weighted variant: when a bound has the "unexpected" sign,
-    the corresponding switching probability is replaced by the tighter
-    first-stage gap max(fs_1 - fs_t, 0) or max(fs_t - fs_1, 0). Reduces
-    exactly to :func:`bounds_general` whenever lo <= 0 <= hi.
+    Reduces exactly to :func:`bounds_general` whenever lo <= 0 <= hi.
     """
-    est._check_period(t, lo=2)
-    _check_ordered(lo, hi)
-    fs1 = _require_positive_fs1(est)
-    rf_t, fs_t = est.rf_at(t), est.fs_at(t)
-    base = rf_t / fs1
-    sw0 = est.switch_at(t, 0)
-    sw1 = est.switch_at(t, 1)
-    drop = max(fs1 - fs_t, 0.0)
-    rise = max(fs_t - fs1, 0.0)
-    lower = (
-        base
-        + (sw0 if lo < 0.0 else drop) * lo / fs1
-        - (sw1 if hi >= 0.0 else rise) * hi / fs1
-    )
-    upper = (
-        base
-        + (sw0 if hi >= 0.0 else drop) * hi / fs1
-        - (sw1 if lo < 0.0 else rise) * lo / fs1
-    )
+    fs1, lower, upper = _bound_row("unrestricted", est, t, lo, hi)
     return BoundsReport(
         t=t,
         method="general_unrestricted",
@@ -234,11 +275,11 @@ def bounds_general_unrestricted(
         upper=upper,
         lo=lo,
         hi=hi,
-        rf_t=rf_t,
+        rf_t=est.rf_at(t),
         fs1=fs1,
-        fs_t=fs_t,
-        switch_z0_t=sw0,
-        switch_z1_t=sw1,
+        fs_t=est.fs_at(t),
+        switch_z0_t=est.switch_at(t, 0),
+        switch_z1_t=est.switch_at(t, 1),
     )
 
 
@@ -249,31 +290,33 @@ def bounds_tight(est: EstimandSet, t: int, lo: float, hi: float) -> BoundsReport
     the same switch period share one effect (cross-group homogeneity);
     that requirement is echoed in the report metadata, not verified.
     """
-    est._check_period(t, lo=2)
-    _check_ordered(lo, hi)
-    _check_signed(lo, hi)
-    fs1 = _require_positive_fs1(est)
-    rf_t, fs_t = est.rf_at(t), est.fs_at(t)
-    base = rf_t / fs1
-    drop = (fs1 - fs_t) / fs1
-    increases = math.fsum(
-        (est.fs_at(k - 1) - est.fs_at(k)) / fs1
-        for k in range(2, t + 1)
-        if est.fs_at(k - 1) < est.fs_at(k)
-    )
+    fs1, lower, upper = _bound_row("tight", est, t, lo, hi)
     return BoundsReport(
         t=t,
         method="tight",
-        lower=base + lo * drop + (hi - lo) * increases,
-        upper=base + hi * drop + (lo - hi) * increases,
+        lower=lower,
+        upper=upper,
         lo=lo,
         hi=hi,
-        rf_t=rf_t,
+        rf_t=est.rf_at(t),
         fs1=fs1,
-        fs_t=fs_t,
+        fs_t=est.fs_at(t),
         fs_path=tuple(est.fs[:t]),
         assumes=(CROSS_GROUP_HOMOGENEITY,),
     )
+
+
+BOUND_METHODS = {
+    "general": bounds_general,
+    "unrestricted": bounds_general_unrestricted,
+    "tight": bounds_tight,
+}
+"""Bound methods by :func:`bound_rows` name, in report order."""
+
+
+def selected_methods(lo: float, hi: float) -> tuple[str, ...]:
+    """The bound methods defined for effect bounds [lo, hi], in report order."""
+    return tuple(m for m in BOUND_METHODS if _signs_ok(m, lo, hi))
 
 
 def outcome_range_bounds(panel: Panel) -> tuple[float, float]:

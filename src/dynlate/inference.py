@@ -16,15 +16,16 @@ import numpy as np
 
 from .errors import AllReplicationsFailed, DynlateError, RelevanceFailure
 from .estimators import (
-    bounds_general,
-    bounds_general_unrestricted,
-    bounds_tight,
+    BOUND_METHODS,
+    bound_rows,
     estimate,
     identify,
+    identify_rows,
     outcome_range_bounds,
+    selected_methods,
 )
 from .panel import Panel
-from .simulate import _rep_rng, _selected_methods
+from .simulate import rep_rng
 
 
 def percentile_interval(values: np.ndarray, alpha: float) -> tuple[float, float]:
@@ -93,7 +94,7 @@ def _resample_weights(n: int, reps: int, seed: int, threads: int) -> np.ndarray:
 
     def fill(lo: int, hi: int) -> None:
         for r in range(lo, hi):
-            idx = _rep_rng(seed, r).integers(0, n, size=n)
+            idx = rep_rng(seed, r).integers(0, n, size=n)
             W[r] = np.bincount(idx, minlength=n)
 
     if threads > 1:
@@ -132,55 +133,6 @@ def _resample_estimands(panel: Panel, W: np.ndarray):
     return valid, rf, fs, sw0, sw1
 
 
-def _identify_rows(rf: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    T = rf.shape[1]
-    fs1 = fs[:, 0]
-    rho = fs[:, :-1] - fs[:, 1:]
-    delta = np.empty_like(rf)
-    for t in range(1, T + 1):
-        acc = rf[:, t - 1].copy()
-        for k in range(2, t + 1):
-            acc += rho[:, k - 2] * delta[:, t - k]
-        delta[:, t - 1] = acc / fs1
-    return delta
-
-
-def _bound_rows(method, rf, fs, sw0, sw1, t, lo, hi):
-    fs1 = fs[:, 0]
-    base = rf[:, t - 1] / fs1
-    fst = fs[:, t - 1]
-    if method == "general":
-        lower = base + sw0[:, t - 2] * lo / fs1 - sw1[:, t - 2] * hi / fs1
-        upper = base + sw0[:, t - 2] * hi / fs1 - sw1[:, t - 2] * lo / fs1
-    elif method == "unrestricted":
-        drop = np.maximum(fs1 - fst, 0.0)
-        rise = np.maximum(fst - fs1, 0.0)
-        lower = (
-            base
-            + (sw0[:, t - 2] if lo < 0.0 else drop) * lo / fs1
-            - (sw1[:, t - 2] if hi >= 0.0 else rise) * hi / fs1
-        )
-        upper = (
-            base
-            + (sw0[:, t - 2] if hi >= 0.0 else drop) * hi / fs1
-            - (sw1[:, t - 2] if lo < 0.0 else rise) * lo / fs1
-        )
-    else:  # tight
-        diffs = fs[:, : t - 1] - fs[:, 1:t]  # column k-2 holds fs_{k-1} - fs_k
-        inc = np.where(diffs < 0.0, diffs, 0.0).sum(axis=1) / fs1
-        drop = (fs1 - fst) / fs1
-        lower = base + lo * drop + (hi - lo) * inc
-        upper = base + hi * drop + (lo - hi) * inc
-    return lower, upper
-
-
-_SCALAR_BOUNDS = {
-    "general": bounds_general,
-    "unrestricted": bounds_general_unrestricted,
-    "tight": bounds_tight,
-}
-
-
 def bootstrap(
     panel: Panel,
     reps: int,
@@ -213,7 +165,7 @@ def bootstrap(
             auto_lo, auto_hi = outcome_range_bounds(panel)
             lo = auto_lo if lo is None else lo
             hi = auto_hi if hi is None else hi
-        methods = _selected_methods(lo, hi)
+        methods = selected_methods(lo, hi)
     else:
         lo = hi = None
         methods = ()
@@ -258,7 +210,7 @@ def bootstrap(
             )
 
     if include_identify:
-        delta = _identify_rows(rf, fs)
+        delta = identify_rows(rf, fs)
         try:
             point_prof = identify(point_est).deltas
         except RelevanceFailure:
@@ -271,14 +223,14 @@ def bootstrap(
     for method in methods:
         if not pos.any():
             break
-        fn = _SCALAR_BOUNDS[method]
+        fn = BOUND_METHODS[method]
         for t in range(2, T + 1):
             try:
                 point_rep = fn(point_est, t, lo, hi)
                 point_lower, point_upper = point_rep.lower, point_rep.upper
             except DynlateError:
                 point_lower = point_upper = None
-            lower, upper = _bound_rows(
+            lower, upper = bound_rows(
                 method, rf[pos], fs[pos], sw0[pos], sw1[pos], t, lo, hi
             )
             extra = int(n_ok - pos.sum())

@@ -14,32 +14,14 @@ import numpy as np
 
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
 from .errors import DynlateError
-from .estimators import (
-    bounds_general,
-    bounds_general_unrestricted,
-    bounds_tight,
-    estimate,
-    identify,
-)
+from .estimators import BOUND_METHODS, estimate, identify, selected_methods
 from .panel import Panel
 
 ALL_TARGETS = ("estimands", "identify", "bounds")
 
-_BOUND_METHODS = {
-    "general": bounds_general,
-    "unrestricted": bounds_general_unrestricted,
-    "tight": bounds_tight,
-}
 
-
-def _selected_methods(lo: float, hi: float) -> tuple[str, ...]:
-    """General and tight bounds require lo <= 0 <= hi; unrestricted always works."""
-    if lo <= 0.0 <= hi:
-        return ("general", "unrestricted", "tight")
-    return ("unrestricted",)
-
-
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
+def rep_rng(seed: int, rep: int) -> np.random.Generator:
+    """The RNG stream of replication (or bootstrap resample) ``rep``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
@@ -132,14 +114,15 @@ class MonteCarloSummary:
         raise KeyError(name)
 
 
-def _oracle_values(spec, targets, lo, hi) -> dict[str, float]:
-    """Population value of every requested target (estimator consistency oracle).
+def _target_values(est, targets, lo, hi) -> dict[str, float]:
+    """Value of every requested target that ``est`` defines.
 
-    For calendar-homogeneous DGPs the identified profile oracle coincides
-    with the true dynamic effects; in general it is the population value
-    of the same functional the sample path computes.
+    Applied to the population estimands this is the oracle: for
+    calendar-homogeneous DGPs the identified profile coincides with the
+    true dynamic effects, and in general it is the population value of the
+    same functional each replication computes. A target the estimators
+    reject (undefined IV, zero first stage) is left out.
     """
-    est = population_estimands(spec)
     out: dict[str, float] = {}
     if "estimands" in targets:
         for t in range(1, est.T + 1):
@@ -149,35 +132,6 @@ def _oracle_values(spec, targets, lo, hi) -> dict[str, float]:
             if iv is not None:
                 out[f"iv[{t}]"] = iv
     if "identify" in targets:
-        prof = identify(est)
-        for tau, v in enumerate(prof.deltas):
-            out[f"delta[{tau}]"] = v
-    if "bounds" in targets:
-        for name in _selected_methods(lo, hi):
-            fn = _BOUND_METHODS[name]
-            for t in range(2, est.T + 1):
-                rep = fn(est, t, lo, hi)
-                out[f"{name}_lower[{t}]"] = rep.lower
-                out[f"{name}_upper[{t}]"] = rep.upper
-    return out
-
-
-def _rep_values(spec, n, seed, rep, targets, lo, hi, names) -> dict[str, float]:
-    rng = _rep_rng(seed, rep)
-    out: dict[str, float] = {}
-    try:
-        panel = _draw_panel_with_rng(spec, n, rng)
-        est = estimate(panel)
-    except DynlateError:
-        return out
-    if "estimands" in targets:
-        for t in range(1, est.T + 1):
-            out[f"rf[{t}]"] = est.rf_at(t)
-            out[f"fs[{t}]"] = est.fs_at(t)
-            iv = est.iv_at(t)
-            if iv is not None and f"iv[{t}]" in names:
-                out[f"iv[{t}]"] = iv
-    if "identify" in targets:
         try:
             prof = identify(est)
             for tau, v in enumerate(prof.deltas):
@@ -185,15 +139,14 @@ def _rep_values(spec, n, seed, rep, targets, lo, hi, names) -> dict[str, float]:
         except DynlateError:
             pass
     if "bounds" in targets:
-        for name in _selected_methods(lo, hi):
-            fn = _BOUND_METHODS[name]
+        for name in selected_methods(lo, hi):
             for t in range(2, est.T + 1):
                 try:
-                    rep_b = fn(est, t, lo, hi)
+                    rep = BOUND_METHODS[name](est, t, lo, hi)
                 except DynlateError:
                     continue
-                out[f"{name}_lower[{t}]"] = rep_b.lower
-                out[f"{name}_upper[{t}]"] = rep_b.upper
+                out[f"{name}_lower[{t}]"] = rep.lower
+                out[f"{name}_upper[{t}]"] = rep.upper
     return out
 
 
@@ -224,22 +177,24 @@ def monte_carlo(
         auto_lo, auto_hi = contaminating_effect_range(spec)
         lo = auto_lo if lo is None else lo
         hi = auto_hi if hi is None else hi
-    oracle = _oracle_values(spec, targets, lo, hi)
-    names = tuple(oracle)
+    # fs_1 = P(C1) > 0 for a valid spec, so the oracle keeps every identify
+    # and bounds target
+    oracle = _target_values(population_estimands(spec), targets, lo, hi)
+
+    def rep_values(rep: int) -> dict[str, float]:
+        try:
+            est = estimate(_draw_panel_with_rng(spec, n, rep_rng(seed, rep)))
+        except DynlateError:
+            return {}
+        return _target_values(est, targets, lo, hi)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda r: _rep_values(spec, n, seed, r, targets, lo, hi, names),
-                    range(reps),
-                )
-            )
+            results = list(pool.map(rep_values, range(reps)))
     else:
-        results = [
-            _rep_values(spec, n, seed, r, targets, lo, hi, names) for r in range(reps)
-        ]
+        results = [rep_values(r) for r in range(reps)]
     rows = []
-    for name in names:
+    for name in oracle:
         values = [res[name] for res in results if name in res]
         n_ok = len(values)
         mean = float(np.mean(values)) if n_ok else None

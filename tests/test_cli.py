@@ -296,16 +296,33 @@ class TestGoldenReports:
         assert code == 0, err
         return out.read_bytes()
 
-    def test_estimate_golden(self, capsys, small_panel_csv, tmp_path):
+    def _assert_small_panel_golden(self, capsys, tmp_path, panel_csv, golden_name, argv):
         from dynlate import reporting
 
-        blob = self._current(
-            capsys, tmp_path, "estimate", ["estimate", "--panel", small_panel_csv]
-        )
-        golden = GOLDEN_DIR / "estimate_small_panel.json"
+        blob = self._current(capsys, tmp_path, argv[0], [*argv, "--panel", panel_csv])
+        golden = GOLDEN_DIR / golden_name
         doc = json.loads(blob)
         doc["inputs"]["panel"] = "panel_small.csv"  # machine-dependent path
         assert reporting.dumps(doc).encode() == golden.read_bytes()
+
+    def test_estimate_golden(self, capsys, small_panel_csv, tmp_path):
+        self._assert_small_panel_golden(
+            capsys, tmp_path, small_panel_csv, "estimate_small_panel.json", ["estimate"]
+        )
+
+    def test_identify_golden(self, capsys, small_panel_csv, tmp_path):
+        # dyadic data: the recursion is exact, so any change in it shows here
+        self._assert_small_panel_golden(
+            capsys, tmp_path, small_panel_csv, "identify_small_panel.json",
+            ["identify", "--assume", "calendar-homogeneity"],
+        )
+
+    def test_bounds_golden(self, capsys, small_panel_csv, tmp_path):
+        # pins all three bound methods and the CLI's report order
+        self._assert_small_panel_golden(
+            capsys, tmp_path, small_panel_csv, "bounds_small_panel.json",
+            ["bounds", "--assume", "cross-group-homogeneity"],
+        )
 
     def test_decompose_golden(self, capsys, tmp_path):
         # regenerate the spec file at a fixed path-independent location

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynlate.errors import AllReplicationsFailed
-from dynlate.estimators import estimate
+from dynlate.estimators import (
+    BOUND_METHODS,
+    bound_rows,
+    estimate,
+    identify,
+    identify_rows,
+    selected_methods,
+)
 from dynlate.inference import (
     _resample_estimands,
     bootstrap,
@@ -62,18 +71,53 @@ class TestBootstrap:
         d = bootstrap(panel, reps=60, alpha=0.1, seed=6)
         assert a != d
 
-    def test_resample_engine_matches_scalar_estimate(self):
-        rng = np.random.default_rng(72)
-        spec, _ = random_homogeneous_spec(rng, T=3, noise_sd=0.5)
-        panel = draw_panel(spec, 250, seed=17)
-        est = estimate(panel)
-        W = np.ones((1, panel.n))
-        valid, rf, fs, sw0, sw1 = _resample_estimands(panel, W)
-        assert valid.all()
-        assert rf[0] == pytest.approx(est.rf, abs=1e-12)
-        assert fs[0] == pytest.approx(est.fs, abs=1e-12)
-        assert sw0[0] == pytest.approx(est.switch_z0, abs=1e-12)
-        assert sw1[0] == pytest.approx(est.switch_z1, abs=1e-12)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=-24, max_value=24),
+        st.integers(min_value=0, max_value=24),
+        st.randoms(use_true_random=False),
+    )
+    def test_resample_kernel_matches_materialised_panel(self, T, n, lo8, width8, rnd):
+        # Weighted kernel rows must equal the scalar estimators on the panel
+        # that repeats unit i w_i times. Dyadic outcomes and integer weights
+        # keep every moment exact, so a mismatch is a logic error (weights,
+        # swapped switch arms, an off-by-one period), never rounding.
+        rng = np.random.RandomState(rnd.randint(0, 2**31 - 1))
+        z = rng.randint(0, 2, size=n)
+        z[0], z[1] = 0, 1
+        start = rng.randint(1, T + 2, size=n)  # T+1 means never treated
+        d = (np.arange(1, T + 1)[None, :] >= start[:, None]).astype(np.int8)
+        y = rng.randint(-40, 41, size=(n, T)) / 8.0
+        panel = Panel.from_arrays([f"u{i:02d}" for i in range(n)], z, d, y)
+        w = rng.randint(0, 4, size=n)
+        w[0], w[1] = max(w[0], 1), max(w[1], 1)  # keep both arms
+        rep = np.repeat(np.arange(n), w)
+        resampled = Panel.from_arrays(
+            [f"r{j:03d}" for j in range(rep.size)],
+            panel.z[rep], panel.d[rep], panel.y[rep],
+        )
+        lo, hi = lo8 / 8.0, (lo8 + width8) / 8.0  # lo > 0 and hi < 0 included
+
+        valid, rf, fs, sw0, sw1 = _resample_estimands(panel, w[None, :].astype(float))
+        est = estimate(resampled)
+        assert rf[0] == pytest.approx(est.rf, rel=1e-12)
+        assert fs[0] == pytest.approx(est.fs, rel=1e-12)
+        assert sw0[0] == pytest.approx(est.switch_z0, rel=1e-12)
+        assert sw1[0] == pytest.approx(est.switch_z1, rel=1e-12)
+        assert valid[0] == (est.fs[0] != 0.0)
+        if est.fs[0] != 0.0:
+            deltas = identify_rows(rf, fs)[0]
+            assert deltas == pytest.approx(identify(est).deltas, rel=1e-12)
+        if est.fs[0] > 0.0:
+            for method in selected_methods(lo, hi):
+                for t in range(2, T + 1):
+                    report = BOUND_METHODS[method](est, t, lo, hi)
+                    lower, upper = bound_rows(method, rf, fs, sw0, sw1, t, lo, hi)
+                    assert (lower[0], upper[0]) == pytest.approx(
+                        (report.lower, report.upper), rel=1e-12
+                    )
 
     def test_interval_ordering_and_counts(self):
         rng = np.random.default_rng(73)
