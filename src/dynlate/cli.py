@@ -83,7 +83,8 @@ seed_opt = click.option(
 )
 threads_opt = click.option(
     "--threads", type=int, default=lambda: os.cpu_count() or 1,
-    help="Worker threads (results are thread-count invariant).",
+    help="Bootstrap weight-fill threads; Monte Carlo runs in one thread"
+    " (results are thread-count invariant).",
 )
 assume_opt = click.option(
     "--assume", multiple=True, callback=_parse_assume,
@@ -350,7 +351,7 @@ def decompose(dgp_path, period, json_path):
 
 @cli.command("simulate")
 @dgp_opt
-@click.option("--n", type=int, required=True, help="Units to draw.")
+@click.option("--n", type=click.IntRange(min=1), required=True, help="Units to draw.")
 @seed_opt
 @click.option("--out", "out_path", type=str, default=None,
               help="Panel CSV destination (default: stdout).")
@@ -374,8 +375,9 @@ def simulate_cmd(dgp_path, n, seed, out_path, json_path):
 
 @cli.command()
 @dgp_opt
-@click.option("--n", type=int, required=True, help="Units per replication.")
-@click.option("--reps", type=int, required=True, help="Replications.")
+@click.option("--n", type=click.IntRange(min=1), required=True,
+              help="Units per replication.")
+@click.option("--reps", type=click.IntRange(min=1), required=True, help="Replications.")
 @seed_opt
 @click.option("--targets", callback=_parse_targets, default=None,
               help="Comma-separated subset of: " + ", ".join(simulate.ALL_TARGETS))
@@ -408,8 +410,10 @@ def montecarlo(dgp_path, n, reps, seed, targets, effect_bounds, threads, json_pa
 
 @cli.command("bootstrap")
 @panel_opt
-@click.option("--reps", type=int, required=True, help="Bootstrap resamples.")
-@click.option("--alpha", type=float, default=0.05, show_default=True,
+@click.option("--reps", type=click.IntRange(min=2), required=True,
+              help="Bootstrap resamples.")
+@click.option("--alpha", type=click.FloatRange(0, 1, min_open=True, max_open=True),
+              default=0.05, show_default=True,
               help="1 - confidence level.")
 @seed_opt
 @bounds_opt

@@ -27,24 +27,25 @@ NO_LATE_SWITCHERS = "no-late-switchers"
 KNOWN_ASSUMPTIONS = (CALENDAR_HOMOGENEITY, CROSS_GROUP_HOMOGENEITY, NO_LATE_SWITCHERS)
 
 
-def estimate(panel: Panel) -> EstimandSet:
-    """Sample per-period estimands from arm-wise means.
+def arm_moments(z: np.ndarray, d: np.ndarray, y: np.ndarray):
+    """(rf, fs, sw0, sw1) of one sample from its arm-wise means.
 
-    rf_t and fs_t are differences of arm means of y and d; the switching
-    shares are the arm-wise fractions of units treated at t but not at 1.
+    rf_t and fs_t are differences of arm means of y and d; sw0 and sw1 are
+    the arm-wise fractions of units treated at t but not at 1 (length
+    T-1). Both arms must be non-empty.
     """
+    on = z == 1
+    rf = y[on].mean(axis=0) - y[~on].mean(axis=0)
+    fs = d[on].mean(axis=0) - d[~on].mean(axis=0)
+    later = (d[:, 1:] == 1) & (d[:, :1] == 0)
+    return rf, fs, later[~on].mean(axis=0), later[on].mean(axis=0)
+
+
+def estimate(panel: Panel) -> EstimandSet:
+    """Sample per-period estimands from :func:`arm_moments`."""
     if not panel.has_both_arms:
         raise DegenerateInstrument("panel has a single instrument arm")
-    on = panel.z == 1
-    y1 = panel.y[on].mean(axis=0)
-    y0 = panel.y[~on].mean(axis=0)
-    d1 = panel.d[on].mean(axis=0)
-    d0 = panel.d[~on].mean(axis=0)
-    rf = tuple(float(v) for v in (y1 - y0))
-    fs = tuple(float(v) for v in (d1 - d0))
-    later = (panel.d[:, 1:] == 1) & (panel.d[:, :1] == 0)
-    sw1 = tuple(float(v) for v in later[on].mean(axis=0)) if panel.T > 1 else ()
-    sw0 = tuple(float(v) for v in later[~on].mean(axis=0)) if panel.T > 1 else ()
+    rf, fs, sw0, sw1 = (tuple(v.tolist()) for v in arm_moments(panel.z, panel.d, panel.y))
     rho = tuple(fs[t - 1] - fs[t] for t in range(1, panel.T))
     return EstimandSet(
         T=panel.T,
@@ -317,6 +318,42 @@ BOUND_METHODS = {
 def selected_methods(lo: float, hi: float) -> tuple[str, ...]:
     """The bound methods defined for effect bounds [lo, hi], in report order."""
     return tuple(m for m in BOUND_METHODS if _signs_ok(m, lo, hi))
+
+
+def target_columns(rf, fs, sw0, sw1, targets, lo, hi):
+    """Every sample target of the ``targets`` groups, in bootstrap report order.
+
+    Row i of ``rf``, ``fs`` (rows, T) and ``sw0``, ``sw1`` (rows, T-1) holds
+    one sample's moments. Each (name, values, ok) triple has the target in
+    every row; ``ok`` marks the rows where the scalar estimators define it:
+    iv[t] needs fs_t != 0, delta[tau] needs fs_1 != 0, and bounds need
+    fs_1 > 0, for the methods :func:`selected_methods` selects for [lo, hi].
+    """
+    T = rf.shape[1]
+    every = np.ones(rf.shape[0], dtype=bool)
+    columns = []
+    # rows outside ``ok`` may divide by a zero first stage
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if "estimands" in targets:
+            for t in range(1, T + 1):
+                columns.append((f"rf[{t}]", rf[:, t - 1], every))
+                columns.append((f"fs[{t}]", fs[:, t - 1], every))
+            for t in range(1, T + 1):
+                iv = rf[:, t - 1] / fs[:, t - 1]
+                columns.append((f"iv[{t}]", iv, fs[:, t - 1] != 0.0))
+        if "identify" in targets:
+            delta = identify_rows(rf, fs)
+            defined = fs[:, 0] != 0.0
+            columns.extend((f"delta[{tau}]", delta[:, tau], defined) for tau in range(T))
+        if "bounds" in targets:
+            _check_ordered(lo, hi)
+            positive = fs[:, 0] > 0.0
+            for method in selected_methods(lo, hi):
+                for t in range(2, T + 1):
+                    lower, upper = bound_rows(method, rf, fs, sw0, sw1, t, lo, hi)
+                    columns.append((f"{method}_lower[{t}]", lower, positive))
+                    columns.append((f"{method}_upper[{t}]", upper, positive))
+    return columns
 
 
 def outcome_range_bounds(panel: Panel) -> tuple[float, float]:

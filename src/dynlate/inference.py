@@ -14,16 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllReplicationsFailed, DynlateError, RelevanceFailure
-from .estimators import (
-    BOUND_METHODS,
-    bound_rows,
-    estimate,
-    identify,
-    identify_rows,
-    outcome_range_bounds,
-    selected_methods,
-)
+from .errors import AllReplicationsFailed
+from .estimators import estimate, outcome_range_bounds, target_columns
 from .panel import Panel
 from .simulate import rep_rng
 
@@ -158,17 +150,16 @@ def bootstrap(
         raise ValueError(f"reps must be >= 2, got {reps}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    T = panel.T
     point_est = estimate(panel)
+    targets = ("estimands",) + ("identify",) * include_identify
     if include_bounds:
         if lo is None or hi is None:
             auto_lo, auto_hi = outcome_range_bounds(panel)
             lo = auto_lo if lo is None else lo
             hi = auto_hi if hi is None else hi
-        methods = selected_methods(lo, hi)
+        targets += ("bounds",)
     else:
         lo = hi = None
-        methods = ()
 
     W = _resample_weights(panel.n, reps, seed, threads)
     valid, rf, fs, sw0, sw1 = _resample_estimands(panel, W)
@@ -177,74 +168,34 @@ def bootstrap(
         raise AllReplicationsFailed(
             "every bootstrap resample had an empty arm or a zero first stage"
         )
-    rf, fs = rf[valid], fs[valid]
-    sw0, sw1 = sw0[valid], sw1[valid]
-    n_ok = rf.shape[0]
-
-    targets: list[TargetInterval] = []
-
-    def add(name, point, values, extra_failed=0):
-        lo_q, hi_q = percentile_interval(values, alpha)
-        targets.append(
+    resampled = target_columns(*(a[valid] for a in (rf, fs, sw0, sw1)), targets, lo, hi)
+    est_row = (point_est.rf, point_est.fs, point_est.switch_z0, point_est.switch_z1)
+    point = target_columns(*(np.array([v]) for v in est_row), targets, lo, hi)
+    intervals = []
+    for (name, values, ok), (_, point_value, point_ok) in zip(resampled, point):
+        if not ok.any():
+            continue
+        lower, upper = percentile_interval(values[ok], alpha)
+        n_ok = int(ok.sum())
+        intervals.append(
             TargetInterval(
                 name=name,
-                point=point,
-                lower=lo_q,
-                upper=hi_q,
-                n_ok=len(values),
-                n_failed=n_failed + extra_failed,
+                point=float(point_value[0]) if point_ok[0] else None,
+                lower=lower,
+                upper=upper,
+                n_ok=n_ok,
+                n_failed=reps - n_ok,
             )
         )
 
-    for t in range(1, T + 1):
-        add(f"rf[{t}]", point_est.rf_at(t), rf[:, t - 1])
-        add(f"fs[{t}]", point_est.fs_at(t), fs[:, t - 1])
-    for t in range(1, T + 1):
-        defined = fs[:, t - 1] != 0.0
-        if defined.any():
-            add(
-                f"iv[{t}]",
-                point_est.iv_at(t),
-                rf[defined, t - 1] / fs[defined, t - 1],
-                extra_failed=int(n_ok - defined.sum()),
-            )
-
-    if include_identify:
-        delta = identify_rows(rf, fs)
-        try:
-            point_prof = identify(point_est).deltas
-        except RelevanceFailure:
-            point_prof = (None,) * T
-        for tau in range(T):
-            add(f"delta[{tau}]", point_prof[tau], delta[:, tau])
-
-    # bound methods require a positive first stage, like the scalar path
-    pos = fs[:, 0] > 0.0
-    for method in methods:
-        if not pos.any():
-            break
-        fn = BOUND_METHODS[method]
-        for t in range(2, T + 1):
-            try:
-                point_rep = fn(point_est, t, lo, hi)
-                point_lower, point_upper = point_rep.lower, point_rep.upper
-            except DynlateError:
-                point_lower = point_upper = None
-            lower, upper = bound_rows(
-                method, rf[pos], fs[pos], sw0[pos], sw1[pos], t, lo, hi
-            )
-            extra = int(n_ok - pos.sum())
-            add(f"{method}_lower[{t}]", point_lower, lower, extra_failed=extra)
-            add(f"{method}_upper[{t}]", point_upper, upper, extra_failed=extra)
-
     return BootstrapResult(
         n=panel.n,
-        T=T,
+        T=panel.T,
         reps=reps,
         alpha=alpha,
         seed=seed,
         n_failed_resamples=n_failed,
         lo=lo,
         hi=hi,
-        targets=tuple(targets),
+        targets=tuple(intervals),
     )

@@ -1,23 +1,30 @@
 """Sampling from a DGP and Monte Carlo comparison against the exact oracle.
 
-Replication r always draws from a stream seeded by (seed, r), so results
-are identical whether replications run sequentially or across threads,
-and independent of executor scheduling.
+Replication r always draws from a stream seeded by (seed, r), so its
+draws depend on nothing but the seed and its index. Replications draw
+plain (z, d, y) arrays, skip the panel layer, and are evaluated together
+as rows of one :func:`~dynlate.estimators.target_columns` table.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
-from .errors import DynlateError
-from .estimators import BOUND_METHODS, estimate, identify, selected_methods
+from .errors import DegenerateInstrument, DynlateError
+from .estimators import (
+    BOUND_METHODS,
+    arm_moments,
+    identify,
+    selected_methods,
+    target_columns,
+)
 from .panel import Panel
 
 ALL_TARGETS = ("estimands", "identify", "bounds")
+"""Target groups of :func:`~dynlate.estimators.target_columns`, in report order."""
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -58,27 +65,28 @@ def _draw_assignments(spec: DgpSpec, n: int, rng: np.random.Generator):
     return hist, z
 
 
-def _draw_panel_with_rng(spec: DgpSpec, n: int, rng: np.random.Generator) -> Panel:
+def _draw_arrays(spec: DgpSpec, n: int, rng: np.random.Generator):
+    """(z, d, y) of n units: latent history, then arm, then outcomes plus noise."""
     hist, z = _draw_assignments(spec, n, rng)
     noise = rng.normal(0.0, spec.noise_sd, size=(n, spec.T))
     d_arm, mean_arm = _arm_tables(spec)
     on = (z == 1)[:, None]
     d = np.where(on, d_arm[1][hist], d_arm[0][hist])
     y = np.where(on, mean_arm[1][hist], mean_arm[0][hist]) + noise
-    width = len(str(n - 1))
-    ids = tuple(f"u{i:0{width}d}" for i in range(n))
-    return Panel.from_arrays(ids, z, d, y)
+    return z, d, y
 
 
 def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
-    """Draw n units: latent history, then arm, then outcomes plus noise.
+    """Draw n units with :func:`_draw_arrays` as a panel with ids u0, u1, ....
 
     Adoption pairs make treatment paths irreversible by construction, so
     the result always passes panel validation.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _draw_panel_with_rng(spec, n, np.random.default_rng(np.random.SeedSequence(seed)))
+    z, d, y = _draw_arrays(spec, n, np.random.default_rng(np.random.SeedSequence(seed)))
+    width = len(str(n - 1))
+    return Panel.from_arrays(tuple(f"u{i:0{width}d}" for i in range(n)), z, d, y)
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,7 @@ class MonteCarloSummary:
 
 
 def _target_values(est, targets, lo, hi) -> dict[str, float]:
-    """Value of every requested target that ``est`` defines.
+    """Every requested target the scalar estimators define for ``est``.
 
     Applied to the population estimands this is the oracle: for
     calendar-homogeneous DGPs the identified profile coincides with the
@@ -160,15 +168,20 @@ def monte_carlo(
     hi: float | None = None,
     threads: int = 1,
 ) -> MonteCarloSummary:
-    """Repeatedly draw panels and summarize estimator error against the oracle.
+    """Repeatedly draw samples and summarize estimator error against the oracle.
 
-    Estimator failures inside a replication (undefined IV, zero first
-    stage) drop that replication for the affected targets only and are
-    counted per target. Default effect bounds come from the spec's own
-    contaminating-effect envelope.
+    Estimator failures inside a replication (a single instrument arm,
+    undefined IV, zero first stage) drop that replication for the
+    affected targets only and are counted per target. Default effect
+    bounds come from the spec's own contaminating-effect envelope.
+    Replications run in one thread; ``threads`` is accepted and ignored.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if not 0.0 < spec.pz < 1.0:
+        raise DegenerateInstrument(f"pz = {spec.pz} puts every unit in one instrument arm")
     targets = tuple(targets)
     unknown = set(targets) - set(ALL_TARGETS)
     if unknown:
@@ -181,21 +194,21 @@ def monte_carlo(
     # and bounds target
     oracle = _target_values(population_estimands(spec), targets, lo, hi)
 
-    def rep_values(rep: int) -> dict[str, float]:
-        try:
-            est = estimate(_draw_panel_with_rng(spec, n, rep_rng(seed, rep)))
-        except DynlateError:
-            return {}
-        return _target_values(est, targets, lo, hi)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(rep_values, range(reps)))
-    else:
-        results = [rep_values(r) for r in range(reps)]
+    T = spec.T
+    rf, fs, sw0, sw1 = (np.zeros((reps, k)) for k in (T, T, T - 1, T - 1))
+    both_arms = np.zeros(reps, dtype=bool)
+    for r in range(reps):
+        z, d, y = _draw_arrays(spec, n, rep_rng(seed, r))
+        if 0 < z.sum() < n:
+            both_arms[r] = True
+            rf[r], fs[r], sw0[r], sw1[r] = arm_moments(z, d, y)
+    columns = {
+        name: values[ok & both_arms]
+        for name, values, ok in target_columns(rf, fs, sw0, sw1, targets, lo, hi)
+    }
     rows = []
     for name in oracle:
-        values = [res[name] for res in results if name in res]
+        values = columns[name]
         n_ok = len(values)
         mean = float(np.mean(values)) if n_ok else None
         sd = float(np.std(values, ddof=1)) if n_ok >= 2 else None

@@ -53,6 +53,25 @@ class TestErrorContract:
         assert code == 2
         assert err.startswith("error[E_PERIOD]:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("montecarlo", "--dgp", "SPEC", "--n", "10", "--reps", "0"),
+            ("montecarlo", "--dgp", "SPEC", "--n", "-5", "--reps", "2"),
+            ("montecarlo", "--dgp", "SPEC", "--n", "0", "--reps", "2"),
+            ("simulate", "--dgp", "SPEC", "--n", "0"),
+            ("bootstrap", "--panel", "PANEL", "--reps", "1"),
+            ("bootstrap", "--panel", "PANEL", "--reps", "10", "--alpha", "1.5"),
+            ("bootstrap", "--panel", "PANEL", "--reps", "10", "--alpha", "0"),
+        ],
+    )
+    def test_out_of_range_option(self, capsys, spec_file, small_panel_csv, argv):
+        files = {"SPEC": spec_file, "PANEL": small_panel_csv}
+        code, _, err = run(capsys, *(files.get(a, a) for a in argv), "--seed", "1")
+        assert code == 2
+        assert err.startswith("error[E_ARGS]:")
+        assert err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

@@ -1,14 +1,29 @@
 """Panel drawing and Monte Carlo orchestration."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynlate.dgp import DgpSpec, HistorySpec, population_estimands
+from dynlate.errors import DegenerateInstrument, DynlateError
 from dynlate.estimators import estimate
 from dynlate.latent import NEVER, AdoptionPair
-from dynlate.simulate import _draw_assignments, draw_panel, monte_carlo
+from dynlate.panel import Panel
+from dynlate.simulate import (
+    ALL_TARGETS,
+    MonteCarloSummary,
+    TargetSummary,
+    _draw_arrays,
+    _draw_assignments,
+    _target_values,
+    draw_panel,
+    monte_carlo,
+    rep_rng,
+)
 
 from randspec import random_spec, static_compliance_spec
 
@@ -164,3 +179,65 @@ class TestMonteCarlo:
         row = summary.row("fs[1]")
         assert row.n_failed > 0
         assert row.n_ok + row.n_failed == 60
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_nonpositive_n(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            monte_carlo(three_history_spec(), n=n, reps=2, seed=1)
+
+    @pytest.mark.parametrize("pz", [0.0, 1.0])
+    def test_rejects_single_arm_spec(self, pz):
+        spec = dataclasses.replace(three_history_spec(), pz=pz)
+        with pytest.raises(DegenerateInstrument) as err:
+            monte_carlo(spec, n=50, reps=2, seed=1)
+        assert err.value.code == "E_DEGENERATE"
+
+
+def reference_monte_carlo(spec, n, reps, seed, targets, lo, hi):
+    """Monte Carlo through a validated Panel and the scalar estimators per replication."""
+    oracle = _target_values(population_estimands(spec), targets, lo, hi)
+    results = []
+    for r in range(reps):
+        z, d, y = _draw_arrays(spec, n, rep_rng(seed, r))
+        try:
+            est = estimate(Panel.from_arrays([f"u{i:03d}" for i in range(n)], z, d, y))
+        except DynlateError:
+            results.append({})
+            continue
+        results.append(_target_values(est, targets, lo, hi))
+    rows = []
+    for name, truth in oracle.items():
+        values = [res[name] for res in results if name in res]
+        mean = float(np.mean(values)) if values else None
+        rows.append(TargetSummary(
+            name=name,
+            oracle=truth,
+            mean=mean,
+            bias=None if mean is None else mean - truth,
+            sd=float(np.std(values, ddof=1)) if len(values) >= 2 else None,
+            n_ok=len(values),
+            n_failed=reps - len(values),
+        ))
+    return MonteCarloSummary(n, reps, seed, spec.T, targets, lo, hi, tuple(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.integers(min_value=-16, max_value=16),
+    st.integers(min_value=0, max_value=16),
+    st.lists(st.sampled_from(ALL_TARGETS), min_size=1, max_size=3, unique=True),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_table_matches_scalar_reference(T, n, reps, pz, lo8, width8, targets, seed):
+    # Tiny n leaves some replications with a single arm or a zero first
+    # stage; lo > 0 and hi < 0 drop the sign-restricted bound methods.
+    rng = np.random.default_rng(seed)
+    spec = dataclasses.replace(random_spec(rng, T=T, noise_sd=0.5), pz=pz)
+    lo, hi = lo8 / 8.0, (lo8 + width8) / 8.0
+    targets = tuple(targets)
+    got = monte_carlo(spec, n=n, reps=reps, seed=seed, targets=targets, lo=lo, hi=hi)
+    assert got == reference_monte_carlo(spec, n, reps, seed, targets, lo, hi)
