@@ -9,7 +9,6 @@ writes a versioned machine-readable report. Exit codes: 0 success,
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import sys
 
@@ -275,7 +274,7 @@ def bounds(panel_path, dgp_path, period, effect_bounds, assume, json_path):
     lo, hi = effect_bounds
     periods = [period] if period is not None else list(range(2, est.T + 1))
     tight_declared = _tight_declared(assume)
-    methods = [m for m in selected_methods(lo, hi) if m != "tight" or tight_declared]
+    methods = selected_methods(lo, hi, tight_declared)
     reports = [BOUND_METHODS[m](est, t, lo, hi) for t in periods for m in methods]
     warnings = []
     if not tight_declared:
@@ -429,12 +428,9 @@ def bootstrap_cmd(panel_path, reps, alpha, seed, effect_bounds, assume, threads,
     include_identify = CALENDAR_HOMOGENEITY in assume
     res = inference.bootstrap(
         panel, reps=reps, alpha=alpha, seed=seed, lo=lo, hi=hi,
-        include_identify=include_identify, threads=threads,
+        include_identify=include_identify, include_tight=_tight_declared(assume),
+        threads=threads,
     )
-    tight_declared = _tight_declared(assume)
-    res = dataclasses.replace(res, targets=tuple(
-        t for t in res.targets if tight_declared or not t.name.startswith("tight_")
-    ))
     warnings = []
     if not include_identify:
         warnings.append(

@@ -30,15 +30,22 @@ KNOWN_ASSUMPTIONS = (CALENDAR_HOMOGENEITY, CROSS_GROUP_HOMOGENEITY, NO_LATE_SWIT
 def arm_moments(z: np.ndarray, d: np.ndarray, y: np.ndarray):
     """(rf, fs, sw0, sw1) of one sample from its arm-wise means.
 
-    rf_t and fs_t are differences of arm means of y and d; sw0 and sw1 are
-    the arm-wise fractions of units treated at t but not at 1 (length
+    rf_t and fs_t are differences of arm means of y and 0/1 d; sw0 and sw1
+    are the arm-wise fractions of units treated at t but not at 1 (length
     T-1). Both arms must be non-empty.
     """
+    T = y.shape[1]
     on = z == 1
-    rf = y[on].mean(axis=0) - y[~on].mean(axis=0)
-    fs = d[on].mean(axis=0) - d[~on].mean(axis=0)
-    later = (d[:, 1:] == 1) & (d[:, :1] == 0)
-    return rf, fs, later[~on].mean(axis=0), later[on].mean(axis=0)
+    arms = (np.flatnonzero(~on), np.flatnonzero(on))
+    # rows d_1..d_T, then the switch indicators 1{d_t = 1, d_1 = 0} = d_t > d_1
+    paths = np.empty((2 * T - 1, len(z)), dtype=np.int8)
+    paths[:T] = d.T
+    np.greater(paths[1:T], paths[0], out=paths[T:])
+    # y rows of an arm sum in unit order, exactly as y[arm].mean(axis=0);
+    # path means are exact counts over the arm size, in any order
+    y0, y1 = (y.take(arm, axis=0).mean(axis=0) for arm in arms)
+    p0, p1 = (paths.take(arm, axis=1).sum(axis=1) / len(arm) for arm in arms)
+    return y1 - y0, p1[:T] - p0[:T], p0[T:], p1[T:]
 
 
 def estimate(panel: Panel) -> EstimandSet:
@@ -315,19 +322,27 @@ BOUND_METHODS = {
 """Bound methods by :func:`bound_rows` name, in report order."""
 
 
-def selected_methods(lo: float, hi: float) -> tuple[str, ...]:
-    """The bound methods defined for effect bounds [lo, hi], in report order."""
-    return tuple(m for m in BOUND_METHODS if _signs_ok(m, lo, hi))
+def selected_methods(lo: float, hi: float, include_tight: bool = True) -> tuple[str, ...]:
+    """The bound methods defined for effect bounds [lo, hi], in report order.
+
+    ``include_tight=False`` drops the tight bounds, which are valid only
+    under an assumption the caller has not declared.
+    """
+    return tuple(
+        m
+        for m in BOUND_METHODS
+        if _signs_ok(m, lo, hi) and (include_tight or m != "tight")
+    )
 
 
-def target_columns(rf, fs, sw0, sw1, targets, lo, hi):
+def target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight=True):
     """Every sample target of the ``targets`` groups, in bootstrap report order.
 
     Row i of ``rf``, ``fs`` (rows, T) and ``sw0``, ``sw1`` (rows, T-1) holds
     one sample's moments. Each (name, values, ok) triple has the target in
     every row; ``ok`` marks the rows where the scalar estimators define it:
     iv[t] needs fs_t != 0, delta[tau] needs fs_1 != 0, and bounds need
-    fs_1 > 0, for the methods :func:`selected_methods` selects for [lo, hi].
+    fs_1 > 0, for the methods ``selected_methods(lo, hi, include_tight)`` selects.
     """
     T = rf.shape[1]
     every = np.ones(rf.shape[0], dtype=bool)
@@ -348,7 +363,7 @@ def target_columns(rf, fs, sw0, sw1, targets, lo, hi):
         if "bounds" in targets:
             _check_ordered(lo, hi)
             positive = fs[:, 0] > 0.0
-            for method in selected_methods(lo, hi):
+            for method in selected_methods(lo, hi, include_tight):
                 for t in range(2, T + 1):
                     lower, upper = bound_rows(method, rf, fs, sw0, sw1, t, lo, hi)
                     columns.append((f"{method}_lower[{t}]", lower, positive))

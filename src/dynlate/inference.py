@@ -71,14 +71,17 @@ def _features(panel: Panel) -> np.ndarray:
     Layout: [z, 1-z, z*y (T), (1-z)*y (T), z*d (T), (1-z)*d (T),
     z*switch (T-1), (1-z)*switch (T-1)] where switch_t = 1{d_t=1, d_1=0}.
     """
-    z = panel.z.astype(np.float64)[:, None]
-    zc = 1.0 - z
-    y = panel.y
-    d = panel.d.astype(np.float64)
-    s = ((panel.d[:, 1:] == 1) & (panel.d[:, :1] == 0)).astype(np.float64)
-    return np.concatenate(
-        [z, zc, z * y, zc * y, z * d, zc * d, z * s, zc * s], axis=1
-    )
+    F = np.empty((panel.n, 6 * panel.T))
+    z, zc = F[:, :1], F[:, 1:2]
+    z[:, 0] = panel.z
+    np.subtract(1.0, z, out=zc)
+    switch = (panel.d[:, 1:] == 1) & (panel.d[:, :1] == 0)
+    j = 2
+    for x in (panel.y, panel.d, switch):
+        for arm in (z, zc):
+            np.multiply(arm, x, out=F[:, j : j + x.shape[1]])
+            j += x.shape[1]
+    return F
 
 
 def _resample_weights(n: int, reps: int, seed: int, threads: int) -> np.ndarray:
@@ -134,6 +137,7 @@ def bootstrap(
     hi: float | None = None,
     include_identify: bool = True,
     include_bounds: bool = True,
+    include_tight: bool = True,
     threads: int = 1,
 ) -> BootstrapResult:
     """Percentile bootstrap over units for rf/fs/iv, the identified
@@ -144,7 +148,8 @@ def bootstrap(
     resamples where only fs_t = 0 for t >= 2 are dropped for iv_t alone.
     Effect bounds default to the observed outcome range of the original
     panel and stay fixed across resamples so that every resample
-    evaluates the same functional.
+    evaluates the same functional. ``include_tight=False`` leaves out the
+    tight bounds, whose assumption the caller has not declared.
     """
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
@@ -168,11 +173,12 @@ def bootstrap(
         raise AllReplicationsFailed(
             "every bootstrap resample had an empty arm or a zero first stage"
         )
-    resampled = target_columns(*(a[valid] for a in (rf, fs, sw0, sw1)), targets, lo, hi)
+    rows = (a[valid] for a in (rf, fs, sw0, sw1))
+    resampled = target_columns(*rows, targets, lo, hi, include_tight)
     est_row = (point_est.rf, point_est.fs, point_est.switch_z0, point_est.switch_z1)
-    point = target_columns(*(np.array([v]) for v in est_row), targets, lo, hi)
+    point = target_columns(*(np.array([v]) for v in est_row), targets, lo, hi, include_tight)
     intervals = []
-    for (name, values, ok), (_, point_value, point_ok) in zip(resampled, point):
+    for (name, values, ok), (_, point_value, point_ok) in zip(resampled, point, strict=True):
         if not ok.any():
             continue
         lower, upper = percentile_interval(values[ok], alpha)

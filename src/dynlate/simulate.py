@@ -1,9 +1,13 @@
 """Sampling from a DGP and Monte Carlo comparison against the exact oracle.
 
 Replication r always draws from a stream seeded by (seed, r), so its
-draws depend on nothing but the seed and its index. Replications draw
-plain (z, d, y) arrays, skip the panel layer, and are evaluated together
-as rows of one :func:`~dynlate.estimators.target_columns` table.
+draws depend on nothing but the seed and its index. A study builds one
+stacked table of treatment paths and outcome means per (arm, history)
+pair; each draw takes a history, an arm and the noise from its stream
+(in that order) and reads its units' rows of the table in one gather.
+Replications draw plain (z, d, y) arrays, skip the panel layer, and are
+evaluated together as rows of one
+:func:`~dynlate.estimators.target_columns` table.
 """
 
 from __future__ import annotations
@@ -32,30 +36,19 @@ def rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-def _arm_tables(spec: DgpSpec):
-    """Per-history treatment paths and outcome means for each arm."""
-    T = spec.T
-    d_arm, mean_arm = [], []
-    for z in (0, 1):
-        d_arm.append(
-            np.array(
-                [
-                    [1 if h.pair.adoption(z) <= t else 0 for t in range(1, T + 1)]
-                    for h in spec.histories
-                ],
-                dtype=np.int8,
-            )
-        )
-        mean_arm.append(
-            np.array(
-                [
-                    [h.mean_outcome(t, h.pair.adoption(z)) for t in range(1, T + 1)]
-                    for h in spec.histories
-                ],
-                dtype=np.float64,
-            )
-        )
-    return d_arm, mean_arm
+def _arm_table(spec: DgpSpec):
+    """Treatment paths (int8) and outcome means of every (arm, history) pair.
+
+    Both are (2H, T) with H = len(spec.histories); row z*H + h holds
+    history h in arm z.
+    """
+    cells = [(h, h.pair.adoption(z)) for z in (0, 1) for h in spec.histories]
+    periods = range(1, spec.T + 1)
+    d_tab = np.array([[1 if a <= t else 0 for t in periods] for _, a in cells], dtype=np.int8)
+    mean_tab = np.array(
+        [[h.mean_outcome(t, a) for t in periods] for h, a in cells], dtype=np.float64
+    )
+    return d_tab, mean_tab
 
 
 def _draw_assignments(spec: DgpSpec, n: int, rng: np.random.Generator):
@@ -65,15 +58,17 @@ def _draw_assignments(spec: DgpSpec, n: int, rng: np.random.Generator):
     return hist, z
 
 
-def _draw_arrays(spec: DgpSpec, n: int, rng: np.random.Generator):
-    """(z, d, y) of n units: latent history, then arm, then outcomes plus noise."""
+def _draw_arrays(spec: DgpSpec, n: int, rng: np.random.Generator, table):
+    """(z, d, y) of n units: latent history, then arm, then outcomes plus noise.
+
+    ``table`` is ``_arm_table(spec)``; each unit reads one row of it.
+    """
     hist, z = _draw_assignments(spec, n, rng)
-    noise = rng.normal(0.0, spec.noise_sd, size=(n, spec.T))
-    d_arm, mean_arm = _arm_tables(spec)
-    on = (z == 1)[:, None]
-    d = np.where(on, d_arm[1][hist], d_arm[0][hist])
-    y = np.where(on, mean_arm[1][hist], mean_arm[0][hist]) + noise
-    return z, d, y
+    y = rng.normal(0.0, spec.noise_sd, size=(n, spec.T))
+    d_tab, mean_tab = table
+    row = hist + len(spec.histories) * z.astype(np.intp)
+    y += mean_tab.take(row, axis=0)  # noise + mean: the bits of mean + noise
+    return z, d_tab.take(row, axis=0), y
 
 
 def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
@@ -84,7 +79,8 @@ def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    z, d, y = _draw_arrays(spec, n, np.random.default_rng(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    z, d, y = _draw_arrays(spec, n, rng, _arm_table(spec))
     width = len(str(n - 1))
     return Panel.from_arrays(tuple(f"u{i:0{width}d}" for i in range(n)), z, d, y)
 
@@ -197,8 +193,9 @@ def monte_carlo(
     T = spec.T
     rf, fs, sw0, sw1 = (np.zeros((reps, k)) for k in (T, T, T - 1, T - 1))
     both_arms = np.zeros(reps, dtype=bool)
+    table = _arm_table(spec)
     for r in range(reps):
-        z, d, y = _draw_arrays(spec, n, rep_rng(seed, r))
+        z, d, y = _draw_arrays(spec, n, rep_rng(seed, r), table)
         if 0 < z.sum() < n:
             both_arms[r] = True
             rf[r], fs[r], sw0[r], sw1[r] = arm_moments(z, d, y)

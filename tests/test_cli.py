@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, error lines, reports, golden stability."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -315,33 +316,53 @@ class TestGoldenReports:
         assert code == 0, err
         return out.read_bytes()
 
-    def _assert_small_panel_golden(self, capsys, tmp_path, panel_csv, golden_name, argv):
+    def _assert_golden(self, capsys, tmp_path, golden_name, argv, **inputs):
+        """The --json report of ``argv`` run on ``inputs`` (option -> file) equals the golden."""
         from dynlate import reporting
 
-        blob = self._current(capsys, tmp_path, argv[0], [*argv, "--panel", panel_csv])
-        golden = GOLDEN_DIR / golden_name
-        doc = json.loads(blob)
-        doc["inputs"]["panel"] = "panel_small.csv"  # machine-dependent path
-        assert reporting.dumps(doc).encode() == golden.read_bytes()
+        flags = [a for key, path in inputs.items() for a in (f"--{key}", str(path))]
+        doc = json.loads(self._current(capsys, tmp_path, argv[0], [*argv, *flags]))
+        for key, path in inputs.items():
+            doc["inputs"][key] = Path(path).name  # machine-dependent directory
+        assert reporting.dumps(doc).encode() == (GOLDEN_DIR / golden_name).read_bytes()
 
     def test_estimate_golden(self, capsys, small_panel_csv, tmp_path):
-        self._assert_small_panel_golden(
-            capsys, tmp_path, small_panel_csv, "estimate_small_panel.json", ["estimate"]
+        self._assert_golden(
+            capsys, tmp_path, "estimate_small_panel.json", ["estimate"], panel=small_panel_csv
         )
 
     def test_identify_golden(self, capsys, small_panel_csv, tmp_path):
         # dyadic data: the recursion is exact, so any change in it shows here
-        self._assert_small_panel_golden(
-            capsys, tmp_path, small_panel_csv, "identify_small_panel.json",
-            ["identify", "--assume", "calendar-homogeneity"],
+        self._assert_golden(
+            capsys, tmp_path, "identify_small_panel.json",
+            ["identify", "--assume", "calendar-homogeneity"], panel=small_panel_csv,
         )
 
     def test_bounds_golden(self, capsys, small_panel_csv, tmp_path):
         # pins all three bound methods and the CLI's report order
-        self._assert_small_panel_golden(
-            capsys, tmp_path, small_panel_csv, "bounds_small_panel.json",
-            ["bounds", "--assume", "cross-group-homogeneity"],
+        self._assert_golden(
+            capsys, tmp_path, "bounds_small_panel.json",
+            ["bounds", "--assume", "cross-group-homogeneity"], panel=small_panel_csv,
         )
+
+    def test_montecarlo_golden(self, capsys, tmp_path):
+        # unit-variance noise on a T=4 six-history spec: pins the draw
+        # stream and the summation order of every replication's moments
+        self._assert_golden(
+            capsys, tmp_path, "montecarlo_t4_six_history.json",
+            ["montecarlo", "--n", "3000", "--reps", "40", "--seed", "11"],
+            dgp=GOLDEN_DIR / "spec_t4_six_history.json",
+        )
+
+    def test_simulate_golden(self, capsys, tmp_path):
+        out = tmp_path / "panel.csv"
+        code, _, err = run(
+            capsys, "simulate", "--dgp", str(GOLDEN_DIR / "spec_t4_six_history.json"),
+            "--n", "5000", "--seed", "4", "--out", str(out),
+        )
+        assert code == 0, err
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert f"{digest}\n" == (GOLDEN_DIR / "simulate_t4_six_history.sha256").read_text()
 
     def test_decompose_golden(self, capsys, tmp_path):
         # regenerate the spec file at a fixed path-independent location

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynlate.dgp import (
     DgpSpec,
@@ -19,6 +21,7 @@ from dynlate.errors import (
 from dynlate.estimands import EstimandSet, attach_iv
 from dynlate.estimators import (
     NegativeWeightStatus,
+    arm_moments,
     bounds_general,
     bounds_general_unrestricted,
     bounds_tight,
@@ -92,6 +95,41 @@ class TestEstimate:
         p = Panel.from_arrays(["a", "b"], [1, 1], [[0], [1]], [[0.0], [1.0]])
         with pytest.raises(DegenerateInstrument):
             estimate(p)
+
+
+def six_mask_moments(z, d, y):
+    """Reference arm moments: one boolean-mask copy and one mean per array and arm."""
+    on = z == 1
+    rf = y[on].mean(axis=0) - y[~on].mean(axis=0)
+    fs = d[on].mean(axis=0) - d[~on].mean(axis=0)
+    later = (d[:, 1:] == 1) & (d[:, :1] == 0)
+    return rf, fs, later[~on].mean(axis=0), later[on].mean(axis=0)
+
+
+@st.composite
+def arm_samples(draw):
+    """(z, d, y) with both arms non-empty, any 0/1 d and non-dyadic y."""
+    T = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=2, max_value=2000))
+    n1 = draw(st.sampled_from([1, n - 1]) | st.integers(min_value=1, max_value=n - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    z = np.zeros(n, dtype=np.int8)
+    z[rng.permutation(n)[:n1]] = 1
+    d = rng.integers(0, 2, size=(n, T), dtype=np.int8)
+    y = rng.normal(size=(n, T)) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-5, 5)
+    return z, d, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(arm_samples())
+def test_arm_moments_match_six_mask_reference_bitwise(sample):
+    # random y makes the summation order visible in the last bits
+    got = arm_moments(*sample)
+    want = six_mask_moments(*sample)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float64
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 class TestIdentify:

@@ -15,6 +15,7 @@ from dynlate.estimators import (
     selected_methods,
 )
 from dynlate.inference import (
+    _features,
     _resample_estimands,
     bootstrap,
     percentile_interval,
@@ -48,6 +49,27 @@ class TestPercentileInterval:
         # positions 1 + 0.25*3 = 1.75 and 1 + 0.75*3 = 3.25 (1-indexed)
         assert lo == pytest.approx(1.75)
         assert hi == pytest.approx(3.25)
+
+
+def concatenated_features(panel):
+    """Reference feature matrix: one temporary per column block, then np.concatenate."""
+    z = panel.z.astype(np.float64)[:, None]
+    zc = 1.0 - z
+    y = panel.y
+    d = panel.d.astype(np.float64)
+    s = ((panel.d[:, 1:] == 1) & (panel.d[:, :1] == 0)).astype(np.float64)
+    return np.concatenate([z, zc, z * y, zc * y, z * d, zc * d, z * s, zc * s], axis=1)
+
+
+@pytest.mark.parametrize("T", [1, 2, 5])
+def test_features_match_concatenated_reference_bitwise(T):
+    rng = np.random.default_rng(40 + T)
+    spec, _ = random_homogeneous_spec(rng, T=T, noise_sd=0.9)
+    panel = draw_panel(spec, 700, seed=T)
+    got, want = _features(panel), concatenated_features(panel)
+    assert got.flags.c_contiguous  # the moment product's bits depend on the layout
+    assert got.shape == want.shape == (700, 6 * T)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBootstrap:
@@ -118,6 +140,16 @@ class TestBootstrap:
                     assert (lower[0], upper[0]) == pytest.approx(
                         (report.lower, report.upper), rel=1e-12
                     )
+
+    def test_include_tight_false_drops_only_tight_rows(self):
+        rng = np.random.default_rng(74)
+        spec, _ = random_homogeneous_spec(rng, T=3, noise_sd=0.5)
+        panel = draw_panel(spec, 200, seed=30)
+        full = bootstrap(panel, reps=40, alpha=0.1, seed=9)
+        plain = bootstrap(panel, reps=40, alpha=0.1, seed=9, include_tight=False)
+        assert any(t.name.startswith("tight_") for t in full.targets)
+        kept = tuple(t for t in full.targets if not t.name.startswith("tight_"))
+        assert plain.targets == kept
 
     def test_interval_ordering_and_counts(self):
         rng = np.random.default_rng(73)

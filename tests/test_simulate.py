@@ -17,6 +17,7 @@ from dynlate.simulate import (
     ALL_TARGETS,
     MonteCarloSummary,
     TargetSummary,
+    _arm_table,
     _draw_arrays,
     _draw_assignments,
     _target_values,
@@ -193,12 +194,52 @@ class TestMonteCarlo:
         assert err.value.code == "E_DEGENERATE"
 
 
+def where_draw(spec, n, rng):
+    """Reference draw: one table per arm, both gathered for every unit, picked by np.where."""
+    hist, z = _draw_assignments(spec, n, rng)
+    noise = rng.normal(0.0, spec.noise_sd, size=(n, spec.T))
+    d_arm, mean_arm = [], []
+    for arm in (0, 1):
+        adopt = [h.pair.adoption(arm) for h in spec.histories]
+        d_arm.append(np.array(
+            [[1 if a <= t else 0 for t in range(1, spec.T + 1)] for a in adopt], dtype=np.int8
+        ))
+        mean_arm.append(np.array(
+            [[h.mean_outcome(t, a) for t in range(1, spec.T + 1)]
+             for h, a in zip(spec.histories, adopt)],
+            dtype=np.float64,
+        ))
+    on = (z == 1)[:, None]
+    d = np.where(on, d_arm[1][hist], d_arm[0][hist])
+    y = np.where(on, mean_arm[1][hist], mean_arm[0][hist]) + noise
+    return z, d, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=500),
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.7, 1.0]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_draw_arrays_match_two_table_reference(T, n, pz, noise_sd, seed):
+    rng = np.random.default_rng(seed)
+    spec = dataclasses.replace(random_spec(rng, T=T, noise_sd=noise_sd), pz=pz)
+    got = _draw_arrays(spec, n, rep_rng(seed, 0), _arm_table(spec))
+    want = where_draw(spec, n, rep_rng(seed, 0))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype  # d stays int8
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 def reference_monte_carlo(spec, n, reps, seed, targets, lo, hi):
     """Monte Carlo through a validated Panel and the scalar estimators per replication."""
     oracle = _target_values(population_estimands(spec), targets, lo, hi)
     results = []
     for r in range(reps):
-        z, d, y = _draw_arrays(spec, n, rep_rng(seed, r))
+        z, d, y = _draw_arrays(spec, n, rep_rng(seed, r), _arm_table(spec))
         try:
             est = estimate(Panel.from_arrays([f"u{i:03d}" for i in range(n)], z, d, y))
         except DynlateError:
