@@ -9,6 +9,7 @@ writes a versioned machine-readable report. Exit codes: 0 success,
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -18,12 +19,12 @@ from . import dgp as dgp_mod
 from . import inference, reporting, simulate
 from .errors import AssumptionRequired, DynlateError
 from .estimators import (
-    BOUND_METHODS,
     CALENDAR_HOMOGENEITY,
     CROSS_GROUP_HOMOGENEITY,
     KNOWN_ASSUMPTIONS,
     NO_LATE_SWITCHERS,
     NegativeWeightStatus,
+    bound_report,
     estimate as estimate_fn,
     identify as identify_fn,
     negative_weight_diagnostic,
@@ -44,6 +45,8 @@ def _parse_bounds(ctx, param, value):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise click.BadParameter(f"could not parse {value!r} as lo,hi") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise click.BadParameter(f"lo and hi must be finite, got {value!r}")
     if lo > hi:
         raise click.BadParameter(f"lo must be <= hi, got {value!r}")
     return lo, hi
@@ -65,6 +68,8 @@ def _parse_targets(ctx, param, value):
     if value is None:
         return simulate.ALL_TARGETS
     names = tuple(x.strip() for x in value.split(",") if x.strip())
+    if not names:
+        raise click.BadParameter("expected at least one target")
     unknown = set(names) - set(simulate.ALL_TARGETS)
     if unknown:
         raise click.BadParameter(
@@ -81,9 +86,9 @@ seed_opt = click.option(
     help="RNG seed (falls back to DYNLATE_SEED).",
 )
 threads_opt = click.option(
-    "--threads", type=int, default=lambda: os.cpu_count() or 1,
-    help="Bootstrap weight-fill threads; Monte Carlo runs in one thread"
-    " (results are thread-count invariant).",
+    "--threads", type=click.IntRange(min=1), default=lambda: os.cpu_count() or 1,
+    help="Bootstrap weight-fill threads (at most one per core); Monte Carlo runs"
+    " in one thread (results are thread-count invariant).",
 )
 assume_opt = click.option(
     "--assume", multiple=True, callback=_parse_assume,
@@ -275,7 +280,7 @@ def bounds(panel_path, dgp_path, period, effect_bounds, assume, json_path):
     periods = [period] if period is not None else list(range(2, est.T + 1))
     tight_declared = _tight_declared(assume)
     methods = selected_methods(lo, hi, tight_declared)
-    reports = [BOUND_METHODS[m](est, t, lo, hi) for t in periods for m in methods]
+    reports = [bound_report(m, est, t, lo, hi) for t in periods for m in methods]
     warnings = []
     if not tight_declared:
         warnings.append(

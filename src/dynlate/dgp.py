@@ -14,8 +14,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import PeriodOutOfRange, RelevanceFailure, SchemaMismatch, SpecValidationError
-from .estimands import POPULATION_ZERO_TOL, EstimandSet, attach_iv
+from .errors import PeriodOutOfRange, SchemaMismatch, SpecValidationError
+from .estimands import POPULATION_ZERO_TOL, EstimandSet, is_zero
 from .latent import C1, NEVER, AdoptionPair, GroupLabel, switcher_group_labels
 
 SCHEMA_VERSION = 1
@@ -173,14 +173,10 @@ def population_estimands(spec: DgpSpec) -> EstimandSet:
         if t >= 2:
             sw1.append(math.fsum(h.prob for h in spec.histories if 2 <= h.pair.s1 <= t))
             sw0.append(math.fsum(h.prob for h in spec.histories if 2 <= h.pair.s0 <= t))
-    rho = tuple(fs[t - 1] - fs[t] for t in range(1, spec.T))
-    iv = attach_iv(rf, fs, zero=lambda f: abs(f) < POPULATION_ZERO_TOL)
     return EstimandSet(
         T=spec.T,
         rf=tuple(rf),
         fs=tuple(fs),
-        iv=iv,
-        rho=rho,
         switch_z0=tuple(sw0),
         switch_z1=tuple(sw1),
         kind="population",
@@ -189,14 +185,7 @@ def population_estimands(spec: DgpSpec) -> EstimandSet:
 
 def true_dynamic_lates(spec: DgpSpec) -> tuple[float, ...]:
     """Mean effect at each period t of adoption at t=1, among first-period compliers."""
-    p = spec.p_c1
-    if p <= POPULATION_ZERO_TOL:
-        raise RelevanceFailure("no first-period compliers in this DGP")
-    members = spec.members_of(C1)
-    return tuple(
-        math.fsum(h.prob * h.effect(t, t - 1) for h in members) / p
-        for t in range(1, spec.T + 1)
-    )
+    return tuple(_c1_group_effect(spec, t, t - 1) for t in range(1, spec.T + 1))
 
 
 @dataclass(frozen=True)
@@ -233,7 +222,7 @@ class DecompositionReport:
 
     @property
     def iv_defined(self) -> bool:
-        return abs(self.fs_t) >= POPULATION_ZERO_TOL
+        return not is_zero(self.fs_t, "population")
 
     @property
     def reconstructed_rf(self) -> float:
@@ -260,7 +249,6 @@ def _make_term(
     tau = t - k
     prob = math.fsum(h.prob for h in members)
     raw = math.fsum(h.prob * h.effect(t, tau) for h in members)
-    weight_defined = abs(fs_t) >= POPULATION_ZERO_TOL
     return DecompositionTerm(
         label=label,
         members=tuple(h.pair for h in members),
@@ -270,7 +258,7 @@ def _make_term(
         probability=prob,
         effect=raw / prob,
         signed_value=sign * raw,
-        weight=sign * prob / fs_t if weight_defined else None,
+        weight=None if is_zero(fs_t, "population") else sign * prob / fs_t,
     )
 
 

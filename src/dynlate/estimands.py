@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PeriodOutOfRange
 
 POPULATION_ZERO_TOL = 1e-12
 """Population quantities within this of zero are treated as exactly zero."""
+
+
+def is_zero(value: float, kind: str) -> bool:
+    """The zero test of ``kind`` estimands, as :class:`EstimandSet` applies it.
+
+    Population values are exact up to rounding, so anything within
+    POPULATION_ZERO_TOL of zero is zero; sample values are differences of
+    count ratios, which either match exactly or do not.
+    """
+    if kind == "population":
+        return abs(value) < POPULATION_ZERO_TOL
+    return value == 0.0
 
 
 @dataclass(frozen=True)
@@ -19,19 +31,20 @@ class EstimandSet:
     switching into treatment at t under z=0 versus z=1. ``switch_z0`` /
     ``switch_z1`` hold P(d_t > d_1 | z) for t = 2..T, the cumulative
     switching probability since period 1 (so their difference telescopes
-    to fs_1 - fs_t, which equals rho_t at t = 2). ``iv`` entries are None
-    where the first stage is zero.
+    to fs_1 - fs_t, which equals rho_t at t = 2). ``iv[t-1]`` is
+    rf_t / fs_t, None where the first stage is zero. ``iv`` and ``rho``
+    are derived from ``rf`` and ``fs``, never passed in.
 
-    ``kind`` distinguishes exact population values ("population", zero
-    tests use POPULATION_ZERO_TOL) from sample analogues ("sample", zero
-    tests are exact since count ratios either match or they do not).
+    ``kind`` distinguishes exact population values ("population") from
+    sample analogues ("sample"); it selects the zero test of
+    :func:`is_zero`.
     """
 
     T: int
     rf: tuple[float, ...]
     fs: tuple[float, ...]
-    iv: tuple[float | None, ...]
-    rho: tuple[float, ...]
+    iv: tuple[float | None, ...] = field(init=False)
+    rho: tuple[float, ...] = field(init=False)
     switch_z0: tuple[float, ...]
     switch_z1: tuple[float, ...]
     kind: str = "population"
@@ -43,10 +56,13 @@ class EstimandSet:
         if self.kind not in ("population", "sample"):
             raise ValueError(f"kind must be population or sample, got {self.kind!r}")
         T = self.T
-        if not (len(self.rf) == len(self.fs) == len(self.iv) == T):
-            raise ValueError("rf, fs, iv must have length T")
-        if not (len(self.rho) == len(self.switch_z0) == len(self.switch_z1) == T - 1):
-            raise ValueError("rho and switch vectors must have length T-1")
+        if not (len(self.rf) == len(self.fs) == T):
+            raise ValueError("rf and fs must have length T")
+        if not (len(self.switch_z0) == len(self.switch_z1) == T - 1):
+            raise ValueError("switch vectors must have length T-1")
+        iv = tuple(None if is_zero(f, self.kind) else r / f for r, f in zip(self.rf, self.fs))
+        object.__setattr__(self, "iv", iv)
+        object.__setattr__(self, "rho", tuple(a - b for a, b in zip(self.fs, self.fs[1:])))
 
     def _check_period(self, t: int, lo: int = 1) -> None:
         if not isinstance(t, int) or not lo <= t <= self.T:
@@ -74,13 +90,4 @@ class EstimandSet:
 
     @property
     def fs1_is_zero(self) -> bool:
-        if self.kind == "population":
-            return abs(self.fs[0]) < POPULATION_ZERO_TOL
-        return self.fs[0] == 0.0
-
-
-def attach_iv(rf, fs, zero) -> tuple[float | None, ...]:
-    """Per-period IV ratios with None where the first stage is zero."""
-    return tuple(
-        None if zero(f) else r / f for r, f in zip(rf, fs)
-    )
+        return is_zero(self.fs[0], self.kind)

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInstrument, RelevanceFailure, SignedBoundViolation
-from .estimands import POPULATION_ZERO_TOL, EstimandSet, attach_iv
+from .estimands import POPULATION_ZERO_TOL, EstimandSet
 from .panel import Panel
 
 LOW_FS1_THRESHOLD = 0.01
@@ -53,13 +53,10 @@ def estimate(panel: Panel) -> EstimandSet:
     if not panel.has_both_arms:
         raise DegenerateInstrument("panel has a single instrument arm")
     rf, fs, sw0, sw1 = (tuple(v.tolist()) for v in arm_moments(panel.z, panel.d, panel.y))
-    rho = tuple(fs[t - 1] - fs[t] for t in range(1, panel.T))
     return EstimandSet(
         T=panel.T,
         rf=rf,
         fs=fs,
-        iv=attach_iv(rf, fs, zero=lambda f: f == 0.0),
-        rho=rho,
         switch_z0=sw0,
         switch_z1=sw1,
         kind="sample",
@@ -232,8 +229,16 @@ def bound_rows(method, rf, fs, sw0, sw1, t, lo, hi):
     return lower, upper
 
 
-def _bound_row(method: str, est: EstimandSet, t: int, lo: float, hi: float):
-    """Checked one-row :func:`bound_rows` call: (fs_1, lower, upper)."""
+def bound_report(method: str, est: EstimandSet, t: int, lo: float, hi: float) -> BoundsReport:
+    """Period-t report of the :data:`BOUND_METHODS` method ``method``.
+
+    Checks the period, the effect bounds and a positive fs_1, then reads
+    the interval off a one-row :func:`bound_rows` call. Tight bounds
+    report the first-stage path and echo the cross-group homogeneity they
+    need; the other methods report the arm-wise switching probabilities.
+    """
+    if method not in BOUND_METHODS:
+        raise ValueError(f"unknown bound method {method!r}; valid: {', '.join(BOUND_METHODS)}")
     est._check_period(t, lo=2)
     _check_ordered(lo, hi)
     if not _signs_ok(method, lo, hi):
@@ -243,7 +248,22 @@ def _bound_row(method: str, est: EstimandSet, t: int, lo: float, hi: float):
     fs1 = _require_positive_fs1(est)
     rows = (np.array([v]) for v in (est.rf, est.fs, est.switch_z0, est.switch_z1))
     lower, upper = bound_rows(method, *rows, t, lo, hi)
-    return fs1, float(lower[0]), float(upper[0])
+    tight = method == "tight"
+    return BoundsReport(
+        t=t,
+        method=BOUND_METHODS[method],
+        lower=float(lower[0]),
+        upper=float(upper[0]),
+        lo=lo,
+        hi=hi,
+        rf_t=est.rf_at(t),
+        fs1=fs1,
+        fs_t=est.fs_at(t),
+        switch_z0_t=None if tight else est.switch_at(t, 0),
+        switch_z1_t=None if tight else est.switch_at(t, 1),
+        fs_path=tuple(est.fs[:t]) if tight else None,
+        assumes=(CROSS_GROUP_HOMOGENEITY,) if tight else (),
+    )
 
 
 def bounds_general(est: EstimandSet, t: int, lo: float, hi: float) -> BoundsReport:
@@ -252,20 +272,7 @@ def bounds_general(est: EstimandSet, t: int, lo: float, hi: float) -> BoundsRepo
     Valid whenever every switcher-group effect entering the period-t
     reduced form lies in [lo, hi]; no homogeneity is assumed.
     """
-    fs1, lower, upper = _bound_row("general", est, t, lo, hi)
-    return BoundsReport(
-        t=t,
-        method="general",
-        lower=lower,
-        upper=upper,
-        lo=lo,
-        hi=hi,
-        rf_t=est.rf_at(t),
-        fs1=fs1,
-        fs_t=est.fs_at(t),
-        switch_z0_t=est.switch_at(t, 0),
-        switch_z1_t=est.switch_at(t, 1),
-    )
+    return bound_report("general", est, t, lo, hi)
 
 
 def bounds_general_unrestricted(
@@ -275,20 +282,7 @@ def bounds_general_unrestricted(
 
     Reduces exactly to :func:`bounds_general` whenever lo <= 0 <= hi.
     """
-    fs1, lower, upper = _bound_row("unrestricted", est, t, lo, hi)
-    return BoundsReport(
-        t=t,
-        method="general_unrestricted",
-        lower=lower,
-        upper=upper,
-        lo=lo,
-        hi=hi,
-        rf_t=est.rf_at(t),
-        fs1=fs1,
-        fs_t=est.fs_at(t),
-        switch_z0_t=est.switch_at(t, 0),
-        switch_z1_t=est.switch_at(t, 1),
-    )
+    return bound_report("unrestricted", est, t, lo, hi)
 
 
 def bounds_tight(est: EstimandSet, t: int, lo: float, hi: float) -> BoundsReport:
@@ -298,28 +292,15 @@ def bounds_tight(est: EstimandSet, t: int, lo: float, hi: float) -> BoundsReport
     the same switch period share one effect (cross-group homogeneity);
     that requirement is echoed in the report metadata, not verified.
     """
-    fs1, lower, upper = _bound_row("tight", est, t, lo, hi)
-    return BoundsReport(
-        t=t,
-        method="tight",
-        lower=lower,
-        upper=upper,
-        lo=lo,
-        hi=hi,
-        rf_t=est.rf_at(t),
-        fs1=fs1,
-        fs_t=est.fs_at(t),
-        fs_path=tuple(est.fs[:t]),
-        assumes=(CROSS_GROUP_HOMOGENEITY,),
-    )
+    return bound_report("tight", est, t, lo, hi)
 
 
 BOUND_METHODS = {
-    "general": bounds_general,
-    "unrestricted": bounds_general_unrestricted,
-    "tight": bounds_tight,
+    "general": "general",
+    "unrestricted": "general_unrestricted",
+    "tight": "tight",
 }
-"""Bound methods by :func:`bound_rows` name, in report order."""
+"""Report name of each :func:`bound_rows` method, in report order."""
 
 
 def selected_methods(lo: float, hi: float, include_tight: bool = True) -> tuple[str, ...]:

@@ -9,6 +9,7 @@ Resample r draws its multinomial weights from a stream seeded by
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -85,6 +86,7 @@ def _features(panel: Panel) -> np.ndarray:
 
 
 def _resample_weights(n: int, reps: int, seed: int, threads: int) -> np.ndarray:
+    """Multinomial counts of every resample, filled by at most one worker per core."""
     W = np.empty((reps, n), dtype=np.float64)
 
     def fill(lo: int, hi: int) -> None:
@@ -92,10 +94,11 @@ def _resample_weights(n: int, reps: int, seed: int, threads: int) -> np.ndarray:
             idx = rep_rng(seed, r).integers(0, n, size=n)
             W[r] = np.bincount(idx, minlength=n)
 
-    if threads > 1:
-        step = -(-reps // threads)
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers > 1:
+        step = -(-reps // workers)
         chunks = [(r, min(r + step, reps)) for r in range(0, reps, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda c: fill(*c), chunks))
     else:
         fill(0, reps)
@@ -155,6 +158,8 @@ def bootstrap(
         raise ValueError(f"reps must be >= 2, got {reps}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     point_est = estimate(panel)
     targets = ("estimands",) + ("identify",) * include_identify
     if include_bounds:

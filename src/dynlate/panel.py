@@ -111,9 +111,11 @@ def ingest(source) -> Panel:
     The expected schema is a header ``unit_id,period,z,d,y`` followed by
     one row per (unit, period). Periods must form 1..T for every unit,
     z must be constant within unit, and both instrument arms must appear.
+    A string is CSV text if it is empty, has a newline or starts with the
+    header; any other string is a path.
     """
     if isinstance(source, str):
-        if "\n" in source or source == "":
+        if "\n" in source or source == "" or source.startswith(",".join(CSV_HEADER)):
             return _ingest_stream(io.StringIO(source))
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return _ingest_stream(fh)

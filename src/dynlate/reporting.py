@@ -12,10 +12,7 @@ from dataclasses import asdict
 
 from .dgp import DecompositionReport, NegativeWeightReport
 from .estimands import EstimandSet
-from .estimators import BoundsReport, IdentifiedProfile, NegativeWeightFlag
-from .inference import BootstrapResult
-from .panel import PanelDiagnostics
-from .simulate import MonteCarloSummary
+from .estimators import BoundsReport, NegativeWeightFlag
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -99,36 +96,13 @@ def estimands_to_dict(est: EstimandSet) -> dict:
     return out
 
 
-def profile_to_dict(prof: IdentifiedProfile) -> dict:
-    return {
-        "deltas": list(prof.deltas),
-        "fs1": prof.fs1,
-        "rho": list(prof.rho),
-        "residual": prof.residual,
-        "assumes": list(prof.assumes),
-        "warnings": list(prof.warnings),
-    }
+# these reports are the dataclasses' own fields, in declaration order
+profile_to_dict = monte_carlo_to_dict = bootstrap_to_dict = diagnostics_to_dict = asdict
 
 
 def bounds_to_dict(rep: BoundsReport) -> dict:
-    out = {
-        "t": rep.t,
-        "method": rep.method,
-        "lower": rep.lower,
-        "upper": rep.upper,
-        "lo": rep.lo,
-        "hi": rep.hi,
-        "rf_t": rep.rf_t,
-        "fs1": rep.fs1,
-        "fs_t": rep.fs_t,
-    }
-    if rep.switch_z0_t is not None:
-        out["switch_z0_t"] = rep.switch_z0_t
-        out["switch_z1_t"] = rep.switch_z1_t
-    if rep.fs_path is not None:
-        out["fs_path"] = list(rep.fs_path)
-    out["assumes"] = list(rep.assumes)
-    return out
+    """The report's fields, without the ones its method leaves unset (None)."""
+    return {key: value for key, value in asdict(rep).items() if value is not None}
 
 
 def decomposition_to_dict(rep: DecompositionReport) -> dict:
@@ -175,63 +149,11 @@ def negative_weights_to_dict(rep: NegativeWeightReport) -> dict:
     }
 
 
-def diagnostics_to_dict(diag: PanelDiagnostics) -> dict:
-    return asdict(diag) | {"notes": list(diag.notes)}
-
-
 def flags_to_dicts(flags: tuple[NegativeWeightFlag, ...]) -> list[dict]:
     return [
         {"t": f.t, "status": f.status.value, "decreasing_k": f.decreasing_k}
         for f in flags
     ]
-
-
-def monte_carlo_to_dict(summary: MonteCarloSummary) -> dict:
-    return {
-        "n": summary.n,
-        "reps": summary.reps,
-        "seed": summary.seed,
-        "T": summary.T,
-        "targets": list(summary.targets),
-        "lo": summary.lo,
-        "hi": summary.hi,
-        "rows": [
-            {
-                "name": r.name,
-                "oracle": r.oracle,
-                "mean": r.mean,
-                "bias": r.bias,
-                "sd": r.sd,
-                "n_ok": r.n_ok,
-                "n_failed": r.n_failed,
-            }
-            for r in summary.rows
-        ],
-    }
-
-
-def bootstrap_to_dict(res: BootstrapResult) -> dict:
-    return {
-        "n": res.n,
-        "T": res.T,
-        "reps": res.reps,
-        "alpha": res.alpha,
-        "seed": res.seed,
-        "n_failed_resamples": res.n_failed_resamples,
-        "lo": res.lo,
-        "hi": res.hi,
-        "targets": [
-            {
-                "name": t.name,
-                "point": t.point,
-                "lower": t.lower,
-                "upper": t.upper,
-                "n_ok": t.n_ok,
-                "n_failed": t.n_failed,
-            }
-            for t in res.targets
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import numpy as np
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
 from .errors import DegenerateInstrument, DynlateError
 from .estimators import (
-    BOUND_METHODS,
     arm_moments,
+    bound_report,
     identify,
     selected_methods,
     target_columns,
@@ -146,7 +146,7 @@ def _target_values(est, targets, lo, hi) -> dict[str, float]:
         for name in selected_methods(lo, hi):
             for t in range(2, est.T + 1):
                 try:
-                    rep = BOUND_METHODS[name](est, t, lo, hi)
+                    rep = bound_report(name, est, t, lo, hi)
                 except DynlateError:
                     continue
                 out[f"{name}_lower[{t}]"] = rep.lower
@@ -179,6 +179,8 @@ def monte_carlo(
     if not 0.0 < spec.pz < 1.0:
         raise DegenerateInstrument(f"pz = {spec.pz} puts every unit in one instrument arm")
     targets = tuple(targets)
+    if not targets:
+        raise ValueError(f"targets must name at least one of {ALL_TARGETS}")
     unknown = set(targets) - set(ALL_TARGETS)
     if unknown:
         raise ValueError(f"unknown targets {sorted(unknown)}; valid: {ALL_TARGETS}")

@@ -64,14 +64,22 @@ class TestErrorContract:
             ("bootstrap", "--panel", "PANEL", "--reps", "1"),
             ("bootstrap", "--panel", "PANEL", "--reps", "10", "--alpha", "1.5"),
             ("bootstrap", "--panel", "PANEL", "--reps", "10", "--alpha", "0"),
+            ("bounds", "--panel", "PANEL", "--bounds=nan,1"),
+            ("bounds", "--panel", "PANEL", "--bounds=-inf,inf"),
+            ("montecarlo", "--dgp", "SPEC", "--n", "10", "--reps", "2", "--bounds=nan,1"),
+            ("montecarlo", "--dgp", "SPEC", "--n", "10", "--reps", "2", "--targets", ","),
+            ("montecarlo", "--dgp", "SPEC", "--n", "10", "--reps", "2", "--threads", "0"),
+            ("bootstrap", "--panel", "PANEL", "--reps", "10", "--threads", "-1"),
         ],
     )
     def test_out_of_range_option(self, capsys, spec_file, small_panel_csv, argv):
         files = {"SPEC": spec_file, "PANEL": small_panel_csv}
-        code, _, err = run(capsys, *(files.get(a, a) for a in argv), "--seed", "1")
+        seed = () if argv[0] == "bounds" else ("--seed", "1")  # bounds takes no seed
+        code, _, err = run(capsys, *(files.get(a, a) for a in argv), *seed)
         assert code == 2
         assert err.startswith("error[E_ARGS]:")
         assert err.count("\n") == 1
+        assert "Invalid value for '--" in err  # the option's value, not the command line
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
@@ -343,6 +351,28 @@ class TestGoldenReports:
         self._assert_golden(
             capsys, tmp_path, "bounds_small_panel.json",
             ["bounds", "--assume", "cross-group-homogeneity"], panel=small_panel_csv,
+        )
+
+    def test_bootstrap_golden(self, capsys, small_panel_csv, tmp_path):
+        # dyadic data keeps the moment product exact, whatever the BLAS kernel
+        self._assert_golden(
+            capsys, tmp_path, "bootstrap_small_panel.json",
+            ["bootstrap", "--reps", "200", "--seed", "16",
+             "--assume", "calendar-homogeneity,cross-group-homogeneity"],
+            panel=small_panel_csv,
+        )
+
+    def test_estimate_dgp_golden(self, capsys, tmp_path):
+        self._assert_golden(
+            capsys, tmp_path, "estimate_t4_six_history.json", ["estimate"],
+            dgp=GOLDEN_DIR / "spec_t4_six_history.json",
+        )
+
+    def test_bounds_dgp_golden(self, capsys, tmp_path):
+        self._assert_golden(
+            capsys, tmp_path, "bounds_t4_six_history.json",
+            ["bounds", "--assume", "cross-group-homogeneity"],
+            dgp=GOLDEN_DIR / "spec_t4_six_history.json",
         )
 
     def test_montecarlo_golden(self, capsys, tmp_path):

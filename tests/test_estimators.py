@@ -18,10 +18,11 @@ from dynlate.errors import (
     RelevanceFailure,
     SignedBoundViolation,
 )
-from dynlate.estimands import EstimandSet, attach_iv
+from dynlate.estimands import EstimandSet
 from dynlate.estimators import (
     NegativeWeightStatus,
     arm_moments,
+    bound_report,
     bounds_general,
     bounds_general_unrestricted,
     bounds_tight,
@@ -40,23 +41,44 @@ P = AdoptionPair
 
 def make_est(rf, fs, sw0=None, sw1=None, kind="sample"):
     T = len(rf)
-    rf, fs = tuple(rf), tuple(fs)
     sw1 = tuple(sw1) if sw1 is not None else (0.0,) * (T - 1)
     if sw0 is None:
         sw0 = tuple(fs[0] - fs[t - 1] + sw1[t - 2] for t in range(2, T + 1))
-    else:
-        sw0 = tuple(sw0)
-    zero = (lambda f: abs(f) < 1e-12) if kind == "population" else (lambda f: f == 0.0)
     return EstimandSet(
-        T=T,
-        rf=rf,
-        fs=fs,
-        iv=attach_iv(rf, fs, zero),
-        rho=tuple(fs[t - 1] - fs[t] for t in range(1, T)),
-        switch_z0=sw0,
-        switch_z1=sw1,
-        kind=kind,
+        T=T, rf=tuple(rf), fs=tuple(fs), switch_z0=tuple(sw0), switch_z1=sw1, kind=kind
     )
+
+
+# exact zeros, values on both sides of the 1e-12 population tolerance, and
+# ordinary first stages
+near_zero = st.one_of(
+    st.sampled_from((0.0, -0.0, 1e-12, -1e-12, 9.999999e-13, 1.000001e-12)),
+    st.floats(min_value=-1e-12, max_value=1e-12),
+    st.floats(min_value=-2.0, max_value=2.0),
+)
+
+
+class TestEstimandSet:
+    @given(kind=st.sampled_from(("population", "sample")), data=st.data())
+    def test_iv_and_rho_are_derived_from_rf_and_fs(self, kind, data):
+        T = data.draw(st.integers(min_value=1, max_value=5))
+        rf = data.draw(st.lists(near_zero, min_size=T, max_size=T))
+        fs = data.draw(st.lists(near_zero, min_size=T, max_size=T))
+        est = make_est(rf, fs, kind=kind)
+        for t in range(1, T + 1):
+            f = fs[t - 1]
+            zero = abs(f) < 1e-12 if kind == "population" else f == 0.0
+            if zero:
+                assert est.iv_at(t) is None
+            else:
+                assert est.iv_at(t) == rf[t - 1] / f
+        assert est.rho == tuple(fs[t - 2] - fs[t - 1] for t in range(2, T + 1))
+
+    def test_iv_and_rho_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            EstimandSet(T=1, rf=(0.1,), fs=(0.5,), iv=(0.2,), switch_z0=(), switch_z1=())
+        with pytest.raises(TypeError):
+            EstimandSet(T=1, rf=(0.1,), fs=(0.5,), rho=(), switch_z0=(), switch_z1=())
 
 
 class TestEstimate:
@@ -194,6 +216,11 @@ class TestIdentify:
     def test_assumption_echoed(self):
         prof = identify(make_est(rf=(0.2,), fs=(0.5,)))
         assert "calendar-homogeneity" in prof.assumes
+
+
+def test_bound_report_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown bound method"):
+        bound_report("general_unrestricted", make_est(rf=(0.3, 0.1), fs=(0.5, 0.3)), 2, -1, 1)
 
 
 class TestBoundsGeneral:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynlate import inference
 from dynlate.errors import AllReplicationsFailed
 from dynlate.estimators import (
-    BOUND_METHODS,
+    bound_report,
     bound_rows,
     estimate,
     identify,
@@ -135,7 +136,7 @@ class TestBootstrap:
         if est.fs[0] > 0.0:
             for method in selected_methods(lo, hi):
                 for t in range(2, T + 1):
-                    report = BOUND_METHODS[method](est, t, lo, hi)
+                    report = bound_report(method, est, t, lo, hi)
                     lower, upper = bound_rows(method, rf, fs, sw0, sw1, t, lo, hi)
                     assert (lower[0], upper[0]) == pytest.approx(
                         (report.lower, report.upper), rel=1e-12
@@ -213,6 +214,37 @@ class TestBootstrap:
             bootstrap(panel, reps=1, alpha=0.05, seed=0)
         with pytest.raises(ValueError):
             bootstrap(panel, reps=10, alpha=0.0, seed=0)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            bootstrap(panel, reps=10, alpha=0.05, seed=0, threads=0)
+
+    @pytest.mark.parametrize(
+        "threads, reps, cores, workers",
+        [(64, 10, 2, 2), (64, 3, 8, 3), (4, 10, 8, 4), (64, 10, None, None)],
+    )
+    def test_weight_fill_workers_capped(self, monkeypatch, threads, reps, cores, workers):
+        # a recording stand-in: no thread pool is started, whatever ``threads`` asks
+        started = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(inference, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(inference.os, "cpu_count", lambda: cores)
+        panel = clone_panel()
+        res = bootstrap(panel, reps=reps, alpha=0.1, seed=3, threads=threads)
+        assert started == ([] if workers is None else [workers])
+        monkeypatch.undo()
+        assert res == bootstrap(panel, reps=reps, alpha=0.1, seed=3, threads=1)
 
     def test_bound_targets_drop_nonpositive_first_stage_rows(self):
         # a thin first-stage margin goes negative in some resamples; those

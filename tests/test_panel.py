@@ -32,6 +32,12 @@ def test_ingest_minimal():
     assert p.y.tolist() == [[2.0, 3.0], [0.0, 0.5]]
 
 
+def test_ingest_header_only_string_is_csv_not_path():
+    # no newline, so only the header prefix marks this as CSV text
+    with pytest.raises(MalformedRow, match="no data rows"):
+        ingest("unit_id,period,z,d,y")
+
+
 def test_ingest_is_order_insensitive():
     lines = MINIMAL.strip().split("\n")
     shuffled = "\n".join([lines[0]] + [lines[3], lines[1], lines[4], lines[2]]) + "\n"

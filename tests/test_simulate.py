@@ -186,6 +186,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="n must be >= 1"):
             monte_carlo(three_history_spec(), n=n, reps=2, seed=1)
 
+    def test_rejects_empty_targets(self):
+        with pytest.raises(ValueError, match="at least one"):
+            monte_carlo(three_history_spec(), n=50, reps=2, seed=1, targets=())
+
     @pytest.mark.parametrize("pz", [0.0, 1.0])
     def test_rejects_single_arm_spec(self, pz):
         spec = dataclasses.replace(three_history_spec(), pz=pz)
