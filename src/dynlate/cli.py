@@ -19,6 +19,7 @@ from . import dgp as dgp_mod
 from . import inference, reporting, simulate
 from .errors import AssumptionRequired, DynlateError
 from .estimators import (
+    ALL_TARGETS,
     CALENDAR_HOMOGENEITY,
     CROSS_GROUP_HOMOGENEITY,
     KNOWN_ASSUMPTIONS,
@@ -66,14 +67,14 @@ def _parse_assume(ctx, param, value):
 
 def _parse_targets(ctx, param, value):
     if value is None:
-        return simulate.ALL_TARGETS
+        return ALL_TARGETS
     names = tuple(x.strip() for x in value.split(",") if x.strip())
     if not names:
         raise click.BadParameter("expected at least one target")
-    unknown = set(names) - set(simulate.ALL_TARGETS)
+    unknown = set(names) - set(ALL_TARGETS)
     if unknown:
         raise click.BadParameter(
-            f"unknown target(s) {sorted(unknown)}; valid: {', '.join(simulate.ALL_TARGETS)}"
+            f"unknown target(s) {sorted(unknown)}; valid: {', '.join(ALL_TARGETS)}"
         )
     return names
 
@@ -384,7 +385,7 @@ def simulate_cmd(dgp_path, n, seed, out_path, json_path):
 @click.option("--reps", type=click.IntRange(min=1), required=True, help="Replications.")
 @seed_opt
 @click.option("--targets", callback=_parse_targets, default=None,
-              help="Comma-separated subset of: " + ", ".join(simulate.ALL_TARGETS))
+              help="Comma-separated subset of: " + ", ".join(ALL_TARGETS))
 @bounds_opt
 @threads_opt
 @json_opt

@@ -15,7 +15,8 @@ def is_zero(value: float, kind: str) -> bool:
 
     Population values are exact up to rounding, so anything within
     POPULATION_ZERO_TOL of zero is zero; sample values are differences of
-    count ratios, which either match exactly or do not.
+    count ratios, which either match exactly or do not. Numpy arrays are
+    tested element-wise.
     """
     if kind == "population":
         return abs(value) < POPULATION_ZERO_TOL

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInstrument, RelevanceFailure, SignedBoundViolation
-from .estimands import POPULATION_ZERO_TOL, EstimandSet
+from .estimands import POPULATION_ZERO_TOL, EstimandSet, is_zero
 from .panel import Panel
 
 LOW_FS1_THRESHOLD = 0.01
@@ -169,10 +169,14 @@ class BoundsReport:
         return self.lower - slack <= value <= self.upper + slack
 
 
+def _positive_fs1(fs1, kind: str):
+    """The bounds' relevance rule, element-wise: fs_1 above the zero band of ``kind``."""
+    return fs1 > (POPULATION_ZERO_TOL if kind == "population" else 0.0)
+
+
 def _require_positive_fs1(est: EstimandSet) -> float:
     fs1 = est.fs[0]
-    floor = POPULATION_ZERO_TOL if est.kind == "population" else 0.0
-    if fs1 <= floor:
+    if not _positive_fs1(fs1, est.kind):
         raise RelevanceFailure("bounds require a positive first stage at t=1")
     return fs1
 
@@ -229,6 +233,11 @@ def bound_rows(method, rf, fs, sw0, sw1, t, lo, hi):
     return lower, upper
 
 
+def _one_row(est: EstimandSet):
+    """(rf, fs, sw0, sw1) of ``est`` as the one-row arrays the row kernels take."""
+    return (np.array([v]) for v in (est.rf, est.fs, est.switch_z0, est.switch_z1))
+
+
 def bound_report(method: str, est: EstimandSet, t: int, lo: float, hi: float) -> BoundsReport:
     """Period-t report of the :data:`BOUND_METHODS` method ``method``.
 
@@ -246,8 +255,7 @@ def bound_report(method: str, est: EstimandSet, t: int, lo: float, hi: float) ->
             "this method needs lo <= 0 <= hi; use the unrestricted general bounds"
         )
     fs1 = _require_positive_fs1(est)
-    rows = (np.array([v]) for v in (est.rf, est.fs, est.switch_z0, est.switch_z1))
-    lower, upper = bound_rows(method, *rows, t, lo, hi)
+    lower, upper = bound_rows(method, *_one_row(est), t, lo, hi)
     tight = method == "tight"
     return BoundsReport(
         t=t,
@@ -316,15 +324,29 @@ def selected_methods(lo: float, hi: float, include_tight: bool = True) -> tuple[
     )
 
 
-def target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight=True):
-    """Every sample target of the ``targets`` groups, in bootstrap report order.
+ALL_TARGETS = ("estimands", "identify", "bounds")
+"""Target groups of :func:`target_columns`, in report order."""
+
+
+def target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight=True, kind="sample"):
+    """Every target of the ``targets`` groups, in report order.
 
     Row i of ``rf``, ``fs`` (rows, T) and ``sw0``, ``sw1`` (rows, T-1) holds
-    one sample's moments. Each (name, values, ok) triple has the target in
-    every row; ``ok`` marks the rows where the scalar estimators define it:
-    iv[t] needs fs_t != 0, delta[tau] needs fs_1 != 0, and bounds need
-    fs_1 > 0, for the methods ``selected_methods(lo, hi, include_tight)`` selects.
+    the moments of one sample (or of the population). Each (name, values,
+    ok) triple has the target in every row, ordered per period as rf[t],
+    fs[t], iv[t], then delta[tau], then the bound endpoints of the methods
+    ``selected_methods(lo, hi, include_tight)`` selects. ``ok`` marks the
+    rows where the scalar estimators define the target under the zero rule
+    of ``kind`` estimands: iv[t] needs a nonzero fs_t, delta[tau] a nonzero
+    fs_1, and bounds a positive fs_1. :func:`target_row` passes the kind
+    of an :class:`~dynlate.estimands.EstimandSet`.
     """
+    targets = tuple(targets)
+    if not targets:
+        raise ValueError(f"targets must name at least one of {ALL_TARGETS}")
+    unknown = set(targets) - set(ALL_TARGETS)
+    if unknown:
+        raise ValueError(f"unknown targets {sorted(unknown)}; valid: {ALL_TARGETS}")
     T = rf.shape[1]
     every = np.ones(rf.shape[0], dtype=bool)
     columns = []
@@ -334,22 +356,26 @@ def target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight=True):
             for t in range(1, T + 1):
                 columns.append((f"rf[{t}]", rf[:, t - 1], every))
                 columns.append((f"fs[{t}]", fs[:, t - 1], every))
-            for t in range(1, T + 1):
                 iv = rf[:, t - 1] / fs[:, t - 1]
-                columns.append((f"iv[{t}]", iv, fs[:, t - 1] != 0.0))
+                columns.append((f"iv[{t}]", iv, ~is_zero(fs[:, t - 1], kind)))
         if "identify" in targets:
             delta = identify_rows(rf, fs)
-            defined = fs[:, 0] != 0.0
+            defined = ~is_zero(fs[:, 0], kind)
             columns.extend((f"delta[{tau}]", delta[:, tau], defined) for tau in range(T))
         if "bounds" in targets:
             _check_ordered(lo, hi)
-            positive = fs[:, 0] > 0.0
+            positive = _positive_fs1(fs[:, 0], kind)
             for method in selected_methods(lo, hi, include_tight):
                 for t in range(2, T + 1):
                     lower, upper = bound_rows(method, rf, fs, sw0, sw1, t, lo, hi)
                     columns.append((f"{method}_lower[{t}]", lower, positive))
                     columns.append((f"{method}_upper[{t}]", upper, positive))
     return columns
+
+
+def target_row(est: EstimandSet, targets, lo, hi, include_tight=True):
+    """The one-row :func:`target_columns` table of ``est``, under its own zero rule."""
+    return target_columns(*_one_row(est), targets, lo, hi, include_tight, kind=est.kind)
 
 
 def outcome_range_bounds(panel: Panel) -> tuple[float, float]:

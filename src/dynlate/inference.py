@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllReplicationsFailed
-from .estimators import estimate, outcome_range_bounds, target_columns
+from .estimators import estimate, outcome_range_bounds, target_columns, target_row
 from .panel import Panel
 from .simulate import rep_rng
 
@@ -180,8 +180,7 @@ def bootstrap(
         )
     rows = (a[valid] for a in (rf, fs, sw0, sw1))
     resampled = target_columns(*rows, targets, lo, hi, include_tight)
-    est_row = (point_est.rf, point_est.fs, point_est.switch_z0, point_est.switch_z1)
-    point = target_columns(*(np.array([v]) for v in est_row), targets, lo, hi, include_tight)
+    point = target_row(point_est, targets, lo, hi, include_tight)
     intervals = []
     for (name, values, ok), (_, point_value, point_ok) in zip(resampled, point, strict=True):
         if not ok.any():

@@ -232,20 +232,20 @@ class PanelDiagnostics:
 def check_assumptions(panel: Panel) -> PanelDiagnostics:
     """First-period relevance check plus a record of what must be assumed.
 
-    Sample FS_1 is a difference of count ratios, so the relevance flag
-    uses an exact zero comparison.
+    FS_1 and its zero test are those of :func:`~dynlate.estimators.estimate`.
     """
+    from .estimators import estimate  # estimators imports this module
+
     notes = [UNTESTABLE_NOTE]
     if not panel.has_both_arms:
         notes.append("only one instrument arm present; estimands are undefined")
         return PanelDiagnostics(
             panel.n, panel.T, panel.n_z1, panel.n_z0, None, False, tuple(notes)
         )
-    on = panel.z == 1
-    fs1 = float(panel.d[on, 0].mean() - panel.d[~on, 0].mean())
-    relevance_ok = fs1 != 0.0
+    est = estimate(panel)
+    relevance_ok = not est.fs1_is_zero
     if not relevance_ok:
         notes.append("relevance at t=1 fails (FS_1 = 0)")
     return PanelDiagnostics(
-        panel.n, panel.T, panel.n_z1, panel.n_z0, fs1, relevance_ok, tuple(notes)
+        panel.n, panel.T, panel.n_z1, panel.n_z0, est.fs[0], relevance_ok, tuple(notes)
     )

@@ -7,7 +7,10 @@ pair; each draw takes a history, an arm and the noise from its stream
 (in that order) and reads its units' rows of the table in one gather.
 Replications draw plain (z, d, y) arrays, skip the panel layer, and are
 evaluated together as rows of one
-:func:`~dynlate.estimators.target_columns` table.
+:func:`~dynlate.estimators.target_columns` table. The oracle is the
+one-row table of the population estimands
+(:func:`~dynlate.estimators.target_row`), so both share the targets'
+names, report order and defined-target rules.
 """
 
 from __future__ import annotations
@@ -17,18 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
-from .errors import DegenerateInstrument, DynlateError
-from .estimators import (
-    arm_moments,
-    bound_report,
-    identify,
-    selected_methods,
-    target_columns,
-)
+from .errors import DegenerateInstrument
+from .estimators import ALL_TARGETS, arm_moments, target_columns, target_row
 from .panel import Panel
-
-ALL_TARGETS = ("estimands", "identify", "bounds")
-"""Target groups of :func:`~dynlate.estimators.target_columns`, in report order."""
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -118,42 +112,6 @@ class MonteCarloSummary:
         raise KeyError(name)
 
 
-def _target_values(est, targets, lo, hi) -> dict[str, float]:
-    """Every requested target the scalar estimators define for ``est``.
-
-    Applied to the population estimands this is the oracle: for
-    calendar-homogeneous DGPs the identified profile coincides with the
-    true dynamic effects, and in general it is the population value of the
-    same functional each replication computes. A target the estimators
-    reject (undefined IV, zero first stage) is left out.
-    """
-    out: dict[str, float] = {}
-    if "estimands" in targets:
-        for t in range(1, est.T + 1):
-            out[f"rf[{t}]"] = est.rf_at(t)
-            out[f"fs[{t}]"] = est.fs_at(t)
-            iv = est.iv_at(t)
-            if iv is not None:
-                out[f"iv[{t}]"] = iv
-    if "identify" in targets:
-        try:
-            prof = identify(est)
-            for tau, v in enumerate(prof.deltas):
-                out[f"delta[{tau}]"] = v
-        except DynlateError:
-            pass
-    if "bounds" in targets:
-        for name in selected_methods(lo, hi):
-            for t in range(2, est.T + 1):
-                try:
-                    rep = bound_report(name, est, t, lo, hi)
-                except DynlateError:
-                    continue
-                out[f"{name}_lower[{t}]"] = rep.lower
-                out[f"{name}_upper[{t}]"] = rep.upper
-    return out
-
-
 def monte_carlo(
     spec: DgpSpec,
     n: int,
@@ -170,27 +128,27 @@ def monte_carlo(
     undefined IV, zero first stage) drop that replication for the
     affected targets only and are counted per target. Default effect
     bounds come from the spec's own contaminating-effect envelope.
-    Replications run in one thread; ``threads`` is accepted and ignored.
+    The oracle is the one-row target table of the population estimands,
+    under the population zero rule; a target it leaves undefined has no
+    row. Replications run in one thread; ``threads`` must be at least 1
+    and is otherwise ignored.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if not 0.0 < spec.pz < 1.0:
         raise DegenerateInstrument(f"pz = {spec.pz} puts every unit in one instrument arm")
     targets = tuple(targets)
-    if not targets:
-        raise ValueError(f"targets must name at least one of {ALL_TARGETS}")
-    unknown = set(targets) - set(ALL_TARGETS)
-    if unknown:
-        raise ValueError(f"unknown targets {sorted(unknown)}; valid: {ALL_TARGETS}")
     if lo is None or hi is None:
         auto_lo, auto_hi = contaminating_effect_range(spec)
         lo = auto_lo if lo is None else lo
         hi = auto_hi if hi is None else hi
     # fs_1 = P(C1) > 0 for a valid spec, so the oracle keeps every identify
     # and bounds target
-    oracle = _target_values(population_estimands(spec), targets, lo, hi)
+    oracle = target_row(population_estimands(spec), targets, lo, hi)
 
     T = spec.T
     rf, fs, sw0, sw1 = (np.zeros((reps, k)) for k in (T, T, T - 1, T - 1))
@@ -201,22 +159,22 @@ def monte_carlo(
         if 0 < z.sum() < n:
             both_arms[r] = True
             rf[r], fs[r], sw0[r], sw1[r] = arm_moments(z, d, y)
-    columns = {
-        name: values[ok & both_arms]
-        for name, values, ok in target_columns(rf, fs, sw0, sw1, targets, lo, hi)
-    }
+    replicated = target_columns(rf, fs, sw0, sw1, targets, lo, hi)
     rows = []
-    for name in oracle:
-        values = columns[name]
+    for (name, truth, truth_ok), (_, values, ok) in zip(oracle, replicated, strict=True):
+        if not truth_ok[0]:
+            continue
+        truth = float(truth[0])
+        values = values[ok & both_arms]
         n_ok = len(values)
         mean = float(np.mean(values)) if n_ok else None
         sd = float(np.std(values, ddof=1)) if n_ok >= 2 else None
         rows.append(
             TargetSummary(
                 name=name,
-                oracle=oracle[name],
+                oracle=truth,
                 mean=mean,
-                bias=None if mean is None else mean - oracle[name],
+                bias=None if mean is None else mean - truth,
                 sd=sd,
                 n_ok=n_ok,
                 n_failed=reps - n_ok,

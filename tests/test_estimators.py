@@ -30,6 +30,7 @@ from dynlate.estimators import (
     identify,
     negative_weight_diagnostic,
     outcome_range_bounds,
+    target_row,
 )
 from dynlate.latent import NEVER, AdoptionPair
 from dynlate.panel import Panel, ingest
@@ -79,6 +80,23 @@ class TestEstimandSet:
             EstimandSet(T=1, rf=(0.1,), fs=(0.5,), iv=(0.2,), switch_z0=(), switch_z1=())
         with pytest.raises(TypeError):
             EstimandSet(T=1, rf=(0.1,), fs=(0.5,), rho=(), switch_z0=(), switch_z1=())
+
+
+@pytest.mark.parametrize("kind", ["population", "sample"])
+def test_target_row_applies_the_zero_rule_of_its_kind(kind):
+    # 1e-17 is zero for population estimands only
+    tiny_fs2 = make_est((0.3, 0.2, 0.1), (0.5, 1e-17, 0.4), kind=kind)
+    ok = {name: bool(ok[0]) for name, _, ok in target_row(tiny_fs2, ("estimands",), -1, 1)}
+    assert ok["iv[2]"] == (tiny_fs2.iv_at(2) is not None) == (kind == "sample")
+    assert ok["iv[1]"] and ok["iv[3]"]
+    tiny_fs1 = make_est((0.3, 0.2), (1e-17, 0.4), kind=kind)
+    table = target_row(tiny_fs1, ("identify", "bounds"), -1, 1)
+    assert {name: bool(ok[0]) for name, _, ok in table} == dict.fromkeys(
+        ("delta[0]", "delta[1]", "general_lower[2]", "general_upper[2]",
+         "unrestricted_lower[2]", "unrestricted_upper[2]", "tight_lower[2]",
+         "tight_upper[2]"),
+        kind == "sample",
+    )
 
 
 class TestEstimate:

@@ -140,11 +140,23 @@ def test_from_arrays_sorts_by_unit_id():
 
 
 def test_check_assumptions_reports_fs1():
+    from dynlate.estimators import estimate
+    from dynlate.simulate import draw_panel
+    from randspec import random_spec
+
     p = ingest(MINIMAL)
     diag = check_assumptions(p)
     assert diag.fs1 == 1.0
     assert diag.relevance_ok
     assert any("assumed" in note for note in diag.notes)
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        panel = draw_panel(random_spec(rng, noise_sd=0.3), 150, seed=int(rng.integers(2**31)))
+        fs1 = check_assumptions(panel).fs1
+        assert np.float64(fs1).tobytes() == np.float64(estimate(panel).fs[0]).tobytes()
+    one_arm = check_assumptions(Panel.from_arrays(["a", "b"], [1, 1], [[1], [0]], [[1.0], [0.0]]))
+    assert one_arm.fs1 is None
+    assert not one_arm.relevance_ok
 
 
 def test_check_assumptions_flags_zero_fs1():

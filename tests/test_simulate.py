@@ -10,17 +10,16 @@ from hypothesis import strategies as st
 
 from dynlate.dgp import DgpSpec, HistorySpec, population_estimands
 from dynlate.errors import DegenerateInstrument, DynlateError
-from dynlate.estimators import estimate
+from dynlate.estimators import ALL_TARGETS, bound_report, estimate, identify, selected_methods
+from dynlate.inference import bootstrap
 from dynlate.latent import NEVER, AdoptionPair
 from dynlate.panel import Panel
 from dynlate.simulate import (
-    ALL_TARGETS,
     MonteCarloSummary,
     TargetSummary,
     _arm_table,
     _draw_arrays,
     _draw_assignments,
-    _target_values,
     draw_panel,
     monte_carlo,
     rep_rng,
@@ -186,6 +185,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="n must be >= 1"):
             monte_carlo(three_history_spec(), n=n, reps=2, seed=1)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_nonpositive_threads(self, threads):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            monte_carlo(three_history_spec(), n=50, reps=2, seed=1, threads=threads)
+
     def test_rejects_empty_targets(self):
         with pytest.raises(ValueError, match="at least one"):
             monte_carlo(three_history_spec(), n=50, reps=2, seed=1, targets=())
@@ -196,6 +200,19 @@ class TestMonteCarlo:
         with pytest.raises(DegenerateInstrument) as err:
             monte_carlo(spec, n=50, reps=2, seed=1)
         assert err.value.code == "E_DEGENERATE"
+
+
+@pytest.mark.parametrize("T", [1, 2, 4])
+def test_bootstrap_and_monte_carlo_report_targets_in_one_order(T):
+    rng = np.random.default_rng(70 + T)
+    spec = random_spec(rng, T=T, noise_sd=0.5)
+    lo, hi = -1.0, 1.0
+    summary = monte_carlo(spec, n=2000, reps=3, seed=3, lo=lo, hi=hi)
+    res = bootstrap(draw_panel(spec, 2000, seed=4), reps=20, alpha=0.1, seed=5, lo=lo, hi=hi)
+    names = [r.name for r in summary.rows]
+    # every target defined: rf, fs, iv per period, T deltas, three bound methods
+    assert len(names) == 3 * T + T + 3 * 2 * (T - 1)
+    assert [t.name for t in res.targets] == names
 
 
 def where_draw(spec, n, rng):
@@ -236,6 +253,41 @@ def test_draw_arrays_match_two_table_reference(T, n, pz, noise_sd, seed):
         assert g.dtype == w.dtype  # d stays int8
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+
+
+def _target_values(est, targets, lo, hi) -> dict[str, float]:
+    """Every requested target the scalar estimators define for ``est``, in report order.
+
+    The scalar reference of the target table: applied to the population
+    estimands it is the oracle, applied to a sample's estimands it is one
+    replication. A target the estimators reject (undefined IV, zero first
+    stage) is left out.
+    """
+    out: dict[str, float] = {}
+    if "estimands" in targets:
+        for t in range(1, est.T + 1):
+            out[f"rf[{t}]"] = est.rf_at(t)
+            out[f"fs[{t}]"] = est.fs_at(t)
+            iv = est.iv_at(t)
+            if iv is not None:
+                out[f"iv[{t}]"] = iv
+    if "identify" in targets:
+        try:
+            prof = identify(est)
+            for tau, v in enumerate(prof.deltas):
+                out[f"delta[{tau}]"] = v
+        except DynlateError:
+            pass
+    if "bounds" in targets:
+        for name in selected_methods(lo, hi):
+            for t in range(2, est.T + 1):
+                try:
+                    rep = bound_report(name, est, t, lo, hi)
+                except DynlateError:
+                    continue
+                out[f"{name}_lower[{t}]"] = rep.lower
+                out[f"{name}_upper[{t}]"] = rep.upper
+    return out
 
 
 def reference_monte_carlo(spec, n, reps, seed, targets, lo, hi):
