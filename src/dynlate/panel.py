@@ -4,12 +4,19 @@ Panels are balanced long-format (unit, period, z, d, y) with a binary
 time-invariant instrument z and a binary irreversible treatment d. Units
 are assumed sampled i.i.d.; everything downstream treats the unit as the
 resampling block.
+
+A :class:`Panel` holds its unit ids as one 1-D numpy ``StringDType``
+array, so building, checking and sorting them are array operations. The
+CSV form quotes an id the way ``csv.writer`` does, only when it holds a
+comma, a double quote, CR or LF, so ``ingest(serialize(panel))``
+reproduces any panel ``ingest`` returns.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +31,11 @@ from .errors import (
 
 CSV_HEADER = ("unit_id", "period", "z", "d", "y")
 
+UNIT_ID_DTYPE = np.dtypes.StringDType
+"""Dtype class of :attr:`Panel.unit_ids`: variable-width text that keeps
+a trailing NUL, which fixed-width ``U`` arrays drop. Passing the class,
+not an instance, lets ``np.asarray`` keep any StringDType array as is."""
+
 
 @dataclass(eq=False)
 class Panel:
@@ -34,7 +46,7 @@ class Panel:
     construction; nothing in the package mutates them.
     """
 
-    unit_ids: tuple[str, ...]
+    unit_ids: np.ndarray  # (n,) of UNIT_ID_DTYPE, strictly increasing
     z: np.ndarray
     d: np.ndarray
     y: np.ndarray
@@ -63,7 +75,7 @@ class Panel:
         if not isinstance(other, Panel):
             return NotImplemented
         return (
-            self.unit_ids == other.unit_ids
+            np.array_equal(self.unit_ids, other.unit_ids)
             and np.array_equal(self.z, other.z)
             and np.array_equal(self.d, other.d)
             and np.array_equal(self.y, other.y)
@@ -73,36 +85,58 @@ class Panel:
     def from_arrays(cls, unit_ids, z, d, y) -> "Panel":
         """Build a validated panel from per-unit arrays.
 
-        Checks shapes, binary z/d, finite y, unique unit ids, and
-        irreversibility of d. Rows are sorted by unit id so equal data
-        always yields an identical Panel.
+        Checks shapes, unique unit ids, binary z/d (the values as given,
+        before the cast to int8), finite y, and irreversibility of d.
+        Unit ids become a :data:`UNIT_ID_DTYPE` array (non-str ids by
+        their ``str``). Rows are sorted by unit id so equal data always
+        yields an identical Panel; ids that already increase strictly
+        are kept as they are.
         """
-        ids = tuple(str(u) for u in unit_ids)
-        z = np.asarray(z, dtype=np.int8)
-        d = np.asarray(d, dtype=np.int8)
+        try:
+            ids = np.asarray(unit_ids, dtype=UNIT_ID_DTYPE)
+        except UnicodeEncodeError as err:  # a lone surrogate
+            raise MalformedRow(f"unit ids must be valid text: {err}") from None
+        z = np.asarray(z)
+        d = np.asarray(d)
         y = np.asarray(y, dtype=np.float64)
-        n = len(ids)
+        n = ids.size
         if n == 0:
             raise UnbalancedPanel("panel has no units")
-        if d.ndim != 2 or y.shape != d.shape or z.shape != (n,) or d.shape[0] != n:
+        if (
+            ids.ndim != 1
+            or d.ndim != 2
+            or y.shape != d.shape
+            or z.shape != (n,)
+            or d.shape[0] != n
+        ):
             raise MalformedRow("array shapes are inconsistent")
         if d.shape[1] < 1:
             raise UnbalancedPanel("panel has no periods")
-        if len(set(ids)) != n:
-            raise UnbalancedPanel("duplicate unit ids")
-        if not np.isin(z, (0, 1)).all() or not np.isin(d, (0, 1)).all():
+        order = None
+        if not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            dup = np.flatnonzero(ids[1:] == ids[:-1])
+            if dup.size:
+                raise UnbalancedPanel(f"duplicate unit id {str(ids[dup[0]])!r}")
+        if not (_is_binary(z) and _is_binary(d)):
             raise MalformedRow("z and d must be 0 or 1")
         if not np.isfinite(y).all():
             raise MalformedRow("y must be finite")
-        order = np.argsort(np.array(ids, dtype=object), kind="stable")
-        if not np.array_equal(order, np.arange(n)):
-            ids = tuple(ids[i] for i in order)
+        z = z.astype(np.int8, copy=False)
+        d = d.astype(np.int8, copy=False)
+        if order is not None:
             z, d, y = z[order], d[order], y[order]
-        drops = np.argwhere(np.diff(d.astype(np.int16), axis=1) < 0)
+        drops = np.argwhere(d[:, 1:] < d[:, :-1])
         if drops.size:
             row, t = drops[0]
-            raise TreatmentReversal(ids[row], int(t) + 2)
+            raise TreatmentReversal(str(ids[row]), int(t) + 2)
         return cls(ids, z, d, y)
+
+
+def _is_binary(a: np.ndarray) -> bool:
+    """Every entry of ``a`` equals 0 or 1, before any cast."""
+    return bool(((a == 0) | (a == 1)).all())
 
 
 def ingest(source) -> Panel:
@@ -191,20 +225,30 @@ def _ingest_stream(stream) -> Panel:
     return panel
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+"""Characters that force a quoted CSV field: the delimiter, the quote
+character, and the line breaks ``csv.reader`` ends a row at."""
+
+
 def serialize(panel: Panel, dest=None) -> str | None:
     """Write a panel as CSV, rows sorted by (unit_id, period), LF endings.
 
     Outcomes are written with 17 significant digits so that
-    ingest(serialize(panel)) reproduces y bit-exactly.
+    ingest(serialize(panel)) reproduces y bit-exactly. A unit id holding
+    a comma, a double quote, CR or LF is quoted with its quotes doubled,
+    as ``csv.writer`` quotes a field under ``QUOTE_MINIMAL``; other ids
+    are written as they are.
     """
     out = io.StringIO() if dest is None else dest
     out.write(",".join(CSV_HEADER) + "\n")
-    for i, unit in enumerate(panel.unit_ids):
-        for t in range(1, panel.T + 1):
-            out.write(
-                f"{unit},{t},{panel.z[i]},{panel.d[i, t - 1]},"
-                f"{panel.y[i, t - 1]:.17g}\n"
-            )
+    periods = range(1, panel.T + 1)
+    for unit, z, d_row, y_row in zip(
+        panel.unit_ids.tolist(), panel.z.tolist(), panel.d.tolist(), panel.y.tolist()
+    ):
+        if _NEEDS_QUOTES.search(unit):
+            unit = '"' + unit.replace('"', '""') + '"'
+        for t, d, y in zip(periods, d_row, y_row):
+            out.write(f"{unit},{t},{z},{d},{y:.17g}\n")
     if dest is None:
         return out.getvalue()
     return None

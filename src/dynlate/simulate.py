@@ -22,7 +22,7 @@ import numpy as np
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
 from .errors import DegenerateInstrument
 from .estimators import ALL_TARGETS, arm_moments, target_columns, target_row
-from .panel import Panel
+from .panel import UNIT_ID_DTYPE, Panel
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -68,6 +68,8 @@ def _draw_arrays(spec: DgpSpec, n: int, rng: np.random.Generator, table):
 def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
     """Draw n units with :func:`_draw_arrays` as a panel with ids u0, u1, ....
 
+    Ids are zero-padded to the width of n - 1, so they sort in draw order.
+
     Adoption pairs make treatment paths irreversible by construction, so
     the result always passes panel validation.
     """
@@ -75,8 +77,9 @@ def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z, d, y = _draw_arrays(spec, n, rng, _arm_table(spec))
-    width = len(str(n - 1))
-    return Panel.from_arrays(tuple(f"u{i:0{width}d}" for i in range(n)), z, d, y)
+    digits = np.arange(n).astype(UNIT_ID_DTYPE)
+    ids = np.strings.add("u", np.strings.zfill(digits, len(str(n - 1))))
+    return Panel.from_arrays(ids, z, d, y)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,13 @@ class TestErrorContract:
         assert code == 2
         assert err.startswith("error[E_MALFORMED_ROW]:")
 
+    def test_treatment_reversal_names_the_unit(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("unit_id,period,z,d,y\nA,1,1,1,0.0\nA,2,1,0,0.0\nB,1,0,0,0.0\nB,2,0,0,0.0\n")
+        code, _, err = run(capsys, "estimate", "--panel", str(bad))
+        assert code == 2
+        assert err == "error[E_REVERSAL]: treatment reverses for unit 'A' at period 2\n"
+
     def test_schema_mismatch(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 99}))

@@ -1,5 +1,8 @@
 """Panel ingestion, validation, serialization round-trip, diagnostics."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from dynlate.errors import (
     TreatmentReversal,
     UnbalancedPanel,
 )
-from dynlate.panel import Panel, check_assumptions, ingest, serialize
+from dynlate.panel import UNIT_ID_DTYPE, Panel, check_assumptions, ingest, serialize
 
 MINIMAL = """unit_id,period,z,d,y
 A,1,1,1,2.0
@@ -26,7 +29,7 @@ def test_ingest_minimal():
     p = ingest(MINIMAL)
     assert p.T == 2
     assert p.n == 2
-    assert p.unit_ids == ("A", "B")
+    assert p.unit_ids.tolist() == ["A", "B"]
     assert p.z.tolist() == [1, 0]
     assert p.d.tolist() == [[1, 1], [0, 0]]
     assert p.y.tolist() == [[2.0, 3.0], [0.0, 0.5]]
@@ -113,30 +116,175 @@ def test_bad_header():
         ingest("")
 
 
-@settings(max_examples=60, deadline=None)
+# every character but surrogates, which UTF-8 text cannot hold, with the
+# ones CSV quoting is about made common
+_AWKWARD_CHARS = st.one_of(
+    st.sampled_from([",", '"', "\n", "\r", "\x00", "é", "中"]),
+    st.characters(codec="utf-8"),
+)
+_AWKWARD_IDS = st.text(_AWKWARD_CHARS, min_size=1, max_size=6).filter(lambda u: u == u.strip())
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4),
-    st.integers(min_value=2, max_value=8),
+    st.lists(_AWKWARD_IDS, min_size=2, max_size=8, unique=True),
     st.randoms(use_true_random=False),
 )
-def test_round_trip_random_panels(T, n, rnd):
+def test_round_trip_random_panels(T, ids, rnd):
+    n = len(ids)
     rng = np.random.RandomState(rnd.randint(0, 2**31 - 1))
-    ids = [f"u{i:03d}" for i in range(n)]
     z = rng.randint(0, 2, size=n)
     z[0], z[1] = 0, 1  # keep both arms
     start = rng.randint(1, T + 2, size=n)  # T+1 means never treated
     d = (np.arange(1, T + 1)[None, :] >= start[:, None]).astype(np.int8)
     y = rng.standard_normal((n, T)) * np.pi  # non-round decimals
     p = Panel.from_arrays(ids, z, d, y)
-    assert ingest(serialize(p)) == p
+    text = serialize(p)
+    assert ingest(text) == p
+    if not any("\r" in u for u in ids):
+        # Python 3.11's csv.writer leaves a bare CR unquoted under
+        # lineterminator="\n" (and its reader then rejects the row);
+        # every other id is written exactly as csv.writer writes it
+        expected = io.StringIO()
+        writer = csv.writer(expected, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+        writer.writerow(("unit_id", "period", "z", "d", "y"))
+        for i, unit in enumerate(p.unit_ids.tolist()):
+            for t in range(T):
+                writer.writerow((unit, t + 1, p.z[i], p.d[i, t], f"{p.y[i, t]:.17g}"))
+        assert text == expected.getvalue()
 
 
 def test_from_arrays_sorts_by_unit_id():
     p = Panel.from_arrays(
         ["b", "a"], [1, 0], [[0], [0]], [[1.0], [2.0]]
     )
-    assert p.unit_ids == ("a", "b")
+    assert p.unit_ids.tolist() == ["a", "b"]
     assert p.y[:, 0].tolist() == [2.0, 1.0]
+
+
+@pytest.mark.parametrize("wrap", [list, np.array])
+@pytest.mark.parametrize("bad", [0.7, -1, 256, 257])
+@pytest.mark.parametrize("column", ["z", "d"])
+def test_from_arrays_checks_binary_values_before_the_cast(column, bad, wrap):
+    # cast first, 0.7 would truncate to 0 and an int64 256/257 wrap to 0/1
+    z, d = wrap([bad, 1]), wrap([[0, 1], [bad, 1]])
+    if column == "z":
+        d = wrap([[0, 1], [0, 1]])
+    else:
+        z = wrap([0, 1])
+    with pytest.raises(MalformedRow, match="0 or 1"):
+        Panel.from_arrays(["a", "b"], z, d, [[0.0, 0.0], [0.0, 0.0]])
+
+
+def test_duplicate_unit_id_is_named():
+    # the smallest of the duplicated ids
+    with pytest.raises(UnbalancedPanel, match="duplicate unit id 'x'"):
+        Panel.from_arrays(["y", "x", "c", "x", "y"], [0] * 5, [[0]] * 5, [[0.0]] * 5)
+
+
+def test_treatment_reversal_carries_a_plain_str_id():
+    with pytest.raises(TreatmentReversal) as err:
+        Panel.from_arrays(["b", "a"], [0, 1], [[0, 0], [1, 0]], [[0.0] * 2] * 2)
+    assert type(err.value.unit_id) is str
+    assert str(err.value) == "treatment reverses for unit 'a' at period 2"
+
+
+def test_unit_id_with_a_lone_surrogate_is_malformed():
+    with pytest.raises(MalformedRow, match="valid text"):
+        Panel.from_arrays(["a\ud800", "b"], [0, 1], [[0], [0]], [[0.0], [0.0]])
+
+
+def test_unit_ids_keep_a_trailing_nul():
+    p = Panel.from_arrays(["a\x00", "a"], [1, 0], [[0], [0]], [[1.0], [2.0]])
+    assert isinstance(p.unit_ids.dtype, UNIT_ID_DTYPE)
+    assert p.unit_ids.tolist() == ["a", "a\x00"]
+    assert p != Panel.from_arrays(["a", "a\x01"], [0, 1], [[0], [0]], [[2.0], [1.0]])
+
+
+def _reference_from_arrays(unit_ids, z, d, y):
+    """The tuple/set/object-argsort algorithm unit ids were first checked by.
+
+    Returns (ids, z, d, y) in row order. It casts z and d to int8 before
+    checking them, so it is only a reference for binary z and d.
+    """
+    ids = tuple(str(u) for u in unit_ids)
+    z = np.asarray(z, dtype=np.int8)
+    d = np.asarray(d, dtype=np.int8)
+    y = np.asarray(y, dtype=np.float64)
+    n = len(ids)
+    if n == 0:
+        raise UnbalancedPanel("panel has no units")
+    if d.ndim != 2 or y.shape != d.shape or z.shape != (n,) or d.shape[0] != n:
+        raise MalformedRow("array shapes are inconsistent")
+    if d.shape[1] < 1:
+        raise UnbalancedPanel("panel has no periods")
+    if len(set(ids)) != n:
+        raise UnbalancedPanel("duplicate unit ids")
+    if not np.isin(z, (0, 1)).all() or not np.isin(d, (0, 1)).all():
+        raise MalformedRow("z and d must be 0 or 1")
+    if not np.isfinite(y).all():
+        raise MalformedRow("y must be finite")
+    order = np.argsort(np.array(ids, dtype=object), kind="stable")
+    ids = tuple(ids[i] for i in order)
+    z, d, y = z[order], d[order], y[order]
+    drops = np.argwhere(np.diff(d.astype(np.int16), axis=1) < 0)
+    if drops.size:
+        row, t = drops[0]
+        raise TreatmentReversal(ids[row], int(t) + 2)
+    return ids, z, d, y
+
+
+# few characters, so prefixes, duplicates and near-duplicates are common
+_ID_CHARS = st.sampled_from(["a", "b", "B", "0", "9", " ", ",", "\x00", "\x7f", "é", "中", "😀"])
+_RAW_IDS = st.one_of(st.text(_ID_CHARS, max_size=4), st.integers(-12, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_RAW_IDS, min_size=1, max_size=10),
+    st.sampled_from(["list", "int_array", "nul_twin"]),
+    st.integers(min_value=1, max_value=3),
+    st.randoms(use_true_random=False),
+)
+def test_from_arrays_matches_reference(raw_ids, form, T, rnd):
+    if form == "int_array":
+        ids = np.array([i for i in raw_ids if isinstance(i, int)] or [0])
+    else:
+        ids = list(raw_ids)
+        if form == "nul_twin":  # equal up to a trailing NUL
+            ids.append(f"{ids[0]}\x00")
+        rnd.shuffle(ids)
+    n = len(ids)
+    z = [rnd.randint(0, 1) for _ in range(n)]
+    d = [[rnd.randint(0, 1) for _ in range(T)] for _ in range(n)]
+    if rnd.random() < 0.7:  # mostly irreversible paths, so some calls succeed
+        d = [sorted(row) for row in d]
+    y = [[rnd.uniform(-3, 3) for _ in range(T)] for _ in range(n)]
+    try:
+        want = _reference_from_arrays(ids, z, d, y)
+    except (MalformedRow, UnbalancedPanel, TreatmentReversal) as err:
+        with pytest.raises(type(err)) as got:
+            Panel.from_arrays(ids, z, d, y)
+        if isinstance(err, TreatmentReversal):
+            assert (got.value.unit_id, got.value.period) == (err.unit_id, err.period)
+        return
+    p = Panel.from_arrays(ids, z, d, y)
+    assert p.unit_ids.tolist() == list(want[0])
+    for got, ref in zip((p.z, p.d, p.y), want[1:]):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
+
+
+def test_round_trip_quoted_ids_through_a_file(tmp_path):
+    p = ingest('unit_id,period,z,d,y\n"a,b",1,1,1,0.5\n"c\r\nd",1,0,0,0.25\n"say ""x""",1,0,1,1\n')
+    assert p.unit_ids.tolist() == ["a,b", "c\r\nd", 'say "x"']
+    path = tmp_path / "panel.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        serialize(p, fh)
+    assert ingest(str(path)) == p
 
 
 def test_check_assumptions_reports_fs1():
