@@ -75,7 +75,7 @@ class Panel:
         if not isinstance(other, Panel):
             return NotImplemented
         return (
-            np.array_equal(self.unit_ids, other.unit_ids)
+            np.array_equal(_order_key(self.unit_ids), _order_key(other.unit_ids))
             and np.array_equal(self.z, other.z)
             and np.array_equal(self.d, other.d)
             and np.array_equal(self.y, other.y)
@@ -113,10 +113,11 @@ class Panel:
         if d.shape[1] < 1:
             raise UnbalancedPanel("panel has no periods")
         order = None
-        if not (ids[1:] > ids[:-1]).all():
-            order = np.argsort(ids, kind="stable")
-            ids = ids[order]
-            dup = np.flatnonzero(ids[1:] == ids[:-1])
+        key = _order_key(ids)
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            ids, key = ids[order], key[order]
+            dup = np.flatnonzero(key[1:] == key[:-1])
             if dup.size:
                 raise UnbalancedPanel(f"duplicate unit id {str(ids[dup[0]])!r}")
         if not (_is_binary(z) and _is_binary(d)):
@@ -132,6 +133,24 @@ class Panel:
             row, t = drops[0]
             raise TreatmentReversal(str(ids[row]), int(t) + 2)
         return cls(ids, z, d, y)
+
+
+def _order_key(ids: np.ndarray) -> np.ndarray:
+    """Fixed-width ``U`` array that orders and equates like ``ids`` as str.
+
+    numpy's StringDType comparisons and sort stop at an embedded NUL, so
+    there ``"a\\x00b" == "a\\x00c"``; ``U`` compares every code point. Each
+    key is its id padded with NULs to a common width, then the id's length
+    as one more code point, which tells ``"a"`` from ``"a\\x00"``. Lengths
+    are taken with an ``"x"`` appended, as ``str_len`` skips trailing NULs.
+    """
+    lengths = np.strings.str_len(np.strings.add(ids, "x")) - 1
+    width = int(lengths.max(initial=0))
+    key = np.zeros((ids.size, width + 1), dtype=np.uint32)
+    if width:
+        key[:, :width] = ids.astype(f"U{width}").view(np.uint32).reshape(-1, width)
+    key[:, width] = lengths
+    return key.view(f"U{width + 1}").ravel()
 
 
 def _is_binary(a: np.ndarray) -> bool:

@@ -202,6 +202,19 @@ def test_unit_ids_keep_a_trailing_nul():
     assert p != Panel.from_arrays(["a", "a\x01"], [0, 1], [[0], [0]], [[2.0], [1.0]])
 
 
+def test_unit_ids_differing_after_an_embedded_nul():
+    # numpy's own StringDType comparisons and sort stop at the NUL
+    ids = ['0"\x00,,é', '0"\x00,,\x80', "a\x00c", "a\x00b", "a\x00", "a"]
+    y = [[float(i)] for i in range(6)]
+    p = Panel.from_arrays(ids, [0, 1] * 3, [[0]] * 6, y)
+    assert p.unit_ids.tolist() == sorted(ids)
+    assert p.y[:, 0].tolist() == [1.0, 0.0, 5.0, 4.0, 3.0, 2.0]
+    twin = Panel.from_arrays(["a\x00c", "a\x00d"], [0, 1], [[0], [0]], [[0.0], [0.0]])
+    assert twin != Panel.from_arrays(["a\x00c", "a\x00e"], [0, 1], [[0], [0]], [[0.0], [0.0]])
+    with pytest.raises(UnbalancedPanel, match=r"duplicate unit id 'a\\x00b'"):
+        Panel.from_arrays(["a\x00b", "a\x00c", "a\x00b"], [0] * 3, [[0]] * 3, [[0.0]] * 3)
+
+
 def _reference_from_arrays(unit_ids, z, d, y):
     """The tuple/set/object-argsort algorithm unit ids were first checked by.
 
@@ -243,7 +256,7 @@ _RAW_IDS = st.one_of(st.text(_ID_CHARS, max_size=4), st.integers(-12, 12))
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(_RAW_IDS, min_size=1, max_size=10),
-    st.sampled_from(["list", "int_array", "nul_twin"]),
+    st.sampled_from(["list", "int_array", "nul_twin", "nul_inside"]),
     st.integers(min_value=1, max_value=3),
     st.randoms(use_true_random=False),
 )
@@ -254,6 +267,8 @@ def test_from_arrays_matches_reference(raw_ids, form, T, rnd):
         ids = list(raw_ids)
         if form == "nul_twin":  # equal up to a trailing NUL
             ids.append(f"{ids[0]}\x00")
+        elif form == "nul_inside":  # equal up to an embedded NUL
+            ids += [f"{ids[0]}\x00b", f"{ids[0]}\x00a", f"{ids[0]}\x00a\x00"]
         rnd.shuffle(ids)
     n = len(ids)
     z = [rnd.randint(0, 1) for _ in range(n)]
