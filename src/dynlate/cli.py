@@ -88,8 +88,8 @@ seed_opt = click.option(
 )
 threads_opt = click.option(
     "--threads", type=click.IntRange(min=1), default=lambda: os.cpu_count() or 1,
-    help="Bootstrap weight-fill threads (at most one per core); Monte Carlo runs"
-    " in one thread (results are thread-count invariant).",
+    help="Bootstrap resample-count fill threads (at most one per core); Monte Carlo"
+    " runs in one thread (results are thread-count invariant).",
 )
 assume_opt = click.option(
     "--assume", multiple=True, callback=_parse_assume,

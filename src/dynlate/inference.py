@@ -3,8 +3,16 @@
 Resampling keeps each unit's whole time series intact (within-unit serial
 dependence is the object of study, so the unit is the exchangeable block).
 Intervals are percentile intervals; no asymptotic theory is used anywhere.
-Resample r draws its multinomial weights from a stream seeded by
-(seed, r), so output is independent of threading and execution order.
+Resample r draws its multinomial counts from a stream seeded by (seed, r),
+and its moment row comes from a product of one fixed shape, so the row
+depends only on (panel, seed, r): not on ``threads``, on execution order,
+or on how many resamples the run has. The first k resamples of a longer
+run are bitwise those of a k-resample run. Memory is bounded by the
+block heights, not by reps x n.
+
+Report bytes are pinned for a given OpenBLAS thread count (by default the
+core count), not across machines: with non-dyadic outcomes the moment
+product's last bits can change with the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -85,35 +93,85 @@ def _features(panel: Panel) -> np.ndarray:
     return F
 
 
-def _resample_weights(n: int, reps: int, seed: int, threads: int) -> np.ndarray:
-    """Multinomial counts of every resample, filled by at most one worker per core."""
-    W = np.empty((reps, n), dtype=np.float64)
+_PRODUCT_ROWS = 64
+"""Height of every moment product: fixed, so a row's bits never depend on
+how many resamples share its product."""
+
+_FILL_ROWS = 8 * _PRODUCT_ROWS
+"""Resamples filled before their products run, back to back. OpenBLAS
+workers keep spinning after a product, so one product per fill slowed
+the threaded fill that follows it."""
+
+_COUNT_MAX = np.iinfo(np.uint8).max
+"""Largest count the uint8 fill block holds exactly."""
+
+
+def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.ndarray:
+    """Weighted moment rows ``counts_r @ _features(panel)`` of every resample.
+
+    The reps x n count matrix is never held. At most one worker per core
+    writes each resample's multinomial counts as uint8 into a block of
+    ``_FILL_ROWS`` rows; once the block is full, the calling thread casts
+    ``_PRODUCT_ROWS`` rows at a time into one float64 buffer, zero-pads
+    the last of them, and multiplies it by the features. Every product
+    has the same shape, and OpenBLAS gives a row of a fixed-shape product
+    the same bits at any row position, so a row depends only on (panel,
+    seed, r): not on ``threads``, ``reps`` or the block heights. A row
+    whose largest count does not fit in uint8 is kept aside as int64 and
+    replaces its wrapped row in the product.
+    """
+    n = panel.n
+    F = _features(panel)
+    M = np.empty((reps, F.shape[1]))
+    counts = np.empty((min(reps, _FILL_ROWS), n), dtype=np.uint8)
+    block = np.zeros((_PRODUCT_ROWS, n))  # a short run never writes its padding
+    product = np.empty((_PRODUCT_ROWS, F.shape[1]))
+    wide: dict[int, np.ndarray] = {}
 
     def fill(lo: int, hi: int) -> None:
         for r in range(lo, hi):
-            idx = rep_rng(seed, r).integers(0, n, size=n)
-            W[r] = np.bincount(idx, minlength=n)
+            c = np.bincount(rep_rng(seed, r).integers(0, n, size=n), minlength=n)
+            if c.max() > _COUNT_MAX:
+                wide[r] = c
+            counts[r % _FILL_ROWS] = c
 
+    def multiply(lo: int, hi: int) -> None:
+        for start in range(lo, hi, _PRODUCT_ROWS):
+            stop = min(start + _PRODUCT_ROWS, hi)
+            rows = stop - start
+            block[:rows] = counts[start % _FILL_ROWS : start % _FILL_ROWS + rows]
+            if start:  # the first product's tail is still zero
+                block[rows:] = 0.0
+            for r in range(start, stop):
+                if r in wide:
+                    block[r - start] = wide.pop(r)
+            np.matmul(block, F, out=product)
+            M[start:stop] = product[:rows]
+
+    blocks = [(lo, min(lo + _FILL_ROWS, reps)) for lo in range(0, reps, _FILL_ROWS)]
     workers = min(threads, reps, os.cpu_count() or 1)
     if workers > 1:
-        step = -(-reps // workers)
-        chunks = [(r, min(r + step, reps)) for r in range(0, reps, step)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda c: fill(*c), chunks))
+            for lo, hi in blocks:
+                step = -(-(hi - lo) // workers)
+                list(pool.map(lambda a: fill(a, min(a + step, hi)), range(lo, hi, step)))
+                multiply(lo, hi)
     else:
-        fill(0, reps)
-    return W
+        for lo, hi in blocks:
+            fill(lo, hi)
+            multiply(lo, hi)
+    return M
 
 
-def _resample_estimands(panel: Panel, W: np.ndarray):
-    """Arm-wise means for every resample, from one weighted moment product.
+def _resample_estimands(M: np.ndarray):
+    """Arm-wise means for every resample, from its weighted moment row.
 
-    Returns (valid, rf, fs, sw0, sw1); rows failing the relevance screen
-    (an empty arm or a zero first stage at t=1) are marked invalid and
-    hold garbage.
+    ``M`` holds one row of counts-weighted ``_features`` sums per
+    resample, 6T columns in that layout. Returns (valid, rf, fs, sw0,
+    sw1); rows failing the relevance screen (an empty arm or a zero
+    first stage at t=1) are marked invalid and hold garbage.
     """
-    T = panel.T
-    M = W @ _features(panel)
+    T = M.shape[1] // 6
     n1, n0 = M[:, 0], M[:, 1]
     valid = (n1 > 0) & (n0 > 0)
     i = 2
@@ -171,8 +229,8 @@ def bootstrap(
     else:
         lo = hi = None
 
-    W = _resample_weights(panel.n, reps, seed, threads)
-    valid, rf, fs, sw0, sw1 = _resample_estimands(panel, W)
+    moments = _resample_moments(panel, reps, seed, threads)
+    valid, rf, fs, sw0, sw1 = _resample_estimands(moments)
     n_failed = int(reps - valid.sum())
     if n_failed == reps:
         raise AllReplicationsFailed(

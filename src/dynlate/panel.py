@@ -85,8 +85,10 @@ class Panel:
     def from_arrays(cls, unit_ids, z, d, y) -> "Panel":
         """Build a validated panel from per-unit arrays.
 
-        Checks shapes, unique unit ids, binary z/d (the values as given,
-        before the cast to int8), finite y, and irreversibility of d.
+        Checks shapes, unit ids the CSV form can carry (non-empty, no
+        surrounding whitespace), unique unit ids, binary z/d (the values
+        as given, before the cast to int8), finite y, and irreversibility
+        of d.
         Unit ids become a :data:`UNIT_ID_DTYPE` array (non-str ids by
         their ``str``). Rows are sorted by unit id so equal data always
         yields an identical Panel; ids that already increase strictly
@@ -114,6 +116,7 @@ class Panel:
             raise UnbalancedPanel("panel has no periods")
         order = None
         key = _order_key(ids)
+        _check_id_text(ids, key)
         if not (key[1:] > key[:-1]).all():
             order = np.argsort(key, kind="stable")
             ids, key = ids[order], key[order]
@@ -151,6 +154,29 @@ def _order_key(ids: np.ndarray) -> np.ndarray:
         key[:, :width] = ids.astype(f"U{width}").view(np.uint32).reshape(-1, width)
     key[:, width] = lengths
     return key.view(f"U{width + 1}").ravel()
+
+
+_WHITESPACE = np.array([c for c in range(0x3001) if chr(c).isspace()], dtype=np.uint32)
+"""Code points ``str.strip()`` removes (U+3000 is the last of them)."""
+
+
+def _check_id_text(ids: np.ndarray, key: np.ndarray) -> None:
+    """Reject ids that ``ingest(serialize(...))`` cannot give back.
+
+    ``ingest`` strips every field and rejects an empty id, so an id must
+    be non-empty with no whitespace at either end. The test reads the
+    first and last code points off ``_order_key``'s key: ``np.strings.strip``
+    would also strip NULs, which ``str.strip`` keeps.
+    """
+    codes = key.view(np.uint32).reshape(key.size, -1)
+    lengths = codes[:, -1].astype(np.intp)
+    ends = np.stack((codes[:, 0], codes[np.arange(key.size), lengths - 1]))
+    bad = np.flatnonzero((lengths == 0) | np.isin(ends, _WHITESPACE).any(axis=0))
+    if bad.size:
+        raise MalformedRow(
+            f"unit id {str(ids[bad[0]])!r} must be non-empty,"
+            " without surrounding whitespace"
+        )
 
 
 def _is_binary(a: np.ndarray) -> bool:

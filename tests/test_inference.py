@@ -1,5 +1,8 @@
 """Bootstrap determinism, degenerate cases, and interval behaviour."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from dynlate.estimators import (
 from dynlate.inference import (
     _features,
     _resample_estimands,
+    _resample_moments,
     bootstrap,
     percentile_interval,
 )
@@ -123,7 +127,8 @@ class TestBootstrap:
         )
         lo, hi = lo8 / 8.0, (lo8 + width8) / 8.0  # lo > 0 and hi < 0 included
 
-        valid, rf, fs, sw0, sw1 = _resample_estimands(panel, w[None, :].astype(float))
+        moments = w[None, :].astype(float) @ _features(panel)
+        valid, rf, fs, sw0, sw1 = _resample_estimands(moments)
         est = estimate(resampled)
         assert rf[0] == pytest.approx(est.rf, rel=1e-12)
         assert fs[0] == pytest.approx(est.fs, rel=1e-12)
@@ -271,3 +276,97 @@ class TestBootstrap:
         rep = bounds_general(estimate(panel), 2, -2.0, 2.0)
         assert res.target("general_lower[2]").point == pytest.approx(rep.lower)
         assert res.target("general_upper[2]").point == pytest.approx(rep.upper)
+
+
+def noisy_panel(n, T=4):
+    """Non-dyadic outcomes, so a moment's last bits show its summation order."""
+    spec, _ = random_homogeneous_spec(np.random.default_rng(80), T=T, noise_sd=0.9)
+    return draw_panel(spec, n, seed=n)
+
+
+def bits(a):
+    return a.view(np.uint64)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("fill_rows", [64, 192, 512])
+def test_resamples_independent_of_fill_height_and_threads(monkeypatch, fill_rows, threads):
+    panel = noisy_panel(999)
+    moments = _resample_moments(panel, 600, 7, 1)
+    res = bootstrap(panel, reps=600, alpha=0.1, seed=7)
+    monkeypatch.setattr(inference, "_FILL_ROWS", fill_rows)
+    assert np.array_equal(bits(_resample_moments(panel, 600, 7, threads)), bits(moments))
+    assert bootstrap(panel, reps=600, alpha=0.1, seed=7, threads=threads) == res
+
+
+@pytest.mark.parametrize("n", [300, 999, 5000])
+def test_first_resamples_of_a_longer_run_are_bitwise_equal(n):
+    panel = noisy_panel(n)
+    full = _resample_moments(panel, 150, 11, 2)
+    for k in (2, 40, 64, 65, 129):
+        assert np.array_equal(bits(_resample_moments(panel, k, 11, 1)), bits(full[:k]))
+
+
+def test_wide_count_path_gives_the_same_bits(monkeypatch):
+    panel = noisy_panel(999)
+    moments = _resample_moments(panel, 150, 5, 2)
+    res = bootstrap(panel, reps=150, alpha=0.1, seed=5, threads=2)
+    monkeypatch.setattr(inference, "_COUNT_MAX", 0)  # every row keeps int64 counts
+    assert np.array_equal(bits(_resample_moments(panel, 150, 5, 2)), bits(moments))
+    assert bootstrap(panel, reps=150, alpha=0.1, seed=5, threads=2) == res
+
+
+def test_fill_with_more_workers_than_cores(monkeypatch):
+    # every row goes through the shared dict of wide counts, from 8 workers
+    # switching threads often, over several fill blocks
+    panel = noisy_panel(300)
+    want = _resample_moments(panel, 200, 9, 1)
+    monkeypatch.setattr(inference.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(inference, "_COUNT_MAX", 0)
+    monkeypatch.setattr(inference, "_FILL_ROWS", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _resample_moments(panel, 200, 9, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(bits(got), bits(want))
+
+
+class TwoUnitRng:
+    """Stand-in for ``rep_rng``: draws only units 0 and 1, so counts reach about n/2."""
+
+    def __init__(self, seed, r):
+        self.rng = np.random.default_rng([seed, r])
+
+    def integers(self, low, high, size):
+        return self.rng.integers(low, 2, size=size)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_counts_above_uint8_are_kept_exact(monkeypatch, threads):
+    n, reps = 600, 70
+    rng = np.random.default_rng(12)
+    d = np.sort(rng.integers(0, 2, size=(n, 3)), axis=1)
+    y = rng.integers(-40, 41, size=(n, 3)) / 8.0  # dyadic: every moment is exact
+    panel = Panel.from_arrays([f"u{i:03d}" for i in range(n)], np.arange(n) % 2, d, y)
+    monkeypatch.setattr(inference, "rep_rng", TwoUnitRng)
+    counts = np.array(
+        [np.bincount(TwoUnitRng(4, r).integers(0, n, n), minlength=n) for r in range(reps)]
+    )
+    assert (counts.max(axis=1) > inference._COUNT_MAX).all()
+    want = counts.astype(np.float64) @ _features(panel)
+    assert np.array_equal(_resample_moments(panel, reps, 4, threads), want)
+
+
+def test_bootstrap_memory_does_not_grow_with_reps():
+    panel = noisy_panel(20_000)
+    peak = {}
+    for reps in (600, 2000):
+        tracemalloc.start()
+        try:
+            bootstrap(panel, reps=reps, alpha=0.1, seed=1)
+            peak[reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak[2000] <= 1.25 * peak[600]

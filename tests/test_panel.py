@@ -15,7 +15,14 @@ from dynlate.errors import (
     TreatmentReversal,
     UnbalancedPanel,
 )
-from dynlate.panel import UNIT_ID_DTYPE, Panel, check_assumptions, ingest, serialize
+from dynlate.panel import (
+    _WHITESPACE,
+    UNIT_ID_DTYPE,
+    Panel,
+    check_assumptions,
+    ingest,
+    serialize,
+)
 
 MINIMAL = """unit_id,period,z,d,y
 A,1,1,1,2.0
@@ -123,15 +130,29 @@ _AWKWARD_CHARS = st.one_of(
     st.characters(codec="utf-8"),
 )
 _AWKWARD_IDS = st.text(_AWKWARD_CHARS, min_size=1, max_size=6).filter(lambda u: u == u.strip())
+# ids the CSV form cannot carry: ingest strips fields and rejects empty ids
+_UNTRIMMED = ["", " a", "a ", "\x1fb", "\u3000c", "d\x85", " \x00"]
+_SPACES = st.text(
+    st.characters(categories=["Zs", "Zl", "Zp", "Cc"]).filter(str.isspace), min_size=1
+)
+_UNTRIMMED_IDS = st.one_of(
+    st.sampled_from(_UNTRIMMED),
+    st.builds(
+        lambda pad, u, left: pad + u if left else u + pad, _SPACES, _AWKWARD_IDS, st.booleans()
+    ),
+)
 
 
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4),
     st.lists(_AWKWARD_IDS, min_size=2, max_size=8, unique=True),
+    st.one_of(st.none(), _UNTRIMMED_IDS),
     st.randoms(use_true_random=False),
 )
-def test_round_trip_random_panels(T, ids, rnd):
+def test_round_trip_random_panels(T, ids, untrimmed, rnd):
+    if untrimmed is not None:
+        ids = ids + [untrimmed]
     n = len(ids)
     rng = np.random.RandomState(rnd.randint(0, 2**31 - 1))
     z = rng.randint(0, 2, size=n)
@@ -139,6 +160,10 @@ def test_round_trip_random_panels(T, ids, rnd):
     start = rng.randint(1, T + 2, size=n)  # T+1 means never treated
     d = (np.arange(1, T + 1)[None, :] >= start[:, None]).astype(np.int8)
     y = rng.standard_normal((n, T)) * np.pi  # non-round decimals
+    if untrimmed is not None:
+        with pytest.raises(MalformedRow, match="without surrounding whitespace"):
+            Panel.from_arrays(ids, z, d, y)
+        return
     p = Panel.from_arrays(ids, z, d, y)
     text = serialize(p)
     assert ingest(text) == p
@@ -195,6 +220,11 @@ def test_unit_id_with_a_lone_surrogate_is_malformed():
         Panel.from_arrays(["a\ud800", "b"], [0, 1], [[0], [0]], [[0.0], [0.0]])
 
 
+def test_whitespace_table_is_what_str_strip_removes():
+    space = [c for c in range(0x110000) if chr(c).isspace()]
+    assert sorted(_WHITESPACE.tolist()) == space
+
+
 def test_unit_ids_keep_a_trailing_nul():
     p = Panel.from_arrays(["a\x00", "a"], [1, 0], [[0], [0]], [[1.0], [2.0]])
     assert isinstance(p.unit_ids.dtype, UNIT_ID_DTYPE)
@@ -232,6 +262,8 @@ def _reference_from_arrays(unit_ids, z, d, y):
         raise MalformedRow("array shapes are inconsistent")
     if d.shape[1] < 1:
         raise UnbalancedPanel("panel has no periods")
+    if any(u == "" or u != u.strip() for u in ids):
+        raise MalformedRow("unit ids must be non-empty, without surrounding whitespace")
     if len(set(ids)) != n:
         raise UnbalancedPanel("duplicate unit ids")
     if not np.isin(z, (0, 1)).all() or not np.isin(d, (0, 1)).all():
@@ -256,7 +288,7 @@ _RAW_IDS = st.one_of(st.text(_ID_CHARS, max_size=4), st.integers(-12, 12))
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(_RAW_IDS, min_size=1, max_size=10),
-    st.sampled_from(["list", "int_array", "nul_twin", "nul_inside"]),
+    st.sampled_from(["list", "int_array", "nul_twin", "nul_inside", "untrimmed"]),
     st.integers(min_value=1, max_value=3),
     st.randoms(use_true_random=False),
 )
@@ -269,6 +301,8 @@ def test_from_arrays_matches_reference(raw_ids, form, T, rnd):
             ids.append(f"{ids[0]}\x00")
         elif form == "nul_inside":  # equal up to an embedded NUL
             ids += [f"{ids[0]}\x00b", f"{ids[0]}\x00a", f"{ids[0]}\x00a\x00"]
+        elif form == "untrimmed":  # what ingest would strip, or reject as empty
+            ids.append(rnd.choice(_UNTRIMMED))
         rnd.shuffle(ids)
     n = len(ids)
     z = [rnd.randint(0, 1) for _ in range(n)]
