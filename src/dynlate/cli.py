@@ -431,14 +431,14 @@ def bootstrap_cmd(panel_path, reps, alpha, seed, effect_bounds, assume, threads,
         raise click.UsageError("--panel is required")
     panel = ingest(panel_path)
     lo, hi = effect_bounds if effect_bounds else (None, None)
-    include_identify = CALENDAR_HOMOGENEITY in assume
+    identified = CALENDAR_HOMOGENEITY in assume
     res = inference.bootstrap(
         panel, reps=reps, alpha=alpha, seed=seed, lo=lo, hi=hi,
-        include_identify=include_identify, include_tight=_tight_declared(assume),
-        threads=threads,
+        targets=("estimands",) + ("identify",) * identified + ("bounds",),
+        include_tight=_tight_declared(assume), threads=threads,
     )
     warnings = []
-    if not include_identify:
+    if not identified:
         warnings.append(
             "identified profile skipped: declare --assume calendar-homogeneity"
         )

@@ -133,9 +133,6 @@ class DgpSpec:
         wanted = set(label.members(self.T))
         return tuple(h for h in self.histories if h.pair in wanted and h.prob > 0.0)
 
-    def prob_of(self, label: GroupLabel) -> float:
-        return math.fsum(h.prob for h in self.members_of(label))
-
     def group_effect(self, label: GroupLabel, t: int, tau: int) -> float | None:
         """Probability-weighted mean of effects[t][tau] over the label's members."""
         members = self.members_of(label)
@@ -457,7 +454,7 @@ def spec_from_dict(doc: dict) -> DgpSpec:
     if not isinstance(doc, dict):
         raise SchemaMismatch("spec document must be a mapping")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not _is_integer(version) or version != SCHEMA_VERSION:
         raise SchemaMismatch(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
@@ -483,26 +480,56 @@ def spec_from_dict(doc: dict) -> DgpSpec:
             pair = AdoptionPair(_adoption_time(h["s1"]), _adoption_time(h["s0"]))
         except ValueError as err:
             raise SchemaMismatch(f"history {i}: {err}") from None
+        effects = h["effects"]
+        if not isinstance(effects, list):
+            raise SchemaMismatch(
+                f"history {i}: effects must be an array of arrays, got {effects!r}"
+            )
         histories.append(
             HistorySpec(
                 pair=pair,
-                prob=float(h["prob"]),
-                baseline=tuple(h["baseline"]),
-                effects=tuple(tuple(row) for row in h["effects"]),
+                prob=_number(h["prob"], f"history {i}: prob"),
+                baseline=_numbers(h["baseline"], f"history {i}: baseline"),
+                effects=tuple(
+                    _numbers(row, f"history {i}: effects[{t}]") for t, row in enumerate(effects)
+                ),
             )
         )
+    T = doc["T"]
+    if not _is_integer(T):
+        raise SchemaMismatch(f"T must be an integer, got {T!r}")
     return DgpSpec(
-        T=int(doc["T"]),
-        pz=float(doc["pz"]),
+        T=T,
+        pz=_number(doc["pz"], "pz"),
         histories=tuple(histories),
-        noise_sd=float(doc["noise_sd"]),
+        noise_sd=_number(doc["noise_sd"], "noise_sd"),
     )
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v, what: str) -> float:
+    """A spec scalar: a real number, as JSON, YAML and TOML parse it (not a bool)."""
+    if not (_is_integer(v) or isinstance(v, float)):
+        raise SchemaMismatch(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaMismatch(f"{what} is out of range: {v!r}") from None
+
+
+def _numbers(v, what: str) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise SchemaMismatch(f"{what} must be an array of numbers, got {v!r}")
+    return tuple(_number(x, f"{what}[{k}]") for k, x in enumerate(v))
 
 
 def _adoption_time(v) -> float:
     if v == "never":
         return NEVER
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_integer(v):
         raise ValueError(f"adoption period must be an integer or 'never', got {v!r}")
     return v
 

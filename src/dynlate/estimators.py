@@ -27,32 +27,63 @@ NO_LATE_SWITCHERS = "no-late-switchers"
 KNOWN_ASSUMPTIONS = (CALENDAR_HOMOGENEITY, CROSS_GROUP_HOMOGENEITY, NO_LATE_SWITCHERS)
 
 
-def arm_moments(z: np.ndarray, d: np.ndarray, y: np.ndarray):
-    """(rf, fs, sw0, sw1) of one sample from its arm-wise means.
+def moment_features(z: np.ndarray, d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-unit columns whose (weighted) sums over units are the moment row.
 
-    rf_t and fs_t are differences of arm means of y and 0/1 d; sw0 and sw1
-    are the arm-wise fractions of units treated at t but not at 1 (length
-    T-1). Both arms must be non-empty.
+    Layout: [z, 1-z, z*y (T), (1-z)*y (T), z*d (T), (1-z)*d (T),
+    z*switch (T-1), (1-z)*switch (T-1)], where switch_t = 1{d_t=1, d_1=0}.
+    """
+    F = np.empty((len(z), 6 * y.shape[1]))
+    on, off = F[:, :1], F[:, 1:2]
+    on[:, 0] = z
+    np.subtract(1.0, on, out=off)
+    j = 2
+    for x in (y, d, d[:, 1:] > d[:, :1]):
+        for arm in (on, off):
+            np.multiply(arm, x, out=F[:, j : j + x.shape[1]])
+            j += x.shape[1]
+    return F
+
+
+def arm_sums(z: np.ndarray, d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The moment row of one sample: :func:`moment_features` summed over units.
+
+    One gather of each arm's rows, which may be empty; y sums in unit order.
     """
     T = y.shape[1]
     on = z == 1
-    arms = (np.flatnonzero(~on), np.flatnonzero(on))
-    # rows d_1..d_T, then the switch indicators 1{d_t = 1, d_1 = 0} = d_t > d_1
+    arms = (np.flatnonzero(on), np.flatnonzero(~on))
+    # rows d_1..d_T, then the switch indicators d_t > d_1
     paths = np.empty((2 * T - 1, len(z)), dtype=np.int8)
     paths[:T] = d.T
     np.greater(paths[1:T], paths[0], out=paths[T:])
-    # y rows of an arm sum in unit order, exactly as y[arm].mean(axis=0);
-    # path means are exact counts over the arm size, in any order
-    y0, y1 = (y.take(arm, axis=0).mean(axis=0) for arm in arms)
-    p0, p1 = (paths.take(arm, axis=1).sum(axis=1) / len(arm) for arm in arms)
-    return y1 - y0, p1[:T] - p0[:T], p0[T:], p1[T:]
+    y1, y0 = (y.take(arm, axis=0).sum(axis=0) for arm in arms)
+    p1, p0 = (paths.take(arm, axis=1).sum(axis=1) for arm in arms)
+    counts = [len(arm) for arm in arms]
+    return np.concatenate([counts, y1, y0, p1[:T], p0[:T], p1[T:], p0[T:]], dtype=np.float64)
+
+
+def moment_estimands(M: np.ndarray):
+    """(both_arms, rf, fs, sw0, sw1) of every moment row of ``M``.
+
+    rf_t and fs_t are differences of arm means of y and d; sw0 and sw1 are
+    the arm-wise shares of units treated at t but not at 1. Rows without
+    both arms hold NaN.
+    """
+    T = M.shape[1] // 6
+    n1, n0 = M[:, :1], M[:, 1:2]
+    sums = np.split(M[:, 2:], np.cumsum([T, T, T, T, T - 1]), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y1, y0, d1, d0, sw1, sw0 = (s / n for s, n in zip(sums, (n1, n0) * 3))
+    return (n1[:, 0] > 0) & (n0[:, 0] > 0), y1 - y0, d1 - d0, sw0, sw1
 
 
 def estimate(panel: Panel) -> EstimandSet:
-    """Sample per-period estimands from :func:`arm_moments`."""
-    if not panel.has_both_arms:
+    """Sample per-period estimands: the one-row :func:`moment_estimands` call."""
+    both_arms, *moments = moment_estimands(arm_sums(panel.z, panel.d, panel.y)[None])
+    if not both_arms[0]:
         raise DegenerateInstrument("panel has a single instrument arm")
-    rf, fs, sw0, sw1 = (tuple(v.tolist()) for v in arm_moments(panel.z, panel.d, panel.y))
+    rf, fs, sw0, sw1 = (tuple(v[0].tolist()) for v in moments)
     return EstimandSet(
         T=panel.T,
         rf=rf,

@@ -3,6 +3,9 @@
 Resampling keeps each unit's whole time series intact (within-unit serial
 dependence is the object of study, so the unit is the exchangeable block).
 Intervals are percentile intervals; no asymptotic theory is used anywhere.
+A resample's moment row is its counts times
+:func:`~dynlate.estimators.moment_features`; as for ``estimate`` and Monte
+Carlo, :func:`~dynlate.estimators.moment_estimands` reads it.
 Resample r draws its multinomial counts from a stream seeded by (seed, r),
 and its moment row comes from a product of one fixed shape, so the row
 depends only on (panel, seed, r): not on ``threads``, on execution order,
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllReplicationsFailed
-from .estimators import estimate, outcome_range_bounds, target_columns, target_row
+from .estimators import ALL_TARGETS, estimate, moment_estimands, moment_features
+from .estimators import outcome_range_bounds, target_columns, target_row
 from .panel import Panel
 from .simulate import rep_rng
 
@@ -74,25 +78,6 @@ class BootstrapResult:
         raise KeyError(name)
 
 
-def _features(panel: Panel) -> np.ndarray:
-    """Per-unit columns whose weighted sums determine every estimand.
-
-    Layout: [z, 1-z, z*y (T), (1-z)*y (T), z*d (T), (1-z)*d (T),
-    z*switch (T-1), (1-z)*switch (T-1)] where switch_t = 1{d_t=1, d_1=0}.
-    """
-    F = np.empty((panel.n, 6 * panel.T))
-    z, zc = F[:, :1], F[:, 1:2]
-    z[:, 0] = panel.z
-    np.subtract(1.0, z, out=zc)
-    switch = (panel.d[:, 1:] == 1) & (panel.d[:, :1] == 0)
-    j = 2
-    for x in (panel.y, panel.d, switch):
-        for arm in (z, zc):
-            np.multiply(arm, x, out=F[:, j : j + x.shape[1]])
-            j += x.shape[1]
-    return F
-
-
 _PRODUCT_ROWS = 64
 """Height of every moment product: fixed, so a row's bits never depend on
 how many resamples share its product."""
@@ -107,7 +92,7 @@ _COUNT_MAX = np.iinfo(np.uint8).max
 
 
 def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.ndarray:
-    """Weighted moment rows ``counts_r @ _features(panel)`` of every resample.
+    """Moment rows ``counts_r @ moment_features(panel)`` of every resample.
 
     The reps x n count matrix is never held. At most one worker per core
     writes each resample's multinomial counts as uint8 into a block of
@@ -121,7 +106,7 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     replaces its wrapped row in the product.
     """
     n = panel.n
-    F = _features(panel)
+    F = moment_features(panel.z, panel.d, panel.y)
     M = np.empty((reps, F.shape[1]))
     counts = np.empty((min(reps, _FILL_ROWS), n), dtype=np.uint8)
     block = np.zeros((_PRODUCT_ROWS, n))  # a short run never writes its padding
@@ -163,32 +148,6 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     return M
 
 
-def _resample_estimands(M: np.ndarray):
-    """Arm-wise means for every resample, from its weighted moment row.
-
-    ``M`` holds one row of counts-weighted ``_features`` sums per
-    resample, 6T columns in that layout. Returns (valid, rf, fs, sw0,
-    sw1); rows failing the relevance screen (an empty arm or a zero
-    first stage at t=1) are marked invalid and hold garbage.
-    """
-    T = M.shape[1] // 6
-    n1, n0 = M[:, 0], M[:, 1]
-    valid = (n1 > 0) & (n0 > 0)
-    i = 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y1 = M[:, i : i + T] / n1[:, None]
-        y0 = M[:, i + T : i + 2 * T] / n0[:, None]
-        d1 = M[:, i + 2 * T : i + 3 * T] / n1[:, None]
-        d0 = M[:, i + 3 * T : i + 4 * T] / n0[:, None]
-        j = i + 4 * T
-        sw1 = M[:, j : j + T - 1] / n1[:, None]
-        sw0 = M[:, j + T - 1 : j + 2 * (T - 1)] / n0[:, None]
-    rf = y1 - y0
-    fs = d1 - d0
-    valid &= np.where(np.isfinite(fs[:, 0]), fs[:, 0] != 0.0, False)
-    return valid, rf, fs, sw0, sw1
-
-
 def bootstrap(
     panel: Panel,
     reps: int,
@@ -196,13 +155,12 @@ def bootstrap(
     seed: int,
     lo: float | None = None,
     hi: float | None = None,
-    include_identify: bool = True,
-    include_bounds: bool = True,
+    targets=ALL_TARGETS,
     include_tight: bool = True,
     threads: int = 1,
 ) -> BootstrapResult:
-    """Percentile bootstrap over units for rf/fs/iv, the identified
-    profile, and bound endpoints.
+    """Percentile bootstrap over units for the ``targets`` groups of
+    :func:`~dynlate.estimators.target_columns`.
 
     Resamples with a zero first stage at t=1 (or an empty arm) are
     dropped and counted, mirroring the maintained relevance condition;
@@ -218,19 +176,18 @@ def bootstrap(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    point_est = estimate(panel)
-    targets = ("estimands",) + ("identify",) * include_identify
-    if include_bounds:
+    targets = tuple(targets)
+    if "bounds" in targets:
         if lo is None or hi is None:
             auto_lo, auto_hi = outcome_range_bounds(panel)
             lo = auto_lo if lo is None else lo
             hi = auto_hi if hi is None else hi
-        targets += ("bounds",)
     else:
         lo = hi = None
+    point = target_row(estimate(panel), targets, lo, hi, include_tight)
 
-    moments = _resample_moments(panel, reps, seed, threads)
-    valid, rf, fs, sw0, sw1 = _resample_estimands(moments)
+    both_arms, rf, fs, sw0, sw1 = moment_estimands(_resample_moments(panel, reps, seed, threads))
+    valid = both_arms & (fs[:, 0] != 0.0)
     n_failed = int(reps - valid.sum())
     if n_failed == reps:
         raise AllReplicationsFailed(
@@ -238,7 +195,6 @@ def bootstrap(
         )
     rows = (a[valid] for a in (rf, fs, sw0, sw1))
     resampled = target_columns(*rows, targets, lo, hi, include_tight)
-    point = target_row(point_est, targets, lo, hi, include_tight)
     intervals = []
     for (name, values, ok), (_, point_value, point_ok) in zip(resampled, point, strict=True):
         if not ok.any():

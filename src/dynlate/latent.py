@@ -62,9 +62,6 @@ class AdoptionPair:
         """Treated from period 1 only when the instrument is off."""
         return self.s0 == 1 and self.s1 > 1
 
-    def max_period(self) -> float:
-        return max(self.s1, self.s0)
-
     def __str__(self) -> str:
         fmt = lambda s: "never" if s == NEVER else str(s)
         return f"({fmt(self.s1)},{fmt(self.s0)})"

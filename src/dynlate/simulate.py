@@ -5,9 +5,10 @@ draws depend on nothing but the seed and its index. A study builds one
 stacked table of treatment paths and outcome means per (arm, history)
 pair; each draw takes a history, an arm and the noise from its stream
 (in that order) and reads its units' rows of the table in one gather.
-Replications draw plain (z, d, y) arrays, skip the panel layer, and are
-evaluated together as rows of one
-:func:`~dynlate.estimators.target_columns` table. The oracle is the
+Replications draw plain (z, d, y) arrays, skip the panel layer, stack
+their :func:`~dynlate.estimators.arm_sums` moment rows, and are evaluated
+together as rows of one :func:`~dynlate.estimators.target_columns` table.
+The oracle is the
 one-row table of the population estimands
 (:func:`~dynlate.estimators.target_row`), so both share the targets'
 names, report order and defined-target rules.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
 from .errors import DegenerateInstrument
-from .estimators import ALL_TARGETS, arm_moments, target_columns, target_row
+from .estimators import ALL_TARGETS, arm_sums, moment_estimands, target_columns, target_row
 from .panel import UNIT_ID_DTYPE, Panel
 
 
@@ -153,16 +154,12 @@ def monte_carlo(
     # and bounds target
     oracle = target_row(population_estimands(spec), targets, lo, hi)
 
-    T = spec.T
-    rf, fs, sw0, sw1 = (np.zeros((reps, k)) for k in (T, T, T - 1, T - 1))
-    both_arms = np.zeros(reps, dtype=bool)
     table = _arm_table(spec)
-    for r in range(reps):
-        z, d, y = _draw_arrays(spec, n, rep_rng(seed, r), table)
-        if 0 < z.sum() < n:
-            both_arms[r] = True
-            rf[r], fs[r], sw0[r], sw1[r] = arm_moments(z, d, y)
-    replicated = target_columns(rf, fs, sw0, sw1, targets, lo, hi)
+    M = np.stack(
+        [arm_sums(*_draw_arrays(spec, n, rep_rng(seed, r), table)) for r in range(reps)]
+    )
+    both_arms, *moments = moment_estimands(M)
+    replicated = target_columns(*moments, targets, lo, hi)
     rows = []
     for (name, truth, truth_ok), (_, values, ok) in zip(oracle, replicated, strict=True):
         if not truth_ok[0]:

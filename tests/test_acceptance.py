@@ -228,7 +228,8 @@ def test_criterion_7_bootstrap_coverage():
     for draw in range(draws):
         panel = draw_panel(spec, 5000, seed=draw)
         res = bootstrap(
-            panel, reps=500, alpha=0.05, seed=10_000 + draw, include_bounds=False
+            panel, reps=500, alpha=0.05, seed=10_000 + draw,
+            targets=("estimands", "identify"),
         )
         tgt = res.target("delta[1]")
         hits += tgt.lower <= truth <= tgt.upper

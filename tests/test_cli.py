@@ -51,6 +51,22 @@ class TestErrorContract:
         assert code == 2
         assert err.startswith("error[E_SCHEMA]:")
 
+    @pytest.mark.parametrize(
+        "history, field, value, message",
+        [
+            (None, "T", 4.5, "T must be an integer, got 4.5"),
+            (0, "prob", None, "history 0: prob must be a number, got None"),
+        ],
+    )
+    def test_malformed_spec_scalar(self, capsys, tmp_path, spec_file, history, field, value,
+                                   message):
+        doc = json.loads(Path(spec_file).read_text())
+        (doc if history is None else doc["histories"][history])[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--dgp", str(bad))
+        assert (code, out, err) == (2, "", f"error[E_SCHEMA]: {message}\n")
+
     def test_missing_required_input(self, capsys):
         code, _, err = run(capsys, "estimate")
         assert code == 2

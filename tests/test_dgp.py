@@ -356,6 +356,57 @@ class TestSpecFiles:
         path.write_text(yaml.safe_dump(spec_to_dict(spec)))
         assert load_spec(str(path)) == spec
 
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_toml_round_trip(self, tmp_path, seed):
+        if seed is None:
+            spec = three_history_spec()
+        else:
+            spec = random_spec(np.random.default_rng(seed), noise_sd=0.7)
+        # no TOML writer is installed: JSON scalars and arrays are TOML values
+        doc = spec_to_dict(spec)
+        lines = [f"{k} = {json.dumps(v)}" for k, v in doc.items() if k != "histories"]
+        for h in doc["histories"]:
+            lines += ["", "[[histories]]", *(f"{k} = {json.dumps(v)}" for k, v in h.items())]
+        path = tmp_path / "spec.toml"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_spec(str(path)) == spec
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("schema_version", True),
+            ("schema_version", 1.0),
+            ("T", 4.5),
+            ("T", "2"),
+            ("T", True),
+            ("T", None),
+            ("pz", True),
+            ("pz", "0.5"),
+            ("pz", None),
+            ("noise_sd", False),
+            ("noise_sd", [0.0]),
+            ("prob", None),
+            ("prob", True),
+            ("prob", "0.3"),
+            ("prob", 10**400),
+            ("baseline", "00"),
+            ("baseline", [0.0, None]),
+            ("baseline", [0.0, True]),
+            ("baseline", 0.0),
+            ("effects", "x"),
+            ("effects", [1.0, [0.0, 2.0]]),
+            ("effects", [[1.0], [0.0, "2"]]),
+        ],
+    )
+    def test_malformed_scalar_rejected(self, field, value):
+        doc = spec_to_dict(three_history_spec())
+        if field in doc:
+            doc[field] = value
+        else:
+            doc["histories"][0][field] = value
+        with pytest.raises(SchemaMismatch, match=field):
+            spec_from_dict(doc)
+
     def test_unknown_field_rejected(self):
         doc = spec_to_dict(three_history_spec())
         doc["bogus"] = 1

@@ -23,7 +23,7 @@ from dynlate.errors import (
 from dynlate.estimands import EstimandSet
 from dynlate.estimators import (
     NegativeWeightStatus,
-    arm_moments,
+    arm_sums,
     bound_report,
     bound_rows,
     bounds_general,
@@ -32,6 +32,8 @@ from dynlate.estimators import (
     estimate,
     identify,
     identify_rows,
+    moment_estimands,
+    moment_features,
     negative_weight_diagnostic,
     outcome_range_bounds,
     selected_methods,
@@ -169,12 +171,45 @@ def arm_samples(draw):
 @given(arm_samples())
 def test_arm_moments_match_six_mask_reference_bitwise(sample):
     # random y makes the summation order visible in the last bits
-    got = arm_moments(*sample)
+    both_arms, *got = moment_estimands(arm_sums(*sample)[None])
+    assert both_arms.tolist() == [True]
+    got = [g[0] for g in got]
     want = six_mask_moments(*sample)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.float64
         assert g.shape == w.shape
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@st.composite
+def dyadic_samples(draw):
+    """(z, d, y) with dyadic y, so every moment sum is exact; an arm may be empty."""
+    T = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=300))
+    n1 = draw(st.sampled_from([0, n]) | st.integers(min_value=0, max_value=n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    z = np.zeros(n, dtype=np.int8)
+    z[rng.permutation(n)[:n1]] = 1
+    d = rng.integers(0, 2, size=(n, T), dtype=np.int8)
+    y = rng.integers(-400, 401, size=(n, T)) / 16.0
+    return z, d, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_samples())
+def test_arm_sums_equal_summed_features(sample):
+    # the two producers of the moment row: one gather per arm, and the
+    # per-unit features the bootstrap weights
+    z, d, y = sample
+    row = arm_sums(z, d, y)
+    assert row.dtype == np.float64
+    assert row.shape == (6 * y.shape[1],)
+    assert np.array_equal(row, np.ones(len(z)) @ moment_features(z, d, y))
+    both_arms, rf, fs, sw0, sw1 = moment_estimands(row[None])
+    single = z.all() or not z.any()
+    assert both_arms.tolist() == [not single]
+    if single:
+        assert np.isnan(rf).all() and np.isnan(fs).all()
 
 
 class TestIdentify:

@@ -16,11 +16,11 @@ from dynlate.estimators import (
     estimate,
     identify,
     identify_rows,
+    moment_estimands,
+    moment_features,
     selected_methods,
 )
 from dynlate.inference import (
-    _features,
-    _resample_estimands,
     _resample_moments,
     bootstrap,
     percentile_interval,
@@ -71,7 +71,7 @@ def test_features_match_concatenated_reference_bitwise(T):
     rng = np.random.default_rng(40 + T)
     spec, _ = random_homogeneous_spec(rng, T=T, noise_sd=0.9)
     panel = draw_panel(spec, 700, seed=T)
-    got, want = _features(panel), concatenated_features(panel)
+    got, want = moment_features(panel.z, panel.d, panel.y), concatenated_features(panel)
     assert got.flags.c_contiguous  # the moment product's bits depend on the layout
     assert got.shape == want.shape == (700, 6 * T)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -127,8 +127,9 @@ class TestBootstrap:
         )
         lo, hi = lo8 / 8.0, (lo8 + width8) / 8.0  # lo > 0 and hi < 0 included
 
-        moments = w[None, :].astype(float) @ _features(panel)
-        valid, rf, fs, sw0, sw1 = _resample_estimands(moments)
+        moments = w[None, :].astype(float) @ moment_features(panel.z, panel.d, panel.y)
+        both_arms, rf, fs, sw0, sw1 = moment_estimands(moments)
+        valid = both_arms & (fs[:, 0] != 0.0)
         est = estimate(resampled)
         assert rf[0] == pytest.approx(est.rf, rel=1e-12)
         assert fs[0] == pytest.approx(est.fs, rel=1e-12)
@@ -187,7 +188,9 @@ class TestBootstrap:
         d = [[1]] + [[0]] * 11
         y = [[1.0]] + [[0.0]] * 11
         panel = Panel.from_arrays(ids, z, d, y)
-        res = bootstrap(panel, reps=200, alpha=0.05, seed=0, include_bounds=False)
+        res = bootstrap(
+            panel, reps=200, alpha=0.05, seed=0, targets=("estimands", "identify")
+        )
         assert 0 < res.n_failed_resamples < 200
         tgt = res.target("rf[1]")
         assert tgt.n_ok == 200 - res.n_failed_resamples
@@ -207,8 +210,7 @@ class TestBootstrap:
             [[1, 1], [0, 0], [1, 1], [0, 0]],  # fs_t = 0 in the full sample
             [[1.0, 2.0], [0.0, 0.5], [0.25, 0.5], [0.0, 0.0]],
         )
-        res = bootstrap(panel, reps=100, alpha=0.1, seed=2, include_bounds=False,
-                        include_identify=False)
+        res = bootstrap(panel, reps=100, alpha=0.1, seed=2, targets=("estimands",))
         tgt = res.target("iv[2]")
         assert tgt.point is None
         assert tgt.n_ok > 0
@@ -355,7 +357,7 @@ def test_counts_above_uint8_are_kept_exact(monkeypatch, threads):
         [np.bincount(TwoUnitRng(4, r).integers(0, n, n), minlength=n) for r in range(reps)]
     )
     assert (counts.max(axis=1) > inference._COUNT_MAX).all()
-    want = counts.astype(np.float64) @ _features(panel)
+    want = counts.astype(np.float64) @ moment_features(panel.z, panel.d, panel.y)
     assert np.array_equal(_resample_moments(panel, reps, 4, threads), want)
 
 
