@@ -107,10 +107,10 @@ def cli():
     """Dynamic treatment-effect estimation with a one-shot binary instrument."""
 
 
-def _load_inputs(panel_path, dgp_path, need_one=True):
+def _load_inputs(panel_path, dgp_path):
     if panel_path and dgp_path:
         raise click.UsageError("--panel and --dgp are mutually exclusive")
-    if need_one and not panel_path and not dgp_path:
+    if not panel_path and not dgp_path:
         raise click.UsageError("one of --panel or --dgp is required")
     panel = ingest(panel_path) if panel_path else None
     spec = dgp_mod.load_spec(dgp_path) if dgp_path else None
@@ -314,8 +314,8 @@ def decompose(dgp_path, period, json_path):
     if not dgp_path:
         raise click.UsageError("--dgp is required")
     spec = dgp_mod.load_spec(dgp_path)
-    rep = dgp_mod.decompose(spec, period)
     neg = dgp_mod.negative_weight_report(spec, period)
+    rep = neg.decomposition
     headers = ["group", "switch", "exposure", "sign", "prob", "effect", "signed", "weight"]
     rows = []
     for x in rep.all_terms:

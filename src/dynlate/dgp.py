@@ -182,7 +182,7 @@ def population_estimands(spec: DgpSpec) -> EstimandSet:
 
 def true_dynamic_lates(spec: DgpSpec) -> tuple[float, ...]:
     """Mean effect at each period t of adoption at t=1, among first-period compliers."""
-    return tuple(_c1_group_effect(spec, t, t - 1) for t in range(1, spec.T + 1))
+    return tuple(spec.group_effect(C1, t, t - 1) for t in range(1, spec.T + 1))
 
 
 @dataclass(frozen=True)
@@ -382,34 +382,31 @@ def _as_pair(key) -> AdoptionPair:
     return AdoptionPair(*key)
 
 
-def _c1_group_effect(spec: DgpSpec, t: int, tau: int) -> float:
-    members = spec.members_of(C1)
-    return math.fsum(h.prob * h.effect(t, tau) for h in members) / spec.p_c1
-
-
-def check_calendar_homogeneity(spec: DgpSpec, tol: float = 1e-12) -> bool:
+def check_calendar_homogeneity(spec: DgpSpec) -> bool:
     """Whether effects depend on exposure only, wherever estimands can see them.
 
     Requires the complier-group effect at each exposure to be constant
     across calendar periods, and every positive-probability switcher
-    group's effect to match the complier value at the same exposure.
+    group's effect to match the complier value at the same exposure, each
+    within POPULATION_ZERO_TOL.
     """
     for tau in range(spec.T):
-        ref = _c1_group_effect(spec, tau + 1, tau)
+        ref = spec.group_effect(C1, tau + 1, tau)
         for t in range(tau + 1, spec.T + 1):
-            if abs(_c1_group_effect(spec, t, tau) - ref) > tol:
+            if abs(spec.group_effect(C1, t, tau) - ref) > POPULATION_ZERO_TOL:
                 return False
         for t in range(tau + 2, spec.T + 1):
             for labels in switcher_group_labels(t - tau):
                 for label in labels:
                     eff = spec.group_effect(label, t, tau)
-                    if eff is not None and abs(eff - ref) > tol:
+                    if eff is not None and abs(eff - ref) > POPULATION_ZERO_TOL:
                         return False
     return True
 
 
-def check_cross_group_homogeneity(spec: DgpSpec, tol: float = 1e-12) -> bool:
-    """Whether, per (period, exposure), all switcher groups share one effect."""
+def check_cross_group_homogeneity(spec: DgpSpec) -> bool:
+    """Whether, per (period, exposure), all switcher group effects agree within
+    POPULATION_ZERO_TOL."""
     for t in range(2, spec.T + 1):
         for tau in range(0, t - 1):
             values = []
@@ -418,7 +415,7 @@ def check_cross_group_homogeneity(spec: DgpSpec, tol: float = 1e-12) -> bool:
                     eff = spec.group_effect(label, t, tau)
                     if eff is not None:
                         values.append(eff)
-            if values and max(values) - min(values) > tol:
+            if values and max(values) - min(values) > POPULATION_ZERO_TOL:
                 return False
     return True
 

@@ -38,17 +38,18 @@ class EstimandSet:
 
     ``kind`` distinguishes exact population values ("population") from
     sample analogues ("sample"); it selects the zero test of
-    :func:`is_zero`.
+    :func:`is_zero`. Fields are declared in the key order of the report
+    :func:`~dynlate.reporting.estimands_to_dict` writes.
     """
 
     T: int
+    kind: str = field(default="population", kw_only=True)
     rf: tuple[float, ...]
     fs: tuple[float, ...]
     iv: tuple[float | None, ...] = field(init=False)
     rho: tuple[float, ...] = field(init=False)
     switch_z0: tuple[float, ...]
     switch_z1: tuple[float, ...]
-    kind: str = "population"
     n: int | None = None
     n_z1: int | None = None
     n_z0: int | None = None

@@ -80,7 +80,8 @@ def moment_estimands(M: np.ndarray):
 
 def estimate(panel: Panel) -> EstimandSet:
     """Sample per-period estimands: the one-row :func:`moment_estimands` call."""
-    both_arms, *moments = moment_estimands(arm_sums(panel.z, panel.d, panel.y)[None])
+    row = arm_sums(panel.z, panel.d, panel.y)
+    both_arms, *moments = moment_estimands(row[None])
     if not both_arms[0]:
         raise DegenerateInstrument("panel has a single instrument arm")
     rf, fs, sw0, sw1 = (tuple(v[0].tolist()) for v in moments)
@@ -92,8 +93,8 @@ def estimate(panel: Panel) -> EstimandSet:
         switch_z1=sw1,
         kind="sample",
         n=panel.n,
-        n_z1=panel.n_z1,
-        n_z0=panel.n_z0,
+        n_z1=int(row[0]),
+        n_z0=int(row[1]),
     )
 
 

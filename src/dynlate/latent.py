@@ -122,8 +122,17 @@ def _check_switch_period(T: int, t: int) -> None:
         raise PeriodOutOfRange(f"switch period must be in 2..{T}, got {t!r}")
 
 
-def _span(prefix: str, lo: int, hi: int) -> str:
-    return f"{prefix}{lo}" if lo == hi else f"{prefix}{lo}:{hi}"
+_AT, _C, _F, _NT = IvType.ALWAYS_TAKER, IvType.COMPLIER, IvType.DEFIER, IvType.NEVER_TAKER
+
+_RUNS = {
+    "C1": lambda k, l: ((_C, 1),),
+    "CAT": lambda k, l: ((_C, k - 1), (_AT, 1)),
+    "NTC": lambda k, l: ((_NT, k - 1), (_C, 1)),
+    "NTF": lambda k, l: ((_NT, k - 1), (_F, 1)),
+    "NTCAT": lambda k, l: ((_NT, l - 1), (_C, k - l), (_AT, 1)),
+    "NTFAT": lambda k, l: ((_NT, l - 1), (_F, k - l), (_AT, 1)),
+}
+"""Each group kind's type path through its switch k (entry l) as (type, length) runs."""
 
 
 @dataclass(frozen=True)
@@ -133,7 +142,8 @@ class GroupLabel:
     ``kind`` is one of C1, CAT, NTC, NTF, NTCAT, NTFAT. ``switch`` is the
     period the family switches into treatment (1 for C1); ``entry`` is the
     earlier arm-specific adoption period for the two-step kinds (NTCAT,
-    NTFAT) and is None otherwise.
+    NTFAT) and is None otherwise. The name, the type path and the members
+    all follow from the kind's runs in ``_RUNS``.
     """
 
     kind: str
@@ -141,7 +151,7 @@ class GroupLabel:
     entry: int | None = None
 
     def __post_init__(self):
-        if self.kind not in {"C1", "CAT", "NTC", "NTF", "NTCAT", "NTFAT"}:
+        if self.kind not in _RUNS:
             raise ValueError(f"unknown group kind {self.kind!r}")
         if self.kind == "C1" and self.switch != 1:
             raise ValueError("C1 has switch period 1")
@@ -154,51 +164,37 @@ class GroupLabel:
             raise ValueError(f"{self.kind} takes no entry period")
 
     def members(self, T: int) -> tuple[AdoptionPair, ...]:
-        """All adoption pairs in this family for horizon ``T``."""
-        k, l = self.switch, self.entry
-        later = [*range(k + 1, T + 1), NEVER]
-        if self.kind == "C1":
-            return tuple(AdoptionPair(1, s0) for s0 in [*range(2, T + 1), NEVER])
-        if self.kind == "CAT":
-            return (AdoptionPair(1, k),)
-        if self.kind == "NTC":
-            return tuple(AdoptionPair(k, s0) for s0 in later)
-        if self.kind == "NTF":
-            return tuple(AdoptionPair(s1, k) for s1 in later)
-        if self.kind == "NTCAT":
-            return (AdoptionPair(l, k),)
-        return (AdoptionPair(k, l),)  # NTFAT
+        """All adoption pairs in this family for horizon ``T``.
+
+        Each arm adopts at the first period its type path treats it; an arm
+        the path leaves untreated adopts at any later period through T, or never.
+        """
+        runs = _RUNS[self.kind](self.switch, self.entry)
+
+        def adoption(treated: tuple[IvType, IvType]) -> list[float]:
+            t = 1
+            for ty, length in runs:
+                if ty in treated:
+                    return [t]
+                t += length
+            return [*range(t, T + 1), NEVER]
+
+        return tuple(
+            AdoptionPair(s1, s0) for s1 in adoption((_C, _AT)) for s0 in adoption((_F, _AT))
+        )
 
     def type_path(self) -> tuple[IvType, ...]:
         """Per-period instrument types through the switch period."""
-        k, l = self.switch, self.entry
-        if self.kind == "C1":
-            return (IvType.COMPLIER,)
-        if self.kind == "CAT":
-            return (IvType.COMPLIER,) * (k - 1) + (IvType.ALWAYS_TAKER,)
-        if self.kind == "NTC":
-            return (IvType.NEVER_TAKER,) * (k - 1) + (IvType.COMPLIER,)
-        if self.kind == "NTF":
-            return (IvType.NEVER_TAKER,) * (k - 1) + (IvType.DEFIER,)
-        mid = IvType.COMPLIER if self.kind == "NTCAT" else IvType.DEFIER
-        return (
-            (IvType.NEVER_TAKER,) * (l - 1)
-            + (mid,) * (k - l)
-            + (IvType.ALWAYS_TAKER,)
-        )
+        runs = _RUNS[self.kind](self.switch, self.entry)
+        return tuple(ty for ty, length in runs for _ in range(length))
 
     def __str__(self) -> str:
-        k, l = self.switch, self.entry
-        if self.kind == "C1":
-            return "C1"
-        if self.kind == "CAT":
-            return f"{_span('C', 1, k - 1)},AT{k}"
-        if self.kind == "NTC":
-            return f"{_span('NT', 1, k - 1)},C{k}"
-        if self.kind == "NTF":
-            return f"{_span('NT', 1, k - 1)},F{k}"
-        mid = "C" if self.kind == "NTCAT" else "F"
-        return f"{_span('NT', 1, l - 1)},{_span(mid, l, k - 1)},AT{k}"
+        parts, lo = [], 1
+        for ty, length in _RUNS[self.kind](self.switch, self.entry):
+            hi = lo + length - 1
+            parts.append(f"{ty.value}{lo}" if lo == hi else f"{ty.value}{lo}:{hi}")
+            lo = hi + 1
+        return ",".join(parts)
 
 
 C1 = GroupLabel("C1", 1)

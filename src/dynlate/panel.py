@@ -31,6 +31,9 @@ from .errors import (
 
 CSV_HEADER = ("unit_id", "period", "z", "d", "y")
 
+_BOM = "\ufeff"
+"""Byte-order mark some editors (Excel's "CSV UTF-8") write before the header."""
+
 UNIT_ID_DTYPE = np.dtypes.StringDType
 """Dtype class of :attr:`Panel.unit_ids`: variable-width text that keeps
 a trailing NUL, which fixed-width ``U`` arrays drop. Passing the class,
@@ -66,10 +69,6 @@ class Panel:
     @property
     def n_z0(self) -> int:
         return self.n - self.n_z1
-
-    @property
-    def has_both_arms(self) -> bool:
-        return self.n_z1 > 0 and self.n_z0 > 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Panel):
@@ -191,10 +190,12 @@ def ingest(source) -> Panel:
     one row per (unit, period). Periods must form 1..T for every unit,
     z must be constant within unit, and both instrument arms must appear.
     A string is CSV text if it is empty, has a newline or starts with the
-    header; any other string is a path.
+    header; any other string is a path. One byte-order mark (U+FEFF) before
+    the header is ignored.
     """
     if isinstance(source, str):
-        if "\n" in source or source == "" or source.startswith(",".join(CSV_HEADER)):
+        text = source.removeprefix(_BOM)
+        if "\n" in source or source == "" or text.startswith(",".join(CSV_HEADER)):
             return _ingest_stream(io.StringIO(source))
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return _ingest_stream(fh)
@@ -207,6 +208,8 @@ def _ingest_stream(stream) -> Panel:
         header = next(reader)
     except StopIteration:
         raise MalformedRow("empty input: missing header") from None
+    if header:
+        header[0] = header[0].removeprefix(_BOM)
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise MalformedRow(
             f"bad header {header!r}, expected {','.join(CSV_HEADER)}"
@@ -265,7 +268,7 @@ def _ingest_stream(stream) -> Panel:
             _, d_mat[i, t - 1], y_mat[i, t - 1] = rows[t]
 
     panel = Panel.from_arrays(ids, z_col, d_mat, y_mat)
-    if not panel.has_both_arms:
+    if not 0 < panel.n_z1 < panel.n:
         raise DegenerateInstrument("only one instrument arm present in the data")
     return panel
 
@@ -321,20 +324,22 @@ class PanelDiagnostics:
 def check_assumptions(panel: Panel) -> PanelDiagnostics:
     """First-period relevance check plus a record of what must be assumed.
 
-    FS_1 and its zero test are those of :func:`~dynlate.estimators.estimate`.
+    FS_1, its zero test and the single-arm case are those of
+    :func:`~dynlate.estimators.estimate`.
     """
     from .estimators import estimate  # estimators imports this module
 
     notes = [UNTESTABLE_NOTE]
-    if not panel.has_both_arms:
+    try:
+        est = estimate(panel)
+    except DegenerateInstrument:
         notes.append("only one instrument arm present; estimands are undefined")
         return PanelDiagnostics(
             panel.n, panel.T, panel.n_z1, panel.n_z0, None, False, tuple(notes)
         )
-    est = estimate(panel)
     relevance_ok = not est.fs1_is_zero
     if not relevance_ok:
         notes.append("relevance at t=1 fails (FS_1 = 0)")
     return PanelDiagnostics(
-        panel.n, panel.T, panel.n_z1, panel.n_z0, est.fs[0], relevance_ok, tuple(notes)
+        panel.n, panel.T, est.n_z1, est.n_z0, est.fs[0], relevance_ok, tuple(notes)
     )

@@ -11,8 +11,7 @@ import json
 from dataclasses import asdict
 
 from .dgp import DecompositionReport, NegativeWeightReport
-from .estimands import EstimandSet
-from .estimators import BoundsReport, NegativeWeightFlag
+from .estimators import NegativeWeightFlag
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -22,22 +21,25 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(obj, indent: int = 2) -> str:
+_INDENT = "  "
+
+
+def dumps(obj) -> str:
     """Serialize dicts/lists/scalars to JSON with deterministic float text."""
     pieces: list[str] = []
-    _write(obj, pieces, indent, 0)
+    _write(obj, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def dump(obj, path: str, indent: int = 2) -> None:
+def dump(obj, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dumps(obj, indent=indent))
+        fh.write(dumps(obj))
 
 
-def _write(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+def _write(obj, out: list[str], level: int) -> None:
+    pad = _INDENT * (level + 1)
+    closing = _INDENT * level
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -57,7 +59,7 @@ def _write(obj, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(f"{pad}{json.dumps(key)}: ")
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing + "}")
     elif isinstance(obj, (list, tuple)):
@@ -67,7 +69,7 @@ def _write(obj, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad)
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing + "]")
     else:
@@ -78,31 +80,17 @@ def _write(obj, out: list[str], indent: int, level: int) -> None:
 # Dataclass -> report dict converters (fixed key order)
 
 
-def estimands_to_dict(est: EstimandSet) -> dict:
-    out = {
-        "T": est.T,
-        "kind": est.kind,
-        "rf": list(est.rf),
-        "fs": list(est.fs),
-        "iv": list(est.iv),
-        "rho": list(est.rho),
-        "switch_z0": list(est.switch_z0),
-        "switch_z1": list(est.switch_z1),
-    }
-    if est.n is not None:
-        out["n"] = est.n
-        out["n_z1"] = est.n_z1
-        out["n_z0"] = est.n_z0
-    return out
-
-
 # these reports are the dataclasses' own fields, in declaration order
 profile_to_dict = monte_carlo_to_dict = bootstrap_to_dict = diagnostics_to_dict = asdict
 
 
-def bounds_to_dict(rep: BoundsReport) -> dict:
-    """The report's fields, without the ones its method leaves unset (None)."""
-    return {key: value for key, value in asdict(rep).items() if value is not None}
+def _set_fields(obj) -> dict:
+    """The dataclass's fields, without the ones left unset (None)."""
+    return {key: value for key, value in asdict(obj).items() if value is not None}
+
+
+# a bound method leaves its unused fields None, population estimands their sample sizes
+bounds_to_dict = estimands_to_dict = _set_fields
 
 
 def decomposition_to_dict(rep: DecompositionReport) -> dict:
@@ -174,7 +162,7 @@ def render_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def fnum(x, digits: int = 6) -> str:
+def fnum(x) -> str:
     if x is None:
         return "-"
-    return format(x, f".{digits}g")
+    return format(x, ".6g")

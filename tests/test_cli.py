@@ -142,6 +142,17 @@ class TestEstimate:
         flags = doc["outputs"]["negative_weight_flags"]
         assert flags[0]["status"] == "guaranteed"
 
+    def test_byte_order_mark_panel(self, capsys, small_panel_csv, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(small_panel_csv).read_bytes())
+        outputs = []
+        for path in (small_panel_csv, bom):
+            report = tmp_path / "est.json"
+            code, _, err = run(capsys, "estimate", "--panel", str(path), "--json", str(report))
+            assert code == 0, err
+            outputs.append(json.loads(report.read_text())["outputs"])
+        assert outputs[0] == outputs[1]
+
     def test_population_input(self, capsys, spec_file):
         code, out, _ = run(capsys, "estimate", "--dgp", spec_file)
         assert code == 0
@@ -416,6 +427,14 @@ class TestGoldenReports:
         assert code == 0, err
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert f"{digest}\n" == (GOLDEN_DIR / "simulate_t4_six_history.sha256").read_text()
+
+    def test_decompose_all_group_kinds_golden(self, capsys, tmp_path):
+        # all 21 T=4 histories with distinct effects: the period-4 report
+        # names every group of all six kinds and lists its members
+        self._assert_golden(
+            capsys, tmp_path, "decompose_t4_all_histories.json",
+            ["decompose", "--period", "4"], dgp=GOLDEN_DIR / "spec_t4_all_histories.json",
+        )
 
     def test_decompose_golden(self, capsys, tmp_path):
         # regenerate the spec file at a fixed path-independent location

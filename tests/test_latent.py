@@ -177,6 +177,19 @@ class TestGroupLabels:
                         got = tuple(type_at(pair, s) for s in range(1, lab.switch + 1))
                         assert got == want, (str(lab), pair)
 
+    @pytest.mark.parametrize("T", range(2, 9))
+    def test_members_are_every_history_with_the_type_path(self, T):
+        histories = enumerate_histories(T)
+        labels = [GroupLabel("C1", 1)] + [
+            lab for t in range(2, T + 1) for side in switcher_group_labels(t) for lab in side
+        ]
+        for lab in labels:
+            want = [
+                pair for pair in histories
+                if tuple(type_at(pair, s) for s in range(1, lab.switch + 1)) == lab.type_path()
+            ]
+            assert list(lab.members(T)) == want, str(lab)
+
     def test_c1_members(self):
         want = {P(1, 2), P(1, 3), P(1, NEVER)}
         assert set(GroupLabel("C1", 1).members(3)) == want

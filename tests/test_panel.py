@@ -48,6 +48,22 @@ def test_ingest_header_only_string_is_csv_not_path():
         ingest("unit_id,period,z,d,y")
 
 
+def test_byte_order_mark_before_header_is_ignored(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF
+    want = ingest(MINIMAL)
+    bom = tmp_path / "bom.csv"
+    bom.write_text(MINIMAL, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert ingest(str(bom)) == want
+    assert ingest("\ufeff" + MINIMAL) == want
+    assert ingest(io.StringIO("\ufeff" + MINIMAL)) == want
+    with pytest.raises(MalformedRow, match="no data rows"):
+        ingest("\ufeffunit_id,period,z,d,y")
+    with pytest.raises(MalformedRow, match="bad header"):
+        ingest("\ufeff\ufeff" + MINIMAL)
+    assert not serialize(want).startswith("\ufeff")
+
+
 def test_ingest_is_order_insensitive():
     lines = MINIMAL.strip().split("\n")
     shuffled = "\n".join([lines[0]] + [lines[3], lines[1], lines[4], lines[2]]) + "\n"
@@ -354,6 +370,8 @@ def test_check_assumptions_reports_fs1():
     one_arm = check_assumptions(Panel.from_arrays(["a", "b"], [1, 1], [[1], [0]], [[1.0], [0.0]]))
     assert one_arm.fs1 is None
     assert not one_arm.relevance_ok
+    assert (one_arm.n, one_arm.n_z1, one_arm.n_z0) == (2, 2, 0)
+    assert one_arm.notes[-1] == "only one instrument arm present; estimands are undefined"
 
 
 def test_check_assumptions_flags_zero_fs1():

@@ -90,7 +90,7 @@ class TestDrawPanel:
             panel = draw_panel(spec, 200, seed=int(rng.integers(2**31)))
             assert panel.n == 200
             assert panel.T == spec.T
-            assert panel.has_both_arms  # overwhelmingly likely at pz=0.5
+            assert panel.n_z1 > 0 and panel.n_z0 > 0  # overwhelmingly likely at pz=0.5
 
     def test_estimate_agrees_with_oracle_at_large_n(self):
         spec = three_history_spec()
