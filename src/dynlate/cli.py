@@ -10,7 +10,6 @@ writes a versioned machine-readable report. Exit codes: 0 success,
 from __future__ import annotations
 
 import math
-import os
 import sys
 
 import click
@@ -87,9 +86,10 @@ seed_opt = click.option(
     help="RNG seed (falls back to DYNLATE_SEED).",
 )
 threads_opt = click.option(
-    "--threads", type=click.IntRange(min=1), default=lambda: os.cpu_count() or 1,
-    help="Bootstrap resample-count fill threads (at most one per core); Monte Carlo"
-    " runs in one thread (results are thread-count invariant).",
+    "--threads", type=click.IntRange(min=1), default=lambda: simulate._usable_cores(),
+    help="Worker threads for bootstrap resample counts and Monte Carlo replications"
+    " (default and cap: the usable cores; small samples run in one thread;"
+    " results are thread-count invariant).",
 )
 assume_opt = click.option(
     "--assume", multiple=True, callback=_parse_assume,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import PeriodOutOfRange, SchemaMismatch, SpecValidationError
 from .estimands import POPULATION_ZERO_TOL, EstimandSet, is_zero
@@ -128,10 +129,26 @@ class DgpSpec:
             h.prob for h in self.histories if h.pair.s1 == 1 and h.pair.s0 >= 2
         )
 
+    @cached_property
+    def _positions(self) -> dict[AdoptionPair, int]:
+        """Index in ``histories`` of each positive-probability history's pair."""
+        return {h.pair: i for i, h in enumerate(self.histories) if h.prob > 0.0}
+
+    @cached_property
+    def _members(self) -> dict[GroupLabel, tuple[HistorySpec, ...]]:
+        """``members_of`` by label, filled on first use of each label."""
+        return {}
+
     def members_of(self, label: GroupLabel) -> tuple[HistorySpec, ...]:
-        """Positive-probability histories belonging to a group label."""
-        wanted = set(label.members(self.T))
-        return tuple(h for h in self.histories if h.pair in wanted and h.prob > 0.0)
+        """Positive-probability histories belonging to a group label, in spec order."""
+        found = self._members.get(label)
+        if found is None:
+            at = self._positions
+            found = tuple(
+                self.histories[i] for i in sorted(at[p] for p in label.members(self.T) if p in at)
+            )
+            self._members[label] = found
+        return found
 
     def group_effect(self, label: GroupLabel, t: int, tau: int) -> float | None:
         """Probability-weighted mean of effects[t][tau] over the label's members."""
@@ -153,31 +170,30 @@ def population_estimands(spec: DgpSpec) -> EstimandSet:
     effect at the arm's exposure when treated; baselines cancel within a
     history, so arm contrasts reduce to effect and indicator contrasts.
     """
-    rf, fs, sw1, sw0 = [], [], [], []
-    for t in range(1, spec.T + 1):
-        rf.append(
-            math.fsum(
-                h.prob * (h.treated_effect(t, h.pair.s1) - h.treated_effect(t, h.pair.s0))
-                for h in spec.histories
-            )
-        )
-        fs.append(
-            math.fsum(
-                h.prob * ((h.pair.s1 <= t) - (h.pair.s0 <= t))
-                for h in spec.histories
-            )
-        )
-        if t >= 2:
-            sw1.append(math.fsum(h.prob for h in spec.histories if 2 <= h.pair.s1 <= t))
-            sw0.append(math.fsum(h.prob for h in spec.histories if 2 <= h.pair.s0 <= t))
+    periods = range(1, spec.T + 1)
     return EstimandSet(
         T=spec.T,
-        rf=tuple(rf),
-        fs=tuple(fs),
-        switch_z0=tuple(sw0),
-        switch_z1=tuple(sw1),
+        rf=tuple(_population_rf(spec, t) for t in periods),
+        fs=tuple(_population_fs(spec, t) for t in periods),
+        switch_z0=tuple(
+            math.fsum(h.prob for h in spec.histories if 2 <= h.pair.s0 <= t) for t in periods[1:]
+        ),
+        switch_z1=tuple(
+            math.fsum(h.prob for h in spec.histories if 2 <= h.pair.s1 <= t) for t in periods[1:]
+        ),
         kind="population",
     )
+
+
+def _population_rf(spec: DgpSpec, t: int) -> float:
+    return math.fsum(
+        h.prob * (h.treated_effect(t, h.pair.s1) - h.treated_effect(t, h.pair.s0))
+        for h in spec.histories
+    )
+
+
+def _population_fs(spec: DgpSpec, t: int) -> float:
+    return math.fsum(h.prob * ((h.pair.s1 <= t) - (h.pair.s0 <= t)) for h in spec.histories)
 
 
 def true_dynamic_lates(spec: DgpSpec) -> tuple[float, ...]:
@@ -262,8 +278,7 @@ def _make_term(
 def decompose(spec: DgpSpec, t: int) -> DecompositionReport:
     """Exact decomposition of the period-t reduced form by latent group."""
     spec._check_period(t, lo=2)
-    est = population_estimands(spec)
-    fs_t = est.fs_at(t)
+    fs_t = _population_fs(spec, t)
     lead = _make_term(spec, C1, t, +1, fs_t)
     terms = []
     for k in range(2, t + 1):
@@ -277,7 +292,7 @@ def decompose(spec: DgpSpec, t: int) -> DecompositionReport:
             if term is not None:
                 terms.append(term)
     return DecompositionReport(
-        t=t, rf_t=est.rf_at(t), fs_t=fs_t, lead=lead, terms=tuple(terms)
+        t=t, rf_t=_population_rf(spec, t), fs_t=fs_t, lead=lead, terms=tuple(terms)
     )
 
 

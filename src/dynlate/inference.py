@@ -20,7 +20,6 @@ product's last bits can change with the BLAS thread count.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ from .errors import AllReplicationsFailed
 from .estimators import ALL_TARGETS, estimate, moment_estimands, moment_features
 from .estimators import outcome_range_bounds, target_columns, target_row
 from .panel import Panel
-from .simulate import rep_rng
+from .simulate import _worker_count, rep_rng
 
 
 def percentile_interval(values: np.ndarray, alpha: float) -> tuple[float, float]:
@@ -87,6 +86,13 @@ _FILL_ROWS = 8 * _PRODUCT_ROWS
 workers keep spinning after a product, so one product per fill slowed
 the threaded fill that follows it."""
 
+_FILL_MIN_N = 40_000
+"""Panel size from which resample counts are filled by worker threads.
+Two fill threads over one, reps=500, medians of 9 alternating runs on 2
+vCPUs: 1.01-1.11 at n=20k, 0.93-1.01 at 30k, 0.88-1.00 at 40k, 0.87 at
+45k, 0.80 at 60k; a pool started below this size can cost more than the
+second core gives back."""
+
 _COUNT_MAX = np.iinfo(np.uint8).max
 """Largest count the uint8 fill block holds exactly."""
 
@@ -94,16 +100,17 @@ _COUNT_MAX = np.iinfo(np.uint8).max
 def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.ndarray:
     """Moment rows ``counts_r @ moment_features(panel)`` of every resample.
 
-    The reps x n count matrix is never held. At most one worker per core
-    writes each resample's multinomial counts as uint8 into a block of
-    ``_FILL_ROWS`` rows; once the block is full, the calling thread casts
-    ``_PRODUCT_ROWS`` rows at a time into one float64 buffer, zero-pads
-    the last of them, and multiplies it by the features. Every product
-    has the same shape, and OpenBLAS gives a row of a fixed-shape product
-    the same bits at any row position, so a row depends only on (panel,
-    seed, r): not on ``threads``, ``reps`` or the block heights. A row
-    whose largest count does not fit in uint8 is kept aside as int64 and
-    replaces its wrapped row in the product.
+    The reps x n count matrix is never held. From ``_FILL_MIN_N`` units
+    on, at most one worker per usable core writes each resample's
+    multinomial counts as uint8 into a block of ``_FILL_ROWS`` rows; once
+    the block is full, the calling thread casts ``_PRODUCT_ROWS`` rows at
+    a time into one float64 buffer, zero-pads the last of them, and
+    multiplies it by the features. Every product has the same shape, and
+    OpenBLAS gives a row of a fixed-shape product the same bits at any row
+    position, so a row depends only on (panel, seed, r): not on
+    ``threads``, ``reps`` or the block heights. A row whose largest count
+    does not fit in uint8 is kept aside as int64 and replaces its wrapped
+    row in the product.
     """
     n = panel.n
     F = moment_features(panel.z, panel.d, panel.y)
@@ -134,7 +141,7 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
             M[start:stop] = product[:rows]
 
     blocks = [(lo, min(lo + _FILL_ROWS, reps)) for lo in range(0, reps, _FILL_ROWS)]
-    workers = min(threads, reps, os.cpu_count() or 1)
+    workers = _worker_count(threads, reps, n, _FILL_MIN_N)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for lo, hi in blocks:

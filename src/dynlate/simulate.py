@@ -5,10 +5,12 @@ draws depend on nothing but the seed and its index. A study builds one
 stacked table of treatment paths and outcome means per (arm, history)
 pair; each draw takes a history, an arm and the noise from its stream
 (in that order) and reads its units' rows of the table in one gather.
-Replications draw plain (z, d, y) arrays, skip the panel layer, stack
-their :func:`~dynlate.estimators.arm_sums` moment rows, and are evaluated
-together as rows of one :func:`~dynlate.estimators.target_columns` table.
-The oracle is the
+Replications draw plain (z, d, y) arrays, skip the panel layer, write
+their :func:`~dynlate.estimators.arm_sums` moment rows into one array,
+and are evaluated together as rows of one
+:func:`~dynlate.estimators.target_columns` table. Worker threads fill
+contiguous ranges of those rows; a row depends only on (spec, n, seed, r),
+so every result is the same for any thread count. The oracle is the
 one-row table of the population estimands
 (:func:`~dynlate.estimators.target_row`), so both share the targets'
 names, report order and defined-target rules.
@@ -16,6 +18,8 @@ names, report order and defined-target rules.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,36 @@ from .panel import UNIT_ID_DTYPE, Panel
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
     """The RNG stream of replication (or bootstrap resample) ``rep``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one.
+
+    ``os.cpu_count()`` counts the machine's CPUs, also those a CPU mask
+    (``taskset``, a container's cpuset) keeps the process off.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(threads: int, tasks: int, n: int, min_n: int) -> int:
+    """Worker threads for ``tasks`` independent tasks on samples of n units.
+
+    At most one per task, per usable core and per requested thread; 1, run
+    inline, when ``n < min_n``, where starting and feeding the pool costs
+    more than the second core gives back.
+    """
+    if n < min_n:
+        return 1
+    return max(1, min(threads, tasks, _usable_cores()))
+
+
+_MC_MIN_N = 4096
+"""Sample size from which Monte Carlo replications go to worker threads.
+Two threads over one, reps=100, medians of 9 alternating runs on 2
+vCPUs: 1.85 at n=1000, 1.21 at 2000, 0.88 at 3000, 0.87 at 4000, 0.82
+at 5000 and 0.63 at 1e4."""
 
 
 def _arm_table(spec: DgpSpec):
@@ -134,8 +168,11 @@ def monte_carlo(
     bounds come from the spec's own contaminating-effect envelope.
     The oracle is the one-row target table of the population estimands,
     under the population zero rule; a target it leaves undefined has no
-    row. Replications run in one thread; ``threads`` must be at least 1
-    and is otherwise ignored.
+    row. Up to ``threads`` worker threads (at most one per usable core)
+    each draw a contiguous range of replications, two at least; below
+    ``_MC_MIN_N`` units, or with fewer than four replications,
+    replications run inline. A replication's moment row depends only on
+    (spec, n, seed, r), so the summary is the same for any ``threads``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -155,9 +192,19 @@ def monte_carlo(
     oracle = target_row(population_estimands(spec), targets, lo, hi)
 
     table = _arm_table(spec)
-    M = np.stack(
-        [arm_sums(*_draw_arrays(spec, n, rep_rng(seed, r), table)) for r in range(reps)]
-    )
+    M = np.empty((reps, 6 * spec.T))
+
+    def fill(lo: int, hi: int) -> None:
+        for r in range(lo, hi):
+            M[r] = arm_sums(*_draw_arrays(spec, n, rep_rng(seed, r), table))
+
+    workers = _worker_count(threads, reps // 2, n, _MC_MIN_N)
+    if workers > 1:
+        step = -(-reps // workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda lo: fill(lo, min(lo + step, reps)), range(0, reps, step)))
+    else:
+        fill(0, reps)
     both_arms, *moments = moment_estimands(M)
     replicated = target_columns(*moments, targets, lo, hi)
     rows = []

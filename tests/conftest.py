@@ -6,6 +6,7 @@ import pytest
 # make sibling helper modules (randspec) importable regardless of cwd
 sys.path.insert(0, str(Path(__file__).parent))
 
+from dynlate import inference, simulate
 from dynlate.dgp import DgpSpec, HistorySpec, save_spec
 from dynlate.latent import NEVER, AdoptionPair
 
@@ -43,3 +44,30 @@ def spec_file(tmp_path):
 @pytest.fixture
 def small_panel_csv():
     return str(DATA_DIR / "panel_small.csv")
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """``max_workers`` of every pool the bootstrap or Monte Carlo starts.
+
+    An inline stand-in replaces ``ThreadPoolExecutor``, so no thread is
+    started, whatever the code under test asks for.
+    """
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    for module in (inference, simulate):
+        monkeypatch.setattr(module, "ThreadPoolExecutor", RecordingExecutor)
+    return started

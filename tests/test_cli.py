@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from dynlate import inference, simulate
 from dynlate.cli import main
 from dynlate.panel import ingest
 
@@ -347,6 +349,25 @@ class TestBootstrapCommand:
         assert run(capsys, *base, "--threads", "1", "--json", str(a))[0] == 0
         assert run(capsys, *base, "--threads", "4", "--json", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_threads_default_to_the_usable_cores(
+    capsys, monkeypatch, spec_file, small_panel_csv
+):
+    # ``taskset -c 0`` on a 2-CPU machine: one usable core
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    seen = []
+    for module, name in ((simulate, "monte_carlo"), (inference, "bootstrap")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, **k: seen.append(k["threads"]) or real(*a, **k)
+        )
+    assert run(capsys, "montecarlo", "--dgp", spec_file, "--n", "50", "--reps", "2",
+               "--seed", "1")[0] == 0
+    assert run(capsys, "bootstrap", "--panel", small_panel_csv, "--reps", "10",
+               "--seed", "1")[0] == 0
+    assert seen == [1, 1]
 
 
 class TestGoldenReports:

@@ -350,6 +350,7 @@ def normwise_error(computed, exact, scale):
 # magnitudes below 1e-6 snap to 0, so no product underflows
 _unit = st.floats(-1.0, 1.0).map(lambda v: 0.0 if abs(v) < 1e-6 else v)
 _prob = st.floats(0.0, 1.0).map(lambda v: 0.0 if v < 1e-6 else v)
+_effect = st.floats(-10.0, 10.0).map(lambda v: 0.0 if abs(v) < 1e-6 else v)
 
 
 @st.composite
@@ -359,7 +360,7 @@ def recursion_inputs(draw):
     fs = [fs1] + draw(st.lists(_unit, min_size=T - 1, max_size=T - 1))
     rf = draw(st.lists(_unit, min_size=T, max_size=T))
     sw = [draw(st.lists(_prob, min_size=T - 1, max_size=T - 1)) for _ in range(2)]
-    lo, hi = sorted(draw(st.floats(-10.0, 10.0)) for _ in range(2))
+    lo, hi = sorted(draw(_effect) for _ in range(2))
     return rf, fs, sw[0], sw[1], lo, hi
 
 

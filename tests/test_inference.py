@@ -1,5 +1,6 @@
 """Bootstrap determinism, degenerate cases, and interval behaviour."""
 
+import os
 import sys
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynlate import inference
+from dynlate import inference, simulate
 from dynlate.errors import AllReplicationsFailed
 from dynlate.estimators import (
     bound_report,
@@ -228,30 +229,29 @@ class TestBootstrap:
         "threads, reps, cores, workers",
         [(64, 10, 2, 2), (64, 3, 8, 3), (4, 10, 8, 4), (64, 10, None, None)],
     )
-    def test_weight_fill_workers_capped(self, monkeypatch, threads, reps, cores, workers):
-        # a recording stand-in: no thread pool is started, whatever ``threads`` asks
-        started = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(inference, "ThreadPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(inference.os, "cpu_count", lambda: cores)
+    def test_weight_fill_workers_capped(
+        self, monkeypatch, pool_sizes, threads, reps, cores, workers
+    ):
+        monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
+        if cores is None:  # no affinity set and no CPU count: one worker
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
         panel = clone_panel()
         res = bootstrap(panel, reps=reps, alpha=0.1, seed=3, threads=threads)
-        assert started == ([] if workers is None else [workers])
+        assert pool_sizes == ([] if workers is None else [workers])
         monkeypatch.undo()
         assert res == bootstrap(panel, reps=reps, alpha=0.1, seed=3, threads=1)
+
+    @pytest.mark.parametrize("min_n, workers", [(12, 2), (13, 1)])
+    def test_fill_pool_starts_at_its_panel_size_floor(
+        self, monkeypatch, pool_sizes, min_n, workers
+    ):
+        monkeypatch.setattr(inference, "_FILL_MIN_N", min_n)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
+        bootstrap(clone_panel(), reps=10, alpha=0.1, seed=3, threads=2)  # n = 12
+        assert pool_sizes == ([workers] if workers > 1 else [])
 
     def test_bound_targets_drop_nonpositive_first_stage_rows(self):
         # a thin first-stage margin goes negative in some resamples; those
@@ -297,6 +297,7 @@ def test_resamples_independent_of_fill_height_and_threads(monkeypatch, fill_rows
     moments = _resample_moments(panel, 600, 7, 1)
     res = bootstrap(panel, reps=600, alpha=0.1, seed=7)
     monkeypatch.setattr(inference, "_FILL_ROWS", fill_rows)
+    monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
     assert np.array_equal(bits(_resample_moments(panel, 600, 7, threads)), bits(moments))
     assert bootstrap(panel, reps=600, alpha=0.1, seed=7, threads=threads) == res
 
@@ -307,6 +308,14 @@ def test_first_resamples_of_a_longer_run_are_bitwise_equal(n):
     full = _resample_moments(panel, 150, 11, 2)
     for k in (2, 40, 64, 65, 129):
         assert np.array_equal(bits(_resample_moments(panel, k, 11, 1)), bits(full[:k]))
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_resamples_above_the_fill_floor_independent_of_threads(monkeypatch, threads):
+    panel = noisy_panel(inference._FILL_MIN_N)
+    want = _resample_moments(panel, 70, 13, 1)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
+    assert np.array_equal(bits(_resample_moments(panel, 70, 13, threads)), bits(want))
 
 
 def test_wide_count_path_gives_the_same_bits(monkeypatch):
@@ -323,7 +332,8 @@ def test_fill_with_more_workers_than_cores(monkeypatch):
     # switching threads often, over several fill blocks
     panel = noisy_panel(300)
     want = _resample_moments(panel, 200, 9, 1)
-    monkeypatch.setattr(inference.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
     monkeypatch.setattr(inference, "_COUNT_MAX", 0)
     monkeypatch.setattr(inference, "_FILL_ROWS", 64)
     interval = sys.getswitchinterval()
@@ -353,6 +363,7 @@ def test_counts_above_uint8_are_kept_exact(monkeypatch, threads):
     y = rng.integers(-40, 41, size=(n, 3)) / 8.0  # dyadic: every moment is exact
     panel = Panel.from_arrays([f"u{i:03d}" for i in range(n)], np.arange(n) % 2, d, y)
     monkeypatch.setattr(inference, "rep_rng", TwoUnitRng)
+    monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
     counts = np.array(
         [np.bincount(TwoUnitRng(4, r).integers(0, n, n), minlength=n) for r in range(reps)]
     )

@@ -2,15 +2,26 @@
 
 import dataclasses
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynlate import simulate
 from dynlate.dgp import DgpSpec, HistorySpec, population_estimands
 from dynlate.errors import DegenerateInstrument, DynlateError
-from dynlate.estimators import ALL_TARGETS, bound_report, estimate, identify, selected_methods
+from dynlate.estimators import (
+    ALL_TARGETS,
+    bound_report,
+    estimate,
+    identify,
+    moment_estimands,
+    selected_methods,
+)
 from dynlate.inference import bootstrap
 from dynlate.latent import NEVER, AdoptionPair
 from dynlate.panel import Panel
@@ -20,6 +31,7 @@ from dynlate.simulate import (
     _arm_table,
     _draw_arrays,
     _draw_assignments,
+    _usable_cores,
     draw_panel,
     monte_carlo,
     rep_rng,
@@ -117,6 +129,31 @@ class TestDrawPanel:
         assert abs(est.fs_at(2) - 0.3) < 3 * 0.0021
 
 
+def mc_with_rows(monkeypatch, spec, n, reps, threads):
+    """A ``monte_carlo`` summary and the stacked moment rows it was read from."""
+    seen = []
+
+    def recording(M):
+        seen.append(M.copy())
+        return moment_estimands(M)
+
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "moment_estimands", recording)
+        summary = monte_carlo(spec, n=n, reps=reps, seed=8, threads=threads)
+    return summary, seen[0]
+
+
+def test_usable_cores_counts_the_affinity_set(monkeypatch):
+    # ``taskset -c 0`` on a 2-CPU machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _usable_cores() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _usable_cores() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cores() == 1
+
+
 class TestMonteCarlo:
     def test_summary_echoes_request_and_attaches_oracle(self):
         spec = three_history_spec(noise_sd=0.2)
@@ -185,6 +222,71 @@ class TestMonteCarlo:
         row = summary.row("fs[1]")
         assert row.n_failed > 0
         assert row.n_ok + row.n_failed == 60
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "case, n, reps, min_n",
+        [("floor-lowered", 300, 13, 1), ("single-arm", 3, 60, 1), ("above-floor", 5000, 8, None)],
+    )
+    def test_threaded_replications_match_inline_bitwise(
+        self, monkeypatch, case, n, reps, min_n, threads
+    ):
+        if case == "single-arm":  # a rare arm: some replications fail
+            spec = DgpSpec(
+                T=1, pz=0.05,
+                histories=(HistorySpec(P(1, NEVER), 1.0, (0.0,), ((1.0,),)),),
+            )
+        else:
+            spec = three_history_spec(noise_sd=0.5)
+        want, want_rows = mc_with_rows(monkeypatch, spec, n, reps, threads=1)
+        started = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
+        if min_n is None:
+            assert n >= simulate._MC_MIN_N
+        else:
+            monkeypatch.setattr(simulate, "_MC_MIN_N", min_n)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers switch often while they write rows of one array
+        try:
+            got, rows = mc_with_rows(monkeypatch, spec, n, reps, threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert started == ([] if threads == 1 else [threads])
+        assert np.array_equal(rows.view(np.uint64), want_rows.view(np.uint64))
+        assert got == want
+        if case == "single-arm":
+            assert 0 < got.row("fs[1]").n_failed < reps
+
+    @pytest.mark.parametrize(
+        "threads, reps, cores, n, workers",
+        [
+            (2, 8, 2, 200, 2),
+            (4, 8, 2, 200, 2),  # one per core
+            (8, 6, 8, 200, 3),  # two replications per worker at least
+            (2, 3, 2, 200, 1),
+            (2, 2, 8, 200, 1),
+            (2, 8, 2, 199, 1),  # below the floor
+            (1, 8, 8, 200, 1),
+            (8, 8, 1, 200, 1),
+        ],
+    )
+    def test_replication_workers_capped(
+        self, monkeypatch, pool_sizes, threads, reps, cores, n, workers
+    ):
+        monkeypatch.setattr(simulate, "_MC_MIN_N", 200)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+        spec = three_history_spec(noise_sd=0.5)
+        got = monte_carlo(spec, n=n, reps=reps, seed=4, threads=threads)
+        assert pool_sizes == ([workers] if workers > 1 else [])
+        monkeypatch.undo()
+        assert got == monte_carlo(spec, n=n, reps=reps, seed=4, threads=1)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_rejects_nonpositive_n(self, n):
