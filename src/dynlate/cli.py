@@ -88,7 +88,7 @@ seed_opt = click.option(
 threads_opt = click.option(
     "--threads", type=click.IntRange(min=1), default=lambda: simulate._usable_cores(),
     help="Worker threads for bootstrap resample counts and Monte Carlo replications"
-    " (default and cap: the usable cores; small samples run in one thread;"
+    " (default and cap: the usable cores; small runs use one thread;"
     " results are thread-count invariant).",
 )
 assume_opt = click.option(

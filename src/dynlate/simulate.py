@@ -64,6 +64,17 @@ Two threads over one, reps=100, medians of 9 alternating runs on 2
 vCPUs: 1.85 at n=1000, 1.21 at 2000, 0.88 at 3000, 0.87 at 4000, 0.82
 at 5000 and 0.63 at 1e4."""
 
+_MC_MIN_UNITS = 100_000
+"""Unit draws (replications times n) per Monte Carlo worker: a run starts
+at most one worker per this many draws. A pool costs a few ms per call
+whatever the work, so the draws in all, not the replication count,
+decide whether it pays. Two threads over one, medians of 15-21
+alternating in-process pairs on 2 vCPUs: 20k draws 1.24 (n=1e4, reps=2)
+and 1.48 (n=5000, reps=4); 40k draws 0.93 (n=1e4), 1.04 (n=5000) and
+1.04 (n=4096); 100k draws 1.20 (n=4096), 1.03 (n=5000), 0.91 (n=8000)
+and 0.64 (n=5e4); 200k draws 0.79-0.92 from n=4096 to 1e4 and 0.70 at
+n=1e5."""
+
 
 def _arm_table(spec: DgpSpec):
     """Treatment paths (int8) and outcome means of every (arm, history) pair.
@@ -168,11 +179,13 @@ def monte_carlo(
     bounds come from the spec's own contaminating-effect envelope.
     The oracle is the one-row target table of the population estimands,
     under the population zero rule; a target it leaves undefined has no
-    row. Up to ``threads`` worker threads (at most one per usable core)
-    each draw a contiguous range of replications, two at least; below
-    ``_MC_MIN_N`` units, or with fewer than four replications,
-    replications run inline. A replication's moment row depends only on
-    (spec, n, seed, r), so the summary is the same for any ``threads``.
+    row. Up to ``threads`` worker threads, at most one per usable core,
+    per replication and per ``_MC_MIN_UNITS`` unit draws, each draw one of
+    as many balanced contiguous ranges of replications; below
+    ``_MC_MIN_N`` units per sample, or with fewer than twice
+    ``_MC_MIN_UNITS`` draws in all, replications run inline. A
+    replication's moment row depends only on (spec, n, seed, r), so the
+    summary is the same for any ``threads``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -194,15 +207,17 @@ def monte_carlo(
     table = _arm_table(spec)
     M = np.empty((reps, 6 * spec.T))
 
-    def fill(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
+    def fill(start: int, stop: int) -> None:
+        for r in range(start, stop):
             M[r] = arm_sums(*_draw_arrays(spec, n, rep_rng(seed, r), table))
 
-    workers = _worker_count(threads, reps // 2, n, _MC_MIN_N)
+    # at most one worker per replication and per _MC_MIN_UNITS unit draws
+    workers = _worker_count(threads, min(reps, reps * n // _MC_MIN_UNITS), n, _MC_MIN_N)
     if workers > 1:
-        step = -(-reps // workers)
+        # balanced ranges: each worker draws reps // workers replications, or one more
+        cuts = [w * reps // workers for w in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda lo: fill(lo, min(lo + step, reps)), range(0, reps, step)))
+            list(pool.map(fill, cuts[:-1], cuts[1:]))
     else:
         fill(0, reps)
     both_arms, *moments = moment_estimands(M)

@@ -65,8 +65,8 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     for module in (inference, simulate):
         monkeypatch.setattr(module, "ThreadPoolExecutor", RecordingExecutor)

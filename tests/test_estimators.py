@@ -350,7 +350,11 @@ def normwise_error(computed, exact, scale):
 # magnitudes below 1e-6 snap to 0, so no product underflows
 _unit = st.floats(-1.0, 1.0).map(lambda v: 0.0 if abs(v) < 1e-6 else v)
 _prob = st.floats(0.0, 1.0).map(lambda v: 0.0 if v < 1e-6 else v)
-_effect = st.floats(-10.0, 10.0).map(lambda v: 0.0 if abs(v) < 1e-6 else v)
+# effect bounds snap to 0 only below 1e-250: the bounds multiply lo, hi and
+# hi - lo by first-stage gaps down to 2**-72 (the float spacing near 1e-6),
+# and below that size such a product can underflow, where no relative
+# tolerance holds
+_effect = st.floats(-10.0, 10.0).map(lambda v: 0.0 if abs(v) < 1e-250 else v)
 
 
 @st.composite

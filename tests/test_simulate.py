@@ -226,7 +226,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize(
         "case, n, reps, min_n",
-        [("floor-lowered", 300, 13, 1), ("single-arm", 3, 60, 1), ("above-floor", 5000, 8, None)],
+        [("floor-lowered", 300, 13, 1), ("single-arm", 3, 60, 1), ("above-floor", 5000, 80, None)],
     )
     def test_threaded_replications_match_inline_bitwise(
         self, monkeypatch, case, n, reps, min_n, threads
@@ -250,8 +250,10 @@ class TestMonteCarlo:
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
         if min_n is None:
             assert n >= simulate._MC_MIN_N
+            assert n * reps >= 4 * simulate._MC_MIN_UNITS
         else:
             monkeypatch.setattr(simulate, "_MC_MIN_N", min_n)
+            monkeypatch.setattr(simulate, "_MC_MIN_UNITS", 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers switch often while they write rows of one array
         try:
@@ -267,26 +269,58 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "threads, reps, cores, n, workers",
         [
-            (2, 8, 2, 200, 2),
-            (4, 8, 2, 200, 2),  # one per core
-            (8, 6, 8, 200, 3),  # two replications per worker at least
-            (2, 3, 2, 200, 1),
-            (2, 2, 8, 200, 1),
-            (2, 8, 2, 199, 1),  # below the floor
-            (1, 8, 8, 200, 1),
-            (8, 8, 1, 200, 1),
+            (2, 10, 2, 200, 2),
+            (4, 20, 2, 200, 2),  # one per core
+            (8, 20, 8, 200, 4),  # one per 1000 unit draws
+            (8, 3, 8, 2000, 3),  # one per replication
+            (2, 9, 2, 200, 1),  # fewer than 2000 unit draws
+            (2, 1, 8, 5000, 1),
+            (2, 20, 2, 199, 1),  # below the sample-size floor
+            (1, 20, 8, 200, 1),
+            (8, 20, 1, 200, 1),
         ],
     )
     def test_replication_workers_capped(
         self, monkeypatch, pool_sizes, threads, reps, cores, n, workers
     ):
         monkeypatch.setattr(simulate, "_MC_MIN_N", 200)
+        monkeypatch.setattr(simulate, "_MC_MIN_UNITS", 1000)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
         spec = three_history_spec(noise_sd=0.5)
         got = monte_carlo(spec, n=n, reps=reps, seed=4, threads=threads)
         assert pool_sizes == ([workers] if workers > 1 else [])
         monkeypatch.undo()
         assert got == monte_carlo(spec, n=n, reps=reps, seed=4, threads=1)
+
+    @pytest.mark.parametrize(
+        "reps, threads, sizes", [(9, 4, [2, 2, 2, 3]), (7, 3, [2, 2, 3]), (8, 2, [4, 4])]
+    )
+    def test_every_worker_draws_a_balanced_range(self, monkeypatch, reps, threads, sizes):
+        ranges = []
+
+        class RangeRecorder:
+            def __init__(self, max_workers):
+                assert max_workers == threads
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, starts, stops):
+                starts, stops = list(starts), list(stops)
+                ranges.extend(zip(starts, stops))
+                return map(fn, starts, stops)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RangeRecorder)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(simulate, "_MC_MIN_N", 1)
+        monkeypatch.setattr(simulate, "_MC_MIN_UNITS", 1)
+        monte_carlo(three_history_spec(noise_sd=0.5), n=50, reps=reps, seed=4, threads=threads)
+        assert [stop - start for start, stop in ranges] == sizes
+        assert [start for start, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
+        assert (ranges[0][0], ranges[-1][1]) == (0, reps)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_rejects_nonpositive_n(self, n):
