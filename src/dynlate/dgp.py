@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import PeriodOutOfRange, SchemaMismatch, SpecValidationError
-from .estimands import POPULATION_ZERO_TOL, EstimandSet, is_zero
+from .errors import SchemaMismatch, SpecValidationError
+from .estimands import POPULATION_ZERO_TOL, EstimandSet, _check_period, is_zero
 from .latent import C1, NEVER, AdoptionPair, GroupLabel, switcher_group_labels
 
 SCHEMA_VERSION = 1
@@ -150,17 +150,16 @@ class DgpSpec:
             self._members[label] = found
         return found
 
+    def _group_sums(self, label: GroupLabel, t: int, tau: int):
+        """The label's members, their probability and their weighted effects[t][tau] sum."""
+        members = self.members_of(label)
+        prob = math.fsum(h.prob for h in members)
+        return members, prob, math.fsum(h.prob * h.effect(t, tau) for h in members)
+
     def group_effect(self, label: GroupLabel, t: int, tau: int) -> float | None:
         """Probability-weighted mean of effects[t][tau] over the label's members."""
-        members = self.members_of(label)
-        total = math.fsum(h.prob for h in members)
-        if total == 0.0:
-            return None
-        return math.fsum(h.prob * h.effect(t, tau) for h in members) / total
-
-    def _check_period(self, t: int, lo: int = 1) -> None:
-        if not isinstance(t, int) or not lo <= t <= self.T:
-            raise PeriodOutOfRange(f"period must be in {lo}..{self.T}, got {t!r}")
+        _, total, raw = self._group_sums(label, t, tau)
+        return None if total == 0.0 else raw / total
 
 
 def population_estimands(spec: DgpSpec) -> EstimandSet:
@@ -255,18 +254,15 @@ class DecompositionReport:
 def _make_term(
     spec: DgpSpec, label: GroupLabel, t: int, sign: int, fs_t: float
 ) -> DecompositionTerm | None:
-    members = spec.members_of(label)
+    k = label.switch
+    members, prob, raw = spec._group_sums(label, t, t - k)
     if not members:
         return None
-    k = label.switch
-    tau = t - k
-    prob = math.fsum(h.prob for h in members)
-    raw = math.fsum(h.prob * h.effect(t, tau) for h in members)
     return DecompositionTerm(
         label=label,
         members=tuple(h.pair for h in members),
         switch_period=k,
-        exposure=tau,
+        exposure=t - k,
         sign=sign,
         probability=prob,
         effect=raw / prob,
@@ -277,20 +273,17 @@ def _make_term(
 
 def decompose(spec: DgpSpec, t: int) -> DecompositionReport:
     """Exact decomposition of the period-t reduced form by latent group."""
-    spec._check_period(t, lo=2)
+    _check_period(t, spec.T, lo=2)
     fs_t = _population_fs(spec, t)
     lead = _make_term(spec, C1, t, +1, fs_t)
     terms = []
     for k in range(2, t + 1):
         plus_labels, minus_labels = switcher_group_labels(k)
-        for label in minus_labels:
-            term = _make_term(spec, label, t, -1, fs_t)
-            if term is not None:
-                terms.append(term)
-        for label in plus_labels:
-            term = _make_term(spec, label, t, +1, fs_t)
-            if term is not None:
-                terms.append(term)
+        for sign, labels in ((-1, minus_labels), (+1, plus_labels)):
+            for label in labels:
+                term = _make_term(spec, label, t, sign, fs_t)
+                if term is not None:
+                    terms.append(term)
     return DecompositionReport(
         t=t, rf_t=_population_rf(spec, t), fs_t=fs_t, lead=lead, terms=tuple(terms)
     )
@@ -411,11 +404,8 @@ def check_calendar_homogeneity(spec: DgpSpec) -> bool:
             if abs(spec.group_effect(C1, t, tau) - ref) > POPULATION_ZERO_TOL:
                 return False
         for t in range(tau + 2, spec.T + 1):
-            for labels in switcher_group_labels(t - tau):
-                for label in labels:
-                    eff = spec.group_effect(label, t, tau)
-                    if eff is not None and abs(eff - ref) > POPULATION_ZERO_TOL:
-                        return False
+            if any(abs(e - ref) > POPULATION_ZERO_TOL for e in _switcher_effects(spec, t, tau)):
+                return False
     return True
 
 
@@ -424,15 +414,19 @@ def check_cross_group_homogeneity(spec: DgpSpec) -> bool:
     POPULATION_ZERO_TOL."""
     for t in range(2, spec.T + 1):
         for tau in range(0, t - 1):
-            values = []
-            for labels in switcher_group_labels(t - tau):
-                for label in labels:
-                    eff = spec.group_effect(label, t, tau)
-                    if eff is not None:
-                        values.append(eff)
+            values = list(_switcher_effects(spec, t, tau))
             if values and max(values) - min(values) > POPULATION_ZERO_TOL:
                 return False
     return True
+
+
+def _switcher_effects(spec: DgpSpec, t: int, tau: int):
+    """Effects at (t, tau) of every positive-probability group switching at t - tau."""
+    for labels in switcher_group_labels(t - tau):
+        for label in labels:
+            eff = spec.group_effect(label, t, tau)
+            if eff is not None:
+                yield eff
 
 
 # ---------------------------------------------------------------------------

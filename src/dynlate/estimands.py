@@ -23,6 +23,12 @@ def is_zero(value: float, kind: str) -> bool:
     return value == 0.0
 
 
+def _check_period(t: int, T: int, lo: int = 1) -> None:
+    """Refuse anything but an integer period in lo..T, for estimands and specs."""
+    if not isinstance(t, int) or not lo <= t <= T:
+        raise PeriodOutOfRange(f"period must be in {lo}..{T}, got {t!r}")
+
+
 @dataclass(frozen=True)
 class EstimandSet:
     """Per-period reduced forms, first stages, and switching probabilities.
@@ -66,28 +72,24 @@ class EstimandSet:
         object.__setattr__(self, "iv", iv)
         object.__setattr__(self, "rho", tuple(a - b for a, b in zip(self.fs, self.fs[1:])))
 
-    def _check_period(self, t: int, lo: int = 1) -> None:
-        if not isinstance(t, int) or not lo <= t <= self.T:
-            raise PeriodOutOfRange(f"period must be in {lo}..{self.T}, got {t!r}")
-
     def rf_at(self, t: int) -> float:
-        self._check_period(t)
+        _check_period(t, self.T)
         return self.rf[t - 1]
 
     def fs_at(self, t: int) -> float:
-        self._check_period(t)
+        _check_period(t, self.T)
         return self.fs[t - 1]
 
     def iv_at(self, t: int) -> float | None:
-        self._check_period(t)
+        _check_period(t, self.T)
         return self.iv[t - 1]
 
     def rho_at(self, t: int) -> float:
-        self._check_period(t, lo=2)
+        _check_period(t, self.T, lo=2)
         return self.rho[t - 2]
 
     def switch_at(self, t: int, z: int) -> float:
-        self._check_period(t, lo=2)
+        _check_period(t, self.T, lo=2)
         return (self.switch_z1 if z == 1 else self.switch_z0)[t - 2]
 
     @property

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInstrument, RelevanceFailure, SignedBoundViolation
-from .estimands import POPULATION_ZERO_TOL, EstimandSet, is_zero
+from .estimands import POPULATION_ZERO_TOL, EstimandSet, _check_period, is_zero
 from .panel import Panel
 
 LOW_FS1_THRESHOLD = 0.01
@@ -280,7 +280,7 @@ def bound_report(method: str, est: EstimandSet, t: int, lo: float, hi: float) ->
     """
     if method not in BOUND_METHODS:
         raise ValueError(f"unknown bound method {method!r}; valid: {', '.join(BOUND_METHODS)}")
-    est._check_period(t, lo=2)
+    _check_period(t, est.T, lo=2)
     _check_ordered(lo, hi)
     if not _signs_ok(method, lo, hi):
         raise SignedBoundViolation(

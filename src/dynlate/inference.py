@@ -20,7 +20,6 @@ product's last bits can change with the BLAS thread count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import AllReplicationsFailed
 from .estimators import ALL_TARGETS, estimate, moment_estimands, moment_features
 from .estimators import outcome_range_bounds, target_columns, target_row
 from .panel import Panel
-from .simulate import _worker_count, rep_rng
+from .simulate import _fill_rows, _worker_count, rep_rng
 
 
 def percentile_interval(values: np.ndarray, alpha: float) -> tuple[float, float]:
@@ -88,10 +87,16 @@ the threaded fill that follows it."""
 
 _FILL_MIN_N = 40_000
 """Panel size from which resample counts are filled by worker threads.
-Two fill threads over one, reps=500, medians of 9 alternating runs on 2
-vCPUs: 1.01-1.11 at n=20k, 0.93-1.01 at 30k, 0.88-1.00 at 40k, 0.87 at
-45k, 0.80 at 60k; a pool started below this size can cost more than the
-second core gives back."""
+Whole ``bootstrap`` calls, two threads over one, pool forced on, medians
+of 21 alternating in-process pairs on 2 vCPUs (T=4): 1.01 at 20k x 1000
+resamples and 0.92 at 30k x 1000; 0.93-1.01 at 30k x 500 (9 runs)."""
+
+_FILL_MIN_UNITS = 7_500_000
+"""Unit draws (resamples times n) per count-fill worker. Timed as for
+``_FILL_MIN_N``, up to 1.2e7 draws: 1.05 / 1.07 / 1.01 / 1.03 / 1.01 at
+40k x 2 / 8 / 32 / 100 / 250 and 1.03 / 1.01 / 0.97 / 1.03 / 0.98 at 1e5
+x 2 / 8 / 50 / 100 / 120; from 1.5e7: 0.96 at 40k x 375, 0.88 at 40k x
+500, 0.89 / 0.85-0.93 / 0.83 / 0.75-0.81 at 1e5 x 150 / 199 / 256 / 500."""
 
 _COUNT_MAX = np.iinfo(np.uint8).max
 """Largest count the uint8 fill block holds exactly."""
@@ -100,8 +105,8 @@ _COUNT_MAX = np.iinfo(np.uint8).max
 def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.ndarray:
     """Moment rows ``counts_r @ moment_features(panel)`` of every resample.
 
-    The reps x n count matrix is never held. From ``_FILL_MIN_N`` units
-    on, at most one worker per usable core writes each resample's
+    The reps x n count matrix is never held. Workers (``_worker_count``
+    with ``_FILL_MIN_N`` and ``_FILL_MIN_UNITS``) write each resample's
     multinomial counts as uint8 into a block of ``_FILL_ROWS`` rows; once
     the block is full, the calling thread casts ``_PRODUCT_ROWS`` rows at
     a time into one float64 buffer, zero-pads the last of them, and
@@ -140,18 +145,8 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
             np.matmul(block, F, out=product)
             M[start:stop] = product[:rows]
 
-    blocks = [(lo, min(lo + _FILL_ROWS, reps)) for lo in range(0, reps, _FILL_ROWS)]
-    workers = _worker_count(threads, reps, n, _FILL_MIN_N)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for lo, hi in blocks:
-                step = -(-(hi - lo) // workers)
-                list(pool.map(lambda a: fill(a, min(a + step, hi)), range(lo, hi, step)))
-                multiply(lo, hi)
-    else:
-        for lo, hi in blocks:
-            fill(lo, hi)
-            multiply(lo, hi)
+    workers = _worker_count(threads, reps, n, _FILL_MIN_N, _FILL_MIN_UNITS)
+    _fill_rows(fill, reps, workers, _FILL_ROWS, multiply)
     return M
 
 

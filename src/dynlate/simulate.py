@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +47,36 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(threads: int, tasks: int, n: int, min_n: int) -> int:
-    """Worker threads for ``tasks`` independent tasks on samples of n units.
+def _worker_count(threads: int, reps: int, n: int, min_n: int, min_units: int) -> int:
+    """Worker threads for ``reps`` rows, one sample of n units each.
 
-    At most one per task, per usable core and per requested thread; 1, run
-    inline, when ``n < min_n``, where starting and feeding the pool costs
-    more than the second core gives back.
+    The one rule for Monte Carlo replications and bootstrap resamples: at
+    most one per row, per usable core, per requested thread and per
+    ``min_units`` unit draws (reps x n); 1, run inline, when n < min_n. A
+    pool costs a few ms per call whatever the work, so the draws in all
+    decide whether it pays; small samples lose even with many draws.
     """
     if n < min_n:
         return 1
-    return max(1, min(threads, tasks, _usable_cores()))
+    return max(1, min(threads, reps, reps * n // min_units, _usable_cores()))
+
+
+def _fill_rows(fill, reps: int, workers: int, block: int | None = None, then=None) -> None:
+    """Run ``fill(lo, hi)`` over the rows 0..reps on ``workers`` threads.
+
+    Each block of ``block`` rows (default: all) goes in ``workers``
+    balanced contiguous ranges to one pool (a plain ``map`` for one
+    worker), then to ``then(lo, hi)`` on the calling thread.
+    """
+    block = block or reps
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for lo in range(0, reps, block):
+            hi = min(lo + block, reps)
+            cuts = [lo + w * (hi - lo) // workers for w in range(workers + 1)]
+            list(run(fill, cuts[:-1], cuts[1:]))
+            if then is not None:
+                then(lo, hi)
 
 
 _MC_MIN_N = 4096
@@ -65,15 +86,12 @@ vCPUs: 1.85 at n=1000, 1.21 at 2000, 0.88 at 3000, 0.87 at 4000, 0.82
 at 5000 and 0.63 at 1e4."""
 
 _MC_MIN_UNITS = 100_000
-"""Unit draws (replications times n) per Monte Carlo worker: a run starts
-at most one worker per this many draws. A pool costs a few ms per call
-whatever the work, so the draws in all, not the replication count,
-decide whether it pays. Two threads over one, medians of 15-21
-alternating in-process pairs on 2 vCPUs: 20k draws 1.24 (n=1e4, reps=2)
-and 1.48 (n=5000, reps=4); 40k draws 0.93 (n=1e4), 1.04 (n=5000) and
-1.04 (n=4096); 100k draws 1.20 (n=4096), 1.03 (n=5000), 0.91 (n=8000)
-and 0.64 (n=5e4); 200k draws 0.79-0.92 from n=4096 to 1e4 and 0.70 at
-n=1e5."""
+"""Unit draws (replications times n) per Monte Carlo worker. Two threads
+over one, medians of 15-21 alternating in-process pairs on 2 vCPUs: 20k
+draws 1.24 (n=1e4, reps=2) and 1.48 (n=5000, reps=4); 40k draws 0.93
+(n=1e4), 1.04 (n=5000) and 1.04 (n=4096); 100k draws 1.20 (n=4096), 1.03
+(n=5000), 0.91 (n=8000) and 0.64 (n=5e4); 200k draws 0.79-0.92 from
+n=4096 to 1e4 and 0.70 at n=1e5."""
 
 
 def _arm_table(spec: DgpSpec):
@@ -179,12 +197,9 @@ def monte_carlo(
     bounds come from the spec's own contaminating-effect envelope.
     The oracle is the one-row target table of the population estimands,
     under the population zero rule; a target it leaves undefined has no
-    row. Up to ``threads`` worker threads, at most one per usable core,
-    per replication and per ``_MC_MIN_UNITS`` unit draws, each draw one of
-    as many balanced contiguous ranges of replications; below
-    ``_MC_MIN_N`` units per sample, or with fewer than twice
-    ``_MC_MIN_UNITS`` draws in all, replications run inline. A
-    replication's moment row depends only on (spec, n, seed, r), so the
+    row. Replications run through :func:`_fill_rows` on the workers
+    :func:`_worker_count` allows with ``_MC_MIN_N`` and ``_MC_MIN_UNITS``.
+    A replication's moment row depends only on (spec, n, seed, r), so the
     summary is the same for any ``threads``.
     """
     if n < 1:
@@ -211,15 +226,7 @@ def monte_carlo(
         for r in range(start, stop):
             M[r] = arm_sums(*_draw_arrays(spec, n, rep_rng(seed, r), table))
 
-    # at most one worker per replication and per _MC_MIN_UNITS unit draws
-    workers = _worker_count(threads, min(reps, reps * n // _MC_MIN_UNITS), n, _MC_MIN_N)
-    if workers > 1:
-        # balanced ranges: each worker draws reps // workers replications, or one more
-        cuts = [w * reps // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, cuts[:-1], cuts[1:]))
-    else:
-        fill(0, reps)
+    _fill_rows(fill, reps, _worker_count(threads, reps, n, _MC_MIN_N, _MC_MIN_UNITS))
     both_arms, *moments = moment_estimands(M)
     replicated = target_columns(*moments, targets, lo, hi)
     rows = []

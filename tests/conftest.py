@@ -1,4 +1,5 @@
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 # make sibling helper modules (randspec) importable regardless of cwd
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dynlate import inference, simulate
+from dynlate import simulate
 from dynlate.dgp import DgpSpec, HistorySpec, save_spec
 from dynlate.latent import NEVER, AdoptionPair
 
@@ -50,8 +51,9 @@ def small_panel_csv():
 def pool_sizes(monkeypatch):
     """``max_workers`` of every pool the bootstrap or Monte Carlo starts.
 
-    An inline stand-in replaces ``ThreadPoolExecutor``, so no thread is
-    started, whatever the code under test asks for.
+    An inline stand-in replaces ``ThreadPoolExecutor`` in ``simulate``,
+    which starts every pool, so no thread is started, whatever the code
+    under test asks for.
     """
     started = []
 
@@ -68,6 +70,19 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    for module in (inference, simulate):
-        monkeypatch.setattr(module, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingExecutor)
+    return started
+
+
+@pytest.fixture
+def threaded_pools(monkeypatch):
+    """``max_workers`` of every pool started, on real worker threads."""
+    started = []
+
+    class CountingExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", CountingExecutor)
     return started

@@ -226,13 +226,24 @@ class TestBootstrap:
             bootstrap(panel, reps=10, alpha=0.05, seed=0, threads=0)
 
     @pytest.mark.parametrize(
-        "threads, reps, cores, workers",
-        [(64, 10, 2, 2), (64, 3, 8, 3), (4, 10, 8, 4), (64, 10, None, None)],
+        "threads, reps, cores, min_units, workers",
+        [
+            pytest.param(64, 10, 2, 1, 2, id="64-10-2-2"),  # one per core
+            pytest.param(64, 3, 8, 1, 3, id="64-3-8-3"),  # one per resample
+            pytest.param(4, 10, 8, 1, 4, id="4-10-8-4"),
+            pytest.param(64, 10, None, 1, None, id="64-10-None-None"),
+            (8, 20, 8, 60, 4),  # one per 60 unit draws: 5 resamples of n=12
+            (8, 10, 8, 60, 2),
+            (2, 9, 2, 60, 1),  # fewer than 120 unit draws
+            (2, 10, 2, 60, 2),
+            (1, 20, 8, 60, 1),
+        ],
     )
     def test_weight_fill_workers_capped(
-        self, monkeypatch, pool_sizes, threads, reps, cores, workers
+        self, monkeypatch, pool_sizes, threads, reps, cores, min_units, workers
     ):
         monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
+        monkeypatch.setattr(inference, "_FILL_MIN_UNITS", min_units)
         if cores is None:  # no affinity set and no CPU count: one worker
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: None)
@@ -240,7 +251,7 @@ class TestBootstrap:
             monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
         panel = clone_panel()
         res = bootstrap(panel, reps=reps, alpha=0.1, seed=3, threads=threads)
-        assert pool_sizes == ([] if workers is None else [workers])
+        assert pool_sizes == ([] if workers in (None, 1) else [workers])
         monkeypatch.undo()
         assert res == bootstrap(panel, reps=reps, alpha=0.1, seed=3, threads=1)
 
@@ -249,6 +260,7 @@ class TestBootstrap:
         self, monkeypatch, pool_sizes, min_n, workers
     ):
         monkeypatch.setattr(inference, "_FILL_MIN_N", min_n)
+        monkeypatch.setattr(inference, "_FILL_MIN_UNITS", 1)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
         bootstrap(clone_panel(), reps=10, alpha=0.1, seed=3, threads=2)  # n = 12
         assert pool_sizes == ([workers] if workers > 1 else [])
@@ -292,14 +304,19 @@ def bits(a):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("fill_rows", [64, 192, 512])
-def test_resamples_independent_of_fill_height_and_threads(monkeypatch, fill_rows, threads):
+def test_resamples_independent_of_fill_height_and_threads(
+    monkeypatch, threaded_pools, fill_rows, threads
+):
     panel = noisy_panel(999)
     moments = _resample_moments(panel, 600, 7, 1)
     res = bootstrap(panel, reps=600, alpha=0.1, seed=7)
     monkeypatch.setattr(inference, "_FILL_ROWS", fill_rows)
     monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
+    monkeypatch.setattr(inference, "_FILL_MIN_UNITS", 1)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
     assert np.array_equal(bits(_resample_moments(panel, 600, 7, threads)), bits(moments))
     assert bootstrap(panel, reps=600, alpha=0.1, seed=7, threads=threads) == res
+    assert threaded_pools == ([threads] * 2 if threads > 1 else [])
 
 
 @pytest.mark.parametrize("n", [300, 999, 5000])
@@ -311,11 +328,15 @@ def test_first_resamples_of_a_longer_run_are_bitwise_equal(n):
 
 
 @pytest.mark.parametrize("threads", [2, 4])
-def test_resamples_above_the_fill_floor_independent_of_threads(monkeypatch, threads):
+def test_resamples_above_the_fill_floor_independent_of_threads(
+    monkeypatch, threaded_pools, threads
+):
     panel = noisy_panel(inference._FILL_MIN_N)
     want = _resample_moments(panel, 70, 13, 1)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(inference, "_FILL_MIN_UNITS", panel.n)  # one worker per resample
     assert np.array_equal(bits(_resample_moments(panel, 70, 13, threads)), bits(want))
+    assert threaded_pools == [threads]
 
 
 def test_wide_count_path_gives_the_same_bits(monkeypatch):
@@ -327,13 +348,14 @@ def test_wide_count_path_gives_the_same_bits(monkeypatch):
     assert bootstrap(panel, reps=150, alpha=0.1, seed=5, threads=2) == res
 
 
-def test_fill_with_more_workers_than_cores(monkeypatch):
+def test_fill_with_more_workers_than_cores(monkeypatch, threaded_pools):
     # every row goes through the shared dict of wide counts, from 8 workers
     # switching threads often, over several fill blocks
     panel = noisy_panel(300)
     want = _resample_moments(panel, 200, 9, 1)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
     monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
+    monkeypatch.setattr(inference, "_FILL_MIN_UNITS", 1)
     monkeypatch.setattr(inference, "_COUNT_MAX", 0)
     monkeypatch.setattr(inference, "_FILL_ROWS", 64)
     interval = sys.getswitchinterval()
@@ -343,6 +365,7 @@ def test_fill_with_more_workers_than_cores(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(bits(got), bits(want))
+    assert threaded_pools == [8]
 
 
 class TwoUnitRng:
@@ -356,7 +379,7 @@ class TwoUnitRng:
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_counts_above_uint8_are_kept_exact(monkeypatch, threads):
+def test_counts_above_uint8_are_kept_exact(monkeypatch, threaded_pools, threads):
     n, reps = 600, 70
     rng = np.random.default_rng(12)
     d = np.sort(rng.integers(0, 2, size=(n, 3)), axis=1)
@@ -364,12 +387,15 @@ def test_counts_above_uint8_are_kept_exact(monkeypatch, threads):
     panel = Panel.from_arrays([f"u{i:03d}" for i in range(n)], np.arange(n) % 2, d, y)
     monkeypatch.setattr(inference, "rep_rng", TwoUnitRng)
     monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
+    monkeypatch.setattr(inference, "_FILL_MIN_UNITS", 1)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
     counts = np.array(
         [np.bincount(TwoUnitRng(4, r).integers(0, n, n), minlength=n) for r in range(reps)]
     )
     assert (counts.max(axis=1) > inference._COUNT_MAX).all()
     want = counts.astype(np.float64) @ moment_features(panel.z, panel.d, panel.y)
     assert np.array_equal(_resample_moments(panel, reps, 4, threads), want)
+    assert threaded_pools == ([threads] if threads > 1 else [])
 
 
 def test_bootstrap_memory_does_not_grow_with_reps():

@@ -4,14 +4,13 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynlate import simulate
+from dynlate import inference, simulate
 from dynlate.dgp import DgpSpec, HistorySpec, population_estimands
 from dynlate.errors import DegenerateInstrument, DynlateError
 from dynlate.estimators import (
@@ -229,7 +228,7 @@ class TestMonteCarlo:
         [("floor-lowered", 300, 13, 1), ("single-arm", 3, 60, 1), ("above-floor", 5000, 80, None)],
     )
     def test_threaded_replications_match_inline_bitwise(
-        self, monkeypatch, case, n, reps, min_n, threads
+        self, monkeypatch, threaded_pools, case, n, reps, min_n, threads
     ):
         if case == "single-arm":  # a rare arm: some replications fail
             spec = DgpSpec(
@@ -239,14 +238,6 @@ class TestMonteCarlo:
         else:
             spec = three_history_spec(noise_sd=0.5)
         want, want_rows = mc_with_rows(monkeypatch, spec, n, reps, threads=1)
-        started = []
-
-        class CountingExecutor(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", CountingExecutor)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
         if min_n is None:
             assert n >= simulate._MC_MIN_N
@@ -260,7 +251,7 @@ class TestMonteCarlo:
             got, rows = mc_with_rows(monkeypatch, spec, n, reps, threads)
         finally:
             sys.setswitchinterval(interval)
-        assert started == ([] if threads == 1 else [threads])
+        assert threaded_pools == ([] if threads == 1 else [threads])
         assert np.array_equal(rows.view(np.uint64), want_rows.view(np.uint64))
         assert got == want
         if case == "single-arm":
@@ -296,6 +287,7 @@ class TestMonteCarlo:
         "reps, threads, sizes", [(9, 4, [2, 2, 2, 3]), (7, 3, [2, 2, 3]), (8, 2, [4, 4])]
     )
     def test_every_worker_draws_a_balanced_range(self, monkeypatch, reps, threads, sizes):
+        # Monte Carlo replications and bootstrap resamples share one dispatch
         ranges = []
 
         class RangeRecorder:
@@ -317,10 +309,19 @@ class TestMonteCarlo:
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
         monkeypatch.setattr(simulate, "_MC_MIN_N", 1)
         monkeypatch.setattr(simulate, "_MC_MIN_UNITS", 1)
-        monte_carlo(three_history_spec(noise_sd=0.5), n=50, reps=reps, seed=4, threads=threads)
-        assert [stop - start for start, stop in ranges] == sizes
-        assert [start for start, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
-        assert (ranges[0][0], ranges[-1][1]) == (0, reps)
+        monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
+        monkeypatch.setattr(inference, "_FILL_MIN_UNITS", 1)
+        spec = three_history_spec(noise_sd=0.5)
+        runs = [
+            lambda: monte_carlo(spec, n=50, reps=reps, seed=4, threads=threads),
+            lambda: inference._resample_moments(draw_panel(spec, 50, 4), reps, 4, threads),
+        ]
+        for run in runs:
+            ranges.clear()
+            run()
+            assert [stop - start for start, stop in ranges] == sizes
+            assert [start for start, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
+            assert (ranges[0][0], ranges[-1][1]) == (0, reps)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_rejects_nonpositive_n(self, n):
