@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: check, estimate, identify, bounds, decompose, simulate,
-montecarlo, bootstrap. Human-readable tables go to stdout; ``--json``
-writes a versioned machine-readable report. Exit codes: 0 success,
-2 validation/usage errors (one ``error[CODE]: ...`` line on stderr),
-1 internal errors.
+montecarlo, bootstrap. Every subcommand ends in one runner, ``_finish``:
+it echoes the human-readable table to stdout, then one ``warning: ...``
+line per warning, then writes the versioned machine-readable report to
+``--json`` if given. Exit codes: 0 success, 2 validation/usage errors
+(one ``error[CODE]: ...`` line on stderr), 1 internal errors.
 """
 
 from __future__ import annotations
@@ -52,10 +53,13 @@ def _parse_bounds(ctx, param, value):
     return lo, hi
 
 
+def _comma_list(chunks) -> list[str]:
+    """The non-blank names of the comma-separated ``chunks``, in order."""
+    return [x.strip() for chunk in chunks for x in chunk.split(",") if x.strip()]
+
+
 def _parse_assume(ctx, param, value):
-    names = []
-    for chunk in value:
-        names.extend(x.strip() for x in chunk.split(",") if x.strip())
+    names = _comma_list(value)
     unknown = [x for x in names if x not in KNOWN_ASSUMPTIONS]
     if unknown:
         raise click.BadParameter(
@@ -67,7 +71,7 @@ def _parse_assume(ctx, param, value):
 def _parse_targets(ctx, param, value):
     if value is None:
         return ALL_TARGETS
-    names = tuple(x.strip() for x in value.split(",") if x.strip())
+    names = tuple(_comma_list([value]))
     if not names:
         raise click.BadParameter("expected at least one target")
     unknown = set(names) - set(ALL_TARGETS)
@@ -82,8 +86,8 @@ panel_opt = click.option("--panel", "panel_path", type=str, help="Panel CSV file
 dgp_opt = click.option("--dgp", "dgp_path", type=str, help="DGP spec file.")
 json_opt = click.option("--json", "json_path", type=str, help="Write a JSON report here.")
 seed_opt = click.option(
-    "--seed", type=int, envvar="DYNLATE_SEED", required=True,
-    help="RNG seed (falls back to DYNLATE_SEED).",
+    "--seed", type=click.IntRange(min=0), envvar="DYNLATE_SEED", required=True,
+    help="RNG seed, at least 0 (falls back to DYNLATE_SEED).",
 )
 threads_opt = click.option(
     "--threads", type=click.IntRange(min=1), default=lambda: simulate._usable_cores(),
@@ -107,31 +111,32 @@ def cli():
     """Dynamic treatment-effect estimation with a one-shot binary instrument."""
 
 
+def _required(path, flag):
+    """``path``, or the usage error that ``flag`` is required."""
+    if not path:
+        raise click.UsageError(f"{flag} is required")
+    return path
+
+
 def _load_inputs(panel_path, dgp_path):
+    """(panel, spec, estimands) of exactly one of --panel and --dgp; the other input is None."""
     if panel_path and dgp_path:
         raise click.UsageError("--panel and --dgp are mutually exclusive")
-    if not panel_path and not dgp_path:
-        raise click.UsageError("one of --panel or --dgp is required")
-    panel = ingest(panel_path) if panel_path else None
-    spec = dgp_mod.load_spec(dgp_path) if dgp_path else None
-    return panel, spec
-
-
-def _estimands(panel, spec):
-    if panel is not None:
-        return estimate_fn(panel)
-    return dgp_mod.population_estimands(spec)
+    _required(panel_path or dgp_path, "one of --panel or --dgp")
+    if panel_path:
+        panel = ingest(panel_path)
+        return panel, None, estimate_fn(panel)
+    spec = dgp_mod.load_spec(dgp_path)
+    return None, spec, dgp_mod.population_estimands(spec)
 
 
 def _negative_weight_warnings(est):
-    warnings = []
-    for flag in negative_weight_diagnostic(est):
-        if flag.status is NegativeWeightStatus.GUARANTEED:
-            warnings.append(
-                f"negative weights guaranteed in the period-{flag.t} reduced form "
-                f"(first stage decreases at k={flag.decreasing_k})"
-            )
-    return warnings
+    return [
+        f"negative weights guaranteed in the period-{flag.t} reduced form "
+        f"(first stage decreases at k={flag.decreasing_k})"
+        for flag in negative_weight_diagnostic(est)
+        if flag.status is NegativeWeightStatus.GUARANTEED
+    ]
 
 
 def _tight_declared(assume):
@@ -139,38 +144,32 @@ def _tight_declared(assume):
     return CROSS_GROUP_HOMOGENEITY in assume or NO_LATE_SWITCHERS in assume
 
 
-def _report(command, inputs, outputs, assume=(), warnings=()):
-    return {
-        "schema_version": reporting.REPORT_SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "assume": list(assume),
-        "warnings": list(warnings),
-        "outputs": outputs,
-    }
-
-
-def _emit(report, json_path):
+def _finish(command, json_path, inputs, outputs, lines=(), assume=(), warnings=()):
+    """End a subcommand: echo ``lines``, then each warning, then write the ``--json``
+    report (schema version, command, inputs, assumptions, warnings, outputs)."""
+    for line in [*lines, *(f"warning: {text}" for text in warnings)]:
+        click.echo(line)
     if json_path:
+        report = {
+            "schema_version": reporting.REPORT_SCHEMA_VERSION,
+            "command": command,
+            "inputs": inputs,
+            "assume": list(assume),
+            "warnings": list(warnings),
+            "outputs": outputs,
+        }
         reporting.dump(report, json_path)
 
 
-def _echo_estimands_table(est):
+def _estimands_table(est):
     headers = ["t", "rf", "fs", "iv", "rho", "switch_z0", "switch_z1"]
-    rows = []
-    for t in range(1, est.T + 1):
-        rows.append(
-            [
-                str(t),
-                fnum(est.rf_at(t)),
-                fnum(est.fs_at(t)),
-                fnum(est.iv_at(t)),
-                fnum(est.rho_at(t)) if t >= 2 else "-",
-                fnum(est.switch_at(t, 0)) if t >= 2 else "-",
-                fnum(est.switch_at(t, 1)) if t >= 2 else "-",
-            ]
-        )
-    click.echo(render_table(headers, rows))
+    rows = [
+        [str(t), fnum(est.rf_at(t)), fnum(est.fs_at(t)), fnum(est.iv_at(t))]
+        + ([fnum(est.rho_at(t)), fnum(est.switch_at(t, 0)), fnum(est.switch_at(t, 1))]
+           if t >= 2 else ["-"] * 3)
+        for t in range(1, est.T + 1)
+    ]
+    return render_table(headers, rows)
 
 
 @cli.command()
@@ -179,16 +178,16 @@ def _echo_estimands_table(est):
 @json_opt
 def check(panel_path, dgp_path, json_path):
     """Validate a panel or DGP spec and report assumption diagnostics."""
-    panel, spec = _load_inputs(panel_path, dgp_path)
-    inputs = {"panel": panel_path, "dgp": dgp_path}
+    panel, spec, _ = _load_inputs(panel_path, dgp_path)
     if panel is not None:
         diag = check_assumptions(panel)
         outputs = {"diagnostics": reporting.diagnostics_to_dict(diag)}
-        click.echo(f"panel ok: n={diag.n} T={diag.T} (z=1: {diag.n_z1}, z=0: {diag.n_z0})")
-        click.echo(f"sample fs_1 = {fnum(diag.fs1)}"
-                   + ("" if diag.relevance_ok else "  [relevance FAILS]"))
-        for note in diag.notes:
-            click.echo(f"note: {note}")
+        lines = [
+            f"panel ok: n={diag.n} T={diag.T} (z=1: {diag.n_z1}, z=0: {diag.n_z0})",
+            f"sample fs_1 = {fnum(diag.fs1)}"
+            + ("" if diag.relevance_ok else "  [relevance FAILS]"),
+            *(f"note: {note}" for note in diag.notes),
+        ]
         warnings = [] if diag.relevance_ok else ["relevance at t=1 fails (fs_1 = 0)"]
     else:
         outputs = {
@@ -202,16 +201,14 @@ def check(panel_path, dgp_path, json_path):
                 "cross_group_homogeneity": dgp_mod.check_cross_group_homogeneity(spec),
             }
         }
-        click.echo(
-            f"spec ok: T={spec.T} histories={len(spec.histories)} "
-            f"P(C1)={fnum(spec.p_c1)}"
-        )
-        click.echo(
+        lines = [
+            f"spec ok: T={spec.T} histories={len(spec.histories)} P(C1)={fnum(spec.p_c1)}",
             "calendar homogeneity: "
-            + ("holds" if outputs["spec"]["calendar_homogeneity"] else "does not hold")
-        )
+            + ("holds" if outputs["spec"]["calendar_homogeneity"] else "does not hold"),
+        ]
         warnings = []
-    _emit(_report("check", inputs, outputs, warnings=warnings), json_path)
+    inputs = {"panel": panel_path, "dgp": dgp_path}
+    _finish("check", json_path, inputs, outputs, lines, warnings=warnings)
 
 
 @cli.command()
@@ -220,18 +217,14 @@ def check(panel_path, dgp_path, json_path):
 @json_opt
 def estimate(panel_path, dgp_path, json_path):
     """Per-period reduced forms, first stages, and IV ratios."""
-    panel, spec = _load_inputs(panel_path, dgp_path)
-    est = _estimands(panel, spec)
-    warnings = _negative_weight_warnings(est)
+    _, _, est = _load_inputs(panel_path, dgp_path)
     outputs = {
         "estimands": reporting.estimands_to_dict(est),
         "negative_weight_flags": reporting.flags_to_dicts(negative_weight_diagnostic(est)),
     }
-    _echo_estimands_table(est)
-    for w in warnings:
-        click.echo(f"warning: {w}")
     inputs = {"panel": panel_path, "dgp": dgp_path}
-    _emit(_report("estimate", inputs, outputs, warnings=warnings), json_path)
+    _finish("estimate", json_path, inputs, outputs, [_estimands_table(est)],
+            warnings=_negative_weight_warnings(est))
 
 
 @cli.command()
@@ -242,23 +235,17 @@ def estimate(panel_path, dgp_path, json_path):
 def identify(panel_path, dgp_path, assume, json_path):
     """Identify the effect-by-exposure profile (needs --assume calendar-homogeneity)."""
     if CALENDAR_HOMOGENEITY not in assume:
-        raise AssumptionRequired(
-            f"identification requires --assume {CALENDAR_HOMOGENEITY}"
-        )
-    panel, spec = _load_inputs(panel_path, dgp_path)
-    est = _estimands(panel, spec)
+        raise AssumptionRequired(f"identification requires --assume {CALENDAR_HOMOGENEITY}")
+    _, _, est = _load_inputs(panel_path, dgp_path)
     prof = identify_fn(est)
-    warnings = list(prof.warnings) + _negative_weight_warnings(est)
     outputs = {
         "estimands": reporting.estimands_to_dict(est),
         "profile": reporting.profile_to_dict(prof),
     }
     rows = [[str(tau), fnum(v)] for tau, v in enumerate(prof.deltas)]
-    click.echo(render_table(["exposure", "delta"], rows))
-    for w in warnings:
-        click.echo(f"warning: {w}")
     inputs = {"panel": panel_path, "dgp": dgp_path}
-    _emit(_report("identify", inputs, outputs, assume=assume, warnings=warnings), json_path)
+    _finish("identify", json_path, inputs, outputs, [render_table(["exposure", "delta"], rows)],
+            assume, [*prof.warnings, *_negative_weight_warnings(est)])
 
 
 @cli.command()
@@ -270,8 +257,7 @@ def identify(panel_path, dgp_path, assume, json_path):
 @json_opt
 def bounds(panel_path, dgp_path, period, effect_bounds, assume, json_path):
     """Partial-identification intervals for the dynamic effects."""
-    panel, spec = _load_inputs(panel_path, dgp_path)
-    est = _estimands(panel, spec)
+    panel, spec, est = _load_inputs(panel_path, dgp_path)
     if effect_bounds is None:
         if panel is not None:
             effect_bounds = outcome_range_bounds(panel)
@@ -282,27 +268,15 @@ def bounds(panel_path, dgp_path, period, effect_bounds, assume, json_path):
     tight_declared = _tight_declared(assume)
     methods = selected_methods(lo, hi, tight_declared)
     reports = [bound_report(m, est, t, lo, hi) for t in periods for m in methods]
-    warnings = []
-    if not tight_declared:
-        warnings.append(
-            "tight bounds skipped: declare --assume cross-group-homogeneity "
-            "or --assume no-late-switchers"
-        )
-    outputs = {"bounds": [reporting.bounds_to_dict(r) for r in reports]}
-    rows = [
-        [str(r.t), r.method, fnum(r.lower), fnum(r.upper)]
-        for r in reports
+    warnings = [] if tight_declared else [
+        "tight bounds skipped: declare --assume cross-group-homogeneity "
+        "or --assume no-late-switchers"
     ]
-    click.echo(render_table(["t", "method", "lower", "upper"], rows))
-    for w in warnings:
-        click.echo(f"warning: {w}")
-    inputs = {
-        "panel": panel_path,
-        "dgp": dgp_path,
-        "period": period,
-        "bounds": [lo, hi],
-    }
-    _emit(_report("bounds", inputs, outputs, assume=assume, warnings=warnings), json_path)
+    outputs = {"bounds": [reporting.bounds_to_dict(r) for r in reports]}
+    rows = [[str(r.t), r.method, fnum(r.lower), fnum(r.upper)] for r in reports]
+    inputs = {"panel": panel_path, "dgp": dgp_path, "period": period, "bounds": [lo, hi]}
+    _finish("bounds", json_path, inputs, outputs,
+            [render_table(["t", "method", "lower", "upper"], rows)], assume, warnings)
 
 
 @cli.command()
@@ -311,31 +285,20 @@ def bounds(panel_path, dgp_path, period, effect_bounds, assume, json_path):
 @json_opt
 def decompose(dgp_path, period, json_path):
     """Exact latent-group decomposition of a period's reduced form."""
-    if not dgp_path:
-        raise click.UsageError("--dgp is required")
-    spec = dgp_mod.load_spec(dgp_path)
+    spec = dgp_mod.load_spec(_required(dgp_path, "--dgp"))
     neg = dgp_mod.negative_weight_report(spec, period)
     rep = neg.decomposition
     headers = ["group", "switch", "exposure", "sign", "prob", "effect", "signed", "weight"]
-    rows = []
-    for x in rep.all_terms:
-        rows.append(
-            [
-                str(x.label),
-                str(x.switch_period),
-                str(x.exposure),
-                "+" if x.sign > 0 else "-",
-                fnum(x.probability),
-                fnum(x.effect),
-                fnum(x.signed_value),
-                fnum(x.weight),
-            ]
-        )
-    click.echo(render_table(headers, rows))
-    click.echo(
+    rows = [
+        [str(x.label), str(x.switch_period), str(x.exposure), "+" if x.sign > 0 else "-",
+         fnum(x.probability), fnum(x.effect), fnum(x.signed_value), fnum(x.weight)]
+        for x in rep.all_terms
+    ]
+    lines = [
+        render_table(headers, rows),
         f"rf[{rep.t}] = {fnum(rep.rf_t)} (reconstructed {fnum(rep.reconstructed_rf)}); "
-        f"fs[{rep.t}] = {fnum(rep.fs_t)} (reconstructed {fnum(rep.reconstructed_fs)})"
-    )
+        f"fs[{rep.t}] = {fnum(rep.fs_t)} (reconstructed {fnum(rep.reconstructed_fs)})",
+    ]
     warnings = []
     if neg.entries:
         warnings.append(
@@ -344,14 +307,12 @@ def decompose(dgp_path, period, json_path):
         )
     if not neg.iv_defined:
         warnings.append(f"iv undefined at t={period} (fs_t = 0)")
-    for w in warnings:
-        click.echo(f"warning: {w}")
     outputs = {
         "decomposition": reporting.decomposition_to_dict(rep),
         "negative_weights": reporting.negative_weights_to_dict(neg),
     }
     inputs = {"dgp": dgp_path, "period": period}
-    _emit(_report("decompose", inputs, outputs, warnings=warnings), json_path)
+    _finish("decompose", json_path, inputs, outputs, lines, warnings=warnings)
 
 
 @cli.command("simulate")
@@ -363,19 +324,18 @@ def decompose(dgp_path, period, json_path):
 @json_opt
 def simulate_cmd(dgp_path, n, seed, out_path, json_path):
     """Draw a panel from a DGP spec and write it as CSV."""
-    if not dgp_path:
-        raise click.UsageError("--dgp is required")
-    spec = dgp_mod.load_spec(dgp_path)
+    spec = dgp_mod.load_spec(_required(dgp_path, "--dgp"))
     panel = simulate.draw_panel(spec, n, seed)
+    lines = []
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             serialize(panel, fh)
-        click.echo(f"wrote {panel.n} units x {panel.T} periods to {out_path}")
+        lines.append(f"wrote {panel.n} units x {panel.T} periods to {out_path}")
     else:
         click.echo(serialize(panel), nl=False)
     inputs = {"dgp": dgp_path, "n": n, "seed": seed, "out": out_path}
     outputs = {"n": panel.n, "T": panel.T, "n_z1": panel.n_z1, "n_z0": panel.n_z0}
-    _emit(_report("simulate", inputs, outputs), json_path)
+    _finish("simulate", json_path, inputs, outputs, lines)
 
 
 @cli.command()
@@ -391,9 +351,7 @@ def simulate_cmd(dgp_path, n, seed, out_path, json_path):
 @json_opt
 def montecarlo(dgp_path, n, reps, seed, targets, effect_bounds, threads, json_path):
     """Monte Carlo study of the estimators against the population oracle."""
-    if not dgp_path:
-        raise click.UsageError("--dgp is required")
-    spec = dgp_mod.load_spec(dgp_path)
+    spec = dgp_mod.load_spec(_required(dgp_path, "--dgp"))
     lo, hi = effect_bounds if effect_bounds else (None, None)
     summary = simulate.monte_carlo(
         spec, n=n, reps=reps, seed=seed, targets=targets, lo=lo, hi=hi, threads=threads
@@ -404,13 +362,9 @@ def montecarlo(dgp_path, n, reps, seed, targets, effect_bounds, threads, json_pa
          str(r.n_ok), str(r.n_failed)]
         for r in summary.rows
     ]
-    click.echo(render_table(headers, rows))
     outputs = {"monte_carlo": reporting.monte_carlo_to_dict(summary)}
-    inputs = {
-        "dgp": dgp_path, "n": n, "reps": reps, "seed": seed,
-        "targets": list(targets),
-    }
-    _emit(_report("montecarlo", inputs, outputs), json_path)
+    inputs = {"dgp": dgp_path, "n": n, "reps": reps, "seed": seed, "targets": list(targets)}
+    _finish("montecarlo", json_path, inputs, outputs, [render_table(headers, rows)])
 
 
 @cli.command("bootstrap")
@@ -427,9 +381,7 @@ def montecarlo(dgp_path, n, reps, seed, targets, effect_bounds, threads, json_pa
 @json_opt
 def bootstrap_cmd(panel_path, reps, alpha, seed, effect_bounds, assume, threads, json_path):
     """Unit-level percentile bootstrap intervals for all reported estimands."""
-    if not panel_path:
-        raise click.UsageError("--panel is required")
-    panel = ingest(panel_path)
+    panel = ingest(_required(panel_path, "--panel"))
     lo, hi = effect_bounds if effect_bounds else (None, None)
     identified = CALENDAR_HOMOGENEITY in assume
     res = inference.bootstrap(
@@ -437,11 +389,9 @@ def bootstrap_cmd(panel_path, reps, alpha, seed, effect_bounds, assume, threads,
         targets=("estimands",) + ("identify",) * identified + ("bounds",),
         include_tight=_tight_declared(assume), threads=threads,
     )
-    warnings = []
-    if not identified:
-        warnings.append(
-            "identified profile skipped: declare --assume calendar-homogeneity"
-        )
+    warnings = [] if identified else [
+        "identified profile skipped: declare --assume calendar-homogeneity"
+    ]
     if res.n_failed_resamples:
         warnings.append(
             f"{res.n_failed_resamples} of {reps} resamples failed the relevance screen"
@@ -451,15 +401,13 @@ def bootstrap_cmd(panel_path, reps, alpha, seed, effect_bounds, assume, threads,
         [t.name, fnum(t.point), fnum(t.lower), fnum(t.upper), str(t.n_ok), str(t.n_failed)]
         for t in res.targets
     ]
-    click.echo(render_table(headers, rows))
-    for w in warnings:
-        click.echo(f"warning: {w}")
     outputs = {"bootstrap": reporting.bootstrap_to_dict(res)}
     inputs = {
         "panel": panel_path, "reps": reps, "alpha": alpha, "seed": seed,
         "bounds": None if res.lo is None else [res.lo, res.hi],
     }
-    _emit(_report("bootstrap", inputs, outputs, assume=assume, warnings=warnings), json_path)
+    _finish("bootstrap", json_path, inputs, outputs, [render_table(headers, rows)],
+            assume, warnings)
 
 
 def main(argv=None) -> int:
@@ -469,10 +417,7 @@ def main(argv=None) -> int:
         return 0
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        click.echo(f"error[E_ARGS]: {exc.format_message()}", err=True)
-        return 2
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # UsageError and BadParameter among them
         click.echo(f"error[E_ARGS]: {exc.format_message()}", err=True)
         return 2
     except DynlateError as exc:

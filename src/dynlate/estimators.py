@@ -131,17 +131,20 @@ def identify_rows(rf: np.ndarray, fs: np.ndarray) -> np.ndarray:
     reduced form corrected by the already-identified shorter-exposure
     effects, scaled by 1/fs_1. ``rf`` and ``fs`` are (rows, T); every row
     is solved independently, so one call serves a point estimate and a
-    whole set of bootstrap resamples.
+    whole set of bootstrap resamples. Each exposure divides by fs_1 once
+    more, so a small |fs_1| over many periods overflows; such a row holds
+    infinities or NaN, which callers test for.
     """
     T = rf.shape[1]
     fs1 = fs[:, 0]
     rho = fs[:, :-1] - fs[:, 1:]
     delta = np.empty_like(rf)
-    for t in range(1, T + 1):
-        acc = rf[:, t - 1].copy()
-        for k in range(2, t + 1):
-            acc += rho[:, k - 2] * delta[:, t - k]
-        delta[:, t - 1] = acc / fs1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            acc = rf[:, t - 1].copy()
+            for k in range(2, t + 1):
+                acc += rho[:, k - 2] * delta[:, t - k]
+            delta[:, t - 1] = acc / fs1
     return delta
 
 
@@ -149,9 +152,16 @@ def identify(est: EstimandSet) -> IdentifiedProfile:
     """Solve the recursion of :func:`identify_rows` for one estimand set.
 
     Only first-period relevance is required; later first stages may vanish.
+    A profile that overflows is refused.
     """
     fs1 = _require_nonzero_fs1(est)
-    deltas = tuple(identify_rows(np.array([est.rf]), np.array([est.fs]))[0].tolist())
+    solved = identify_rows(np.array([est.rf]), np.array([est.fs]))[0]
+    if not np.isfinite(solved).all():
+        raise RelevanceFailure(
+            f"identified profile overflows: |fs_1| = {abs(fs1):.3g} is too small"
+            f" for T = {est.T} periods"
+        )
+    deltas = tuple(solved.tolist())
     residual = max(
         abs(
             fs1 * deltas[t - 1]
@@ -192,10 +202,6 @@ class BoundsReport:
     switch_z1_t: float | None = None
     fs_path: tuple[float, ...] | None = None
     assumes: tuple[str, ...] = ()
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lower - slack <= value <= self.upper + slack
@@ -371,7 +377,8 @@ def target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight=True, kind="
     rows where the scalar estimators define the target under the zero rule
     of ``kind`` estimands: iv[t] needs a nonzero fs_t, delta[tau] a nonzero
     fs_1, and bounds a positive fs_1. :func:`target_row` passes the kind
-    of an :class:`~dynlate.estimands.EstimandSet`.
+    of an :class:`~dynlate.estimands.EstimandSet`. A value that is not
+    finite, such as a delta whose recursion overflowed, is never ok.
     """
     targets = tuple(targets)
     if not targets:
@@ -402,7 +409,7 @@ def target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight=True, kind="
                     lower, upper = bound_rows(method, rf, fs, sw0, sw1, t, lo, hi)
                     columns.append((f"{method}_lower[{t}]", lower, positive))
                     columns.append((f"{method}_upper[{t}]", upper, positive))
-    return columns
+    return [(name, values, ok & np.isfinite(values)) for name, values, ok in columns]
 
 
 def target_row(est: EstimandSet, targets, lo, hi, include_tight=True):

@@ -166,7 +166,9 @@ def bootstrap(
 
     Resamples with a zero first stage at t=1 (or an empty arm) are
     dropped and counted, mirroring the maintained relevance condition;
-    resamples where only fs_t = 0 for t >= 2 are dropped for iv_t alone.
+    resamples where only fs_t = 0 for t >= 2 are dropped for iv_t alone,
+    and a target that is not finite in a resample (an overflowing delta)
+    is dropped for that target alone.
     Effect bounds default to the observed outcome range of the original
     panel and stay fixed across resamples so that every resample
     evaluates the same functional. ``include_tight=False`` leaves out the

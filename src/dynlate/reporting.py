@@ -3,11 +3,13 @@
 JSON output is written by a small dedicated serializer so that floats are
 rendered with 17 significant digits (lossless round-trip) and byte-for-byte
 stable across runs. Report dictionaries are built in a fixed key order.
+A float that is not finite has no JSON text and is refused.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 from .dgp import DecompositionReport, NegativeWeightReport
@@ -47,6 +49,8 @@ def _write(obj, out: list[str], level: int) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite float {obj!r} to JSON")
         out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))

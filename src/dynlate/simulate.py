@@ -192,10 +192,10 @@ def monte_carlo(
     """Repeatedly draw samples and summarize estimator error against the oracle.
 
     Estimator failures inside a replication (a single instrument arm,
-    undefined IV, zero first stage) drop that replication for the
-    affected targets only and are counted per target. Default effect
-    bounds come from the spec's own contaminating-effect envelope.
-    The oracle is the one-row target table of the population estimands,
+    undefined IV, zero first stage, a value that is not finite) drop
+    that replication for the affected targets only and are counted per
+    target. Default effect bounds come from the spec's own
+    contaminating-effect envelope. The oracle is the one-row target table of the population estimands,
     under the population zero rule; a target it leaves undefined has no
     row. Replications run through :func:`_fill_rows` on the workers
     :func:`_worker_count` allows with ``_MC_MIN_N`` and ``_MC_MIN_UNITS``.

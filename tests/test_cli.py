@@ -11,13 +11,38 @@ from dynlate import inference, simulate
 from dynlate.cli import main
 from dynlate.panel import ingest
 
-from conftest import GOLDEN_DIR
+from conftest import DATA_DIR, GOLDEN_DIR
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuse_constant(name):
+    """``parse_constant`` of a strict ``json.loads``: NaN and Infinity are not JSON."""
+    raise ValueError(f"non-finite constant {name} in a report")
+
+
+@pytest.fixture
+def weak_long_panel(tmp_path):
+    """fs_1 = 1/24 against rho_2 = 1 over T = 240 periods.
+
+    One of 24 z=1 units is treated from t=1, and all 4 z=0 units from t=2,
+    so each exposure of the identified profile grows about 24-fold and the
+    last ones pass the float range.
+    """
+    T, rows = 240, ["unit_id,period,z,d,y"]
+    for i in range(28):
+        z = int(i < 24)
+        start = 1 if i == 0 else 2 if z == 0 else T + 1
+        for t in range(1, T + 1):
+            d = int(t >= start)
+            rows.append(f"u{i},{t},{z},{d},{d + (i * t % 7) / 8}")
+    path = tmp_path / "weak.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
 
 
 class TestErrorContract:
@@ -95,12 +120,20 @@ class TestErrorContract:
             ("montecarlo", "--dgp", "SPEC", "--n", "10", "--reps", "2", "--targets", ","),
             ("montecarlo", "--dgp", "SPEC", "--n", "10", "--reps", "2", "--threads", "0"),
             ("bootstrap", "--panel", "PANEL", "--reps", "10", "--threads", "-1"),
+            ("simulate", "--dgp", "SPEC", "--n", "5", "--seed", "-1"),
+            ("montecarlo", "--dgp", "SPEC", "--n", "10", "--reps", "2", "--seed", "-3"),
+            ("bootstrap", "--panel", "PANEL", "--reps", "10", "--seed", "-1"),
+            ("DYNLATE_SEED=-4", "simulate", "--dgp", "SPEC", "--n", "5"),
+            ("DYNLATE_SEED=-4", "montecarlo", "--dgp", "SPEC", "--n", "10", "--reps", "2"),
+            ("DYNLATE_SEED=-4", "bootstrap", "--panel", "PANEL", "--reps", "10"),
         ],
     )
-    def test_out_of_range_option(self, capsys, spec_file, small_panel_csv, argv):
+    def test_out_of_range_option(self, capsys, monkeypatch, spec_file, small_panel_csv, argv):
         files = {"SPEC": spec_file, "PANEL": small_panel_csv}
-        seed = () if argv[0] == "bounds" else ("--seed", "1")  # bounds takes no seed
-        code, _, err = run(capsys, *(files.get(a, a) for a in argv), *seed)
+        # the seed comes from DYNLATE_SEED unless the row passes --seed; bounds takes none
+        env, argv = (argv[0], argv[1:]) if "=" in argv[0] else ("DYNLATE_SEED=1", argv)
+        monkeypatch.setenv(*env.split("="))
+        code, _, err = run(capsys, *(files.get(a, a) for a in argv))
         assert code == 2
         assert err.startswith("error[E_ARGS]:")
         assert err.count("\n") == 1
@@ -179,6 +212,19 @@ class TestIdentify:
         # forward substitution: 0.625/0.5; (0.78125 + 0.25*1.25)/0.5
         assert deltas == pytest.approx([1.25, 2.1875])
         assert doc["assume"] == ["calendar-homogeneity"]
+
+    def test_overflowing_profile_is_refused(self, capsys, weak_long_panel, tmp_path):
+        report = tmp_path / "id.json"
+        code, out, err = run(
+            capsys, "identify", "--panel", weak_long_panel,
+            "--assume", "calendar-homogeneity", "--json", str(report),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error[E_RELEVANCE]: identified profile overflows: |fs_1| = 0.0417 is too small"
+            " for T = 240 periods\n"
+        )
+        assert not report.exists()
 
     def test_population_identify(self, capsys, spec_file):
         code, out, _ = run(
@@ -343,6 +389,21 @@ class TestBootstrapCommand:
         assert "delta[1]" in names
         assert "tight_lower[2]" in names
 
+    def test_overflowing_resamples_count_as_failed(self, capsys, weak_long_panel, tmp_path):
+        report = tmp_path / "boot.json"
+        code, out, err = run(
+            capsys, "bootstrap", "--panel", weak_long_panel, "--reps", "20", "--seed", "1",
+            "--assume", "calendar-homogeneity", "--json", str(report),
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(report.read_text(), parse_constant=_refuse_constant)
+        boot = doc["outputs"]["bootstrap"]
+        late = next(t for t in boot["targets"] if t["name"] == "delta[239]")
+        # the point profile overflows, and so do most resamples that pass the relevance screen
+        assert late["point"] is None
+        assert late["n_failed"] > boot["n_failed_resamples"]
+        assert late["n_ok"] + late["n_failed"] == 20
+
     def test_thread_invariance(self, capsys, small_panel_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         base = ["bootstrap", "--panel", small_panel_csv, "--reps", "30", "--seed", "7"]
@@ -478,3 +539,36 @@ class TestGoldenReports:
         a = self._current(capsys, tmp_path, "a", ["estimate", "--panel", small_panel_csv])
         b = self._current(capsys, tmp_path, "b", ["estimate", "--panel", small_panel_csv])
         assert a == b
+
+
+_SMALL = str(DATA_DIR / "panel_small.csv")
+_SIX = str(GOLDEN_DIR / "spec_t4_six_history.json")
+STDOUT_GOLDENS = {
+    "check_panel": ["check", "--panel", _SMALL],
+    # fs_1 = 0: the relevance warning is echoed, as every command echoes its warnings
+    "check_panel_zero_fs1": ["check", "--panel", str(DATA_DIR / "panel_zero_fs1.csv")],
+    "check_dgp": ["check", "--dgp", _SIX],
+    "estimate_panel": ["estimate", "--panel", _SMALL],
+    "estimate_dgp": ["estimate", "--dgp", _SIX],
+    "identify_panel": ["identify", "--panel", _SMALL, "--assume", "calendar-homogeneity"],
+    "identify_dgp": ["identify", "--dgp", _SIX, "--assume", "calendar-homogeneity"],
+    "bounds_panel": ["bounds", "--panel", _SMALL],
+    "bounds_dgp": ["bounds", "--dgp", _SIX, "--assume", "cross-group-homogeneity"],
+    "decompose_dgp": ["decompose", "--dgp", str(GOLDEN_DIR / "spec_t4_all_histories.json"),
+                      "--period", "4"],
+    "montecarlo_dgp": ["montecarlo", "--dgp", _SIX, "--n", "3000", "--reps", "40",
+                       "--seed", "11"],
+    "bootstrap_panel": ["bootstrap", "--panel", _SMALL, "--reps", "25", "--seed", "2"],
+    "bootstrap_panel_assumed": [
+        "bootstrap", "--panel", _SMALL, "--reps", "200", "--seed", "16",
+        "--assume", "calendar-homogeneity,cross-group-homogeneity",
+    ],
+}
+"""Commands whose stdout is pinned in ``golden/stdout/<name>.txt``."""
+
+
+@pytest.mark.parametrize("name", STDOUT_GOLDENS)
+def test_stdout_golden(capsys, name):
+    code, out, err = run(capsys, *STDOUT_GOLDENS[name])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "stdout" / f"{name}.txt").read_bytes().decode()

@@ -23,6 +23,7 @@ from dynlate.errors import (
 from dynlate.estimands import EstimandSet
 from dynlate.estimators import (
     NegativeWeightStatus,
+    _one_row,
     arm_sums,
     bound_report,
     bound_rows,
@@ -37,6 +38,7 @@ from dynlate.estimators import (
     negative_weight_diagnostic,
     outcome_range_bounds,
     selected_methods,
+    target_columns,
     target_row,
 )
 from dynlate.latent import NEVER, AdoptionPair
@@ -212,6 +214,11 @@ def test_arm_sums_equal_summed_features(sample):
         assert np.isnan(rf).all() and np.isnan(fs).all()
 
 
+# |rho| = 0.9 against fs_1 = 1e-6: each exposure grows about 1e6-fold, past
+# the float range well before T = 70
+OVERFLOWING = make_est(rf=(1.0,) * 70, fs=(1e-6,) + (0.9, 0.0) * 34 + (0.9,))
+
+
 class TestIdentify:
     def test_two_period_example(self):
         prof = identify(make_est(rf=(0.2, 0.1), fs=(0.5, 0.3)))
@@ -274,6 +281,21 @@ class TestIdentify:
     def test_assumption_echoed(self):
         prof = identify(make_est(rf=(0.2,), fs=(0.5,)))
         assert "calendar-homogeneity" in prof.assumes
+
+    def test_overflowing_profile_is_refused(self):
+        with pytest.raises(RelevanceFailure, match=r"\|fs_1\| = 1e-06 .* T = 70 "):
+            identify(OVERFLOWING)
+
+
+def test_target_columns_never_mark_a_non_finite_value_ok():
+    finite = make_est(rf=(1.0,) * 70, fs=(0.5,) * 70)
+    rows = (np.concatenate(pair) for pair in zip(_one_row(finite), _one_row(OVERFLOWING)))
+    table = target_columns(*rows, ("estimands", "identify", "bounds"), -1, 1)
+    for name, values, ok in table:
+        assert ok.tolist() == np.isfinite(values).tolist(), name
+    ok = {name: ok.tolist() for name, _, ok in table}
+    assert ok["delta[0]"] == [True, True]
+    assert ok["delta[69]"] == [True, False]
 
 
 EPS = np.finfo(np.float64).eps

@@ -37,6 +37,13 @@ def test_dumps_rejects_unknown_types():
         dumps({1: "non-string key"})
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_dumps_refuses_non_finite_floats(x):
+    # JSON has no text for them; a strict parser rejects Python's
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps({"x": [1.0, x]})
+
+
 def test_render_table_alignment():
     out = render_table(["a", "bb"], [["1", "2"], ["333", "4"]])
     lines = out.split("\n")
