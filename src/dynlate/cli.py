@@ -25,6 +25,7 @@ from .estimators import (
     KNOWN_ASSUMPTIONS,
     NO_LATE_SWITCHERS,
     NegativeWeightStatus,
+    amplification_warnings,
     bound_report,
     estimate as estimate_fn,
     identify as identify_fn,
@@ -389,9 +390,10 @@ def bootstrap_cmd(panel_path, reps, alpha, seed, effect_bounds, assume, threads,
         targets=("estimands",) + ("identify",) * identified + ("bounds",),
         include_tight=_tight_declared(assume), threads=threads,
     )
-    warnings = [] if identified else [
-        "identified profile skipped: declare --assume calendar-homogeneity"
-    ]
+    warnings = (
+        list(amplification_warnings(estimate_fn(panel).fs)) if identified
+        else ["identified profile skipped: declare --assume calendar-homogeneity"]
+    )
     if res.n_failed_resamples:
         warnings.append(
             f"{res.n_failed_resamples} of {reps} resamples failed the relevance screen"

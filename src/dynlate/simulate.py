@@ -2,12 +2,17 @@
 
 Replication r always draws from a stream seeded by (seed, r), so its
 draws depend on nothing but the seed and its index. A study builds one
-stacked table of treatment paths and outcome means per (arm, history)
-pair; each draw takes a history, an arm and the noise from its stream
-(in that order) and reads its units' rows of the table in one gather.
-Replications draw plain (z, d, y) arrays, skip the panel layer, write
-their :func:`~dynlate.estimators.arm_sums` moment rows into one array,
-and are evaluated together as rows of one
+table of its (arm, history) cells once: the histories' inverse CDF and
+each cell's treatment path, outcome means and moment features. Each draw
+takes a history, an arm and the noise from its stream (in that order),
+the draws of ``Generator.choice``, ``random`` and ``normal``. A panel
+reads its units' paths and means off the table. A Monte Carlo
+replication gathers no panel: the integer columns of its moment row are
+its cell counts times the cell features, and its y columns each arm's
+outcomes added unit by unit in draw order
+(:func:`~dynlate.estimators.unit_sums`), so the row has the bits of
+:func:`~dynlate.estimators.arm_sums` of the drawn (z, d, y). The rows go
+into one array and are evaluated together as rows of one
 :func:`~dynlate.estimators.target_columns` table. Worker threads fill
 contiguous ranges of those rows; a row depends only on (spec, n, seed, r),
 so every result is the same for any thread count. The oracle is the
@@ -27,7 +32,8 @@ import numpy as np
 
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
 from .errors import DegenerateInstrument
-from .estimators import ALL_TARGETS, arm_sums, moment_estimands, target_columns, target_row
+from .estimators import ALL_TARGETS, moment_estimands, moment_features, target_columns
+from .estimators import target_row, unit_sums
 from .panel import UNIT_ID_DTYPE, Panel
 
 
@@ -81,52 +87,138 @@ def _fill_rows(fill, reps: int, workers: int, block: int | None = None, then=Non
 
 _MC_MIN_N = 4096
 """Sample size from which Monte Carlo replications go to worker threads.
-Two threads over one, reps=100, medians of 9 alternating runs on 2
-vCPUs: 1.85 at n=1000, 1.21 at 2000, 0.88 at 3000, 0.87 at 4000, 0.82
-at 5000 and 0.63 at 1e4."""
+Two threads over one, pool forced on, reps=100, medians of 15-21
+alternating in-process pairs on 2 vCPUs (T=4): 1.25 at n=1000, 1.14 at
+2000, 0.91-0.94 at 3000 (upper quartile 1.00), 0.76 at 4096, 0.77 at 5000
+and 0.62 at 1e4; at 3e5 draws, 1.06 at n=1000 and 1.16 at 2000."""
 
-_MC_MIN_UNITS = 100_000
-"""Unit draws (replications times n) per Monte Carlo worker. Two threads
-over one, medians of 15-21 alternating in-process pairs on 2 vCPUs: 20k
-draws 1.24 (n=1e4, reps=2) and 1.48 (n=5000, reps=4); 40k draws 0.93
-(n=1e4), 1.04 (n=5000) and 1.04 (n=4096); 100k draws 1.20 (n=4096), 1.03
-(n=5000), 0.91 (n=8000) and 0.64 (n=5e4); 200k draws 0.79-0.92 from
-n=4096 to 1e4 and 0.70 at n=1e5."""
+_MC_MIN_UNITS = 150_000
+"""Unit draws (replications times n) per Monte Carlo worker. Timed as for
+``_MC_MIN_N``: 2-4 replications 1.21-1.97 at every n from 1000 to 1e4;
+2e5 draws 1.06 (n=4096), 1.01 (5000), 0.76 (8000) and 0.85 (1e4); 2.5e5
+draws 1.04 (4096), 0.87 (5000) and 0.75 (1e4); 3e5 draws 0.85 (4096),
+0.72 (5000) and 0.77 (1e4); 4e5 draws 0.70-0.83."""
 
 
-def _arm_table(spec: DgpSpec):
-    """Treatment paths (int8) and outcome means of every (arm, history) pair.
+_COUNT_MAX_HISTORIES = 64
+"""Most histories for which :func:`_histories` counts the CDF entries each
+uniform reaches, one comparison pass per entry; more go to a binary
+search. Counting against searching, per 10,000 units on 2 vCPUs: 28
+against 167 us at 6 histories, 173 against 469 us at 28, 409 against 615
+us at 60 and 832 against 716 us at 120."""
 
-    Both are (2H, T) with H = len(spec.histories); row z*H + h holds
-    history h in arm z.
+
+@dataclass(frozen=True)
+class _CellTable:
+    """What every draw of one study reads, built once per study.
+
+    H = len(spec.histories); cell z*H + h is history h in instrument arm z.
+
+    - ``cdf``: ``Generator.choice``'s inverse CDF of the history
+      probabilities, their cumulative sums over the total.
+    - ``d`` (int8) and ``mean``: the (2H, T) treatment paths and outcome
+      means of the cells. ``normal(0, sd)`` draws 0.0 + sd * x, so the
+      scaled standard normals added to ``mean`` give its bits once every
+      -0.0 mean is +0.0.
+    - ``features``: the (2H, 6T) :func:`~dynlate.estimators.moment_features`
+      of the cells with y = 0, as integers. Cell counts times it are the
+      integer columns of a moment row: an exact integer product, which
+      does not go through BLAS.
     """
+
+    cdf: np.ndarray
+    d: np.ndarray
+    mean: np.ndarray
+    features: np.ndarray
+
+
+def _cell_table(spec: DgpSpec) -> _CellTable:
+    """The :class:`_CellTable` of ``spec``."""
+    H = len(spec.histories)
+    cdf = np.array([h.prob for h in spec.histories], dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
     cells = [(h, h.pair.adoption(z)) for z in (0, 1) for h in spec.histories]
     periods = range(1, spec.T + 1)
     d_tab = np.array([[1 if a <= t else 0 for t in periods] for _, a in cells], dtype=np.int8)
     mean_tab = np.array(
         [[h.mean_outcome(t, a) for t in periods] for h, a in cells], dtype=np.float64
     )
-    return d_tab, mean_tab
+    mean_tab += 0.0  # -0.0 to +0.0
+    features = moment_features(np.repeat([0, 1], H), d_tab, np.zeros(mean_tab.shape))
+    return _CellTable(cdf, d_tab, mean_tab, features.astype(np.intp))
 
 
-def _draw_assignments(spec: DgpSpec, n: int, rng: np.random.Generator):
-    probs = np.array([h.prob for h in spec.histories], dtype=np.float64)
-    hist = rng.choice(len(probs), size=n, p=probs)
-    z = (rng.random(n) < spec.pz).astype(np.int8)
-    return hist, z
+def _histories(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The history of each uniform in ``u``: how many entries of ``cdf`` it reaches.
+
+    That is ``cdf.searchsorted(u, side="right")``, the index
+    ``Generator.choice`` reads off its uniforms. Up to
+    ``_COUNT_MAX_HISTORIES`` histories it is counted in uint8, one pass per
+    entry; the last entry is 1.0, which no uniform reaches.
+    """
+    if len(cdf) > _COUNT_MAX_HISTORIES:
+        return cdf.searchsorted(u, side="right")
+    hist = np.zeros(len(u), dtype=np.uint8)
+    for c in cdf[:-1]:
+        hist += u >= c
+    return hist
 
 
-def _draw_arrays(spec: DgpSpec, n: int, rng: np.random.Generator, table):
+class _Draws:
+    """One worker's arrays for samples of n units from one study.
+
+    :meth:`draw` takes each unit's latent history, then its arm, then its
+    outcome noise from ``rng``, the draws of ``rng.choice(H, size=n,
+    p=probs)``, ``rng.random(n) < pz`` and ``rng.normal(0, sd, (n, T))``. It
+    leaves the arms in ``z`` (bool), the cells in ``cell`` and the outcomes
+    in ``y``; every later draw reuses the same arrays.
+    """
+
+    def __init__(self, spec: DgpSpec, table: _CellTable, n: int):
+        self.spec, self.table = spec, table
+        self.z = np.empty(n, dtype=bool)
+        self.cell = np.empty(n, dtype=np.intp)
+        self.y = np.empty((n, spec.T))
+        self.scratch = np.empty((n, spec.T))
+        self.u = self.scratch.reshape(-1)[:n]  # spent before the mean gather fills scratch
+
+    def draw(self, rng: np.random.Generator) -> None:
+        hist = _histories(rng.random(out=self.u), self.table.cdf)
+        np.less(rng.random(out=self.u), self.spec.pz, out=self.z)
+        np.multiply(self.z, len(self.table.cdf), out=self.cell)
+        self.cell += hist
+        rng.standard_normal(out=self.y)
+        self.y *= self.spec.noise_sd
+        # every index is in range; "clip" writes ``out`` directly, "raise" buffers it
+        self.y += self.table.mean.take(self.cell, axis=0, out=self.scratch, mode="clip")
+
+    def moment_row(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Draw, then write the sample's moment row into ``out``.
+
+        The integer columns are the cell counts times the table's features;
+        the y columns are each arm's :func:`~dynlate.estimators.unit_sums`,
+        so the row has the bits of ``arm_sums`` of the drawn (z, d, y).
+        """
+        self.draw(rng)
+        counts = np.bincount(self.cell, minlength=len(self.table.features))
+        np.matmul(counts, self.table.features, out=out)
+        T = self.spec.T
+        for j, arm in ((2, self.z), (2 + T, ~self.z)):
+            units = np.flatnonzero(arm)
+            rows = self.y.take(units, axis=0, out=self.scratch[: len(units)], mode="clip")
+            out[j : j + T] = unit_sums(rows)
+
+
+def _draw_arrays(spec: DgpSpec, n: int, rng: np.random.Generator, table: _CellTable):
     """(z, d, y) of n units: latent history, then arm, then outcomes plus noise.
 
-    ``table`` is ``_arm_table(spec)``; each unit reads one row of it.
+    ``table`` is ``_cell_table(spec)``; each unit reads one cell of it.
     """
-    hist, z = _draw_assignments(spec, n, rng)
-    y = rng.normal(0.0, spec.noise_sd, size=(n, spec.T))
-    d_tab, mean_tab = table
-    row = hist + len(spec.histories) * z.astype(np.intp)
-    y += mean_tab.take(row, axis=0)  # noise + mean: the bits of mean + noise
-    return z, d_tab.take(row, axis=0), y
+    draws = _Draws(spec, table, n)
+    draws.draw(rng)
+    z, cell, y = draws.z, draws.cell, draws.y
+    del draws  # the scratch rows go before d and z are allocated, which may reuse them
+    return z.astype(np.int8), table.d.take(cell, axis=0), y
 
 
 def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
@@ -140,7 +232,7 @@ def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z, d, y = _draw_arrays(spec, n, rng, _arm_table(spec))
+    z, d, y = _draw_arrays(spec, n, rng, _cell_table(spec))
     digits = np.arange(n).astype(UNIT_ID_DTYPE)
     ids = np.strings.add("u", np.strings.zfill(digits, len(str(n - 1))))
     return Panel.from_arrays(ids, z, d, y)
@@ -219,12 +311,13 @@ def monte_carlo(
     # and bounds target
     oracle = target_row(population_estimands(spec), targets, lo, hi)
 
-    table = _arm_table(spec)
+    table = _cell_table(spec)
     M = np.empty((reps, 6 * spec.T))
 
     def fill(start: int, stop: int) -> None:
+        draws = _Draws(spec, table, n)
         for r in range(start, stop):
-            M[r] = arm_sums(*_draw_arrays(spec, n, rep_rng(seed, r), table))
+            draws.moment_row(rep_rng(seed, r), M[r])
 
     _fill_rows(fill, reps, _worker_count(threads, reps, n, _MC_MIN_N, _MC_MIN_UNITS))
     both_arms, *moments = moment_estimands(M)

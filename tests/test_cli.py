@@ -25,24 +25,28 @@ def _refuse_constant(name):
     raise ValueError(f"non-finite constant {name} in a report")
 
 
-@pytest.fixture
-def weak_long_panel(tmp_path):
-    """fs_1 = 1/24 against rho_2 = 1 over T = 240 periods.
+def write_weak_panel(tmp_path, T):
+    """fs_1 = 1/24 against rho_2 = 1 over T periods.
 
     One of 24 z=1 units is treated from t=1, and all 4 z=0 units from t=2,
-    so each exposure of the identified profile grows about 24-fold and the
-    last ones pass the float range.
+    so each exposure of the identified profile grows about 24-fold.
     """
-    T, rows = 240, ["unit_id,period,z,d,y"]
+    rows = ["unit_id,period,z,d,y"]
     for i in range(28):
         z = int(i < 24)
         start = 1 if i == 0 else 2 if z == 0 else T + 1
         for t in range(1, T + 1):
             d = int(t >= start)
             rows.append(f"u{i},{t},{z},{d},{d + (i * t % 7) / 8}")
-    path = tmp_path / "weak.csv"
+    path = tmp_path / f"weak{T}.csv"
     path.write_text("\n".join(rows) + "\n")
     return str(path)
+
+
+@pytest.fixture
+def weak_long_panel(tmp_path):
+    """The weak panel over T = 240 periods: the last exposures pass the float range."""
+    return write_weak_panel(tmp_path, 240)
 
 
 class TestErrorContract:
@@ -225,6 +229,28 @@ class TestIdentify:
             " for T = 240 periods\n"
         )
         assert not report.exists()
+
+    def test_amplified_profile_warns(self, capsys, tmp_path):
+        # 12 periods: every delta is finite, and an rf error can grow 1e16-fold
+        panel, report = write_weak_panel(tmp_path, 12), tmp_path / "id.json"
+        code, out, err = run(
+            capsys, "identify", "--panel", panel,
+            "--assume", "calendar-homogeneity", "--json", str(report),
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(report.read_text(), parse_constant=_refuse_constant)
+        amplified = [w for w in doc["warnings"] if w.startswith("identification amplifies")]
+        assert len(amplified) == 1 and "e+16-fold" in amplified[0]
+        assert f"warning: {amplified[0]}\n" in out
+        for boot_args, warned in [(("--assume", "calendar-homogeneity"), True), ((), False)]:
+            code, out, err = run(
+                capsys, "bootstrap", "--panel", panel, "--reps", "20", "--seed", "1",
+                *boot_args, "--json", str(report),
+            )
+            assert (code, err) == (0, "")
+            doc = json.loads(report.read_text(), parse_constant=_refuse_constant)
+            assert (amplified[0] in doc["warnings"]) == warned
+            assert (f"warning: {amplified[0]}\n" in out) == warned
 
     def test_population_identify(self, capsys, spec_file):
         code, out, _ = run(

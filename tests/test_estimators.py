@@ -1,5 +1,6 @@
 """Sample estimands, recursive identification, bounds, and diagnostics."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,9 @@ from dynlate.errors import (
 )
 from dynlate.estimands import EstimandSet
 from dynlate.estimators import (
+    AMPLIFICATION_THRESHOLD,
     NegativeWeightStatus,
+    amplification,
     _one_row,
     arm_sums,
     bound_report,
@@ -38,6 +41,7 @@ from dynlate.estimators import (
     negative_weight_diagnostic,
     outcome_range_bounds,
     selected_methods,
+    unit_sums,
     target_columns,
     target_row,
 )
@@ -219,6 +223,17 @@ def test_arm_sums_equal_summed_features(sample):
 OVERFLOWING = make_est(rf=(1.0,) * 70, fs=(1e-6,) + (0.9, 0.0) * 34 + (0.9,))
 
 
+@pytest.mark.parametrize("T", range(1, 17))
+def test_unit_sums_have_the_bits_of_sum(T):
+    # one column sums pairwise, wider arms row by row: both as ``sum`` does
+    rng = np.random.default_rng(T)
+    y = rng.normal(0.3, 2.0, size=(200_000, T))
+    for m in (0, 1, 2, 7, 100, 4097, 20_000, 200_000):
+        arm = np.sort(rng.choice(len(y), size=m, replace=False))
+        want = y.take(arm, axis=0).sum(axis=0)
+        assert unit_sums(y.take(arm, axis=0)).tobytes() == want.tobytes()
+
+
 class TestIdentify:
     def test_two_period_example(self):
         prof = identify(make_est(rf=(0.2, 0.1), fs=(0.5, 0.3)))
@@ -277,6 +292,31 @@ class TestIdentify:
         prof = identify(make_est(rf=(0.001,), fs=(0.005,)))
         assert prof.deltas == pytest.approx((0.2,))
         assert prof.warnings
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 8])
+    def test_amplification_is_the_largest_row_sum_of_the_inverse(self, T):
+        rng = np.random.default_rng(T)
+        fs = rng.uniform(-1.0, 1.0, T)
+        fs[0] = rng.uniform(0.05, 1.0)
+        rho = fs[:-1] - fs[1:]
+        P = np.diag(np.full(T, fs[0]))
+        for t in range(T):
+            for k in range(2, t + 2):
+                P[t, t - k + 1] = -rho[k - 2]
+        want = np.abs(np.linalg.inv(P)).sum(axis=1).max()
+        assert amplification(fs) == pytest.approx(want, rel=1e-12)
+        assert amplification([fs[0]]) == pytest.approx(1.0 / fs[0], rel=1e-15)
+        assert amplification([0.0, *fs[1:]]) == math.inf
+
+    def test_large_amplification_warns(self):
+        # fs_1 = 0.1 against rho_2 = 1: row 2 of P^-1 sums to 1/0.1 + 1/0.01
+        prof = identify(make_est(rf=(0.1, 0.2), fs=(0.1, -0.9)))
+        assert amplification((0.1, -0.9)) > AMPLIFICATION_THRESHOLD
+        assert prof.warnings == (
+            "identification amplifies reduced-form errors up to 110-fold (largest row sum"
+            " of |P^-1| > 100); identified effects may be unstable",
+        )
+        assert identify(make_est(rf=(0.1, 0.2), fs=(0.5, 0.4))).warnings == ()
 
     def test_assumption_echoed(self):
         prof = identify(make_est(rf=(0.2,), fs=(0.5,)))

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynlate import inference, simulate
@@ -15,6 +15,7 @@ from dynlate.dgp import DgpSpec, HistorySpec, population_estimands
 from dynlate.errors import DegenerateInstrument, DynlateError
 from dynlate.estimators import (
     ALL_TARGETS,
+    arm_sums,
     bound_report,
     estimate,
     identify,
@@ -22,14 +23,14 @@ from dynlate.estimators import (
     selected_methods,
 )
 from dynlate.inference import bootstrap
-from dynlate.latent import NEVER, AdoptionPair
+from dynlate.latent import NEVER, AdoptionPair, enumerate_histories
 from dynlate.panel import Panel
 from dynlate.simulate import (
     MonteCarloSummary,
     TargetSummary,
-    _arm_table,
+    _cell_table,
     _draw_arrays,
-    _draw_assignments,
+    _histories,
     _usable_cores,
     draw_panel,
     monte_carlo,
@@ -89,7 +90,7 @@ class TestDrawPanel:
         spec = three_history_spec()
         rng = np.random.default_rng(np.random.SeedSequence(123))
         n = 1_000_000
-        hist, _ = _draw_assignments(spec, n, rng)
+        hist = _histories(rng.random(n), _cell_table(spec).cdf)
         counts = np.bincount(hist, minlength=3) / n
         for share, p in zip(counts, (0.3, 0.1, 0.6)):
             assert abs(share - p) < 3 * math.sqrt(p * (1 - p) / n)
@@ -102,6 +103,17 @@ class TestDrawPanel:
             assert panel.n == 200
             assert panel.T == spec.T
             assert panel.n_z1 > 0 and panel.n_z0 > 0  # overwhelmingly likely at pz=0.5
+
+    @pytest.mark.parametrize("counted", [True, False])
+    def test_histories_on_the_cdf_entries(self, monkeypatch, counted):
+        # uniforms on, just below and just above every entry, zero
+        # probabilities among them; counted and binary-searched alike
+        monkeypatch.setattr(simulate, "_COUNT_MAX_HISTORIES", 64 if counted else 0)
+        cdf = np.array([0.25, 0.0, 0.125, 0.0, 0.5, 0.125]).cumsum()
+        cdf /= cdf[-1]
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0]])
+        u = u[u < 1.0]
+        assert _histories(u, cdf).tolist() == cdf.searchsorted(u, side="right").tolist()
 
     def test_estimate_agrees_with_oracle_at_large_n(self):
         spec = three_history_spec()
@@ -225,7 +237,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize(
         "case, n, reps, min_n",
-        [("floor-lowered", 300, 13, 1), ("single-arm", 3, 60, 1), ("above-floor", 5000, 80, None)],
+        [("floor-lowered", 300, 13, 1), ("single-arm", 3, 60, 1), ("above-floor", 5000, 120, None)],
     )
     def test_threaded_replications_match_inline_bitwise(
         self, monkeypatch, threaded_pools, case, n, reps, min_n, threads
@@ -345,6 +357,27 @@ class TestMonteCarlo:
         assert err.value.code == "E_DEGENERATE"
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("T", [1, 2, 4, 8])
+@pytest.mark.parametrize("n, reps, pz", [(40, 30, 0.03), (5000, 64, 0.5)])
+def test_monte_carlo_rows_are_arm_sums_of_the_draws(
+    monkeypatch, threaded_pools, n, reps, pz, T, threads
+):
+    # non-dyadic y; at pz=0.03 about a third of the 40-unit replications
+    # have no z=1 unit; 5000 units run on the pool when threads=2
+    rng = np.random.default_rng(T)
+    spec = dataclasses.replace(random_spec(rng, T=T, noise_sd=0.6), pz=pz)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
+    _, rows = mc_with_rows(monkeypatch, spec, n, reps, threads)
+    table = _cell_table(spec)
+    want = [arm_sums(*_draw_arrays(spec, n, rep_rng(8, r), table)) for r in range(reps)]
+    assert rows.tobytes() == np.array(want).tobytes()
+    pooled = threads == 2 and n >= simulate._MC_MIN_N
+    assert threaded_pools == ([2] if pooled else [])
+    if pz < 0.1:
+        assert 0 < np.count_nonzero(rows[:, 0] == 0) < reps
+
+
 @pytest.mark.parametrize("T", [1, 2, 4])
 def test_bootstrap_and_monte_carlo_report_targets_in_one_order(T):
     rng = np.random.default_rng(70 + T)
@@ -359,8 +392,11 @@ def test_bootstrap_and_monte_carlo_report_targets_in_one_order(T):
 
 
 def where_draw(spec, n, rng):
-    """Reference draw: one table per arm, both gathered for every unit, picked by np.where."""
-    hist, z = _draw_assignments(spec, n, rng)
+    """Reference draw: numpy's own history, arm and noise draws, then one table per
+    arm, both gathered for every unit and picked by np.where."""
+    probs = np.array([h.prob for h in spec.histories])
+    hist = rng.choice(len(probs), size=n, p=probs)
+    z = (rng.random(n) < spec.pz).astype(np.int8)
     noise = rng.normal(0.0, spec.noise_sd, size=(n, spec.T))
     d_arm, mean_arm = [], []
     for arm in (0, 1):
@@ -379,18 +415,71 @@ def where_draw(spec, n, rng):
     return z, d, y
 
 
-@settings(max_examples=60, deadline=None)
+def all_pairs_spec(rng, T, noise_sd):
+    """Every adoption pair of horizon T, with random probabilities and means."""
+    pairs = enumerate_histories(T)
+    probs = rng.dirichlet(np.ones(len(pairs)))
+    return DgpSpec(
+        T=T, pz=0.5, noise_sd=noise_sd,
+        histories=tuple(
+            HistorySpec(p, float(q), tuple(rng.uniform(-1, 1, T)),
+                        tuple(tuple(rng.uniform(-2, 2, t)) for t in range(1, T + 1)))
+            for p, q in zip(pairs, probs)
+        ),
+    )
+
+
+def variant_spec(variant, T, noise_sd, rng):
+    """A random spec of one kind the draw must handle.
+
+    - "zero-probs": some histories have probability 0.
+    - "all-pairs": every adoption pair; at T=6 its histories are counted
+      against the CDF, at T=8 (73 histories) binary-searched.
+    - "negative-zero": every baseline and effect at t=1 is -0.0, so the
+      cells treated from t=1 have mean -0.0 + -0.0 = -0.0 there.
+    """
+    if variant == "all-pairs":
+        spec = all_pairs_spec(rng, T, noise_sd)
+        assert (len(spec.histories) > simulate._COUNT_MAX_HISTORIES) == (T == 8)
+        return spec
+    spec = random_spec(rng, T=T, noise_sd=noise_sd)
+    histories = spec.histories
+    if variant == "zero-probs":
+        kept = [h.pair.s1 == 1 and h.pair.s0 >= 2 or rng.random() < 0.5 for h in histories]
+        total = math.fsum(h.prob for h, k in zip(histories, kept) if k)
+        histories = [
+            dataclasses.replace(h, prob=h.prob / total if k else 0.0)
+            for h, k in zip(histories, kept)
+        ]
+    elif variant == "negative-zero":
+        histories = [
+            dataclasses.replace(
+                h, baseline=(-0.0, *h.baseline[1:]), effects=((-0.0,), *h.effects[1:])
+            )
+            for h in histories
+        ]
+    return dataclasses.replace(spec, histories=tuple(histories))
+
+
+@settings(max_examples=80, deadline=None)
 @given(
+    st.sampled_from(["random", "zero-probs", "all-pairs", "negative-zero"]),
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=500),
     st.sampled_from([0.0, 0.3, 0.5, 1.0]),
     st.sampled_from([0.0, 0.7, 1.0]),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_draw_arrays_match_two_table_reference(T, n, pz, noise_sd, seed):
+@example("all-pairs", 3, 300, 0.5, 0.7, 1)
+@example("all-pairs", 6, 300, 0.5, 0.7, 2)
+@example("zero-probs", 4, 300, 0.5, 0.7, 3)
+@example("negative-zero", 3, 300, 0.5, 0.0, 4)
+def test_draw_arrays_match_two_table_reference(variant, T, n, pz, noise_sd, seed):
     rng = np.random.default_rng(seed)
-    spec = dataclasses.replace(random_spec(rng, T=T, noise_sd=noise_sd), pz=pz)
-    got = _draw_arrays(spec, n, rep_rng(seed, 0), _arm_table(spec))
+    if variant == "all-pairs":
+        T = 6 if T <= 3 else 8  # 43 histories counted, 73 searched
+    spec = dataclasses.replace(variant_spec(variant, T, noise_sd, rng), pz=pz)
+    got = _draw_arrays(spec, n, rep_rng(seed, 0), _cell_table(spec))
     want = where_draw(spec, n, rep_rng(seed, 0))
     for g, w in zip(got, want):
         assert g.dtype == w.dtype  # d stays int8
@@ -438,7 +527,7 @@ def reference_monte_carlo(spec, n, reps, seed, targets, lo, hi):
     oracle = _target_values(population_estimands(spec), targets, lo, hi)
     results = []
     for r in range(reps):
-        z, d, y = _draw_arrays(spec, n, rep_rng(seed, r), _arm_table(spec))
+        z, d, y = _draw_arrays(spec, n, rep_rng(seed, r), _cell_table(spec))
         try:
             est = estimate(Panel.from_arrays([f"u{i:03d}" for i in range(n)], z, d, y))
         except DynlateError:
