@@ -37,9 +37,11 @@ from .estimators import (
     IdentifiedProfile,
     NegativeWeightFlag,
     NegativeWeightStatus,
+    PanelDiagnostics,
     bounds_general,
     bounds_general_unrestricted,
     bounds_tight,
+    check_assumptions,
     estimate,
     identify,
     negative_weight_diagnostic,
@@ -56,7 +58,7 @@ from .latent import (
     switcher_sets,
     type_at,
 )
-from .panel import Panel, PanelDiagnostics, check_assumptions, ingest, serialize
+from .panel import Panel, ingest, serialize
 from .simulate import MonteCarloSummary, draw_panel, monte_carlo
 
 __version__ = "0.1.0"

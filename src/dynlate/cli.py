@@ -27,13 +27,14 @@ from .estimators import (
     NegativeWeightStatus,
     amplification_warnings,
     bound_report,
+    check_assumptions,
     estimate as estimate_fn,
     identify as identify_fn,
     negative_weight_diagnostic,
     outcome_range_bounds,
     selected_methods,
 )
-from .panel import check_assumptions, ingest, serialize
+from .panel import ingest, serialize
 from .reporting import fnum, render_table
 
 
@@ -120,15 +121,18 @@ def _required(path, flag):
 
 
 def _load_inputs(panel_path, dgp_path):
-    """(panel, spec, estimands) of exactly one of --panel and --dgp; the other input is None."""
+    """(panel, spec) of exactly one of --panel and --dgp; the other input is None."""
     if panel_path and dgp_path:
         raise click.UsageError("--panel and --dgp are mutually exclusive")
     _required(panel_path or dgp_path, "one of --panel or --dgp")
     if panel_path:
-        panel = ingest(panel_path)
-        return panel, None, estimate_fn(panel)
-    spec = dgp_mod.load_spec(dgp_path)
-    return None, spec, dgp_mod.population_estimands(spec)
+        return ingest(panel_path), None
+    return None, dgp_mod.load_spec(dgp_path)
+
+
+def _estimands(panel, spec):
+    """A panel's sample estimands, or a spec's population ones."""
+    return estimate_fn(panel) if panel is not None else dgp_mod.population_estimands(spec)
 
 
 def _negative_weight_warnings(est):
@@ -179,7 +183,7 @@ def _estimands_table(est):
 @json_opt
 def check(panel_path, dgp_path, json_path):
     """Validate a panel or DGP spec and report assumption diagnostics."""
-    panel, spec, _ = _load_inputs(panel_path, dgp_path)
+    panel, spec = _load_inputs(panel_path, dgp_path)
     if panel is not None:
         diag = check_assumptions(panel)
         outputs = {"diagnostics": reporting.diagnostics_to_dict(diag)}
@@ -218,7 +222,7 @@ def check(panel_path, dgp_path, json_path):
 @json_opt
 def estimate(panel_path, dgp_path, json_path):
     """Per-period reduced forms, first stages, and IV ratios."""
-    _, _, est = _load_inputs(panel_path, dgp_path)
+    est = _estimands(*_load_inputs(panel_path, dgp_path))
     outputs = {
         "estimands": reporting.estimands_to_dict(est),
         "negative_weight_flags": reporting.flags_to_dicts(negative_weight_diagnostic(est)),
@@ -237,7 +241,7 @@ def identify(panel_path, dgp_path, assume, json_path):
     """Identify the effect-by-exposure profile (needs --assume calendar-homogeneity)."""
     if CALENDAR_HOMOGENEITY not in assume:
         raise AssumptionRequired(f"identification requires --assume {CALENDAR_HOMOGENEITY}")
-    _, _, est = _load_inputs(panel_path, dgp_path)
+    est = _estimands(*_load_inputs(panel_path, dgp_path))
     prof = identify_fn(est)
     outputs = {
         "estimands": reporting.estimands_to_dict(est),
@@ -258,7 +262,8 @@ def identify(panel_path, dgp_path, assume, json_path):
 @json_opt
 def bounds(panel_path, dgp_path, period, effect_bounds, assume, json_path):
     """Partial-identification intervals for the dynamic effects."""
-    panel, spec, est = _load_inputs(panel_path, dgp_path)
+    panel, spec = _load_inputs(panel_path, dgp_path)
+    est = _estimands(panel, spec)
     if effect_bounds is None:
         if panel is not None:
             effect_bounds = outcome_range_bounds(panel)

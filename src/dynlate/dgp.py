@@ -349,7 +349,6 @@ def make_calendar_homogeneous(
     baselines,
     delta_profile,
     noise_sd: float = 0.0,
-    effects_overrides=None,
 ) -> DgpSpec:
     """Build a DGP whose effects depend on exposure only, not calendar time.
 
@@ -358,29 +357,17 @@ def make_calendar_homogeneous(
     and across groups. ``history_probs`` maps adoption pairs (or (s1, s0)
     tuples) to probabilities; ``baselines`` is either one length-T
     sequence shared by all histories or a mapping pair -> sequence.
-    ``effects_overrides`` may replace the effect surface of histories
-    whose adoption does not depend on the instrument (s1 = s0); those
-    never enter any arm contrast, so the homogeneity structure survives.
     """
     profile = tuple(float(x) for x in delta_profile)
     if len(profile) != T:
         raise SpecValidationError(
             f"delta_profile must have length {T}, got {len(profile)}"
         )
-    overrides = {_as_pair(k): v for k, v in (effects_overrides or {}).items()}
-    for pair in overrides:
-        if pair.s1 != pair.s0:
-            raise SpecValidationError(
-                f"effects_overrides only allowed for histories with s1 = s0, got {pair}"
-            )
+    effects = tuple(tuple(profile[tau] for tau in range(t)) for t in range(1, T + 1))
     histories = []
     for key, prob in history_probs.items():
-        pair = _as_pair(key)
         base = baselines[key] if isinstance(baselines, dict) else baselines
-        effects = overrides.get(
-            pair, tuple(tuple(profile[tau] for tau in range(t)) for t in range(1, T + 1))
-        )
-        histories.append(HistorySpec(pair, float(prob), tuple(base), effects))
+        histories.append(HistorySpec(_as_pair(key), float(prob), tuple(base), effects))
     return DgpSpec(T=T, pz=pz, histories=tuple(histories), noise_sd=noise_sd)
 
 

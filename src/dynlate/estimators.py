@@ -1,4 +1,5 @@
-"""Sample estimation, recursive identification, and partial-identification bounds.
+"""Sample estimation and assumption diagnostics, recursive identification, and
+partial-identification bounds.
 
 Everything here consumes an :class:`~dynlate.estimands.EstimandSet`, so the
 same code paths serve sample panels and exact population inputs. Results
@@ -9,7 +10,7 @@ assumption in their metadata instead of asserting it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -18,13 +19,10 @@ from .errors import DegenerateInstrument, RelevanceFailure, SignedBoundViolation
 from .estimands import POPULATION_ZERO_TOL, EstimandSet, _check_period, is_zero
 from .panel import Panel
 
-LOW_FS1_THRESHOLD = 0.01
-"""|fs_1| below this triggers a warning; the estimate itself is unchanged."""
-
 AMPLIFICATION_THRESHOLD = 100.0
 """An :func:`amplification` above this triggers a warning; the estimate
-itself is unchanged. At T = 1 the amplification is 1/|fs_1|, so there this
-is the ``LOW_FS1_THRESHOLD`` rule."""
+itself is unchanged. The amplification is at least 1/|fs_1| (row 1 of
+P^-1), so every |fs_1| < 0.01 warns."""
 
 CALENDAR_HOMOGENEITY = "calendar-homogeneity"
 CROSS_GROUP_HOMOGENEITY = "cross-group-homogeneity"
@@ -115,6 +113,46 @@ def estimate(panel: Panel) -> EstimandSet:
     )
 
 
+UNTESTABLE_NOTE = (
+    "exclusion, independence, and first-period monotonicity are not testable "
+    "from (z, d, y) alone; they are recorded as assumed"
+)
+
+
+@dataclass(frozen=True)
+class PanelDiagnostics:
+    """Result of :func:`check_assumptions`. Diagnostics never raise."""
+
+    n: int
+    T: int
+    n_z1: int
+    n_z0: int
+    fs1: float | None
+    relevance_ok: bool
+    notes: tuple[str, ...] = field(default_factory=tuple)
+
+
+def check_assumptions(panel: Panel) -> PanelDiagnostics:
+    """First-period relevance check plus a record of what must be assumed.
+
+    FS_1, its zero test and the single-arm case are those of :func:`estimate`.
+    """
+    notes = [UNTESTABLE_NOTE]
+    try:
+        est = estimate(panel)
+    except DegenerateInstrument:
+        notes.append("only one instrument arm present; estimands are undefined")
+        return PanelDiagnostics(
+            panel.n, panel.T, panel.n_z1, panel.n_z0, None, False, tuple(notes)
+        )
+    relevance_ok = not est.fs1_is_zero
+    if not relevance_ok:
+        notes.append("relevance at t=1 fails (FS_1 = 0)")
+    return PanelDiagnostics(
+        panel.n, panel.T, est.n_z1, est.n_z0, est.fs[0], relevance_ok, tuple(notes)
+    )
+
+
 def _require_nonzero_fs1(est: EstimandSet) -> float:
     if est.fs1_is_zero:
         raise RelevanceFailure("first stage at t=1 is zero")
@@ -196,8 +234,8 @@ def identify(est: EstimandSet) -> IdentifiedProfile:
     """Solve the recursion of :func:`identify_rows` for one estimand set.
 
     Only first-period relevance is required; later first stages may vanish.
-    A profile that overflows is refused. A small |fs_1| and a large
-    :func:`amplification` add warnings.
+    A profile that overflows is refused. An :func:`amplification` above
+    ``AMPLIFICATION_THRESHOLD`` (every |fs_1| < 0.01 is one) adds a warning.
     """
     fs1 = _require_nonzero_fs1(est)
     solved = identify_rows(np.array([est.rf]), np.array([est.fs]))[0]
@@ -215,19 +253,12 @@ def identify(est: EstimandSet) -> IdentifiedProfile:
         )
         for t in range(1, est.T + 1)
     )
-    warnings = amplification_warnings(est.fs)
-    if abs(fs1) < LOW_FS1_THRESHOLD:
-        warnings = (
-            f"first stage at t=1 is small (|fs_1| = {abs(fs1):.3g} < {LOW_FS1_THRESHOLD});"
-            " identified effects may be unstable",
-            *warnings,
-        )
     return IdentifiedProfile(
         deltas=deltas,
         fs1=fs1,
         rho=est.rho,
         residual=residual,
-        warnings=warnings,
+        warnings=amplification_warnings(est.fs),
     )
 
 

@@ -11,7 +11,8 @@ and its moment row comes from a product of one fixed shape, so the row
 depends only on (panel, seed, r): not on ``threads``, on execution order,
 or on how many resamples the run has. The first k resamples of a longer
 run are bitwise those of a k-resample run. Memory is bounded by the
-block heights, not by reps x n.
+block heights, not by reps x n. A count above 255 wraps in the uint8 fill;
+the row's arm totals then miss n, and the resample is drawn again exactly.
 
 Report bytes are pinned for a given OpenBLAS thread count (by default the
 core count), not across machines: with non-dyadic outcomes the moment
@@ -98,9 +99,6 @@ _FILL_MIN_UNITS = 7_500_000
 x 2 / 8 / 50 / 100 / 120; from 1.5e7: 0.96 at 40k x 375, 0.88 at 40k x
 500, 0.89 / 0.85-0.93 / 0.83 / 0.75-0.81 at 1e5 x 150 / 199 / 256 / 500."""
 
-_COUNT_MAX = np.iinfo(np.uint8).max
-"""Largest count the uint8 fill block holds exactly."""
-
 
 def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.ndarray:
     """Moment rows ``counts_r @ moment_features(panel)`` of every resample.
@@ -109,41 +107,39 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     with ``_FILL_MIN_N`` and ``_FILL_MIN_UNITS``) write each resample's
     multinomial counts as uint8 into a block of ``_FILL_ROWS`` rows; once
     the block is full, the calling thread casts ``_PRODUCT_ROWS`` rows at
-    a time into one float64 buffer, zero-pads the last of them, and
-    multiplies it by the features. Every product has the same shape, and
-    OpenBLAS gives a row of a fixed-shape product the same bits at any row
-    position, so a row depends only on (panel, seed, r): not on
-    ``threads``, ``reps`` or the block heights. A row whose largest count
-    does not fit in uint8 is kept aside as int64 and replaces its wrapped
-    row in the product.
+    a time into one float64 block (rows past a short product are stale and
+    never read back) and multiplies it by the features. Every product has
+    the same shape, and OpenBLAS gives a row of a fixed-shape product the
+    same bits at any row position, so a row depends only on (panel, seed,
+    r): not on ``threads``, ``reps`` or the block heights. A count above
+    255 wraps; the row's arm totals n1 + n0 (its first two columns, exact
+    integers) then read n - 256k, not n, so that resample is drawn again
+    as int64 into its block row and the product runs again.
     """
     n = panel.n
     F = moment_features(panel.z, panel.d, panel.y)
     M = np.empty((reps, F.shape[1]))
     counts = np.empty((min(reps, _FILL_ROWS), n), dtype=np.uint8)
-    block = np.zeros((_PRODUCT_ROWS, n))  # a short run never writes its padding
-    product = np.empty((_PRODUCT_ROWS, F.shape[1]))
-    wide: dict[int, np.ndarray] = {}
+    block = np.zeros((_PRODUCT_ROWS, n))
+
+    def draw(r: int) -> np.ndarray:
+        return np.bincount(rep_rng(seed, r).integers(0, n, size=n), minlength=n)
 
     def fill(lo: int, hi: int) -> None:
         for r in range(lo, hi):
-            c = np.bincount(rep_rng(seed, r).integers(0, n, size=n), minlength=n)
-            if c.max() > _COUNT_MAX:
-                wide[r] = c
-            counts[r % _FILL_ROWS] = c
+            counts[r % _FILL_ROWS] = draw(r)
 
     def multiply(lo: int, hi: int) -> None:
         for start in range(lo, hi, _PRODUCT_ROWS):
-            stop = min(start + _PRODUCT_ROWS, hi)
-            rows = stop - start
+            rows = min(_PRODUCT_ROWS, hi - start)
             block[:rows] = counts[start % _FILL_ROWS : start % _FILL_ROWS + rows]
-            if start:  # the first product's tail is still zero
-                block[rows:] = 0.0
-            for r in range(start, stop):
-                if r in wide:
-                    block[r - start] = wide.pop(r)
-            np.matmul(block, F, out=product)
-            M[start:stop] = product[:rows]
+            product = block @ F
+            wrapped = np.flatnonzero(product[:rows, 0] + product[:rows, 1] != n)
+            if wrapped.size:
+                for i in wrapped:
+                    block[i] = draw(start + i)
+                product = block @ F
+            M[start : start + rows] = product[:rows]
 
     workers = _worker_count(threads, reps, n, _FILL_MIN_N, _FILL_MIN_UNITS)
     _fill_rows(fill, reps, workers, _FILL_ROWS, multiply)

@@ -1,4 +1,4 @@
-"""Observed panel data: ingestion, validation, and assumption diagnostics.
+"""Observed panel data: ingestion and validation.
 
 Panels are balanced long-format (unit, period, z, d, y) with a binary
 time-invariant instrument z and a binary irreversible treatment d. Units
@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -300,46 +300,3 @@ def serialize(panel: Panel, dest=None) -> str | None:
     if dest is None:
         return out.getvalue()
     return None
-
-
-UNTESTABLE_NOTE = (
-    "exclusion, independence, and first-period monotonicity are not testable "
-    "from (z, d, y) alone; they are recorded as assumed"
-)
-
-
-@dataclass(frozen=True)
-class PanelDiagnostics:
-    """Result of :func:`check_assumptions`. Diagnostics never raise."""
-
-    n: int
-    T: int
-    n_z1: int
-    n_z0: int
-    fs1: float | None
-    relevance_ok: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-
-def check_assumptions(panel: Panel) -> PanelDiagnostics:
-    """First-period relevance check plus a record of what must be assumed.
-
-    FS_1, its zero test and the single-arm case are those of
-    :func:`~dynlate.estimators.estimate`.
-    """
-    from .estimators import estimate  # estimators imports this module
-
-    notes = [UNTESTABLE_NOTE]
-    try:
-        est = estimate(panel)
-    except DegenerateInstrument:
-        notes.append("only one instrument arm present; estimands are undefined")
-        return PanelDiagnostics(
-            panel.n, panel.T, panel.n_z1, panel.n_z0, None, False, tuple(notes)
-        )
-    relevance_ok = not est.fs1_is_zero
-    if not relevance_ok:
-        notes.append("relevance at t=1 fails (FS_1 = 0)")
-    return PanelDiagnostics(
-        panel.n, panel.T, est.n_z1, est.n_z0, est.fs[0], relevance_ok, tuple(notes)
-    )

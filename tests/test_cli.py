@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dynlate import inference, simulate
+from dynlate import cli, dgp, estimators, inference, simulate
 from dynlate.cli import main
 from dynlate.panel import ingest
 
@@ -162,6 +162,39 @@ class TestCheck:
         assert code == 0
         doc = json.loads(report.read_text())
         assert doc["outputs"]["spec"]["p_c1"] == pytest.approx(0.4)
+
+    @pytest.mark.parametrize(
+        "command, source, estimates, populations",
+        [
+            ("check", "--panel", 1, 0),
+            ("check", "--dgp", 0, 0),
+            ("estimate", "--panel", 1, 0),
+            ("estimate", "--dgp", 0, 1),
+        ],
+    )
+    def test_estimands_built_once_and_only_when_read(
+        self, capsys, monkeypatch, small_panel_csv, spec_file, command, source, estimates,
+        populations,
+    ):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        est = counting("estimate", estimators.estimate)
+        monkeypatch.setattr(estimators, "estimate", est)
+        monkeypatch.setattr(cli, "estimate_fn", est)
+        monkeypatch.setattr(
+            dgp, "population_estimands", counting("population", dgp.population_estimands)
+        )
+        path = small_panel_csv if source == "--panel" else spec_file
+        code, _, _ = run(capsys, command, source, path)
+        assert code == 0
+        assert calls.count("estimate") == estimates
+        assert calls.count("population") == populations
 
 
 class TestEstimate:

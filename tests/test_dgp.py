@@ -316,16 +316,6 @@ class TestCalendarHomogeneity:
         )
         assert true_dynamic_lates(spec) == pytest.approx((1.0, 0.5))
 
-    def test_overrides_only_for_instrument_independent_histories(self):
-        with pytest.raises(SpecValidationError):
-            make_calendar_homogeneous(
-                T=2, pz=0.5,
-                history_probs={(1, NEVER): 0.5, (NEVER, NEVER): 0.5},
-                baselines=(0.0, 0.0),
-                delta_profile=(1.0, 0.5),
-                effects_overrides={(1, NEVER): ((9.0,), (9.0, 9.0))},
-            )
-
 
 class TestEffectRange:
     def test_static_compliance_is_degenerate(self):

@@ -26,6 +26,7 @@ from dynlate.estimators import (
     AMPLIFICATION_THRESHOLD,
     NegativeWeightStatus,
     amplification,
+    amplification_warnings,
     _one_row,
     arm_sums,
     bound_report,
@@ -317,6 +318,22 @@ class TestIdentify:
             " of |P^-1| > 100); identified effects may be unstable",
         )
         assert identify(make_est(rf=(0.1, 0.2), fs=(0.5, 0.4))).warnings == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=-0.01, max_value=0.01, exclude_min=True, exclude_max=True)
+        .filter(lambda x: x != 0.0),
+        st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=0, max_size=7),
+    )
+    @example(0.009999999999999998, [])
+    @example(-0.009999999999999998, [0.5])
+    @example(5e-324, [1.0] * 7)
+    def test_small_first_stage_always_gets_the_amplification_warning(self, fs1, rest):
+        # row 1 of P^-1 is (1/fs_1, 0, ...), so the amplification is at
+        # least 1/|fs_1| > 100: no small first stage escapes the one rule
+        fs = (fs1, *rest)
+        assert amplification(fs) > AMPLIFICATION_THRESHOLD
+        assert len(amplification_warnings(fs)) == 1
 
     def test_assumption_echoed(self):
         prof = identify(make_est(rf=(0.2,), fs=(0.5,)))

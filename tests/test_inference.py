@@ -339,35 +339,6 @@ def test_resamples_above_the_fill_floor_independent_of_threads(
     assert threaded_pools == [threads]
 
 
-def test_wide_count_path_gives_the_same_bits(monkeypatch):
-    panel = noisy_panel(999)
-    moments = _resample_moments(panel, 150, 5, 2)
-    res = bootstrap(panel, reps=150, alpha=0.1, seed=5, threads=2)
-    monkeypatch.setattr(inference, "_COUNT_MAX", 0)  # every row keeps int64 counts
-    assert np.array_equal(bits(_resample_moments(panel, 150, 5, 2)), bits(moments))
-    assert bootstrap(panel, reps=150, alpha=0.1, seed=5, threads=2) == res
-
-
-def test_fill_with_more_workers_than_cores(monkeypatch, threaded_pools):
-    # every row goes through the shared dict of wide counts, from 8 workers
-    # switching threads often, over several fill blocks
-    panel = noisy_panel(300)
-    want = _resample_moments(panel, 200, 9, 1)
-    monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
-    monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
-    monkeypatch.setattr(inference, "_FILL_MIN_UNITS", 1)
-    monkeypatch.setattr(inference, "_COUNT_MAX", 0)
-    monkeypatch.setattr(inference, "_FILL_ROWS", 64)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = _resample_moments(panel, 200, 9, 8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(bits(got), bits(want))
-    assert threaded_pools == [8]
-
-
 class TwoUnitRng:
     """Stand-in for ``rep_rng``: draws only units 0 and 1, so counts reach about n/2."""
 
@@ -378,22 +349,99 @@ class TwoUnitRng:
         return self.rng.integers(low, 2, size=size)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_counts_above_uint8_are_kept_exact(monkeypatch, threaded_pools, threads):
-    n, reps = 600, 70
+def dyadic_panel(n):
+    """Dyadic outcomes: every moment, hence every product row, is exact."""
     rng = np.random.default_rng(12)
     d = np.sort(rng.integers(0, 2, size=(n, 3)), axis=1)
-    y = rng.integers(-40, 41, size=(n, 3)) / 8.0  # dyadic: every moment is exact
-    panel = Panel.from_arrays([f"u{i:03d}" for i in range(n)], np.arange(n) % 2, d, y)
-    monkeypatch.setattr(inference, "rep_rng", TwoUnitRng)
+    y = rng.integers(-40, 41, size=(n, 3)) / 8.0
+    return Panel.from_arrays([f"u{i:03d}" for i in range(n)], np.arange(n) % 2, d, y)
+
+
+def exact_moments(panel, rng_cls, seed, reps):
+    """Moment rows from the full int64 count matrix, one product."""
+    n = panel.n
+    counts = np.array(
+        [np.bincount(rng_cls(seed, r).integers(0, n, n), minlength=n) for r in range(reps)]
+    )
+    return counts, counts.astype(np.float64) @ moment_features(panel.z, panel.d, panel.y)
+
+
+def force_fill_pool(monkeypatch):
     monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
     monkeypatch.setattr(inference, "_FILL_MIN_UNITS", 1)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
-    counts = np.array(
-        [np.bincount(TwoUnitRng(4, r).integers(0, n, n), minlength=n) for r in range(reps)]
-    )
-    assert (counts.max(axis=1) > inference._COUNT_MAX).all()
-    want = counts.astype(np.float64) @ moment_features(panel.z, panel.d, panel.y)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("reps", [1, 63, 64, 65, 130])
+def test_short_products_leave_stale_rows_out(monkeypatch, threaded_pools, reps, threads):
+    # the rows of a short product past its end still hold the product
+    # before it; none of them may reach a moment row
+    panel = dyadic_panel(300)
+    force_fill_pool(monkeypatch)
+    _, want = exact_moments(panel, simulate.rep_rng, 6, reps)
+    assert np.array_equal(_resample_moments(panel, reps, 6, threads), want)
+    assert threaded_pools == ([threads] if threads > 1 and reps > 1 else [])
+
+
+def test_fill_with_more_workers_than_cores(monkeypatch, threaded_pools):
+    # every row wraps and is drawn again while 8 workers, switching threads
+    # often, fill the next rows of their block, over several fill blocks
+    panel = dyadic_panel(600)
+    counts, want = exact_moments(panel, TwoUnitRng, 9, 200)
+    assert (counts.max(axis=1) > 255).all()
+    monkeypatch.setattr(inference, "rep_rng", TwoUnitRng)
+    force_fill_pool(monkeypatch)
+    monkeypatch.setattr(inference, "_FILL_ROWS", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _resample_moments(panel, 200, 9, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
+    assert threaded_pools == [8]
+
+
+class OddRowsWrapRng(TwoUnitRng):
+    """``rep_rng`` on even resamples, ``TwoUnitRng`` (counts above 255) on odd ones."""
+
+    def __init__(self, seed, r):
+        super().__init__(seed, r)
+        if r % 2 == 0:
+            self.rng = simulate.rep_rng(seed, r)
+            self.integers = self.rng.integers
+
+
+def test_wide_count_path_gives_the_same_bits(monkeypatch):
+    # a row drawn again as int64 after its uint8 counts wrapped holds the bits
+    # of the same fixed-shape product over exact counts, and the rows that did
+    # not wrap keep the bits they have when no row wraps
+    panel = noisy_panel(999)
+    plain = _resample_moments(panel, 150, 5, 2)
+    counts, _ = exact_moments(panel, OddRowsWrapRng, 5, 150)
+    assert (counts[1::2].max(axis=1) > 255).all()
+    F = moment_features(panel.z, panel.d, panel.y)
+    want = np.empty_like(plain)
+    for start in range(0, 150, inference._PRODUCT_ROWS):
+        block = np.zeros((inference._PRODUCT_ROWS, panel.n))
+        rows = counts[start : start + inference._PRODUCT_ROWS]
+        block[: len(rows)] = rows
+        want[start : start + len(rows)] = (block @ F)[: len(rows)]
+    monkeypatch.setattr(inference, "rep_rng", OddRowsWrapRng)
+    got = _resample_moments(panel, 150, 5, 2)
+    assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(got[0::2]), bits(plain[0::2]))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_counts_above_uint8_are_kept_exact(monkeypatch, threaded_pools, threads):
+    reps = 70
+    panel = dyadic_panel(600)
+    counts, want = exact_moments(panel, TwoUnitRng, 4, reps)
+    assert (counts.max(axis=1) > 255).all()
+    monkeypatch.setattr(inference, "rep_rng", TwoUnitRng)
+    force_fill_pool(monkeypatch)
     assert np.array_equal(_resample_moments(panel, reps, 4, threads), want)
     assert threaded_pools == ([threads] if threads > 1 else [])
 

@@ -15,11 +15,11 @@ from dynlate.errors import (
     TreatmentReversal,
     UnbalancedPanel,
 )
+from dynlate.estimators import check_assumptions
 from dynlate.panel import (
     _WHITESPACE,
     UNIT_ID_DTYPE,
     Panel,
-    check_assumptions,
     ingest,
     serialize,
 )
