@@ -395,8 +395,9 @@ def bootstrap_cmd(panel_path, reps, alpha, seed, effect_bounds, assume, threads,
         targets=("estimands",) + ("identify",) * identified + ("bounds",),
         include_tight=_tight_declared(assume), threads=threads,
     )
+    fs = [res.target(f"fs[{t}]").point for t in range(1, panel.T + 1)]  # estimate(panel).fs
     warnings = (
-        list(amplification_warnings(estimate_fn(panel).fs)) if identified
+        list(amplification_warnings(fs)) if identified
         else ["identified profile skipped: declare --assume calendar-homogeneity"]
     )
     if res.n_failed_resamples:

@@ -124,10 +124,8 @@ class DgpSpec:
 
     @property
     def p_c1(self) -> float:
-        """Probability of first-period compliers (s1 = 1, s0 >= 2)."""
-        return math.fsum(
-            h.prob for h in self.histories if h.pair.s1 == 1 and h.pair.s0 >= 2
-        )
+        """P(C1) of first-period compliers (s1 = 1, s0 >= 2): FS_1, as defiers are refused."""
+        return _population_fs(self, 1)
 
     @cached_property
     def _positions(self) -> dict[AdoptionPair, int]:
@@ -355,8 +353,8 @@ def make_calendar_homogeneous(
     Every history receives effects[t][tau] = delta_profile[tau], which
     makes all group-level effects at exposure tau equal across periods
     and across groups. ``history_probs`` maps adoption pairs (or (s1, s0)
-    tuples) to probabilities; ``baselines`` is either one length-T
-    sequence shared by all histories or a mapping pair -> sequence.
+    tuples) to probabilities; ``baselines`` is one length-T sequence of
+    untreated means, shared by all histories.
     """
     profile = tuple(float(x) for x in delta_profile)
     if len(profile) != T:
@@ -364,11 +362,12 @@ def make_calendar_homogeneous(
             f"delta_profile must have length {T}, got {len(profile)}"
         )
     effects = tuple(tuple(profile[tau] for tau in range(t)) for t in range(1, T + 1))
-    histories = []
-    for key, prob in history_probs.items():
-        base = baselines[key] if isinstance(baselines, dict) else baselines
-        histories.append(HistorySpec(_as_pair(key), float(prob), tuple(base), effects))
-    return DgpSpec(T=T, pz=pz, histories=tuple(histories), noise_sd=noise_sd)
+    base = tuple(baselines)
+    histories = tuple(
+        HistorySpec(_as_pair(key), float(prob), base, effects)
+        for key, prob in history_probs.items()
+    )
+    return DgpSpec(T=T, pz=pz, histories=histories, noise_sd=noise_sd)
 
 
 def _as_pair(key) -> AdoptionPair:
@@ -535,19 +534,11 @@ def load_spec(path: str) -> DgpSpec:
     """
     lower = str(path).lower()
     if lower.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as err:
-                raise SchemaMismatch(f"invalid JSON in {path!r}: {err}") from None
+        name, mode, parse, error = "JSON", "r", json.load, ValueError
     elif lower.endswith((".yaml", ".yml")):
         import yaml
 
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = yaml.safe_load(fh)
-            except yaml.YAMLError as err:
-                raise SchemaMismatch(f"invalid YAML in {path!r}: {err}") from None
+        name, mode, parse, error = "YAML", "r", yaml.safe_load, yaml.YAMLError
     elif lower.endswith(".toml"):
         try:
             import tomllib
@@ -555,15 +546,16 @@ def load_spec(path: str) -> DgpSpec:
             raise SchemaMismatch(
                 "reading TOML specs requires Python 3.11+; use JSON or YAML"
             ) from None
-        with open(path, "rb") as fh:
-            try:
-                doc = tomllib.load(fh)
-            except tomllib.TOMLDecodeError as err:
-                raise SchemaMismatch(f"invalid TOML in {path!r}: {err}") from None
+        name, mode, parse, error = "TOML", "rb", tomllib.load, tomllib.TOMLDecodeError
     else:
         raise SchemaMismatch(
             f"unrecognized spec extension for {path!r}; use .json, .yaml, or .toml"
         )
+    with open(path, mode, encoding=None if mode == "rb" else "utf-8") as fh:
+        try:
+            doc = parse(fh)
+        except error as err:
+            raise SchemaMismatch(f"invalid {name} in {path!r}: {err}") from None
     return spec_from_dict(doc)
 
 

@@ -312,21 +312,25 @@ def bound_rows(method, rf, fs, sw0, sw1, t, lo, hi):
     ``rf`` and ``fs`` are (rows, T), ``sw0`` and ``sw1`` are (rows, T-1);
     the caller guarantees fs_1 > 0 in every row and lo <= hi.
 
-    - general: arm-wise switching probabilities times the effect bounds.
-    - unrestricted: general, except that a bound of the "unexpected" sign
-      uses the tighter first-stage gap max(fs_1 - fs_t, 0) or
-      max(fs_t - fs_1, 0) in place of a switching probability; equal to
-      general whenever lo <= 0 <= hi.
+    - unrestricted: arm-wise switching probabilities times the effect
+      bounds, except that a bound of the "unexpected" sign uses the
+      tighter first-stage gap max(fs_1 - fs_t, 0) or max(fs_t - fs_1, 0)
+      in place of a switching probability.
+    - general: the same kernel on lo <= 0 <= hi, where a gap only ever
+      multiplies a zero bound.
     - tight: the first-stage path alone, through the drop fs_1 - fs_t
       and the increases fs_k - fs_{k-1} > 0 for k <= t.
     """
     fs1 = fs[:, 0]
     base = rf[:, t - 1] / fs1
     fst = fs[:, t - 1]
-    if method == "general":
-        lower = base + sw0[:, t - 2] * lo / fs1 - sw1[:, t - 2] * hi / fs1
-        upper = base + sw0[:, t - 2] * hi / fs1 - sw1[:, t - 2] * lo / fs1
-    elif method == "unrestricted":
+    if method == "tight":
+        diffs = fs[:, : t - 1] - fs[:, 1:t]  # column k-2 holds fs_{k-1} - fs_k
+        inc = np.where(diffs < 0.0, diffs, 0.0).sum(axis=1) / fs1
+        drop = (fs1 - fst) / fs1
+        lower = base + lo * drop + (hi - lo) * inc
+        upper = base + hi * drop + (lo - hi) * inc
+    else:  # general and unrestricted
         drop = np.maximum(fs1 - fst, 0.0)
         rise = np.maximum(fst - fs1, 0.0)
         lower = (
@@ -339,12 +343,6 @@ def bound_rows(method, rf, fs, sw0, sw1, t, lo, hi):
             + (sw0[:, t - 2] if hi >= 0.0 else drop) * hi / fs1
             - (sw1[:, t - 2] if lo < 0.0 else rise) * lo / fs1
         )
-    else:  # tight
-        diffs = fs[:, : t - 1] - fs[:, 1:t]  # column k-2 holds fs_{k-1} - fs_k
-        inc = np.where(diffs < 0.0, diffs, 0.0).sum(axis=1) / fs1
-        drop = (fs1 - fst) / fs1
-        lower = base + lo * drop + (hi - lo) * inc
-        upper = base + hi * drop + (lo - hi) * inc
     return lower, upper
 
 
@@ -403,7 +401,7 @@ def bounds_general_unrestricted(
 ) -> BoundsReport:
     """General bounds for effect bounds of arbitrary sign.
 
-    Reduces exactly to :func:`bounds_general` whenever lo <= 0 <= hi.
+    On lo <= 0 <= hi it is :func:`bounds_general`, the same kernel.
     """
     return bound_report("unrestricted", est, t, lo, hi)
 
@@ -522,21 +520,12 @@ class NegativeWeightFlag:
 
 
 def negative_weight_diagnostic(est: EstimandSet) -> tuple[NegativeWeightFlag, ...]:
-    """Per-period negative-weight flags from the first-stage path alone."""
-    flags = []
-    for t in range(2, est.T + 1):
-        k_hit = next(
-            (k for k in range(2, t + 1) if est.fs[k - 1] < est.fs[k - 2]), None
-        )
-        flags.append(
-            NegativeWeightFlag(
-                t=t,
-                status=(
-                    NegativeWeightStatus.GUARANTEED
-                    if k_hit is not None
-                    else NegativeWeightStatus.POSSIBLE
-                ),
-                decreasing_k=k_hit,
-            )
-        )
-    return tuple(flags)
+    """Per-period negative-weight flags from the first-stage path alone: every
+    period from the first k with rho_k = fs_{k-1} - fs_k > 0 on is guaranteed."""
+    first = next((k for k in range(2, est.T + 1) if est.rho[k - 2] > 0.0), est.T + 1)
+    return tuple(
+        NegativeWeightFlag(t, NegativeWeightStatus.GUARANTEED, first)
+        if first <= t
+        else NegativeWeightFlag(t, NegativeWeightStatus.POSSIBLE, None)
+        for t in range(2, est.T + 1)
+    )

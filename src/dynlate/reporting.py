@@ -97,47 +97,41 @@ def _set_fields(obj) -> dict:
 bounds_to_dict = estimands_to_dict = _set_fields
 
 
-def decomposition_to_dict(rep: DecompositionReport) -> dict:
-    def term(x):
-        return {
-            "group": str(x.label),
-            "members": [str(p) for p in x.members],
-            "switch_period": x.switch_period,
-            "exposure": x.exposure,
-            "sign": x.sign,
-            "probability": x.probability,
-            "effect": x.effect,
-            "signed_value": x.signed_value,
-            "weight": x.weight,
-        }
+def _term(x) -> dict:
+    """One decomposition term; negative-weight entries keep some of its keys."""
+    return {
+        "group": str(x.label),
+        "members": [str(p) for p in x.members],
+        "switch_period": x.switch_period,
+        "exposure": x.exposure,
+        "sign": x.sign,
+        "probability": x.probability,
+        "effect": x.effect,
+        "signed_value": x.signed_value,
+        "weight": x.weight,
+    }
 
+
+def decomposition_to_dict(rep: DecompositionReport) -> dict:
     return {
         "t": rep.t,
         "rf_t": rep.rf_t,
         "fs_t": rep.fs_t,
         "iv_defined": rep.iv_defined,
-        "lead": term(rep.lead),
-        "terms": [term(x) for x in rep.terms],
+        "lead": _term(rep.lead),
+        "terms": [_term(x) for x in rep.terms],
         "reconstructed_rf": rep.reconstructed_rf,
         "reconstructed_fs": rep.reconstructed_fs,
     }
 
 
 def negative_weights_to_dict(rep: NegativeWeightReport) -> dict:
+    shown = ("group", "sign", "probability", "effect", "weight")
     return {
         "t": rep.t,
         "fs_t": rep.fs_t,
         "iv_defined": rep.iv_defined,
-        "entries": [
-            {
-                "group": str(x.label),
-                "sign": x.sign,
-                "probability": x.probability,
-                "effect": x.effect,
-                "weight": x.weight,
-            }
-            for x in rep.entries
-        ],
+        "entries": [{k: v for k, v in _term(x).items() if k in shown} for x in rep.entries],
     }
 
 

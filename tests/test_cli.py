@@ -196,6 +196,23 @@ class TestCheck:
         assert calls.count("estimate") == estimates
         assert calls.count("population") == populations
 
+    def test_bootstrap_estimates_once(self, capsys, monkeypatch, small_panel_csv):
+        # the amplification warning reads fs off the bootstrap's point row
+        calls = []
+
+        def counting(panel):
+            calls.append(panel)
+            return estimators.estimate(panel)
+
+        monkeypatch.setattr(cli, "estimate_fn", counting)
+        monkeypatch.setattr(inference, "estimate", counting)
+        code, _, _ = run(
+            capsys, "bootstrap", "--panel", small_panel_csv, "--reps", "20", "--seed", "1",
+            "--assume", "calendar-homogeneity",
+        )
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestEstimate:
     def test_report_contents_and_warning(self, capsys, small_panel_csv, tmp_path):

@@ -118,6 +118,12 @@ class TestPopulationEstimands:
                     est.fs_at(1) - est.fs_at(t), abs=1e-14
                 )
 
+    def test_p_c1_is_first_period_first_stage(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            spec = random_spec(rng)
+            assert spec.p_c1.hex() == population_estimands(spec).fs[0].hex()
+
     def test_iv_undefined_when_fs_zero(self):
         # dyadic probabilities make fs_2 exactly zero
         spec = DgpSpec(
@@ -426,3 +432,30 @@ class TestSpecFiles:
         path.write_text("x")
         with pytest.raises(SchemaMismatch):
             load_spec(str(path))
+
+    @pytest.mark.parametrize(
+        "name, body, prefix",
+        [
+            ("spec.json", '{"T": ', "invalid JSON in {path!r}: "),
+            ("spec.yaml", "T: [1, 2", "invalid YAML in {path!r}: "),
+            ("spec.YML", "T: {", "invalid YAML in {path!r}: "),
+            ("spec.toml", "T = ", "invalid TOML in {path!r}: "),
+        ],
+    )
+    def test_parse_error_messages(self, tmp_path, name, body, prefix):
+        path = str(tmp_path / name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(body)
+        with pytest.raises(SchemaMismatch) as info:
+            load_spec(path)
+        message = str(info.value)
+        assert message.startswith(prefix.format(path=path))
+        assert len(message) > len(prefix.format(path=path))  # the parser's own reason
+
+    def test_unrecognized_extension_message(self, tmp_path):
+        path = str(tmp_path / "spec.txt")
+        with pytest.raises(SchemaMismatch) as info:
+            load_spec(path)
+        assert str(info.value) == (
+            f"unrecognized spec extension for {path!r}; use .json, .yaml, or .toml"
+        )

@@ -1,5 +1,6 @@
 """Sample estimands, recursive identification, bounds, and diagnostics."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -536,6 +537,49 @@ class TestBoundsUnrestricted:
                 assert b.lower == pytest.approx(a.lower, abs=1e-14)
                 assert b.upper == pytest.approx(a.upper, abs=1e-14)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_general_is_the_unrestricted_kernel_bitwise(self, data):
+        # on lo <= 0 <= hi every first-stage gap meets a zero bound, so the
+        # two methods agree in every bit, the sign of a zero included
+        T = data.draw(st.integers(2, 6))
+        rows = data.draw(st.integers(1, 4))
+
+        def matrix(elements, cols):
+            row = st.lists(elements, min_size=cols, max_size=cols)
+            return np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+
+        value = st.one_of(st.sampled_from((0.0, -0.0, 0.25, 0.5)), st.floats(-1.0, 1.0))
+        share = st.one_of(st.sampled_from((0.0, 0.5)), st.floats(0.0, 1.0))
+        rf, fs = matrix(value, T), matrix(value, T)
+        fs[:, 0] = data.draw(st.sampled_from((0.25, 0.5, 1.0)))
+        if data.draw(st.booleans()):  # no switching at all
+            sw0 = sw1 = np.zeros((rows, T - 1))
+        else:
+            sw0, sw1 = matrix(share, T - 1), matrix(share, T - 1)
+        lo = data.draw(st.one_of(st.sampled_from((-0.0, 0.0)), st.floats(-5.0, -1e-3)))
+        hi = data.draw(st.one_of(st.sampled_from((-0.0, 0.0)), st.floats(1e-3, 5.0)))
+        for t in range(2, T + 1):
+            general = bound_rows("general", rf, fs, sw0, sw1, t, lo, hi)
+            unrestricted = bound_rows("unrestricted", rf, fs, sw0, sw1, t, lo, hi)
+            for a, b in zip(general, unrestricted):
+                assert a.tobytes() == b.tobytes()
+
+    def test_general_is_the_unrestricted_kernel_on_signed_zeros(self):
+        # every T = 2 row of signed-zero reduced forms, first stages on both
+        # sides of fs_1 and zero or positive switching shares
+        grid = np.array(list(itertools.product(
+            (-0.0, 0.0, 0.3), (0.25, 0.5, 0.75), (0.0, 0.5), (0.0, 0.5)
+        )))
+        rf = np.column_stack([np.full(len(grid), 0.1), grid[:, 0]])
+        fs = np.column_stack([np.full(len(grid), 0.5), grid[:, 1]])
+        sw0, sw1 = grid[:, 2:3], grid[:, 3:4]
+        for lo, hi in itertools.product((-0.0, 0.0, -1.0), (-0.0, 0.0, 1.0)):
+            general = bound_rows("general", rf, fs, sw0, sw1, 2, lo, hi)
+            unrestricted = bound_rows("unrestricted", rf, fs, sw0, sw1, 2, lo, hi)
+            for a, b in zip(general, unrestricted):
+                assert a.tobytes() == b.tobytes(), (lo, hi)
+
     def test_positive_lower_bound_example(self):
         est = make_est(rf=(0.3, 0.1), fs=(0.5, 0.3), sw0=(0.25,), sw1=(0.05,))
         rep = bounds_general_unrestricted(est, 2, 0.1, 1.0)
@@ -623,6 +667,28 @@ class TestNegativeWeightDiagnostic:
         assert flags[0].status is NegativeWeightStatus.POSSIBLE
         assert flags[1].status is NegativeWeightStatus.GUARANTEED
         assert flags[1].decreasing_k == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from((0.1, 0.2, 0.3, 0.0, -0.0, -0.1)), min_size=1, max_size=6))
+    def test_matches_a_scan_per_period(self, fs):
+        # paths with ties: equal neighbours never count as a decrease
+        def reference(est):
+            flags = []
+            for t in range(2, est.T + 1):
+                k_hit = next(
+                    (k for k in range(2, t + 1) if est.fs[k - 1] < est.fs[k - 2]), None
+                )
+                status = (
+                    NegativeWeightStatus.GUARANTEED
+                    if k_hit is not None
+                    else NegativeWeightStatus.POSSIBLE
+                )
+                flags.append((t, status, k_hit))
+            return flags
+
+        est = make_est(rf=(0.0,) * len(fs), fs=fs)
+        got = [(f.t, f.status, f.decreasing_k) for f in negative_weight_diagnostic(est)]
+        assert got == reference(est)
 
     def test_cross_check_with_population_decomposition(self):
         from dynlate.dgp import negative_weight_report
