@@ -93,7 +93,7 @@ seed_opt = click.option(
 )
 threads_opt = click.option(
     "--threads", type=click.IntRange(min=1), default=lambda: simulate._usable_cores(),
-    help="Worker threads for bootstrap resample counts and Monte Carlo replications"
+    help="Worker threads for bootstrap resamples and Monte Carlo replications"
     " (default and cap: the usable cores; small runs use one thread;"
     " results are thread-count invariant).",
 )
@@ -135,11 +135,11 @@ def _estimands(panel, spec):
     return estimate_fn(panel) if panel is not None else dgp_mod.population_estimands(spec)
 
 
-def _negative_weight_warnings(est):
+def _negative_weight_warnings(flags):
     return [
         f"negative weights guaranteed in the period-{flag.t} reduced form "
         f"(first stage decreases at k={flag.decreasing_k})"
-        for flag in negative_weight_diagnostic(est)
+        for flag in flags
         if flag.status is NegativeWeightStatus.GUARANTEED
     ]
 
@@ -223,13 +223,14 @@ def check(panel_path, dgp_path, json_path):
 def estimate(panel_path, dgp_path, json_path):
     """Per-period reduced forms, first stages, and IV ratios."""
     est = _estimands(*_load_inputs(panel_path, dgp_path))
+    flags = negative_weight_diagnostic(est)
     outputs = {
         "estimands": reporting.estimands_to_dict(est),
-        "negative_weight_flags": reporting.flags_to_dicts(negative_weight_diagnostic(est)),
+        "negative_weight_flags": reporting.flags_to_dicts(flags),
     }
     inputs = {"panel": panel_path, "dgp": dgp_path}
     _finish("estimate", json_path, inputs, outputs, [_estimands_table(est)],
-            warnings=_negative_weight_warnings(est))
+            warnings=_negative_weight_warnings(flags))
 
 
 @cli.command()
@@ -248,9 +249,10 @@ def identify(panel_path, dgp_path, assume, json_path):
         "profile": reporting.profile_to_dict(prof),
     }
     rows = [[str(tau), fnum(v)] for tau, v in enumerate(prof.deltas)]
+    warnings = [*prof.warnings, *_negative_weight_warnings(negative_weight_diagnostic(est))]
     inputs = {"panel": panel_path, "dgp": dgp_path}
     _finish("identify", json_path, inputs, outputs, [render_table(["exposure", "delta"], rows)],
-            assume, [*prof.warnings, *_negative_weight_warnings(est)])
+            assume, warnings)
 
 
 @cli.command()

@@ -4,19 +4,15 @@ Resampling keeps each unit's whole time series intact (within-unit serial
 dependence is the object of study, so the unit is the exchangeable block).
 Intervals are percentile intervals; no asymptotic theory is used anywhere.
 A resample's moment row is its counts times
-:func:`~dynlate.estimators.moment_features`; as for ``estimate`` and Monte
-Carlo, :func:`~dynlate.estimators.moment_estimands` reads it.
-Resample r draws its multinomial counts from a stream seeded by (seed, r),
-and its moment row comes from a product of one fixed shape, so the row
-depends only on (panel, seed, r): not on ``threads``, on execution order,
-or on how many resamples the run has. The first k resamples of a longer
-run are bitwise those of a k-resample run. Memory is bounded by the
-block heights, not by reps x n. A count above 255 wraps in the uint8 fill;
-the row's arm totals then miss n, and the resample is drawn again exactly.
-
-Report bytes are pinned for a given OpenBLAS thread count (by default the
-core count), not across machines: with non-dyadic outcomes the moment
-product's last bits can change with the BLAS thread count.
+:func:`~dynlate.estimators.moment_features`, summed by cell; as for
+``estimate`` and Monte Carlo, :func:`~dynlate.estimators.moment_estimands`
+reads it. Resample r draws its multinomial counts from a stream seeded by
+(seed, r), and one worker computes its whole row without a BLAS call, so
+the row depends only on (panel, seed, r): not on ``threads``, on
+execution order, on how many resamples the run has, or on the BLAS thread
+count. The first k resamples of a longer run are bitwise those of a
+k-resample run. Memory grows with reps only through the rows, never as
+reps x n.
 """
 
 from __future__ import annotations
@@ -77,72 +73,62 @@ class BootstrapResult:
         raise KeyError(name)
 
 
-_PRODUCT_ROWS = 64
-"""Height of every moment product: fixed, so a row's bits never depend on
-how many resamples share its product."""
-
-_FILL_ROWS = 8 * _PRODUCT_ROWS
-"""Resamples filled before their products run, back to back. OpenBLAS
-workers keep spinning after a product, so one product per fill slowed
-the threaded fill that follows it."""
-
-_FILL_MIN_N = 40_000
-"""Panel size from which resample counts are filled by worker threads.
+_FILL_MIN_N = 20_000
+"""Panel size from which resamples are computed by worker threads.
 Whole ``bootstrap`` calls, two threads over one, pool forced on, medians
-of 21 alternating in-process pairs on 2 vCPUs (T=4): 1.01 at 20k x 1000
-resamples and 0.92 at 30k x 1000; 0.93-1.01 at 30k x 500 (9 runs)."""
+of 21 alternating in-process pairs on 2 vCPUs (T=4): 1.14 at 5000 x 2000
+resamples, 1.06 at 10k x 1000, 1.00 at 10k x 2000, 0.92 at 15k x 1000
+and 0.91 at 15k x 334; 0.73 at 20k x 500 and 0.82 at 20k x 1000."""
 
-_FILL_MIN_UNITS = 7_500_000
-"""Unit draws (resamples times n) per count-fill worker. Timed as for
-``_FILL_MIN_N``, up to 1.2e7 draws: 1.05 / 1.07 / 1.01 / 1.03 / 1.01 at
-40k x 2 / 8 / 32 / 100 / 250 and 1.03 / 1.01 / 0.97 / 1.03 / 0.98 at 1e5
-x 2 / 8 / 50 / 100 / 120; from 1.5e7: 0.96 at 40k x 375, 0.88 at 40k x
-500, 0.89 / 0.85-0.93 / 0.83 / 0.75-0.81 at 1e5 x 150 / 199 / 256 / 500."""
+_FILL_MIN_UNITS = 3_000_000
+"""Unit draws (resamples times n) per resample worker. Timed as for
+``_FILL_MIN_N``: 1.02 / 1.04 / 0.90-1.00 / 0.82-1.03 / 0.85 at 20k x 50 /
+100 / 200 / 250 / 300; 0.87 / 0.85 / 0.79 / 0.82-0.85 at 40k x 25 / 50 /
+75 / 100; 0.94 / 0.83 / 0.75 / 0.79-0.80 / 0.79 at 1e5 x 10 / 20 / 30 /
+40 / 50; 0.78 at 40k x 375 and 0.67 at 1e5 x 150 (9 pairs). With the
+pools of this floor (two workers from 6e6 draws): 0.82-0.99 at 20k x
+300, 0.80 at 40k x 150 and 0.69 at 1e5 x 60."""
 
 
 def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.ndarray:
     """Moment rows ``counts_r @ moment_features(panel)`` of every resample.
 
-    The reps x n count matrix is never held. Workers (``_worker_count``
-    with ``_FILL_MIN_N`` and ``_FILL_MIN_UNITS``) write each resample's
-    multinomial counts as uint8 into a block of ``_FILL_ROWS`` rows; once
-    the block is full, the calling thread casts ``_PRODUCT_ROWS`` rows at
-    a time into one float64 block (rows past a short product are stale and
-    never read back) and multiplies it by the features. Every product has
-    the same shape, and OpenBLAS gives a row of a fixed-shape product the
-    same bits at any row position, so a row depends only on (panel, seed,
-    r): not on ``threads``, ``reps`` or the block heights. A count above
-    255 wraps; the row's arm totals n1 + n0 (its first two columns, exact
-    integers) then read n - 256k, not n, so that resample is drawn again
-    as int64 into its block row and the product runs again.
+    The units are sorted once, stably, by cell: arm, then the number of
+    treated periods, which fixes an irreversible path. Each cell and each
+    arm is then one block, the z=0 arm first. Resample r's counts,
+    ``bincount`` of its ``rep_rng(seed, r)`` draws in sorted positions,
+    are int64. Its integer columns are the cells' counts times the cells'
+    integer features: exact. Its 2T y columns are each arm's outcomes
+    weighted by the counts and summed in cell order (``einsum``), so with
+    non-dyadic y their last bits can differ from ``arm_sums``' unit order.
+    No step calls BLAS. One worker (``_worker_count`` with ``_FILL_MIN_N``
+    and ``_FILL_MIN_UNITS``) computes the whole row, so it depends only on
+    (panel, seed, r): not on ``threads``, ``reps``, execution order or the
+    BLAS thread count. No reps x n array is held.
     """
-    n = panel.n
-    F = moment_features(panel.z, panel.d, panel.y)
-    M = np.empty((reps, F.shape[1]))
-    counts = np.empty((min(reps, _FILL_ROWS), n), dtype=np.uint8)
-    block = np.zeros((_PRODUCT_ROWS, n))
-
-    def draw(r: int) -> np.ndarray:
-        return np.bincount(rep_rng(seed, r).integers(0, n, size=n), minlength=n)
+    n, T = panel.n, panel.T
+    key = panel.z.astype(np.intp) * (T + 1) + panel.d.sum(axis=1)
+    order = np.argsort(key, kind="stable")
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    first = order[starts]
+    d = panel.d[first]
+    features = moment_features(panel.z[first], d, np.zeros(d.shape)).astype(np.intp)
+    ys = np.ascontiguousarray(panel.y[order].T)
+    n0 = int(np.count_nonzero(panel.z == 0))
+    M = np.empty((reps, 6 * T))
 
     def fill(lo: int, hi: int) -> None:
+        weights = np.empty(n)
         for r in range(lo, hi):
-            counts[r % _FILL_ROWS] = draw(r)
+            counts = np.bincount(pos.take(rep_rng(seed, r).integers(0, n, size=n)), minlength=n)
+            np.matmul(np.add.reduceat(counts, starts), features, out=M[r])
+            np.copyto(weights, counts)
+            for j, arm in ((2, slice(n0, n)), (2 + T, slice(0, n0))):
+                M[r, j : j + T] = np.einsum("ji,i->j", ys[:, arm], weights[arm])
 
-    def multiply(lo: int, hi: int) -> None:
-        for start in range(lo, hi, _PRODUCT_ROWS):
-            rows = min(_PRODUCT_ROWS, hi - start)
-            block[:rows] = counts[start % _FILL_ROWS : start % _FILL_ROWS + rows]
-            product = block @ F
-            wrapped = np.flatnonzero(product[:rows, 0] + product[:rows, 1] != n)
-            if wrapped.size:
-                for i in wrapped:
-                    block[i] = draw(start + i)
-                product = block @ F
-            M[start : start + rows] = product[:rows]
-
-    workers = _worker_count(threads, reps, n, _FILL_MIN_N, _FILL_MIN_UNITS)
-    _fill_rows(fill, reps, workers, _FILL_ROWS, multiply)
+    _fill_rows(fill, reps, _worker_count(threads, reps, n, _FILL_MIN_N, _FILL_MIN_UNITS))
     return M
 
 

@@ -67,22 +67,17 @@ def _worker_count(threads: int, reps: int, n: int, min_n: int, min_units: int) -
     return max(1, min(threads, reps, reps * n // min_units, _usable_cores()))
 
 
-def _fill_rows(fill, reps: int, workers: int, block: int | None = None, then=None) -> None:
+def _fill_rows(fill, reps: int, workers: int) -> None:
     """Run ``fill(lo, hi)`` over the rows 0..reps on ``workers`` threads.
 
-    Each block of ``block`` rows (default: all) goes in ``workers``
-    balanced contiguous ranges to one pool (a plain ``map`` for one
-    worker), then to ``then(lo, hi)`` on the calling thread.
+    The rows go in ``workers`` balanced contiguous ranges to one pool (a
+    plain ``map`` for one worker); each ``fill`` call computes and writes
+    whole rows, so the result does not depend on ``workers``.
     """
-    block = block or reps
+    cuts = [w * reps // workers for w in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        for lo in range(0, reps, block):
-            hi = min(lo + block, reps)
-            cuts = [lo + w * (hi - lo) // workers for w in range(workers + 1)]
-            list(run(fill, cuts[:-1], cuts[1:]))
-            if then is not None:
-                then(lo, hi)
+        list(run(fill, cuts[:-1], cuts[1:]))
 
 
 _MC_MIN_N = 4096

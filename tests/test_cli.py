@@ -196,6 +196,22 @@ class TestCheck:
         assert calls.count("estimate") == estimates
         assert calls.count("population") == populations
 
+    @pytest.mark.parametrize(
+        "argv", [["estimate"], ["identify", "--assume", "calendar-homogeneity"]]
+    )
+    def test_negative_weights_scanned_once(self, capsys, monkeypatch, small_panel_csv, argv):
+        # the report's flags and the warnings read one scan
+        calls = []
+
+        def counting(est):
+            calls.append(est)
+            return estimators.negative_weight_diagnostic(est)
+
+        monkeypatch.setattr(cli, "negative_weight_diagnostic", counting)
+        code, _, _ = run(capsys, *argv, "--panel", small_panel_csv)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_bootstrap_estimates_once(self, capsys, monkeypatch, small_panel_csv):
         # the amplification warning reads fs off the bootstrap's point row
         calls = []

@@ -307,16 +307,19 @@ def bits(a):
 def test_resamples_independent_of_fill_height_and_threads(
     monkeypatch, threaded_pools, fill_rows, threads
 ):
+    # fill_rows is the number of rows one call fills: a row depends only on
+    # (panel, seed, r), so a shorter fill gives the first rows of a longer one
     panel = noisy_panel(999)
     moments = _resample_moments(panel, 600, 7, 1)
     res = bootstrap(panel, reps=600, alpha=0.1, seed=7)
-    monkeypatch.setattr(inference, "_FILL_ROWS", fill_rows)
     monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
     monkeypatch.setattr(inference, "_FILL_MIN_UNITS", 1)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
     assert np.array_equal(bits(_resample_moments(panel, 600, 7, threads)), bits(moments))
+    short = _resample_moments(panel, fill_rows, 7, threads)
+    assert np.array_equal(bits(short), bits(moments[:fill_rows]))
     assert bootstrap(panel, reps=600, alpha=0.1, seed=7, threads=threads) == res
-    assert threaded_pools == ([threads] * 2 if threads > 1 else [])
+    assert threaded_pools == ([threads] * 3 if threads > 1 else [])
 
 
 @pytest.mark.parametrize("n", [300, 999, 5000])
@@ -385,14 +388,13 @@ def test_short_products_leave_stale_rows_out(monkeypatch, threaded_pools, reps, 
 
 
 def test_fill_with_more_workers_than_cores(monkeypatch, threaded_pools):
-    # every row wraps and is drawn again while 8 workers, switching threads
-    # often, fill the next rows of their block, over several fill blocks
+    # every row holds counts above 255 while 8 workers, switching threads
+    # often, fill their ranges of rows
     panel = dyadic_panel(600)
     counts, want = exact_moments(panel, TwoUnitRng, 9, 200)
     assert (counts.max(axis=1) > 255).all()
     monkeypatch.setattr(inference, "rep_rng", TwoUnitRng)
     force_fill_pool(monkeypatch)
-    monkeypatch.setattr(inference, "_FILL_ROWS", 64)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -403,35 +405,23 @@ def test_fill_with_more_workers_than_cores(monkeypatch, threaded_pools):
     assert threaded_pools == [8]
 
 
-class OddRowsWrapRng(TwoUnitRng):
-    """``rep_rng`` on even resamples, ``TwoUnitRng`` (counts above 255) on odd ones."""
-
-    def __init__(self, seed, r):
-        super().__init__(seed, r)
-        if r % 2 == 0:
-            self.rng = simulate.rep_rng(seed, r)
-            self.integers = self.rng.integers
-
-
-def test_wide_count_path_gives_the_same_bits(monkeypatch):
-    # a row drawn again as int64 after its uint8 counts wrapped holds the bits
-    # of the same fixed-shape product over exact counts, and the rows that did
-    # not wrap keep the bits they have when no row wraps
-    panel = noisy_panel(999)
-    plain = _resample_moments(panel, 150, 5, 2)
-    counts, _ = exact_moments(panel, OddRowsWrapRng, 5, 150)
-    assert (counts[1::2].max(axis=1) > 255).all()
-    F = moment_features(panel.z, panel.d, panel.y)
-    want = np.empty_like(plain)
-    for start in range(0, 150, inference._PRODUCT_ROWS):
-        block = np.zeros((inference._PRODUCT_ROWS, panel.n))
-        rows = counts[start : start + inference._PRODUCT_ROWS]
-        block[: len(rows)] = rows
-        want[start : start + len(rows)] = (block @ F)[: len(rows)]
-    monkeypatch.setattr(inference, "rep_rng", OddRowsWrapRng)
-    got = _resample_moments(panel, 150, 5, 2)
-    assert np.array_equal(bits(got), bits(want))
-    assert np.array_equal(bits(got[0::2]), bits(plain[0::2]))
+@pytest.mark.parametrize("T", [1, 4, 130])
+def test_resample_rows_match_the_count_product(T):
+    # integer columns are exact; y columns are count-weighted sums in cell
+    # order, so they match the product up to rounding of sums of |terms|.
+    # T=130 pins the cell key's widening of z: z * (T + 1) overflows int8.
+    rng = np.random.default_rng(T)
+    start = rng.integers(1, T + 2, size=999)  # T+1 means never treated
+    d = np.arange(1, T + 1) >= start[:, None]
+    y = rng.normal(0.3, 0.9, size=(999, T))
+    panel = Panel.from_arrays([f"u{i:03d}" for i in range(999)], np.arange(999) % 2, d, y)
+    counts, want = exact_moments(panel, simulate.rep_rng, 5, 40)
+    got = _resample_moments(panel, 40, 5, 1)
+    ys = np.r_[2 : 2 + 2 * T]
+    ints = np.setdiff1d(np.arange(6 * T), ys)
+    assert np.array_equal(bits(got[:, ints]), bits(want[:, ints]))
+    scale = counts @ np.abs(moment_features(panel.z, panel.d, panel.y)[:, ys])
+    assert (np.abs(got[:, ys] - want[:, ys]) <= 1e-12 * scale).all()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
