@@ -527,11 +527,7 @@ def _adoption_time(v) -> float:
 
 
 def load_spec(path: str) -> DgpSpec:
-    """Load a DGP spec file. JSON is canonical; YAML and TOML are accepted.
-
-    TOML needs the stdlib tomllib (Python 3.11+); on older interpreters a
-    SchemaMismatch explains the limitation.
-    """
+    """Load a DGP spec file. JSON is canonical; YAML and TOML are accepted."""
     lower = str(path).lower()
     if lower.endswith(".json"):
         name, mode, parse, error = "JSON", "r", json.load, ValueError
@@ -540,12 +536,8 @@ def load_spec(path: str) -> DgpSpec:
 
         name, mode, parse, error = "YAML", "r", yaml.safe_load, yaml.YAMLError
     elif lower.endswith(".toml"):
-        try:
-            import tomllib
-        except ModuleNotFoundError:
-            raise SchemaMismatch(
-                "reading TOML specs requires Python 3.11+; use JSON or YAML"
-            ) from None
+        import tomllib
+
         name, mode, parse, error = "TOML", "rb", tomllib.load, tomllib.TOMLDecodeError
     else:
         raise SchemaMismatch(

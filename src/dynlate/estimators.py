@@ -36,16 +36,10 @@ def moment_features(z: np.ndarray, d: np.ndarray, y: np.ndarray) -> np.ndarray:
     Layout: [z, 1-z, z*y (T), (1-z)*y (T), z*d (T), (1-z)*d (T),
     z*switch (T-1), (1-z)*switch (T-1)], where switch_t = 1{d_t=1, d_1=0}.
     """
-    F = np.empty((len(z), 6 * y.shape[1]))
-    on, off = F[:, :1], F[:, 1:2]
-    on[:, 0] = z
-    np.subtract(1.0, on, out=off)
-    j = 2
-    for x in (y, d, d[:, 1:] > d[:, :1]):
-        for arm in (on, off):
-            np.multiply(arm, x, out=F[:, j : j + x.shape[1]])
-            j += x.shape[1]
-    return F
+    on = np.asarray(z, dtype=np.float64)[:, None]
+    arms = (on, 1.0 - on)
+    blocks = [arm * x for x in (y, d, d[:, 1:] > d[:, :1]) for arm in arms]
+    return np.concatenate([*arms, *blocks], axis=1)
 
 
 def unit_sums(y: np.ndarray) -> np.ndarray:
@@ -213,9 +207,9 @@ def amplification(fs) -> float:
     an overflow) amplifies without bound: ``inf``.
     """
     T = len(fs)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         columns = identify_rows(np.eye(T), np.tile(np.asarray(fs, dtype=np.float64), (T, 1)))
-    amp = float(np.abs(columns).sum(axis=0).max())
+        amp = float(np.abs(columns).sum(axis=0).max())
     return amp if math.isfinite(amp) else math.inf
 
 

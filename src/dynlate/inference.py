@@ -7,12 +7,12 @@ A resample's moment row is its counts times
 :func:`~dynlate.estimators.moment_features`, summed by cell; as for
 ``estimate`` and Monte Carlo, :func:`~dynlate.estimators.moment_estimands`
 reads it. Resample r draws its multinomial counts from a stream seeded by
-(seed, r), and one worker computes its whole row without a BLAS call, so
-the row depends only on (panel, seed, r): not on ``threads``, on
-execution order, on how many resamples the run has, or on the BLAS thread
-count. The first k resamples of a longer run are bitwise those of a
-k-resample run. Memory grows with reps only through the rows, never as
-reps x n.
+(seed, r), and one worker of :func:`~dynlate.simulate._fill_rows` computes
+its whole row without a BLAS call, so the row depends only on (panel,
+seed, r): not on ``threads``, on execution order, on how many resamples
+the run has, or on the BLAS thread count. The first k resamples of a
+longer run are bitwise those of a k-resample run. Memory grows with reps
+only through the rows, never as reps x n.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import AllReplicationsFailed
 from .estimators import ALL_TARGETS, estimate, moment_estimands, moment_features
 from .estimators import outcome_range_bounds, target_columns, target_row
 from .panel import Panel
-from .simulate import _fill_rows, _worker_count, rep_rng
+from .simulate import _fill_rows, rep_rng
 
 
 def percentile_interval(values: np.ndarray, alpha: float) -> tuple[float, float]:
@@ -95,22 +95,21 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
 
     The units are sorted once, stably, by cell: arm, then the number of
     treated periods, which fixes an irreversible path. Each cell and each
-    arm is then one block, the z=0 arm first. Resample r's counts,
-    ``bincount`` of its ``rep_rng(seed, r)`` draws in sorted positions,
-    are int64. Its integer columns are the cells' counts times the cells'
+    arm is then one block, the z=0 arm first. Resample r's counts are the
+    int64 ``bincount`` of its ``rep_rng(seed, r)`` draws, taken in that
+    order. Its integer columns are the cells' counts times the cells'
     integer features: exact. Its 2T y columns are each arm's outcomes
     weighted by the counts and summed in cell order (``einsum``), so with
     non-dyadic y their last bits can differ from ``arm_sums``' unit order.
-    No step calls BLAS. One worker (``_worker_count`` with ``_FILL_MIN_N``
-    and ``_FILL_MIN_UNITS``) computes the whole row, so it depends only on
-    (panel, seed, r): not on ``threads``, ``reps``, execution order or the
-    BLAS thread count. No reps x n array is held.
+    No step calls BLAS. One worker of :func:`~dynlate.simulate._fill_rows`
+    (floors ``_FILL_MIN_N`` and ``_FILL_MIN_UNITS``) computes the whole
+    row, so it depends only on (panel, seed, r): not on ``threads``,
+    ``reps``, execution order or the BLAS thread count. No reps x n array
+    is held.
     """
     n, T = panel.n, panel.T
     key = panel.z.astype(np.intp) * (T + 1) + panel.d.sum(axis=1)
     order = np.argsort(key, kind="stable")
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     first = order[starts]
     d = panel.d[first]
@@ -122,13 +121,13 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     def fill(lo: int, hi: int) -> None:
         weights = np.empty(n)
         for r in range(lo, hi):
-            counts = np.bincount(pos.take(rep_rng(seed, r).integers(0, n, size=n)), minlength=n)
+            counts = np.bincount(rep_rng(seed, r).integers(0, n, n), minlength=n).take(order)
             np.matmul(np.add.reduceat(counts, starts), features, out=M[r])
             np.copyto(weights, counts)
             for j, arm in ((2, slice(n0, n)), (2 + T, slice(0, n0))):
                 M[r, j : j + T] = np.einsum("ji,i->j", ys[:, arm], weights[arm])
 
-    _fill_rows(fill, reps, _worker_count(threads, reps, n, _FILL_MIN_N, _FILL_MIN_UNITS))
+    _fill_rows(fill, reps, n, threads, _FILL_MIN_N, _FILL_MIN_UNITS)
     return M
 
 
@@ -179,10 +178,10 @@ def bootstrap(
         raise AllReplicationsFailed(
             "every bootstrap resample had an empty arm or a zero first stage"
         )
-    rows = (a[valid] for a in (rf, fs, sw0, sw1))
-    resampled = target_columns(*rows, targets, lo, hi, include_tight)
+    resampled = target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight)
     intervals = []
     for (name, values, ok), (_, point_value, point_ok) in zip(resampled, point, strict=True):
+        ok &= valid
         if not ok.any():
             continue
         lower, upper = percentile_interval(values[ok], alpha)

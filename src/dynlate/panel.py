@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 from dataclasses import dataclass
 
@@ -190,13 +191,14 @@ def ingest(source) -> Panel:
     one row per (unit, period). Periods must form 1..T for every unit,
     z must be constant within unit, and both instrument arms must appear.
     A string is CSV text if it is empty, has a newline or starts with the
-    header; any other string is a path. One byte-order mark (U+FEFF) before
-    the header is ignored.
+    header; any other string, and any ``os.PathLike``, is a path. One
+    byte-order mark (U+FEFF) before the header is ignored.
     """
     if isinstance(source, str):
         text = source.removeprefix(_BOM)
         if "\n" in source or source == "" or text.startswith(",".join(CSV_HEADER)):
             return _ingest_stream(io.StringIO(source))
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return _ingest_stream(fh)
     return _ingest_stream(source)

@@ -53,27 +53,20 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(threads: int, reps: int, n: int, min_n: int, min_units: int) -> int:
-    """Worker threads for ``reps`` rows, one sample of n units each.
+def _fill_rows(fill, reps: int, n: int, threads: int, min_n: int, min_units: int) -> None:
+    """Run ``fill(lo, hi)`` over ``reps`` rows, one sample of n units each.
 
-    The one rule for Monte Carlo replications and bootstrap resamples: at
-    most one per row, per usable core, per requested thread and per
-    ``min_units`` unit draws (reps x n); 1, run inline, when n < min_n. A
-    pool costs a few ms per call whatever the work, so the draws in all
-    decide whether it pays; small samples lose even with many draws.
+    The one worker rule for Monte Carlo replications and bootstrap
+    resamples: at most one thread per row, per usable core, per requested
+    thread and per ``min_units`` unit draws (reps x n); inline, with a
+    plain ``map``, when n < min_n or one worker is left. A pool costs a
+    few ms per call whatever the work, so the draws in all decide whether
+    it pays; small samples lose even with many draws. The rows go in
+    balanced contiguous ranges, one per worker; each ``fill`` call
+    computes and writes whole rows, so the result does not depend on the
+    worker count.
     """
-    if n < min_n:
-        return 1
-    return max(1, min(threads, reps, reps * n // min_units, _usable_cores()))
-
-
-def _fill_rows(fill, reps: int, workers: int) -> None:
-    """Run ``fill(lo, hi)`` over the rows 0..reps on ``workers`` threads.
-
-    The rows go in ``workers`` balanced contiguous ranges to one pool (a
-    plain ``map`` for one worker); each ``fill`` call computes and writes
-    whole rows, so the result does not depend on ``workers``.
-    """
+    workers = 1 if n < min_n else max(1, min(threads, reps, reps * n // min_units, _usable_cores()))
     cuts = [w * reps // workers for w in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
@@ -284,8 +277,8 @@ def monte_carlo(
     target. Default effect bounds come from the spec's own
     contaminating-effect envelope. The oracle is the one-row target table of the population estimands,
     under the population zero rule; a target it leaves undefined has no
-    row. Replications run through :func:`_fill_rows` on the workers
-    :func:`_worker_count` allows with ``_MC_MIN_N`` and ``_MC_MIN_UNITS``.
+    row. Replications run through :func:`_fill_rows`, with the floors
+    ``_MC_MIN_N`` and ``_MC_MIN_UNITS``.
     A replication's moment row depends only on (spec, n, seed, r), so the
     summary is the same for any ``threads``.
     """
@@ -314,7 +307,7 @@ def monte_carlo(
         for r in range(start, stop):
             draws.moment_row(rep_rng(seed, r), M[r])
 
-    _fill_rows(fill, reps, _worker_count(threads, reps, n, _MC_MIN_N, _MC_MIN_UNITS))
+    _fill_rows(fill, reps, n, threads, _MC_MIN_N, _MC_MIN_UNITS)
     both_arms, *moments = moment_estimands(M)
     replicated = target_columns(*moments, targets, lo, hi)
     rows = []

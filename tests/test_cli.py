@@ -562,7 +562,7 @@ class TestGoldenReports:
         )
 
     def test_bootstrap_golden(self, capsys, small_panel_csv, tmp_path):
-        # dyadic data keeps the moment product exact, whatever the BLAS kernel
+        # dyadic data keeps every resample row exact, in any summation order
         self._assert_golden(
             capsys, tmp_path, "bootstrap_small_panel.json",
             ["bootstrap", "--reps", "200", "--seed", "16",

@@ -207,7 +207,7 @@ def dyadic_samples(draw):
 @given(dyadic_samples())
 def test_arm_sums_equal_summed_features(sample):
     # the two producers of the moment row: one gather per arm, and the
-    # per-unit features the bootstrap weights
+    # per-unit features, whose cell rows Monte Carlo and the bootstrap count
     z, d, y = sample
     row = arm_sums(z, d, y)
     assert row.dtype == np.float64
@@ -329,6 +329,7 @@ class TestIdentify:
     @example(0.009999999999999998, [])
     @example(-0.009999999999999998, [0.5])
     @example(5e-324, [1.0] * 7)
+    @example(1.1125369292536007e-308, [0.0])
     def test_small_first_stage_always_gets_the_amplification_warning(self, fs1, rest):
         # row 1 of P^-1 is (1/fs_1, 0, ...), so the amplification is at
         # least 1/|fs_1| > 100: no small first stage escapes the one rule

@@ -73,7 +73,9 @@ def test_features_match_concatenated_reference_bitwise(T):
     spec, _ = random_homogeneous_spec(rng, T=T, noise_sd=0.9)
     panel = draw_panel(spec, 700, seed=T)
     got, want = moment_features(panel.z, panel.d, panel.y), concatenated_features(panel)
-    assert got.flags.c_contiguous  # the moment product's bits depend on the layout
+    # a fresh row-major block, not a strided view, for the cell tables and
+    # count products built on it
+    assert got.flags.c_contiguous
     assert got.shape == want.shape == (700, 6 * T)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -377,9 +379,9 @@ def force_fill_pool(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("reps", [1, 63, 64, 65, 130])
-def test_short_products_leave_stale_rows_out(monkeypatch, threaded_pools, reps, threads):
-    # the rows of a short product past its end still hold the product
-    # before it; none of them may reach a moment row
+def test_resample_rows_exact_on_any_worker_split(monkeypatch, threaded_pools, reps, threads):
+    # dyadic data: every row equals its count product bit for bit, whether
+    # one row or 130 go inline or in one or two ranges to the pool
     panel = dyadic_panel(300)
     force_fill_pool(monkeypatch)
     _, want = exact_moments(panel, simulate.rep_rng, 6, reps)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DATA_DIR
 from dynlate.errors import (
     DegenerateInstrument,
     InstrumentVariesWithinUnit,
@@ -46,6 +47,15 @@ def test_ingest_header_only_string_is_csv_not_path():
     # no newline, so only the header prefix marks this as CSV text
     with pytest.raises(MalformedRow, match="no data rows"):
         ingest("unit_id,period,z,d,y")
+
+
+def test_ingest_opens_a_path_object_as_a_file(tmp_path):
+    path = DATA_DIR / "panel_small.csv"
+    assert ingest(path) == ingest(str(path))
+    # a path object is never CSV text, even when its name is the header
+    named = tmp_path / "unit_id,period,z,d,y"
+    named.write_text(MINIMAL, encoding="utf-8")
+    assert ingest(named) == ingest(MINIMAL)
 
 
 def test_byte_order_mark_before_header_is_ignored(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynlate import inference, simulate
-from dynlate.dgp import DgpSpec, HistorySpec, population_estimands
+from dynlate.dgp import DgpSpec, HistorySpec, load_spec, population_estimands
 from dynlate.errors import DegenerateInstrument, DynlateError
 from dynlate.estimators import (
     ALL_TARGETS,
@@ -37,6 +37,7 @@ from dynlate.simulate import (
     rep_rng,
 )
 
+from conftest import GOLDEN_DIR
 from randspec import random_spec, static_compliance_spec
 
 P = AdoptionPair
@@ -376,6 +377,29 @@ def test_monte_carlo_rows_are_arm_sums_of_the_draws(
     assert threaded_pools == ([2] if pooled else [])
     if pz < 0.1:
         assert 0 < np.count_nonzero(rows[:, 0] == 0) < reps
+
+
+@pytest.mark.parametrize("case", ["six_history", "all_histories", *range(50)])
+def test_expected_cell_row_reads_the_oracle(case):
+    # the noise-free expected moment row of a study, built from its cell
+    # table alone: cell shares (1 - pz) p_h and pz p_h times the integer
+    # features, and each arm's shares times its cell means
+    if isinstance(case, str):
+        spec = load_spec(GOLDEN_DIR / f"spec_t4_{case}.json")
+    else:
+        spec = random_spec(np.random.default_rng(300 + case))
+    table, H, T = _cell_table(spec), len(spec.histories), spec.T
+    probs = np.array([h.prob for h in spec.histories])
+    shares = np.concatenate([(1.0 - spec.pz) * probs, spec.pz * probs])
+    row = shares @ table.features
+    row[2 : 2 + T] = shares[H:] @ table.mean[H:]
+    row[2 + T : 2 + 2 * T] = shares[:H] @ table.mean[:H]
+    both_arms, rf, fs, sw0, sw1 = moment_estimands(row[None])
+    pop = population_estimands(spec)
+    assert both_arms.tolist() == [True]
+    for got, want in ((rf, pop.rf), (fs, pop.fs), (sw0, pop.switch_z0), (sw1, pop.switch_z1)):
+        assert got.shape == (1, len(want))
+        assert np.abs(got[0] - want).max(initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("T", [1, 2, 4])
