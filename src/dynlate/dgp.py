@@ -10,13 +10,14 @@ and simulation tests are checked against.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import SchemaMismatch, SpecValidationError
-from .estimands import POPULATION_ZERO_TOL, EstimandSet, _check_period, is_zero
+from .estimands import POPULATION_ZERO_TOL, EstimandSet, _check_period, is_positive, is_zero
 from .latent import C1, NEVER, AdoptionPair, GroupLabel, switcher_group_labels
 
 SCHEMA_VERSION = 1
@@ -117,7 +118,7 @@ class DgpSpec:
             raise SpecValidationError(
                 f"history probabilities sum to {total!r}, expected 1 within 1e-12"
             )
-        if self.p_c1 <= POPULATION_ZERO_TOL:
+        if not is_positive(self.p_c1, "population"):
             raise SpecValidationError(
                 "relevance fails: no first-period compliers (P(C1) is zero)"
             )
@@ -364,16 +365,12 @@ def make_calendar_homogeneous(
     effects = tuple(tuple(profile[tau] for tau in range(t)) for t in range(1, T + 1))
     base = tuple(baselines)
     histories = tuple(
-        HistorySpec(_as_pair(key), float(prob), base, effects)
+        HistorySpec(
+            key if isinstance(key, AdoptionPair) else AdoptionPair(*key), float(prob), base, effects
+        )
         for key, prob in history_probs.items()
     )
     return DgpSpec(T=T, pz=pz, histories=histories, noise_sd=noise_sd)
-
-
-def _as_pair(key) -> AdoptionPair:
-    if isinstance(key, AdoptionPair):
-        return key
-    return AdoptionPair(*key)
 
 
 def check_calendar_homogeneity(spec: DgpSpec) -> bool:
@@ -527,27 +524,37 @@ def _adoption_time(v) -> float:
 
 
 def load_spec(path: str) -> DgpSpec:
-    """Load a DGP spec file. JSON is canonical; YAML and TOML are accepted."""
+    """Load a DGP spec file. JSON is canonical; YAML and TOML are accepted.
+
+    The file must be UTF-8; one leading byte-order mark is ignored.
+    """
     lower = str(path).lower()
     if lower.endswith(".json"):
-        name, mode, parse, error = "JSON", "r", json.load, ValueError
+        name, parse, error = "JSON", json.loads, ValueError
     elif lower.endswith((".yaml", ".yml")):
         import yaml
 
-        name, mode, parse, error = "YAML", "r", yaml.safe_load, yaml.YAMLError
+        name, parse, error = "YAML", yaml.safe_load, yaml.YAMLError
     elif lower.endswith(".toml"):
         import tomllib
 
-        name, mode, parse, error = "TOML", "rb", tomllib.load, tomllib.TOMLDecodeError
+        name, parse, error = "TOML", tomllib.loads, tomllib.TOMLDecodeError
     else:
         raise SchemaMismatch(
             f"unrecognized spec extension for {path!r}; use .json, .yaml, or .toml"
         )
-    with open(path, mode, encoding=None if mode == "rb" else "utf-8") as fh:
-        try:
-            doc = parse(fh)
-        except error as err:
-            raise SchemaMismatch(f"invalid {name} in {path!r}: {err}") from None
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise SchemaMismatch(
+            f"spec file {path!r} is not UTF-8 text: byte {raw[err.start]:#04x}, {err.reason}"
+        ) from None
+    try:
+        doc = parse(text)
+    except error as err:
+        raise SchemaMismatch(f"invalid {name} in {path!r}: {err}") from None
     return spec_from_dict(doc)
 
 

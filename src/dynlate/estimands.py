@@ -23,6 +23,12 @@ def is_zero(value: float, kind: str) -> bool:
     return value == 0.0
 
 
+def is_positive(value: float, kind: str) -> bool:
+    """The bounds' relevance test of ``kind`` estimands: ``value`` above the
+    zero band of :func:`is_zero`. Numpy arrays are tested element-wise."""
+    return value > (POPULATION_ZERO_TOL if kind == "population" else 0.0)
+
+
 def _check_period(t: int, T: int, lo: int = 1) -> None:
     """Refuse anything but an integer period in lo..T, for estimands and specs."""
     if not isinstance(t, int) or not lo <= t <= T:
@@ -91,7 +97,3 @@ class EstimandSet:
     def switch_at(self, t: int, z: int) -> float:
         _check_period(t, self.T, lo=2)
         return (self.switch_z1 if z == 1 else self.switch_z0)[t - 2]
-
-    @property
-    def fs1_is_zero(self) -> bool:
-        return is_zero(self.fs[0], self.kind)

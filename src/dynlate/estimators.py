@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInstrument, RelevanceFailure, SignedBoundViolation
-from .estimands import POPULATION_ZERO_TOL, EstimandSet, _check_period, is_zero
+from .estimands import EstimandSet, _check_period, is_positive, is_zero
 from .panel import Panel
 
 AMPLIFICATION_THRESHOLD = 100.0
@@ -139,18 +139,12 @@ def check_assumptions(panel: Panel) -> PanelDiagnostics:
         return PanelDiagnostics(
             panel.n, panel.T, panel.n_z1, panel.n_z0, None, False, tuple(notes)
         )
-    relevance_ok = not est.fs1_is_zero
+    relevance_ok = not is_zero(est.fs[0], est.kind)
     if not relevance_ok:
         notes.append("relevance at t=1 fails (FS_1 = 0)")
     return PanelDiagnostics(
         panel.n, panel.T, est.n_z1, est.n_z0, est.fs[0], relevance_ok, tuple(notes)
     )
-
-
-def _require_nonzero_fs1(est: EstimandSet) -> float:
-    if est.fs1_is_zero:
-        raise RelevanceFailure("first stage at t=1 is zero")
-    return est.fs[0]
 
 
 @dataclass(frozen=True)
@@ -231,7 +225,9 @@ def identify(est: EstimandSet) -> IdentifiedProfile:
     A profile that overflows is refused. An :func:`amplification` above
     ``AMPLIFICATION_THRESHOLD`` (every |fs_1| < 0.01 is one) adds a warning.
     """
-    fs1 = _require_nonzero_fs1(est)
+    fs1 = est.fs[0]
+    if is_zero(fs1, est.kind):
+        raise RelevanceFailure("first stage at t=1 is zero")
     solved = identify_rows(np.array([est.rf]), np.array([est.fs]))[0]
     if not np.isfinite(solved).all():
         raise RelevanceFailure(
@@ -276,18 +272,6 @@ class BoundsReport:
 
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lower - slack <= value <= self.upper + slack
-
-
-def _positive_fs1(fs1, kind: str):
-    """The bounds' relevance rule, element-wise: fs_1 above the zero band of ``kind``."""
-    return fs1 > (POPULATION_ZERO_TOL if kind == "population" else 0.0)
-
-
-def _require_positive_fs1(est: EstimandSet) -> float:
-    fs1 = est.fs[0]
-    if not _positive_fs1(fs1, est.kind):
-        raise RelevanceFailure("bounds require a positive first stage at t=1")
-    return fs1
 
 
 def _check_ordered(lo: float, hi: float) -> None:
@@ -361,7 +345,9 @@ def bound_report(method: str, est: EstimandSet, t: int, lo: float, hi: float) ->
         raise SignedBoundViolation(
             "this method needs lo <= 0 <= hi; use the unrestricted general bounds"
         )
-    fs1 = _require_positive_fs1(est)
+    fs1 = est.fs[0]
+    if not is_positive(fs1, est.kind):
+        raise RelevanceFailure("bounds require a positive first stage at t=1")
     lower, upper = bound_rows(method, *_one_row(est), t, lo, hi)
     tight = method == "tight"
     return BoundsReport(
@@ -472,7 +458,7 @@ def target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight=True, kind="
             columns.extend((f"delta[{tau}]", delta[:, tau], defined) for tau in range(T))
         if "bounds" in targets:
             _check_ordered(lo, hi)
-            positive = _positive_fs1(fs[:, 0], kind)
+            positive = is_positive(fs[:, 0], kind)
             for method in selected_methods(lo, hi, include_tight):
                 for t in range(2, T + 1):
                     lower, upper = bound_rows(method, rf, fs, sw0, sw1, t, lo, hi)

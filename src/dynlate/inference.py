@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllReplicationsFailed
+from .estimands import is_zero
 from .estimators import ALL_TARGETS, estimate, moment_estimands, moment_features
 from .estimators import outcome_range_bounds, target_columns, target_row
 from .panel import Panel
@@ -172,7 +173,7 @@ def bootstrap(
     point = target_row(estimate(panel), targets, lo, hi, include_tight)
 
     both_arms, rf, fs, sw0, sw1 = moment_estimands(_resample_moments(panel, reps, seed, threads))
-    valid = both_arms & (fs[:, 0] != 0.0)
+    valid = both_arms & ~is_zero(fs[:, 0], "sample")
     n_failed = int(reps - valid.sum())
     if n_failed == reps:
         raise AllReplicationsFailed(

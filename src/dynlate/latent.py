@@ -108,18 +108,14 @@ def switcher_sets(T: int, t: int) -> tuple[set[AdoptionPair], set[AdoptionPair]]
     belongs to neither: its arms behave identically, so it contributes
     nothing to arm contrasts.
     """
-    _check_switch_period(T, t)
-    times = [*range(1, T + 1), NEVER]
-    g_plus = {AdoptionPair(t, s0) for s0 in times if s0 != t and s0 != 1}
-    g_minus = {AdoptionPair(s1, t) for s1 in times if s1 != t}
-    return g_plus, g_minus
-
-
-def _check_switch_period(T: int, t: int) -> None:
     if not isinstance(T, int) or T < 1:
         raise PeriodOutOfRange(f"horizon must be an integer >= 1, got {T!r}")
     if not isinstance(t, int) or not 2 <= t <= T:
         raise PeriodOutOfRange(f"switch period must be in 2..{T}, got {t!r}")
+    times = [*range(1, T + 1), NEVER]
+    g_plus = {AdoptionPair(t, s0) for s0 in times if s0 != t and s0 != 1}
+    g_minus = {AdoptionPair(s1, t) for s1 in times if s1 != t}
+    return g_plus, g_minus
 
 
 _AT, _C, _F, _NT = IvType.ALWAYS_TAKER, IvType.COMPLIER, IvType.DEFIER, IvType.NEVER_TAKER

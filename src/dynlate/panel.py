@@ -191,8 +191,10 @@ def ingest(source) -> Panel:
     one row per (unit, period). Periods must form 1..T for every unit,
     z must be constant within unit, and both instrument arms must appear.
     A string is CSV text if it is empty, has a newline or starts with the
-    header; any other string, and any ``os.PathLike``, is a path. One
-    byte-order mark (U+FEFF) before the header is ignored.
+    header; any other string, and any ``os.PathLike``, is a path. A file
+    must be UTF-8. One byte-order mark (U+FEFF) before the header is
+    ignored. Anything else, bytes and binary streams among them, is a
+    ``TypeError``.
     """
     if isinstance(source, str):
         text = source.removeprefix(_BOM)
@@ -200,7 +202,18 @@ def ingest(source) -> Panel:
             return _ingest_stream(io.StringIO(source))
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _ingest_stream(fh)
+            try:
+                return _ingest_stream(fh)
+            except UnicodeDecodeError as err:
+                raise MalformedRow(
+                    f"panel file {os.fsdecode(source)!r} is not UTF-8 text:"
+                    f" byte {err.object[err.start]:#04x}, {err.reason}"
+                ) from None
+    if not isinstance(source, io.TextIOBase):
+        raise TypeError(
+            "ingest reads a path, CSV text or a text stream,"
+            f" got {type(source).__name__}"
+        )
     return _ingest_stream(source)
 
 

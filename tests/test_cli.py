@@ -68,6 +68,28 @@ class TestErrorContract:
         assert code == 2
         assert err.startswith("error[E_MALFORMED_ROW]:")
 
+    def test_non_utf8_panel(self, capsys, tmp_path):
+        # Windows-1252 / Latin-1 "café" in a unit id
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"unit_id,period,z,d,y\ncaf\xe9,1,1,1,2.0\nB,1,0,0,0.0\n")
+        code, out, err = run(capsys, "estimate", "--panel", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error[E_MALFORMED_ROW]: panel file {str(bad)!r} is not UTF-8 text:"
+            " byte 0xe9, invalid continuation byte\n"
+        )
+
+    @pytest.mark.parametrize("name", ["spec.yaml", "spec.toml"])
+    def test_non_utf8_spec(self, capsys, tmp_path, name):
+        bad = tmp_path / name
+        bad.write_bytes(b"T: 2\n# caf\xe9\n" if name.endswith(".yaml") else b"T = 2\n# caf\xe9\n")
+        code, out, err = run(capsys, "estimate", "--dgp", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error[E_SCHEMA]: spec file {str(bad)!r} is not UTF-8 text:"
+            " byte 0xe9, invalid continuation byte\n"
+        )
+
     def test_treatment_reversal_names_the_unit(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("unit_id,period,z,d,y\nA,1,1,1,0.0\nA,2,1,0,0.0\nB,1,0,0,0.0\nB,2,0,0,0.0\n")

@@ -30,6 +30,15 @@ from randspec import random_spec, static_compliance_spec
 P = AdoptionPair
 
 
+def toml_text(doc: dict) -> str:
+    """A spec document as TOML. No TOML writer is installed: JSON scalars and
+    arrays are TOML values."""
+    lines = [f"{k} = {json.dumps(v)}" for k, v in doc.items() if k != "histories"]
+    for h in doc["histories"]:
+        lines += ["", "[[histories]]", *(f"{k} = {json.dumps(v)}" for k, v in h.items())]
+    return "\n".join(lines) + "\n"
+
+
 def three_history_spec():
     """T=2 example: compliers (1,never) 0.3, fast adopters (1,2) 0.1, rest never."""
     return DgpSpec(
@@ -358,14 +367,34 @@ class TestSpecFiles:
             spec = three_history_spec()
         else:
             spec = random_spec(np.random.default_rng(seed), noise_sd=0.7)
-        # no TOML writer is installed: JSON scalars and arrays are TOML values
-        doc = spec_to_dict(spec)
-        lines = [f"{k} = {json.dumps(v)}" for k, v in doc.items() if k != "histories"]
-        for h in doc["histories"]:
-            lines += ["", "[[histories]]", *(f"{k} = {json.dumps(v)}" for k, v in h.items())]
         path = tmp_path / "spec.toml"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(toml_text(spec_to_dict(spec)))
         assert load_spec(str(path)) == spec
+
+    @pytest.mark.parametrize("name", ["spec.json", "spec.yaml", "spec.toml"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, name):
+        spec = three_history_spec()
+        doc = spec_to_dict(spec)
+        if name.endswith(".json"):
+            text = json.dumps(doc)
+        elif name.endswith(".yaml"):
+            import yaml
+
+            text = yaml.safe_dump(doc)
+        else:
+            text = toml_text(doc)
+        plain, bom = tmp_path / name, tmp_path / f"bom_{name}"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_spec(str(bom)) == load_spec(str(plain)) == spec
+
+    def test_second_byte_order_mark_is_text(self, tmp_path):
+        path = tmp_path / "spec.json"
+        text = json.dumps(spec_to_dict(three_history_spec()))
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + text.encode())
+        with pytest.raises(SchemaMismatch, match="invalid JSON"):
+            load_spec(str(path))
 
     @pytest.mark.parametrize(
         "field, value",

@@ -114,6 +114,26 @@ def test_target_row_applies_the_zero_rule_of_its_kind(kind):
     )
 
 
+def _refuses(call, *args) -> bool:
+    try:
+        call(*args)
+    except RelevanceFailure:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind", ["population", "sample"])
+@pytest.mark.parametrize(
+    "fs1", [0.0, -0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, 1e-6, -1e-6, 0.3]
+)
+def test_scalar_rules_match_the_row_table_at_the_tolerance_edges(kind, fs1):
+    # the random-spec comparisons never draw a first stage this close to zero
+    est = make_est((0.3, 0.2), (fs1, 0.25), kind=kind)
+    ok = {name: bool(ok[0]) for name, _, ok in target_row(est, ("identify", "bounds"), -1.0, 1.0)}
+    assert _refuses(identify, est) == (not ok["delta[0]"])
+    assert _refuses(bound_report, "general", est, 2, -1.0, 1.0) == (not ok["general_lower[2]"])
+
+
 class TestEstimate:
     def test_two_unit_panel(self):
         p = ingest("unit_id,period,z,d,y\nA,1,1,1,2.0\nB,1,0,0,0.0\n")

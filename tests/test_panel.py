@@ -58,6 +58,18 @@ def test_ingest_opens_a_path_object_as_a_file(tmp_path):
     assert ingest(named) == ingest(MINIMAL)
 
 
+@pytest.mark.parametrize("name", ["bytes", "BytesIO", "int"])
+def test_ingest_refuses_other_sources_by_type(name):
+    source = {
+        "bytes": bytes(DATA_DIR / "panel_small.csv"),
+        "BytesIO": io.BytesIO(MINIMAL.encode()),
+        "int": 42,
+    }[name]
+    with pytest.raises(TypeError) as info:
+        ingest(source)
+    assert str(info.value) == f"ingest reads a path, CSV text or a text stream, got {name}"
+
+
 def test_byte_order_mark_before_header_is_ignored(tmp_path):
     # Excel's "CSV UTF-8" export starts the file with U+FEFF
     want = ingest(MINIMAL)
