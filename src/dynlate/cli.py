@@ -3,9 +3,10 @@
 Subcommands: check, estimate, identify, bounds, decompose, simulate,
 montecarlo, bootstrap. Every subcommand ends in one runner, ``_finish``:
 it echoes the human-readable table to stdout, then one ``warning: ...``
-line per warning, then writes the versioned machine-readable report to
-``--json`` if given. Exit codes: 0 success, 2 validation/usage errors
-(one ``error[CODE]: ...`` line on stderr), 1 internal errors.
+line per warning (on stderr when stdout carries a panel CSV), then writes
+the versioned machine-readable report to ``--json`` if given. Exit codes:
+0 success, 2 validation/usage errors (one ``error[CODE]: ...`` line on
+stderr), 1 internal errors.
 """
 
 from __future__ import annotations
@@ -144,16 +145,27 @@ def _negative_weight_warnings(flags):
     ]
 
 
+def _single_arm_warnings(spec):
+    """The warning for a spec whose instrument share leaves one arm empty."""
+    if 0.0 < spec.pz < 1.0:
+        return []
+    return [f"pz = {spec.pz} puts every unit in one instrument arm: "
+            "no --panel command can read a panel drawn from this spec"]
+
+
 def _tight_declared(assume):
     """Tight bounds are reported only under an assumption that makes them valid."""
     return CROSS_GROUP_HOMOGENEITY in assume or NO_LATE_SWITCHERS in assume
 
 
-def _finish(command, json_path, inputs, outputs, lines=(), assume=(), warnings=()):
-    """End a subcommand: echo ``lines``, then each warning, then write the ``--json``
-    report (schema version, command, inputs, assumptions, warnings, outputs)."""
-    for line in [*lines, *(f"warning: {text}" for text in warnings)]:
+def _finish(command, json_path, inputs, outputs, lines=(), assume=(), warnings=(),
+            warn_err=False):
+    """End a subcommand: echo ``lines``, then each warning (on stderr if ``warn_err``), then
+    write the ``--json`` report (schema, command, inputs, assume, warnings, outputs)."""
+    for line in lines:
         click.echo(line)
+    for text in warnings:
+        click.echo(f"warning: {text}", err=warn_err)
     if json_path:
         report = {
             "schema_version": reporting.REPORT_SCHEMA_VERSION,
@@ -211,7 +223,7 @@ def check(panel_path, dgp_path, json_path):
             "calendar homogeneity: "
             + ("holds" if outputs["spec"]["calendar_homogeneity"] else "does not hold"),
         ]
-        warnings = []
+        warnings = _single_arm_warnings(spec)
     inputs = {"panel": panel_path, "dgp": dgp_path}
     _finish("check", json_path, inputs, outputs, lines, warnings=warnings)
 
@@ -343,7 +355,8 @@ def simulate_cmd(dgp_path, n, seed, out_path, json_path):
         click.echo(serialize(panel), nl=False)
     inputs = {"dgp": dgp_path, "n": n, "seed": seed, "out": out_path}
     outputs = {"n": panel.n, "T": panel.T, "n_z1": panel.n_z1, "n_z0": panel.n_z0}
-    _finish("simulate", json_path, inputs, outputs, lines)
+    _finish("simulate", json_path, inputs, outputs, lines,
+            warnings=_single_arm_warnings(spec), warn_err=not out_path)
 
 
 @cli.command()

@@ -5,7 +5,10 @@ and a triangular effect surface (period t, exposure tau <= t-1). Because
 the history list is finite, every estimand, every term of the reduced-form
 decomposition, and every group-level average effect can be computed
 exactly by enumeration. That makes this module the oracle the estimator
-and simulation tests are checked against.
+and simulation tests are checked against. A spec is described once, by
+the table of its (arm, history) cells (:attr:`DgpSpec.cells`): the oracle
+sums its arm contrasts with ``math.fsum``, and the draws of
+:mod:`dynlate.simulate` read it too.
 """
 
 from __future__ import annotations
@@ -16,8 +19,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import SchemaMismatch, SpecValidationError
 from .estimands import POPULATION_ZERO_TOL, EstimandSet, _check_period, is_positive, is_zero
+from .estimators import moment_features
 from .latent import C1, NEVER, AdoptionPair, GroupLabel, switcher_group_labels
 
 SCHEMA_VERSION = 1
@@ -77,6 +83,36 @@ class HistorySpec:
 
 
 @dataclass(frozen=True)
+class _Cells:
+    """The (arm, history) cells of a spec, read-only.
+
+    H = len(spec.histories); cell z*H + h is history h in instrument arm z.
+
+    - ``prob`` and ``cdf``: the H history probabilities and
+      ``Generator.choice``'s inverse CDF of them (cumulative sums over the total).
+    - ``d`` (int8), ``effect`` and ``mean``: the (2H, T) treatment paths,
+      treated effects (0.0 while untreated) and outcome means, baseline +
+      effect. ``normal(0, sd)`` draws 0.0 + sd * x, so the scaled standard
+      normals added to ``mean`` give its bits once every -0.0 mean is +0.0.
+    - ``features``: the (2H, 6T) integer :func:`~dynlate.estimators.moment_features`
+      of the cells with y = 0: cell counts times it are a moment row's
+      integer columns, exactly and with no BLAS call.
+    """
+
+    prob: np.ndarray
+    cdf: np.ndarray
+    d: np.ndarray
+    effect: np.ndarray
+    mean: np.ndarray
+    features: np.ndarray
+
+    def contrasts(self, column: np.ndarray) -> np.ndarray:
+        """p_h * (arm-1 cell - arm-0 cell) of a (2H, T) column, one row per history."""
+        H = len(self.prob)
+        return self.prob[:, None] * (column[H:] - column[:H])
+
+
+@dataclass(frozen=True)
 class DgpSpec:
     """Full population model: horizon, instrument share, histories, noise."""
 
@@ -126,7 +162,24 @@ class DgpSpec:
     @property
     def p_c1(self) -> float:
         """P(C1) of first-period compliers (s1 = 1, s0 >= 2): FS_1, as defiers are refused."""
-        return _population_fs(self, 1)
+        return math.fsum(self.cells.contrasts(self.cells.d)[:, 0])
+
+    @cached_property
+    def cells(self) -> _Cells:
+        """The spec's :class:`_Cells`, built with it: validation reads ``p_c1``."""
+        H, periods = len(self.histories), range(1, self.T + 1)
+        prob = np.array([h.prob for h in self.histories], dtype=np.float64)
+        cdf = prob.cumsum()
+        cdf /= cdf[-1]
+        cells = [(h, h.pair.adoption(z)) for z in (0, 1) for h in self.histories]
+        d = np.array([[a <= t for t in periods] for _, a in cells], dtype=np.int8)
+        effect = np.array([[h.treated_effect(t, a) for t in periods] for h, a in cells])
+        mean = np.array([h.baseline for h, _ in cells]) + effect + 0.0  # -0.0 to +0.0
+        features = moment_features(np.repeat([0, 1], H), d, np.zeros(d.shape)).astype(np.intp)
+        table = _Cells(prob, cdf, d, effect, mean, features)
+        for column in vars(table).values():
+            column.flags.writeable = False
+        return table
 
     @cached_property
     def _positions(self) -> dict[AdoptionPair, int]:
@@ -162,36 +215,22 @@ class DgpSpec:
 
 
 def population_estimands(spec: DgpSpec) -> EstimandSet:
-    """Exact per-period estimands by enumeration over the history list.
+    """Exact per-period estimands, ``math.fsum`` sums over the spec's histories.
 
-    For each history, the arm-z mean at period t is the baseline plus the
-    effect at the arm's exposure when treated; baselines cancel within a
-    history, so arm contrasts reduce to effect and indicator contrasts.
+    Baselines cancel within a history, so rf_t sums p_h * (effect_1 -
+    effect_0) of its cells, fs_t sums p_h * (d_1 - d_0), and P(d_t > d_1 | z)
+    sums p_h over the histories whose arm-z path has switched by t.
     """
-    periods = range(1, spec.T + 1)
+    cells, H = spec.cells, len(spec.histories)
+    switched = cells.d[:, 1:] > cells.d[:, :1]
     return EstimandSet(
         T=spec.T,
-        rf=tuple(_population_rf(spec, t) for t in periods),
-        fs=tuple(_population_fs(spec, t) for t in periods),
-        switch_z0=tuple(
-            math.fsum(h.prob for h in spec.histories if 2 <= h.pair.s0 <= t) for t in periods[1:]
-        ),
-        switch_z1=tuple(
-            math.fsum(h.prob for h in spec.histories if 2 <= h.pair.s1 <= t) for t in periods[1:]
-        ),
+        rf=tuple(math.fsum(col) for col in cells.contrasts(cells.effect).T),
+        fs=tuple(math.fsum(col) for col in cells.contrasts(cells.d).T),
+        switch_z0=tuple(math.fsum(cells.prob[col]) for col in switched[:H].T),
+        switch_z1=tuple(math.fsum(cells.prob[col]) for col in switched[H:].T),
         kind="population",
     )
-
-
-def _population_rf(spec: DgpSpec, t: int) -> float:
-    return math.fsum(
-        h.prob * (h.treated_effect(t, h.pair.s1) - h.treated_effect(t, h.pair.s0))
-        for h in spec.histories
-    )
-
-
-def _population_fs(spec: DgpSpec, t: int) -> float:
-    return math.fsum(h.prob * ((h.pair.s1 <= t) - (h.pair.s0 <= t)) for h in spec.histories)
 
 
 def true_dynamic_lates(spec: DgpSpec) -> tuple[float, ...]:
@@ -273,7 +312,8 @@ def _make_term(
 def decompose(spec: DgpSpec, t: int) -> DecompositionReport:
     """Exact decomposition of the period-t reduced form by latent group."""
     _check_period(t, spec.T, lo=2)
-    fs_t = _population_fs(spec, t)
+    pop = population_estimands(spec)
+    fs_t = pop.fs_at(t)
     lead = _make_term(spec, C1, t, +1, fs_t)
     terms = []
     for k in range(2, t + 1):
@@ -284,7 +324,7 @@ def decompose(spec: DgpSpec, t: int) -> DecompositionReport:
                 if term is not None:
                     terms.append(term)
     return DecompositionReport(
-        t=t, rf_t=_population_rf(spec, t), fs_t=fs_t, lead=lead, terms=tuple(terms)
+        t=t, rf_t=pop.rf_at(t), fs_t=fs_t, lead=lead, terms=tuple(terms)
     )
 
 
@@ -324,21 +364,15 @@ def contaminating_effect_range(spec: DgpSpec) -> tuple[float, float]:
     """Envelope [lo, hi] of all switcher-group effect entries, widened to 0.
 
     Scans exactly the (t, exposure) entries that enter some period-t
-    decomposition through a switcher group. Static-compliance specs have
-    none and yield (0, 0).
+    decomposition through a switcher group: effects of cells treated at t
+    but not at 1, in positive-probability histories whose arms' paths
+    differ. Static-compliance specs have none and yield (0, 0).
     """
-    values = []
-    for h in spec.histories:
-        if h.prob <= 0.0:
-            continue
-        for s in {h.pair.s1, h.pair.s0}:
-            if s == NEVER or s < 2 or h.pair.s1 == h.pair.s0:
-                continue
-            for t in range(int(s), spec.T + 1):
-                values.append(h.effect(t, t - int(s)))
-    if not values:
-        return 0.0, 0.0
-    return min(0.0, min(values)), max(0.0, max(values))
+    cells, H = spec.cells, len(spec.histories)
+    moves = (cells.prob > 0.0) & (cells.d[H:] != cells.d[:H]).any(axis=1)
+    switched = (cells.d > cells.d[:, :1]) & np.tile(moves, 2)[:, None]
+    values = [0.0, *cells.effect[switched].tolist()]
+    return min(values), max(values)
 
 
 def make_calendar_homogeneous(

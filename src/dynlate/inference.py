@@ -115,7 +115,7 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     first = order[starts]
     d = panel.d[first]
     features = moment_features(panel.z[first], d, np.zeros(d.shape)).astype(np.intp)
-    ys = np.ascontiguousarray(panel.y[order].T)
+    ys = panel.y.T.take(order, axis=1)
     n0 = int(np.count_nonzero(panel.z == 0))
     M = np.empty((reps, 6 * T))
 

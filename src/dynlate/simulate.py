@@ -1,15 +1,14 @@
 """Sampling from a DGP and Monte Carlo comparison against the exact oracle.
 
 Replication r always draws from a stream seeded by (seed, r), so its
-draws depend on nothing but the seed and its index. A study builds one
-table of its (arm, history) cells once: the histories' inverse CDF and
-each cell's treatment path, outcome means and moment features. Each draw
-takes a history, an arm and the noise from its stream (in that order),
-the draws of ``Generator.choice``, ``random`` and ``normal``. A panel
-reads its units' paths and means off the table. A Monte Carlo
-replication gathers no panel: the integer columns of its moment row are
-its cell counts times the cell features, and its y columns each arm's
-outcomes added unit by unit in draw order
+draws depend on nothing but the seed and its index. Each draw takes a
+history, an arm and the noise from its stream (in that order), the draws
+of ``Generator.choice``, ``random`` and ``normal``, and reads its units'
+cells off the spec's one cell table, :attr:`~dynlate.dgp.DgpSpec.cells`,
+which the exact oracle sums too. A panel takes its paths and means from
+it. A Monte Carlo replication gathers no panel: the integer columns of
+its moment row are its cell counts times the cell features, and its y
+columns each arm's outcomes added unit by unit in draw order
 (:func:`~dynlate.estimators.unit_sums`), so the row has the bits of
 :func:`~dynlate.estimators.arm_sums` of the drawn (z, d, y). The rows go
 into one array and are evaluated together as rows of one
@@ -32,8 +31,7 @@ import numpy as np
 
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
 from .errors import DegenerateInstrument
-from .estimators import ALL_TARGETS, moment_estimands, moment_features, target_columns
-from .estimators import target_row, unit_sums
+from .estimators import ALL_TARGETS, moment_estimands, target_columns, target_row, unit_sums
 from .panel import UNIT_ID_DTYPE, Panel
 
 
@@ -96,46 +94,6 @@ against 167 us at 6 histories, 173 against 469 us at 28, 409 against 615
 us at 60 and 832 against 716 us at 120."""
 
 
-@dataclass(frozen=True)
-class _CellTable:
-    """What every draw of one study reads, built once per study.
-
-    H = len(spec.histories); cell z*H + h is history h in instrument arm z.
-
-    - ``cdf``: ``Generator.choice``'s inverse CDF of the history
-      probabilities, their cumulative sums over the total.
-    - ``d`` (int8) and ``mean``: the (2H, T) treatment paths and outcome
-      means of the cells. ``normal(0, sd)`` draws 0.0 + sd * x, so the
-      scaled standard normals added to ``mean`` give its bits once every
-      -0.0 mean is +0.0.
-    - ``features``: the (2H, 6T) :func:`~dynlate.estimators.moment_features`
-      of the cells with y = 0, as integers. Cell counts times it are the
-      integer columns of a moment row: an exact integer product, which
-      does not go through BLAS.
-    """
-
-    cdf: np.ndarray
-    d: np.ndarray
-    mean: np.ndarray
-    features: np.ndarray
-
-
-def _cell_table(spec: DgpSpec) -> _CellTable:
-    """The :class:`_CellTable` of ``spec``."""
-    H = len(spec.histories)
-    cdf = np.array([h.prob for h in spec.histories], dtype=np.float64).cumsum()
-    cdf /= cdf[-1]
-    cells = [(h, h.pair.adoption(z)) for z in (0, 1) for h in spec.histories]
-    periods = range(1, spec.T + 1)
-    d_tab = np.array([[1 if a <= t else 0 for t in periods] for _, a in cells], dtype=np.int8)
-    mean_tab = np.array(
-        [[h.mean_outcome(t, a) for t in periods] for h, a in cells], dtype=np.float64
-    )
-    mean_tab += 0.0  # -0.0 to +0.0
-    features = moment_features(np.repeat([0, 1], H), d_tab, np.zeros(mean_tab.shape))
-    return _CellTable(cdf, d_tab, mean_tab, features.astype(np.intp))
-
-
 def _histories(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """The history of each uniform in ``u``: how many entries of ``cdf`` it reaches.
 
@@ -162,8 +120,8 @@ class _Draws:
     in ``y``; every later draw reuses the same arrays.
     """
 
-    def __init__(self, spec: DgpSpec, table: _CellTable, n: int):
-        self.spec, self.table = spec, table
+    def __init__(self, spec: DgpSpec, n: int):
+        self.spec, self.cells = spec, spec.cells
         self.z = np.empty(n, dtype=bool)
         self.cell = np.empty(n, dtype=np.intp)
         self.y = np.empty((n, spec.T))
@@ -171,25 +129,25 @@ class _Draws:
         self.u = self.scratch.reshape(-1)[:n]  # spent before the mean gather fills scratch
 
     def draw(self, rng: np.random.Generator) -> None:
-        hist = _histories(rng.random(out=self.u), self.table.cdf)
+        hist = _histories(rng.random(out=self.u), self.cells.cdf)
         np.less(rng.random(out=self.u), self.spec.pz, out=self.z)
-        np.multiply(self.z, len(self.table.cdf), out=self.cell)
+        np.multiply(self.z, len(self.cells.cdf), out=self.cell)
         self.cell += hist
         rng.standard_normal(out=self.y)
         self.y *= self.spec.noise_sd
         # every index is in range; "clip" writes ``out`` directly, "raise" buffers it
-        self.y += self.table.mean.take(self.cell, axis=0, out=self.scratch, mode="clip")
+        self.y += self.cells.mean.take(self.cell, axis=0, out=self.scratch, mode="clip")
 
     def moment_row(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Draw, then write the sample's moment row into ``out``.
 
-        The integer columns are the cell counts times the table's features;
+        The integer columns are the cell counts times the cells' features;
         the y columns are each arm's :func:`~dynlate.estimators.unit_sums`,
         so the row has the bits of ``arm_sums`` of the drawn (z, d, y).
         """
         self.draw(rng)
-        counts = np.bincount(self.cell, minlength=len(self.table.features))
-        np.matmul(counts, self.table.features, out=out)
+        counts = np.bincount(self.cell, minlength=len(self.cells.features))
+        np.matmul(counts, self.cells.features, out=out)
         T = self.spec.T
         for j, arm in ((2, self.z), (2 + T, ~self.z)):
             units = np.flatnonzero(arm)
@@ -197,30 +155,26 @@ class _Draws:
             out[j : j + T] = unit_sums(rows)
 
 
-def _draw_arrays(spec: DgpSpec, n: int, rng: np.random.Generator, table: _CellTable):
-    """(z, d, y) of n units: latent history, then arm, then outcomes plus noise.
-
-    ``table`` is ``_cell_table(spec)``; each unit reads one cell of it.
-    """
-    draws = _Draws(spec, table, n)
+def _draw_arrays(spec: DgpSpec, n: int, rng: np.random.Generator):
+    """(z, d, y) of n units, each one cell of ``spec.cells`` plus its noise."""
+    draws = _Draws(spec, n)
     draws.draw(rng)
     z, cell, y = draws.z, draws.cell, draws.y
     del draws  # the scratch rows go before d and z are allocated, which may reuse them
-    return z.astype(np.int8), table.d.take(cell, axis=0), y
+    return z.astype(np.int8), spec.cells.d.take(cell, axis=0), y
 
 
 def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
     """Draw n units with :func:`_draw_arrays` as a panel with ids u0, u1, ....
 
     Ids are zero-padded to the width of n - 1, so they sort in draw order.
-
     Adoption pairs make treatment paths irreversible by construction, so
     the result always passes panel validation.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z, d, y = _draw_arrays(spec, n, rng, _cell_table(spec))
+    z, d, y = _draw_arrays(spec, n, rng)
     digits = np.arange(n).astype(UNIT_ID_DTYPE)
     ids = np.strings.add("u", np.strings.zfill(digits, len(str(n - 1))))
     return Panel.from_arrays(ids, z, d, y)
@@ -275,9 +229,9 @@ def monte_carlo(
     undefined IV, zero first stage, a value that is not finite) drop
     that replication for the affected targets only and are counted per
     target. Default effect bounds come from the spec's own
-    contaminating-effect envelope. The oracle is the one-row target table of the population estimands,
-    under the population zero rule; a target it leaves undefined has no
-    row. Replications run through :func:`_fill_rows`, with the floors
+    contaminating-effect envelope. The oracle is the one-row target table
+    of the population estimands, under the population zero rule; a target
+    it leaves undefined has no row. Replications run through :func:`_fill_rows`, with the floors
     ``_MC_MIN_N`` and ``_MC_MIN_UNITS``.
     A replication's moment row depends only on (spec, n, seed, r), so the
     summary is the same for any ``threads``.
@@ -291,19 +245,17 @@ def monte_carlo(
     if not 0.0 < spec.pz < 1.0:
         raise DegenerateInstrument(f"pz = {spec.pz} puts every unit in one instrument arm")
     targets = tuple(targets)
-    if lo is None or hi is None:
-        auto_lo, auto_hi = contaminating_effect_range(spec)
-        lo = auto_lo if lo is None else lo
-        hi = auto_hi if hi is None else hi
+    auto_lo, auto_hi = contaminating_effect_range(spec)
+    lo = auto_lo if lo is None else lo
+    hi = auto_hi if hi is None else hi
     # fs_1 = P(C1) > 0 for a valid spec, so the oracle keeps every identify
     # and bounds target
     oracle = target_row(population_estimands(spec), targets, lo, hi)
 
-    table = _cell_table(spec)
     M = np.empty((reps, 6 * spec.T))
 
     def fill(start: int, stop: int) -> None:
-        draws = _Draws(spec, table, n)
+        draws = _Draws(spec, n)
         for r in range(start, stop):
             draws.moment_row(rep_rng(seed, r), M[r])
 

@@ -1,5 +1,8 @@
 """Randomized DGP generators shared by property and acceptance tests."""
 
+import dataclasses
+import math
+
 import numpy as np
 
 from dynlate.dgp import DgpSpec, HistorySpec, make_calendar_homogeneous
@@ -130,3 +133,47 @@ def static_compliance_spec(rng, T=None, noise_sd=0.0):
         for i, p in enumerate(pairs)
     )
     return DgpSpec(T=T, pz=0.5, histories=histories, noise_sd=noise_sd)
+
+
+def all_pairs_spec(rng, T, noise_sd):
+    """Every adoption pair of horizon T, with random probabilities and means."""
+    pairs = enumerate_histories(T)
+    probs = rng.dirichlet(np.ones(len(pairs)))
+    return DgpSpec(
+        T=T, pz=0.5, noise_sd=noise_sd,
+        histories=tuple(
+            HistorySpec(p, float(q), tuple(rng.uniform(-1, 1, T)),
+                        tuple(tuple(rng.uniform(-2, 2, t)) for t in range(1, T + 1)))
+            for p, q in zip(pairs, probs)
+        ),
+    )
+
+
+def variant_spec(variant, T, noise_sd, rng):
+    """A random spec of one kind the draws and the oracle must handle.
+
+    - "zero-probs": some histories have probability 0.
+    - "all-pairs": every adoption pair; at T=6 its histories are counted
+      against the CDF, at T=8 (73 histories) binary-searched.
+    - "negative-zero": every baseline and effect at t=1 is -0.0, so the
+      cells treated from t=1 have mean -0.0 + -0.0 = -0.0 there.
+    """
+    if variant == "all-pairs":
+        return all_pairs_spec(rng, T, noise_sd)
+    spec = random_spec(rng, T=T, noise_sd=noise_sd)
+    histories = spec.histories
+    if variant == "zero-probs":
+        kept = [h.pair.s1 == 1 and h.pair.s0 >= 2 or rng.random() < 0.5 for h in histories]
+        total = math.fsum(h.prob for h, k in zip(histories, kept) if k)
+        histories = [
+            dataclasses.replace(h, prob=h.prob / total if k else 0.0)
+            for h, k in zip(histories, kept)
+        ]
+    elif variant == "negative-zero":
+        histories = [
+            dataclasses.replace(
+                h, baseline=(-0.0, *h.baseline[1:]), effects=((-0.0,), *h.effects[1:])
+            )
+            for h in histories
+        ]
+    return dataclasses.replace(spec, histories=tuple(histories))

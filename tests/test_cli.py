@@ -43,6 +43,20 @@ def write_weak_panel(tmp_path, T):
     return str(path)
 
 
+def single_arm_spec_file(tmp_path, pz):
+    """The T=4 six-history golden spec with every unit in one instrument arm."""
+    doc = json.loads((GOLDEN_DIR / "spec_t4_six_history.json").read_text())
+    doc["pz"] = pz
+    path = tmp_path / f"pz{pz}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def single_arm_warning(pz):
+    return (f"pz = {pz} puts every unit in one instrument arm: "
+            "no --panel command can read a panel drawn from this spec")
+
+
 @pytest.fixture
 def weak_long_panel(tmp_path):
     """The weak panel over T = 240 periods: the last exposures pass the float range."""
@@ -184,6 +198,18 @@ class TestCheck:
         assert code == 0
         doc = json.loads(report.read_text())
         assert doc["outputs"]["spec"]["p_c1"] == pytest.approx(0.4)
+        assert doc["warnings"] == []
+        assert "warning:" not in out
+
+    @pytest.mark.parametrize("pz", [0.0, 1.0])
+    def test_single_arm_dgp_warns(self, capsys, tmp_path, pz):
+        report = tmp_path / "check.json"
+        code, out, _ = run(capsys, "check", "--dgp", single_arm_spec_file(tmp_path, pz),
+                           "--json", str(report))
+        assert code == 0
+        assert out.startswith("spec ok:")
+        assert out.splitlines()[-1] == f"warning: {single_arm_warning(pz)}"
+        assert json.loads(report.read_text())["warnings"] == [single_arm_warning(pz)]
 
     @pytest.mark.parametrize(
         "command, source, estimates, populations",
@@ -444,6 +470,24 @@ class TestSimulate:
         run(capsys, "simulate", "--dgp", spec_file, "--n", "60", "--seed", "5",
             "--out", str(direct))
         assert out_path.read_bytes() == direct.read_bytes()
+
+    @pytest.mark.parametrize("pz", [0.0, 1.0])
+    def test_single_arm_spec_warns(self, capsys, tmp_path, pz):
+        spec = single_arm_spec_file(tmp_path, pz)
+        csv, report = tmp_path / "one_arm.csv", tmp_path / "sim.json"
+        code, out, _ = run(capsys, "simulate", "--dgp", spec, "--n", "30", "--seed", "2",
+                           "--out", str(csv), "--json", str(report))
+        assert code == 0
+        assert out.splitlines()[-1] == f"warning: {single_arm_warning(pz)}"
+        assert json.loads(report.read_text())["warnings"] == [single_arm_warning(pz)]
+        code, _, err = run(capsys, "estimate", "--panel", str(csv))
+        assert code == 2
+        assert err.startswith("error[E_DEGENERATE]:")
+        # on stdout the panel stays the whole output, and the warning goes to stderr
+        code, out, err = run(capsys, "simulate", "--dgp", spec, "--n", "30", "--seed", "2")
+        assert code == 0
+        assert out == csv.read_text()
+        assert err == f"warning: {single_arm_warning(pz)}\n"
 
     def test_seed_required_without_env(self, capsys, spec_file, monkeypatch):
         monkeypatch.delenv("DYNLATE_SEED", raising=False)

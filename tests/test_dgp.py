@@ -1,5 +1,6 @@
 """Population oracle: estimands, decomposition, homogeneity builders, spec files."""
 
+import dataclasses
 import json
 import math
 
@@ -25,7 +26,8 @@ from dynlate.dgp import (
 from dynlate.errors import PeriodOutOfRange, SchemaMismatch, SpecValidationError
 from dynlate.latent import NEVER, AdoptionPair
 
-from randspec import random_spec, static_compliance_spec
+from conftest import GOLDEN_DIR
+from randspec import random_spec, static_compliance_spec, variant_spec
 
 P = AdoptionPair
 
@@ -148,6 +150,72 @@ class TestPopulationEstimands:
         assert est.fs_at(2) == 0.0
         assert est.iv_at(2) is None
         assert est.iv_at(1) == pytest.approx(1.0)  # rf_1/fs_1 = 0.25/0.25
+
+
+def per_history_estimands(spec):
+    """(rf, fs, switch_z0, switch_z1) summed history by history: the reference
+    formulas of the oracle, each term written from the history itself."""
+    hs, periods = spec.histories, range(1, spec.T + 1)
+    rf = [
+        math.fsum(h.prob * (h.treated_effect(t, h.pair.s1) - h.treated_effect(t, h.pair.s0))
+                  for h in hs)
+        for t in periods
+    ]
+    fs = [math.fsum(h.prob * ((h.pair.s1 <= t) - (h.pair.s0 <= t)) for h in hs) for t in periods]
+    sw0 = [math.fsum(h.prob for h in hs if 2 <= h.pair.s0 <= t) for t in periods[1:]]
+    sw1 = [math.fsum(h.prob for h in hs if 2 <= h.pair.s1 <= t) for t in periods[1:]]
+    return rf, fs, sw0, sw1
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_oracle_is_per_history(spec):
+    est = population_estimands(spec)
+    rf, fs, sw0, sw1 = per_history_estimands(spec)
+    assert hexes(est.rf) == hexes(rf)
+    assert hexes(est.fs) == hexes(fs)
+    assert hexes(est.switch_z0) == hexes(sw0)
+    assert hexes(est.switch_z1) == hexes(sw1)
+    assert spec.p_c1.hex() == fs[0].hex()
+    return rf, fs
+
+
+@pytest.mark.parametrize("case", ["six_history", "all_histories"])
+def test_golden_oracle_is_per_history_bitwise(case):
+    spec = load_spec(GOLDEN_DIR / f"spec_t4_{case}.json")
+    rf, fs = assert_oracle_is_per_history(spec)
+    for t in range(2, spec.T + 1):
+        rep = decompose(spec, t)
+        assert (rep.rf_t.hex(), rep.fs_t.hex()) == (rf[t - 1].hex(), fs[t - 1].hex())
+
+
+@pytest.mark.parametrize("T", range(1, 9))
+@pytest.mark.parametrize("kind", ["random", "remark2", "zero-probs", "all-pairs", "negative-zero"])
+def test_oracle_is_per_history_bitwise(kind, T):
+    # 8 specs per case, 320 in all; an arm contrast of the cell means,
+    # (b + e1) - (b + e0), is not bitwise e1 - e0, so the oracle's rf reads
+    # the cells' effects
+    rng = np.random.default_rng(1000 * T + len(kind))
+    for _ in range(8):
+        if kind == "remark2":
+            spec = random_spec(rng, T=T, remark2=True)
+        else:
+            spec = variant_spec(kind, T, 0.0, rng)
+        assert_oracle_is_per_history(spec)
+
+
+def test_cells_are_built_once_and_read_only():
+    spec = three_history_spec()
+    cells = spec.cells
+    assert spec.cells is cells
+    assert dataclasses.replace(spec).cells is not cells
+    for name, column in vars(cells).items():
+        with pytest.raises(ValueError, match="read-only"):
+            column.flat[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cells.d = np.zeros_like(cells.d)
 
 
 class TestTrueDynamicLates:
@@ -340,6 +408,23 @@ class TestEffectRange:
     def test_three_history_example(self):
         # only the fast adopters contaminate, at exposure 0 with effect 1.5
         assert contaminating_effect_range(three_history_spec()) == (0.0, 1.5)
+
+    @pytest.mark.parametrize("kind", ["random", "zero-probs", "all-pairs", "negative-zero"])
+    def test_matches_per_history_scan(self, kind):
+        # every (t, exposure) entry of a positive-probability history that
+        # switches into treatment at s >= 2 in one arm and not at s in the other
+        rng = np.random.default_rng(len(kind))
+        for T in range(1, 9):
+            spec = variant_spec(kind, T, 0.0, rng)
+            values = [0.0]
+            for h in spec.histories:
+                if h.prob > 0.0 and h.pair.s1 != h.pair.s0:
+                    for s in (h.pair.s1, h.pair.s0):
+                        if 2 <= s <= T:
+                            values += [h.effect(t, t - int(s)) for t in range(int(s), T + 1)]
+            got = contaminating_effect_range(spec)
+            assert hexes(got) == hexes((min(values), max(values)))
+            assert [type(x) for x in got] == [float, float]
 
 
 class TestSpecFiles:

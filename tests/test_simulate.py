@@ -23,12 +23,11 @@ from dynlate.estimators import (
     selected_methods,
 )
 from dynlate.inference import bootstrap
-from dynlate.latent import NEVER, AdoptionPair, enumerate_histories
+from dynlate.latent import NEVER, AdoptionPair
 from dynlate.panel import Panel
 from dynlate.simulate import (
     MonteCarloSummary,
     TargetSummary,
-    _cell_table,
     _draw_arrays,
     _histories,
     _usable_cores,
@@ -38,7 +37,7 @@ from dynlate.simulate import (
 )
 
 from conftest import GOLDEN_DIR
-from randspec import random_spec, static_compliance_spec
+from randspec import random_spec, static_compliance_spec, variant_spec
 
 P = AdoptionPair
 
@@ -91,7 +90,7 @@ class TestDrawPanel:
         spec = three_history_spec()
         rng = np.random.default_rng(np.random.SeedSequence(123))
         n = 1_000_000
-        hist = _histories(rng.random(n), _cell_table(spec).cdf)
+        hist = _histories(rng.random(n), spec.cells.cdf)
         counts = np.bincount(hist, minlength=3) / n
         for share, p in zip(counts, (0.3, 0.1, 0.6)):
             assert abs(share - p) < 3 * math.sqrt(p * (1 - p) / n)
@@ -370,8 +369,7 @@ def test_monte_carlo_rows_are_arm_sums_of_the_draws(
     spec = dataclasses.replace(random_spec(rng, T=T, noise_sd=0.6), pz=pz)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
     _, rows = mc_with_rows(monkeypatch, spec, n, reps, threads)
-    table = _cell_table(spec)
-    want = [arm_sums(*_draw_arrays(spec, n, rep_rng(8, r), table)) for r in range(reps)]
+    want = [arm_sums(*_draw_arrays(spec, n, rep_rng(8, r))) for r in range(reps)]
     assert rows.tobytes() == np.array(want).tobytes()
     pooled = threads == 2 and n >= simulate._MC_MIN_N
     assert threaded_pools == ([2] if pooled else [])
@@ -388,7 +386,7 @@ def test_expected_cell_row_reads_the_oracle(case):
         spec = load_spec(GOLDEN_DIR / f"spec_t4_{case}.json")
     else:
         spec = random_spec(np.random.default_rng(300 + case))
-    table, H, T = _cell_table(spec), len(spec.histories), spec.T
+    table, H, T = spec.cells, len(spec.histories), spec.T
     probs = np.array([h.prob for h in spec.histories])
     shares = np.concatenate([(1.0 - spec.pz) * probs, spec.pz * probs])
     row = shares @ table.features
@@ -439,52 +437,6 @@ def where_draw(spec, n, rng):
     return z, d, y
 
 
-def all_pairs_spec(rng, T, noise_sd):
-    """Every adoption pair of horizon T, with random probabilities and means."""
-    pairs = enumerate_histories(T)
-    probs = rng.dirichlet(np.ones(len(pairs)))
-    return DgpSpec(
-        T=T, pz=0.5, noise_sd=noise_sd,
-        histories=tuple(
-            HistorySpec(p, float(q), tuple(rng.uniform(-1, 1, T)),
-                        tuple(tuple(rng.uniform(-2, 2, t)) for t in range(1, T + 1)))
-            for p, q in zip(pairs, probs)
-        ),
-    )
-
-
-def variant_spec(variant, T, noise_sd, rng):
-    """A random spec of one kind the draw must handle.
-
-    - "zero-probs": some histories have probability 0.
-    - "all-pairs": every adoption pair; at T=6 its histories are counted
-      against the CDF, at T=8 (73 histories) binary-searched.
-    - "negative-zero": every baseline and effect at t=1 is -0.0, so the
-      cells treated from t=1 have mean -0.0 + -0.0 = -0.0 there.
-    """
-    if variant == "all-pairs":
-        spec = all_pairs_spec(rng, T, noise_sd)
-        assert (len(spec.histories) > simulate._COUNT_MAX_HISTORIES) == (T == 8)
-        return spec
-    spec = random_spec(rng, T=T, noise_sd=noise_sd)
-    histories = spec.histories
-    if variant == "zero-probs":
-        kept = [h.pair.s1 == 1 and h.pair.s0 >= 2 or rng.random() < 0.5 for h in histories]
-        total = math.fsum(h.prob for h, k in zip(histories, kept) if k)
-        histories = [
-            dataclasses.replace(h, prob=h.prob / total if k else 0.0)
-            for h, k in zip(histories, kept)
-        ]
-    elif variant == "negative-zero":
-        histories = [
-            dataclasses.replace(
-                h, baseline=(-0.0, *h.baseline[1:]), effects=((-0.0,), *h.effects[1:])
-            )
-            for h in histories
-        ]
-    return dataclasses.replace(spec, histories=tuple(histories))
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["random", "zero-probs", "all-pairs", "negative-zero"]),
@@ -503,7 +455,9 @@ def test_draw_arrays_match_two_table_reference(variant, T, n, pz, noise_sd, seed
     if variant == "all-pairs":
         T = 6 if T <= 3 else 8  # 43 histories counted, 73 searched
     spec = dataclasses.replace(variant_spec(variant, T, noise_sd, rng), pz=pz)
-    got = _draw_arrays(spec, n, rep_rng(seed, 0), _cell_table(spec))
+    if variant == "all-pairs":
+        assert (len(spec.histories) > simulate._COUNT_MAX_HISTORIES) == (T == 8)
+    got = _draw_arrays(spec, n, rep_rng(seed, 0))
     want = where_draw(spec, n, rep_rng(seed, 0))
     for g, w in zip(got, want):
         assert g.dtype == w.dtype  # d stays int8
@@ -551,7 +505,7 @@ def reference_monte_carlo(spec, n, reps, seed, targets, lo, hi):
     oracle = _target_values(population_estimands(spec), targets, lo, hi)
     results = []
     for r in range(reps):
-        z, d, y = _draw_arrays(spec, n, rep_rng(seed, r), _cell_table(spec))
+        z, d, y = _draw_arrays(spec, n, rep_rng(seed, r))
         try:
             est = estimate(Panel.from_arrays([f"u{i:03d}" for i in range(n)], z, d, y))
         except DynlateError:
