@@ -11,7 +11,6 @@ from .dgp import (
     decompose,
     load_spec,
     make_calendar_homogeneous,
-    negative_weight_report,
     population_estimands,
     save_spec,
     true_dynamic_lates,

@@ -18,7 +18,7 @@ import click
 
 from . import dgp as dgp_mod
 from . import inference, reporting, simulate
-from .errors import AssumptionRequired, DynlateError
+from .errors import AssumptionRequired, DynlateError, PeriodOutOfRange
 from .estimators import (
     ALL_TARGETS,
     CALENDAR_HOMOGENEITY,
@@ -278,6 +278,8 @@ def bounds(panel_path, dgp_path, period, effect_bounds, assume, json_path):
     """Partial-identification intervals for the dynamic effects."""
     panel, spec = _load_inputs(panel_path, dgp_path)
     est = _estimands(panel, spec)
+    if est.T < 2:
+        raise PeriodOutOfRange(f"bounds need T >= 2 periods: the input has T = {est.T}")
     if effect_bounds is None:
         if panel is not None:
             effect_bounds = outcome_range_bounds(panel)
@@ -306,8 +308,7 @@ def bounds(panel_path, dgp_path, period, effect_bounds, assume, json_path):
 def decompose(dgp_path, period, json_path):
     """Exact latent-group decomposition of a period's reduced form."""
     spec = dgp_mod.load_spec(_required(dgp_path, "--dgp"))
-    neg = dgp_mod.negative_weight_report(spec, period)
-    rep = neg.decomposition
+    rep = dgp_mod.decompose(spec, period)
     headers = ["group", "switch", "exposure", "sign", "prob", "effect", "signed", "weight"]
     rows = [
         [str(x.label), str(x.switch_period), str(x.exposure), "+" if x.sign > 0 else "-",
@@ -320,16 +321,16 @@ def decompose(dgp_path, period, json_path):
         f"fs[{rep.t}] = {fnum(rep.fs_t)} (reconstructed {fnum(rep.reconstructed_fs)})",
     ]
     warnings = []
-    if neg.entries:
+    if rep.negative_terms:
         warnings.append(
             f"negatively weighted groups at t={period}: "
-            + ", ".join(str(x.label) for x in neg.entries)
+            + ", ".join(str(x.label) for x in rep.negative_terms)
         )
-    if not neg.iv_defined:
+    if not rep.iv_defined:
         warnings.append(f"iv undefined at t={period} (fs_t = 0)")
     outputs = {
         "decomposition": reporting.decomposition_to_dict(rep),
-        "negative_weights": reporting.negative_weights_to_dict(neg),
+        "negative_weights": reporting.negative_weights_to_dict(rep),
     }
     inputs = {"dgp": dgp_path, "period": period}
     _finish("decompose", json_path, inputs, outputs, lines, warnings=warnings)

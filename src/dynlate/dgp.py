@@ -16,7 +16,7 @@ from __future__ import annotations
 import codecs
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -288,6 +288,15 @@ class DecompositionReport:
     def all_terms(self) -> tuple[DecompositionTerm, ...]:
         return (self.lead, *self.terms)
 
+    @property
+    def negative_terms(self) -> tuple[DecompositionTerm, ...]:
+        """Terms carrying negative weight in the period-t IV estimand; when
+        fs_t = 0 it is undefined, and the terms with a negative signed value
+        stand in for the (undefined) weights."""
+        if self.iv_defined:
+            return tuple(x for x in self.all_terms if x.weight < 0.0)
+        return tuple(x for x in self.all_terms if x.signed_value < 0.0)
+
 
 def _make_term(
     spec: DgpSpec, label: GroupLabel, t: int, sign: int, fs_t: float
@@ -325,38 +334,6 @@ def decompose(spec: DgpSpec, t: int) -> DecompositionReport:
                     terms.append(term)
     return DecompositionReport(
         t=t, rf_t=pop.rf_at(t), fs_t=fs_t, lead=lead, terms=tuple(terms)
-    )
-
-
-@dataclass(frozen=True)
-class NegativeWeightReport:
-    """Negatively weighted terms of the period-t IV estimand.
-
-    When the period-t first stage is zero the IV estimand is undefined;
-    the report then flags that and lists terms whose raw signed value is
-    negative instead of using (undefined) normalized weights.
-    """
-
-    t: int
-    fs_t: float
-    iv_defined: bool
-    entries: tuple[DecompositionTerm, ...]
-    decomposition: DecompositionReport = field(repr=False)
-
-
-def negative_weight_report(spec: DgpSpec, t: int) -> NegativeWeightReport:
-    """Terms of the period-t decomposition carrying negative weight."""
-    report = decompose(spec, t)
-    if report.iv_defined:
-        entries = tuple(x for x in report.all_terms if x.weight < 0.0)
-    else:
-        entries = tuple(x for x in report.all_terms if x.signed_value < 0.0)
-    return NegativeWeightReport(
-        t=t,
-        fs_t=report.fs_t,
-        iv_defined=report.iv_defined,
-        entries=entries,
-        decomposition=report,
     )
 
 

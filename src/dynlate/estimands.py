@@ -31,6 +31,8 @@ def is_positive(value: float, kind: str) -> bool:
 
 def _check_period(t: int, T: int, lo: int = 1) -> None:
     """Refuse anything but an integer period in lo..T, for estimands and specs."""
+    if T < lo:
+        raise PeriodOutOfRange(f"no period in {lo}..{T}: the input has T = {T}")
     if not isinstance(t, int) or not lo <= t <= T:
         raise PeriodOutOfRange(f"period must be in {lo}..{T}, got {t!r}")
 

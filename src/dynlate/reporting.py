@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import asdict
 
-from .dgp import DecompositionReport, NegativeWeightReport
+from .dgp import DecompositionReport
 from .estimators import NegativeWeightFlag
 
 REPORT_SCHEMA_VERSION = 1
@@ -125,13 +125,13 @@ def decomposition_to_dict(rep: DecompositionReport) -> dict:
     }
 
 
-def negative_weights_to_dict(rep: NegativeWeightReport) -> dict:
+def negative_weights_to_dict(rep: DecompositionReport) -> dict:
     shown = ("group", "sign", "probability", "effect", "weight")
     return {
         "t": rep.t,
         "fs_t": rep.fs_t,
         "iv_defined": rep.iv_defined,
-        "entries": [{k: v for k, v in _term(x).items() if k in shown} for x in rep.entries],
+        "entries": [{k: v for k, v in _term(x).items() if k in shown} for x in rep.negative_terms],
     }
 
 

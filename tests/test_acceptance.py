@@ -13,7 +13,6 @@ import pytest
 from dynlate.dgp import (
     decompose,
     make_calendar_homogeneous,
-    negative_weight_report,
     population_estimands,
     true_dynamic_lates,
 )
@@ -144,7 +143,7 @@ def test_criterion_5_negative_weights():
         for t in range(2, spec.T + 1):
             if any(est.fs[k - 1] < est.fs[k - 2] for k in range(2, t + 1)):
                 triggered += 1
-                assert negative_weight_report(spec, t).entries
+                assert decompose(spec, t).negative_terms
     assert triggered >= 50  # the sweep actually exercised the condition
 
     spec = make_calendar_homogeneous(
@@ -158,7 +157,7 @@ def test_criterion_5_negative_weights():
     est = population_estimands(spec)
     assert est.rf_at(2) == pytest.approx(0.425, abs=1e-15)
     assert est.rf_at(2) > 0 and est.iv_at(2) > 0
-    assert negative_weight_report(spec, 2).entries
+    assert decompose(spec, 2).negative_terms
     prof = identify(est)
     assert prof.deltas[1] == pytest.approx(-0.1, abs=1e-12)
     _done(5, "negative weights and sign reversal")

@@ -9,6 +9,7 @@ import pytest
 
 from dynlate import cli, dgp, estimators, inference, simulate
 from dynlate.cli import main
+from dynlate.latent import NEVER, AdoptionPair
 from dynlate.panel import ingest
 
 from conftest import DATA_DIR, GOLDEN_DIR
@@ -50,6 +51,19 @@ def single_arm_spec_file(tmp_path, pz):
     path = tmp_path / f"pz{pz}.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def one_period_inputs(tmp_path):
+    """A T=1 spec (half first-period compliers) and a T=1 panel with both arms."""
+    spec = dgp.DgpSpec(1, 0.5, (
+        dgp.HistorySpec(AdoptionPair(1, NEVER), 0.5, (0.0,), ((1.0,),)),
+        dgp.HistorySpec(AdoptionPair(NEVER, NEVER), 0.5, (0.0,), ((0.0,),)),
+    ))
+    spec_path = tmp_path / "t1.json"
+    dgp.save_spec(spec, str(spec_path))
+    panel_path = tmp_path / "t1.csv"
+    panel_path.write_text("unit_id,period,z,d,y\nA,1,1,1,1.0\nB,1,0,0,0.0\n")
+    return str(spec_path), str(panel_path)
 
 
 def single_arm_warning(pz):
@@ -418,6 +432,20 @@ class TestBounds:
         doc = json.loads(report.read_text())
         assert all(b["t"] == 2 for b in doc["outputs"]["bounds"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--dgp", "SPEC"), ("--panel", "PANEL"), ("--dgp", "SPEC", "--period", "2")],
+        ids=["dgp", "panel", "period"],
+    )
+    def test_one_period_input_is_refused(self, capsys, tmp_path, argv):
+        spec_path, panel_path = one_period_inputs(tmp_path)
+        argv = [{"SPEC": spec_path, "PANEL": panel_path}.get(a, a) for a in argv]
+        report = tmp_path / "b.json"
+        code, out, err = run(capsys, "bounds", *argv, "--json", str(report))
+        assert (code, out) == (2, "")
+        assert err == "error[E_PERIOD]: bounds need T >= 2 periods: the input has T = 1\n"
+        assert not report.exists()
+
     def test_bad_bounds_flag(self, capsys, small_panel_csv):
         code, _, err = run(
             capsys, "bounds", "--panel", small_panel_csv, "--bounds", "1"
@@ -441,6 +469,39 @@ class TestDecompose:
         assert dec["terms"][0]["signed_value"] == pytest.approx(-0.15)
         assert dec["reconstructed_rf"] == pytest.approx(0.65)
         assert doc["outputs"]["negative_weights"]["entries"][0]["group"] == "C1,AT2"
+
+    def test_zero_first_stage(self, capsys, tmp_path):
+        """fs_2 = 0: the IV estimand is undefined, and the negatively signed
+        terms stand in for the weights."""
+        P = AdoptionPair
+        spec = dgp.DgpSpec(2, 0.5, (
+            dgp.HistorySpec(P(1, NEVER), 0.25, (0, 0), ((1.0,), (0.5, 1.0))),
+            dgp.HistorySpec(P(NEVER, 2), 0.375, (0, 0), ((0.0,), (0.5, 0.0))),
+            dgp.HistorySpec(P(2, NEVER), 0.125, (0, 0), ((0.0,), (0.5, 0.0))),
+            dgp.HistorySpec(P(NEVER, NEVER), 0.25, (0, 0), ((0.0,), (0.0, 0.0))),
+        ))
+        spec_path = tmp_path / "fs0.json"
+        dgp.save_spec(spec, str(spec_path))
+        report = tmp_path / "d.json"
+        code, out, err = run(
+            capsys, "decompose", "--dgp", str(spec_path), "--period", "2",
+            "--json", str(report),
+        )
+        assert (code, err) == (0, "")
+        assert out.endswith(
+            "warning: negatively weighted groups at t=2: NT1,F2\n"
+            "warning: iv undefined at t=2 (fs_t = 0)\n"
+        )
+        neg = json.loads(report.read_text(), parse_constant=_refuse_constant)[
+            "outputs"]["negative_weights"]
+        assert neg["iv_defined"] is False
+        assert [(x["group"], x["weight"]) for x in neg["entries"]] == [("NT1,F2", None)]
+
+    def test_one_period_spec_names_its_empty_range(self, capsys, tmp_path):
+        spec_path, _ = one_period_inputs(tmp_path)
+        code, out, err = run(capsys, "decompose", "--dgp", spec_path, "--period", "2")
+        assert (code, out) == (2, "")
+        assert err == "error[E_PERIOD]: no period in 2..1: the input has T = 1\n"
 
 
 class TestSimulate:

@@ -16,7 +16,6 @@ from dynlate.dgp import (
     decompose,
     load_spec,
     make_calendar_homogeneous,
-    negative_weight_report,
     population_estimands,
     save_spec,
     spec_from_dict,
@@ -318,14 +317,14 @@ class TestDecomposition:
 
 class TestNegativeWeightReport:
     def test_three_history_example(self):
-        rep = negative_weight_report(three_history_spec(), 2)
+        rep = decompose(three_history_spec(), 2)
         assert rep.iv_defined
-        assert [str(x.label) for x in rep.entries] == ["C1,AT2"]
+        assert [str(x.label) for x in rep.negative_terms] == ["C1,AT2"]
 
     def test_static_compliance_empty(self):
         rng = np.random.default_rng(21)
-        rep = negative_weight_report(static_compliance_spec(rng, T=3), 2)
-        assert rep.entries == ()
+        rep = decompose(static_compliance_spec(rng, T=3), 2)
+        assert rep.negative_terms == ()
 
     def test_negative_fs_flips_signs(self):
         spec = DgpSpec(
@@ -339,8 +338,8 @@ class TestNegativeWeightReport:
         )
         est = population_estimands(spec)
         assert est.fs_at(2) < 0
-        rep = negative_weight_report(spec, 2)
-        flagged = {str(x.label) for x in rep.entries}
+        rep = decompose(spec, 2)
+        flagged = {str(x.label) for x in rep.negative_terms}
         # groups entering positively in the reduced form flip to negative
         # weight when divided by a negative first stage
         assert "NT1,C2" in flagged
@@ -357,10 +356,10 @@ class TestNegativeWeightReport:
                 HistorySpec(P(NEVER, NEVER), 0.25, (0, 0), ((0.0,), (0.0, 0.0))),
             ),
         )
-        rep = negative_weight_report(spec, 2)
+        rep = decompose(spec, 2)
         assert not rep.iv_defined
         # raw signed terms: the z=0 switcher group enters negatively
-        assert "NT1,F2" in {str(x.label) for x in rep.entries}
+        assert "NT1,F2" in {str(x.label) for x in rep.negative_terms}
 
 
 class TestCalendarHomogeneity:

@@ -712,7 +712,7 @@ class TestNegativeWeightDiagnostic:
         assert got == reference(est)
 
     def test_cross_check_with_population_decomposition(self):
-        from dynlate.dgp import negative_weight_report
+        from dynlate.dgp import decompose
 
         spec = DgpSpec(
             3, 0.5,
@@ -728,4 +728,4 @@ class TestNegativeWeightDiagnostic:
         flags = negative_weight_diagnostic(est)
         assert flags[0].status is NegativeWeightStatus.POSSIBLE
         assert flags[1].status is NegativeWeightStatus.GUARANTEED
-        assert negative_weight_report(spec, 3).entries  # confirmed by the oracle
+        assert decompose(spec, 3).negative_terms  # confirmed by the oracle
