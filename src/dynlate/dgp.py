@@ -8,7 +8,8 @@ exactly by enumeration. That makes this module the oracle the estimator
 and simulation tests are checked against. A spec is described once, by
 the table of its (arm, history) cells (:attr:`DgpSpec.cells`): the oracle
 sums its arm contrasts with ``math.fsum``, and the draws of
-:mod:`dynlate.simulate` read it too.
+:mod:`dynlate.simulate` read it too. Its latent groups, with the sign each
+carries in a decomposition, are one more read-only table (:attr:`DgpSpec.groups`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -182,36 +184,35 @@ class DgpSpec:
         return table
 
     @cached_property
-    def _positions(self) -> dict[AdoptionPair, int]:
-        """Index in ``histories`` of each positive-probability history's pair."""
-        return {h.pair: i for i, h in enumerate(self.histories) if h.prob > 0.0}
+    def groups(self) -> MappingProxyType[GroupLabel, tuple[int, tuple[HistorySpec, ...]]]:
+        """Each group with positive-probability members: label -> (sign, members).
 
-    @cached_property
-    def _members(self) -> dict[GroupLabel, tuple[HistorySpec, ...]]:
-        """``members_of`` by label, filled on first use of each label."""
-        return {}
-
-    def members_of(self, label: GroupLabel) -> tuple[HistorySpec, ...]:
-        """Positive-probability histories belonging to a group label, in spec order."""
-        found = self._members.get(label)
-        if found is None:
-            at = self._positions
-            found = tuple(
-                self.histories[i] for i in sorted(at[p] for p in label.members(self.T) if p in at)
-            )
-            self._members[label] = found
-        return found
-
-    def _group_sums(self, label: GroupLabel, t: int, tau: int):
-        """The label's members, their probability and their weighted effects[t][tau] sum."""
-        members = self.members_of(label)
-        prob = math.fsum(h.prob for h in members)
-        return members, prob, math.fsum(h.prob * h.effect(t, tau) for h in members)
+        Members run in spec order, entries in ``decompose``'s: C1 (+1), then at
+        each switch period k the groups switching under z=0 (-1) and under z=1
+        (+1). Only the (k, arm) at which some member adopts are enumerated; a
+        label with no entry has no members."""
+        at = {h.pair: i for i, h in enumerate(self.histories) if h.prob > 0.0}
+        s0, s1 = ({p.adoption(z) for p in at} for z in (0, 1))
+        labelled = [(C1, +1)]
+        for k in sorted((s0 | s1) - {1, NEVER}):
+            plus, minus = switcher_group_labels(k)
+            labelled += [(x, -1) for x in minus if k in s0] + [(x, +1) for x in plus if k in s1]
+        table = {}
+        for label, sign in labelled:
+            found = sorted(at[p] for p in label.members(self.T) if p in at)
+            if found:
+                table[label] = (sign, tuple(self.histories[i] for i in found))
+        return MappingProxyType(table)
 
     def group_effect(self, label: GroupLabel, t: int, tau: int) -> float | None:
         """Probability-weighted mean of effects[t][tau] over the label's members."""
-        _, total, raw = self._group_sums(label, t, tau)
+        total, raw = _group_sums(self.groups.get(label, (0, ()))[1], t, tau)
         return None if total == 0.0 else raw / total
+
+
+def _group_sums(members: tuple[HistorySpec, ...], t: int, tau: int) -> tuple[float, float]:
+    """The members' probability and their weighted effects[t][tau] sum."""
+    return math.fsum(h.prob for h in members), math.fsum(h.prob * h.effect(t, tau) for h in members)
 
 
 def population_estimands(spec: DgpSpec) -> EstimandSet:
@@ -298,13 +299,10 @@ class DecompositionReport:
         return tuple(x for x in self.all_terms if x.signed_value < 0.0)
 
 
-def _make_term(
-    spec: DgpSpec, label: GroupLabel, t: int, sign: int, fs_t: float
-) -> DecompositionTerm | None:
+def _make_term(spec: DgpSpec, label: GroupLabel, t: int, fs_t: float) -> DecompositionTerm:
+    sign, members = spec.groups[label]
     k = label.switch
-    members, prob, raw = spec._group_sums(label, t, t - k)
-    if not members:
-        return None
+    prob, raw = _group_sums(members, t, t - k)
     return DecompositionTerm(
         label=label,
         members=tuple(h.pair for h in members),
@@ -323,15 +321,7 @@ def decompose(spec: DgpSpec, t: int) -> DecompositionReport:
     _check_period(t, spec.T, lo=2)
     pop = population_estimands(spec)
     fs_t = pop.fs_at(t)
-    lead = _make_term(spec, C1, t, +1, fs_t)
-    terms = []
-    for k in range(2, t + 1):
-        plus_labels, minus_labels = switcher_group_labels(k)
-        for sign, labels in ((-1, minus_labels), (+1, plus_labels)):
-            for label in labels:
-                term = _make_term(spec, label, t, sign, fs_t)
-                if term is not None:
-                    terms.append(term)
+    lead, *terms = (_make_term(spec, label, t, fs_t) for label in spec.groups if label.switch <= t)
     return DecompositionReport(
         t=t, rf_t=pop.rf_at(t), fs_t=fs_t, lead=lead, terms=tuple(terms)
     )

@@ -264,24 +264,22 @@ def _ingest_stream(stream) -> Panel:
     if not units:
         raise MalformedRow("no data rows")
 
+    # every unit is checked before anything is sized by T: periods are
+    # unique and >= 1, so a unit with T of them has exactly 1..T
     T = max_period
     ids = sorted(units)
-    z_col = np.empty(len(ids), dtype=np.int8)
-    d_mat = np.empty((len(ids), T), dtype=np.int8)
-    y_mat = np.empty((len(ids), T), dtype=np.float64)
-    for i, unit in enumerate(ids):
+    for unit in ids:
         rows = units[unit]
-        if sorted(rows) != list(range(1, T + 1)):
+        if len(rows) != T:
             raise UnbalancedPanel(
                 f"unit {unit!r} has periods {sorted(rows)}, expected 1..{T}"
             )
-        zs = {zv for zv, _, _ in rows.values()}
-        if len(zs) != 1:
+        if len({zv for zv, _, _ in rows.values()}) != 1:
             raise InstrumentVariesWithinUnit(f"z varies within unit {unit!r}")
-        z_col[i] = zs.pop()
-        for t in range(1, T + 1):
-            _, d_mat[i, t - 1], y_mat[i, t - 1] = rows[t]
-
+    cells = [units[unit][t] for unit in ids for t in range(1, T + 1)]
+    z_col = np.fromiter((c[0] for c in cells[::T]), np.int8, len(ids))
+    d_mat = np.fromiter((c[1] for c in cells), np.int8, len(cells)).reshape(-1, T)
+    y_mat = np.fromiter((c[2] for c in cells), np.float64, len(cells)).reshape(-1, T)
     panel = Panel.from_arrays(ids, z_col, d_mat, y_mat)
     if not 0 < panel.n_z1 < panel.n:
         raise DegenerateInstrument("only one instrument arm present in the data")

@@ -30,6 +30,20 @@ def make_three_history_spec(noise_sd=0.0):
     )
 
 
+def make_homogeneity_spec(with_ntf2):
+    """T=2: C1 reads 1.0 at exposure 0 in both periods, NT1,C2 reads 5.0 at t=2;
+    with ``with_ntf2``, NT1,F2 adds 3.0 at the same (t, exposure)."""
+    P, zero = AdoptionPair, ((0.0,), (0.0, 0.0))
+    histories = [
+        HistorySpec(P(1, NEVER), 0.4, (0, 0), ((1.0,), (1.0, 2.0))),
+        HistorySpec(P(2, NEVER), 0.2, (0, 0), ((0.0,), (5.0, 0.0))),
+        HistorySpec(P(NEVER, NEVER), 0.3 if with_ntf2 else 0.4, (0, 0), zero),
+    ]
+    if with_ntf2:
+        histories.append(HistorySpec(P(NEVER, 2), 0.1, (0, 0), ((0.0,), (3.0, 0.0))))
+    return DgpSpec(2, 0.5, tuple(histories))
+
+
 @pytest.fixture
 def three_history_spec():
     return make_three_history_spec()

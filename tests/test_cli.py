@@ -12,7 +12,7 @@ from dynlate.cli import main
 from dynlate.latent import NEVER, AdoptionPair
 from dynlate.panel import ingest
 
-from conftest import DATA_DIR, GOLDEN_DIR
+from conftest import DATA_DIR, GOLDEN_DIR, make_homogeneity_spec
 
 
 def run(capsys, *argv):
@@ -180,6 +180,10 @@ class TestErrorContract:
             ("DYNLATE_SEED=-4", "simulate", "--dgp", "SPEC", "--n", "5"),
             ("DYNLATE_SEED=-4", "montecarlo", "--dgp", "SPEC", "--n", "10", "--reps", "2"),
             ("DYNLATE_SEED=-4", "bootstrap", "--panel", "PANEL", "--reps", "10"),
+            ("bounds", "--panel", "PANEL", "--bounds=a,b"),
+            ("bounds", "--panel", "PANEL", "--bounds=1,0"),
+            ("identify", "--panel", "PANEL", "--assume", "bogus"),
+            ("montecarlo", "--dgp", "SPEC", "--n", "10", "--reps", "2", "--targets", "bogus"),
         ],
     )
     def test_out_of_range_option(self, capsys, monkeypatch, spec_file, small_panel_csv, argv):
@@ -192,6 +196,21 @@ class TestErrorContract:
         assert err.startswith("error[E_ARGS]:")
         assert err.count("\n") == 1
         assert "Invalid value for '--" in err  # the option's value, not the command line
+
+    def test_panel_and_dgp_together(self, capsys, spec_file, small_panel_csv):
+        code, out, err = run(capsys, "estimate", "--panel", small_panel_csv, "--dgp", spec_file)
+        assert (code, out) == (2, "")
+        assert err == "error[E_ARGS]: --panel and --dgp are mutually exclusive\n"
+
+    def test_huge_period_is_unbalanced(self, capsys, tmp_path):
+        # refused before any n x T array is sized (10**12 periods would be terabytes)
+        bad = tmp_path / "huge.csv"
+        bad.write_text("unit_id,period,z,d,y\na,1,1,0,0.0\nb,1000000000000,0,0,0.0\n")
+        code, out, err = run(capsys, "estimate", "--panel", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error[E_UNBALANCED]: unit 'a' has periods [1], expected 1..1000000000000\n"
+        )
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
@@ -214,6 +233,15 @@ class TestCheck:
         assert doc["outputs"]["spec"]["p_c1"] == pytest.approx(0.4)
         assert doc["warnings"] == []
         assert "warning:" not in out
+
+    def test_dgp_cross_group_heterogeneity(self, capsys, tmp_path):
+        spec = make_homogeneity_spec(with_ntf2=True)
+        spec_path, report = tmp_path / "b.json", tmp_path / "check.json"
+        dgp.save_spec(spec, str(spec_path))
+        code, out, _ = run(capsys, "check", "--dgp", str(spec_path), "--json", str(report))
+        assert code == 0
+        assert "calendar homogeneity: does not hold" in out
+        assert '"cross_group_homogeneity": false' in report.read_text()
 
     @pytest.mark.parametrize("pz", [0.0, 1.0])
     def test_single_arm_dgp_warns(self, capsys, tmp_path, pz):

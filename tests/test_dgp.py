@@ -23,9 +23,9 @@ from dynlate.dgp import (
     true_dynamic_lates,
 )
 from dynlate.errors import PeriodOutOfRange, SchemaMismatch, SpecValidationError
-from dynlate.latent import NEVER, AdoptionPair
+from dynlate.latent import C1, NEVER, AdoptionPair, GroupLabel
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, make_homogeneity_spec
 from randspec import random_spec, static_compliance_spec, variant_spec
 
 P = AdoptionPair
@@ -217,6 +217,37 @@ def test_cells_are_built_once_and_read_only():
         cells.d = np.zeros_like(cells.d)
 
 
+def test_groups_are_built_once_and_read_only():
+    spec = three_history_spec()
+    groups = spec.groups
+    assert spec.groups is groups
+    assert dataclasses.replace(spec).groups is not groups
+    with pytest.raises(TypeError):
+        groups[C1] = (+1, ())
+    # C1 first, then the switch-period-2 group switching under z=0
+    assert [(str(x), sign, [h.pair for h in members]) for x, (sign, members) in groups.items()] == [
+        ("C1", +1, [P(1, NEVER), P(1, 2)]),
+        ("C1,AT2", -1, [P(1, 2)]),
+    ]
+    # a label without an entry has no members and no group effect
+    assert GroupLabel("NTC", 2) not in groups
+    assert spec.group_effect(GroupLabel("NTC", 2), 2, 0) is None
+
+
+def test_groups_skip_zero_probability_histories():
+    spec = DgpSpec(3, 0.5, (
+        HistorySpec(P(1, NEVER), 0.5, (0, 0, 0), ((1.0,), (1.0, 1.0), (1.0, 1.0, 1.0))),
+        HistorySpec(P(3, NEVER), 0.0, (0, 0, 0), ((0.0,), (0.0, 0.0), (0.0, 0.0, 0.0))),
+        HistorySpec(P(NEVER, 2), 0.25, (0, 0, 0), ((0.0,), (2.0, 0.0), (2.0, 2.0, 0.0))),
+        HistorySpec(P(NEVER, NEVER), 0.25, (0, 0, 0), ((0.0,), (0.0, 0.0), (0.0, 0.0, 0.0))),
+    ))
+    assert [str(x) for x in spec.groups] == ["C1", "NT1,F2"]
+    for t in (2, 3):
+        assert [(str(x.label), x.sign) for x in decompose(spec, t).all_terms] == [
+            ("C1", +1), ("NT1,F2", -1),
+        ]
+
+
 class TestTrueDynamicLates:
     def test_three_history_example(self):
         # (0.3*2 + 0.1*2) / 0.4 = 2 at t=2; (0.3*1 + 0.1*1) / 0.4 = 1 at t=1
@@ -397,6 +428,23 @@ class TestCalendarHomogeneity:
             delta_profile=(1.0, 0.5),
         )
         assert true_dynamic_lates(spec) == pytest.approx((1.0, 0.5))
+
+
+class TestHomogeneitySwitcherBranches:
+    def test_calendar_fails_on_a_switcher_alone(self):
+        spec = make_homogeneity_spec(with_ntf2=False)
+        # the complier branch passes: C1 reads 1.0 at exposure 0 in both periods
+        assert spec.group_effect(C1, 1, 0) == spec.group_effect(C1, 2, 0) == 1.0
+        assert spec.group_effect(GroupLabel("NTC", 2), 2, 0) == 5.0
+        assert not check_calendar_homogeneity(spec)
+        # one switcher group per (t, exposure): nothing to disagree with
+        assert check_cross_group_homogeneity(spec)
+
+    def test_cross_group_fails_on_two_switchers(self):
+        spec = make_homogeneity_spec(with_ntf2=True)
+        assert spec.group_effect(GroupLabel("NTF", 2), 2, 0) == pytest.approx(3.0)
+        assert not check_cross_group_homogeneity(spec)
+        assert not check_calendar_homogeneity(spec)
 
 
 class TestEffectRange:

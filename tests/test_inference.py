@@ -218,6 +218,21 @@ class TestBootstrap:
         assert tgt.point is None
         assert tgt.n_ok > 0
 
+    def test_target_no_resample_defines_has_no_interval(self):
+        # every unit is treated at t=2, so fs_2 = 0 in every resample; five
+        # of twenty z=1 units are treated from t=1, so fs_1 > 0 in most
+        z = [1] * 20 + [0] * 20
+        d = [[1, 1]] * 5 + [[0, 1]] * 35
+        y = [[0.25 * (i % 4), 0.5 * (i % 3)] for i in range(40)]
+        panel = Panel.from_arrays([f"u{i:02d}" for i in range(40)], z, d, y)
+        res = bootstrap(panel, reps=50, alpha=0.1, seed=4, targets=("estimands",))
+        names = [x.name for x in res.targets]
+        assert "iv[2]" not in names
+        assert {"rf[2]", "fs[2]", "iv[1]"} <= set(names)
+        assert res.target("fs[2]").lower == res.target("fs[2]").upper == 0.0
+        with pytest.raises(KeyError):
+            res.target("iv[2]")
+
     def test_parameter_validation(self):
         panel = clone_panel()
         with pytest.raises(ValueError):

@@ -123,6 +123,31 @@ def test_unbalanced_missing_period():
         ingest(bad)
 
 
+def test_huge_period_is_unbalanced_before_any_array_is_sized():
+    # an n x T array at T = 10**12 is terabytes: the balance check comes first
+    bad = "unit_id,period,z,d,y\na,1,1,0,0.0\nb,1000000000000,0,0,0.0\n"
+    with pytest.raises(UnbalancedPanel) as err:
+        ingest(bad)
+    assert str(err.value) == "unit 'a' has periods [1], expected 1..1000000000000"
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        # A: z varies, B: a period missing; A sorts first
+        ("B,1,0,0,0.0\nA,1,1,0,0.0\nA,2,0,0,0.0\n", InstrumentVariesWithinUnit,
+         "z varies within unit 'A'"),
+        # A both unbalanced and varying in z: balance is checked first
+        ("A,1,1,0,0.0\nA,3,0,0,0.0\nB,1,0,0,0.0\nB,2,0,0,0.0\nB,3,0,0,0.0\n",
+         UnbalancedPanel, "unit 'A' has periods [1, 3], expected 1..3"),
+    ],
+)
+def test_first_failing_unit_in_id_order(rows, error, message):
+    with pytest.raises(error) as err:
+        ingest("unit_id,period,z,d,y\n" + rows)
+    assert str(err.value) == message
+
+
 def test_duplicate_row():
     bad = "unit_id,period,z,d,y\nA,1,1,0,0.0\nA,1,1,0,1.0\n"
     with pytest.raises(UnbalancedPanel):

@@ -234,6 +234,27 @@ class TestMonteCarlo:
         assert row.n_failed > 0
         assert row.n_ok + row.n_failed == 60
 
+    def test_target_the_oracle_leaves_undefined_has_no_row(self):
+        # fs_2 = 0.25 - 0.375 + 0.125 = 0: the oracle has no iv[2]
+        P = AdoptionPair
+        spec = DgpSpec(
+            2, 0.5,
+            (
+                HistorySpec(P(1, NEVER), 0.25, (0, 0), ((1.0,), (0.5, 1.0))),
+                HistorySpec(P(NEVER, 2), 0.375, (0, 0), ((0.0,), (0.5, 0.0))),
+                HistorySpec(P(2, NEVER), 0.125, (0, 0), ((0.0,), (0.5, 0.0))),
+                HistorySpec(P(NEVER, NEVER), 0.25, (0, 0), ((0.0,), (0.0, 0.0))),
+            ),
+            noise_sd=1.0,
+        )
+        summary = monte_carlo(spec, n=200, reps=4, seed=3, targets=("estimands",))
+        names = [row.name for row in summary.rows]
+        assert "iv[2]" not in names
+        assert {"rf[2]", "fs[2]", "iv[1]"} <= set(names)
+        assert summary.row("fs[2]").oracle == 0.0
+        with pytest.raises(KeyError):
+            summary.row("iv[2]")
+
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize(
         "case, n, reps, min_n",
