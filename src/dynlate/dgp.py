@@ -406,11 +406,7 @@ def check_cross_group_homogeneity(spec: DgpSpec) -> bool:
 
 def _switcher_effects(spec: DgpSpec, t: int, tau: int):
     """Effects at (t, tau) of every positive-probability group switching at t - tau."""
-    for labels in switcher_group_labels(t - tau):
-        for label in labels:
-            eff = spec.group_effect(label, t, tau)
-            if eff is not None:
-                yield eff
+    return (spec.group_effect(x, t, tau) for x in spec.groups if x.switch == t - tau)
 
 
 # ---------------------------------------------------------------------------

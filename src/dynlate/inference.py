@@ -91,6 +91,11 @@ pools of this floor (two workers from 6e6 draws): 0.82-0.99 at 20k x
 300, 0.80 at 40k x 150 and 0.69 at 1e5 x 60."""
 
 
+_CELL_KEY_DTYPE = np.int16
+"""Dtype of the cell key, at most 2T + 1 (intp past its range): numpy sorts
+16-bit keys stably by radix, at n=1e5 on 2 vCPUs 0.7 ms against 5.2 ms for intp."""
+
+
 def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.ndarray:
     """Moment rows ``counts_r @ moment_features(panel)`` of every resample.
 
@@ -109,7 +114,8 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     is held.
     """
     n, T = panel.n, panel.T
-    key = panel.z.astype(np.intp) * (T + 1) + panel.d.sum(axis=1)
+    dtype = _CELL_KEY_DTYPE if 2 * T + 1 <= np.iinfo(_CELL_KEY_DTYPE).max else np.intp
+    key = panel.z.astype(dtype) * (T + 1) + panel.d.sum(axis=1, dtype=dtype)
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     first = order[starts]

@@ -5,10 +5,10 @@ time-invariant instrument z and a binary irreversible treatment d. Units
 are assumed sampled i.i.d.; everything downstream treats the unit as the
 resampling block.
 
-A :class:`Panel` holds its unit ids as one 1-D numpy ``StringDType``
-array, so building, checking and sorting them are array operations. The
-CSV form quotes an id the way ``csv.writer`` does, only when it holds a
-comma, a double quote, CR or LF, so ``ingest(serialize(panel))``
+A :class:`Panel` holds its unit ids as one fixed-width ``U`` numpy array,
+which orders and equates them as ``str`` does once ids ending in NUL are
+refused. The CSV form quotes an id the way ``csv.writer`` does, only when
+it holds a comma, a double quote, CR or LF, so ``ingest(serialize(panel))``
 reproduces any panel ``ingest`` returns.
 """
 
@@ -35,10 +35,10 @@ CSV_HEADER = ("unit_id", "period", "z", "d", "y")
 _BOM = "\ufeff"
 """Byte-order mark some editors (Excel's "CSV UTF-8") write before the header."""
 
-UNIT_ID_DTYPE = np.dtypes.StringDType
-"""Dtype class of :attr:`Panel.unit_ids`: variable-width text that keeps
-a trailing NUL, which fixed-width ``U`` arrays drop. Passing the class,
-not an instance, lets ``np.asarray`` keep any StringDType array as is."""
+UNIT_ID_DTYPE = np.str_
+"""Scalar type of :attr:`Panel.unit_ids`: fixed-width ``U`` text, n x
+(longest id) x 4 bytes. Its NUL padding cannot hold a trailing NUL, so
+:meth:`Panel.from_arrays` refuses an id that ends in one."""
 
 
 @dataclass(eq=False)
@@ -75,7 +75,7 @@ class Panel:
         if not isinstance(other, Panel):
             return NotImplemented
         return (
-            np.array_equal(_order_key(self.unit_ids), _order_key(other.unit_ids))
+            np.array_equal(self.unit_ids, other.unit_ids)
             and np.array_equal(self.z, other.z)
             and np.array_equal(self.d, other.d)
             and np.array_equal(self.y, other.y)
@@ -85,19 +85,16 @@ class Panel:
     def from_arrays(cls, unit_ids, z, d, y) -> "Panel":
         """Build a validated panel from per-unit arrays.
 
-        Checks shapes, unit ids the CSV form can carry (non-empty, no
-        surrounding whitespace), unique unit ids, binary z/d (the values
-        as given, before the cast to int8), finite y, and irreversibility
-        of d.
-        Unit ids become a :data:`UNIT_ID_DTYPE` array (non-str ids by
-        their ``str``). Rows are sorted by unit id so equal data always
-        yields an identical Panel; ids that already increase strictly
-        are kept as they are.
+        Checks shapes, unit ids the CSV form can carry (valid non-empty
+        text without surrounding whitespace) that a ``U`` array keeps (no
+        trailing NUL), unique unit ids, binary z/d (the values as given,
+        before the cast to int8), finite y, and irreversibility of d.
+        A ``U`` array of ids is kept as it is; any other input becomes one
+        from the ``str`` of each entry, after the trailing-NUL check. Rows
+        are sorted by unit id so equal data always yields an identical
+        Panel; ids that already increase strictly are kept as they are.
         """
-        try:
-            ids = np.asarray(unit_ids, dtype=UNIT_ID_DTYPE)
-        except UnicodeEncodeError as err:  # a lone surrogate
-            raise MalformedRow(f"unit ids must be valid text: {err}") from None
+        ids = _id_array(unit_ids)
         z = np.asarray(z)
         d = np.asarray(d)
         y = np.asarray(y, dtype=np.float64)
@@ -114,13 +111,12 @@ class Panel:
             raise MalformedRow("array shapes are inconsistent")
         if d.shape[1] < 1:
             raise UnbalancedPanel("panel has no periods")
+        _check_id_text(ids)
         order = None
-        key = _order_key(ids)
-        _check_id_text(ids, key)
-        if not (key[1:] > key[:-1]).all():
-            order = np.argsort(key, kind="stable")
-            ids, key = ids[order], key[order]
-            dup = np.flatnonzero(key[1:] == key[:-1])
+        if not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            dup = np.flatnonzero(ids[1:] == ids[:-1])
             if dup.size:
                 raise UnbalancedPanel(f"duplicate unit id {str(ids[dup[0]])!r}")
         if not (_is_binary(z) and _is_binary(d)):
@@ -131,52 +127,49 @@ class Panel:
         d = d.astype(np.int8, copy=False)
         if order is not None:
             z, d, y = z[order], d[order], y[order]
-        drops = np.argwhere(d[:, 1:] < d[:, :-1])
-        if drops.size:
-            row, t = drops[0]
+        drops = d[:, 1:] < d[:, :-1]
+        if drops.any():
+            row, t = np.argwhere(drops)[0]
             raise TreatmentReversal(str(ids[row]), int(t) + 2)
         return cls(ids, z, d, y)
 
 
-def _order_key(ids: np.ndarray) -> np.ndarray:
-    """Fixed-width ``U`` array that orders and equates like ``ids`` as str.
+def _id_array(unit_ids) -> np.ndarray:
+    """``unit_ids`` as a contiguous ``U`` array in native byte order, so its
+    code points read as uint32. Any other input, such as a list or an object
+    array, becomes the ``str`` of each entry; as ``U`` pads with NULs, an id
+    that ends in NUL is refused before the conversion would drop it."""
+    if isinstance(unit_ids, np.ndarray) and unit_ids.dtype.kind == "U":
+        return np.ascontiguousarray(unit_ids, dtype=unit_ids.dtype.newbyteorder("="))
+    entries = np.asarray(unit_ids, dtype=object)
+    texts = list(map(str, entries.flat))
+    bad = next((u for u in texts if u.endswith("\x00")), None)
+    if bad is not None:
+        raise MalformedRow(_ID_RULE.format(bad))
+    return np.array(texts, dtype=UNIT_ID_DTYPE).reshape(entries.shape)
 
-    numpy's StringDType comparisons and sort stop at an embedded NUL, so
-    there ``"a\\x00b" == "a\\x00c"``; ``U`` compares every code point. Each
-    key is its id padded with NULs to a common width, then the id's length
-    as one more code point, which tells ``"a"`` from ``"a\\x00"``. Lengths
-    are taken with an ``"x"`` appended, as ``str_len`` skips trailing NULs.
-    """
-    lengths = np.strings.str_len(np.strings.add(ids, "x")) - 1
-    width = int(lengths.max(initial=0))
-    key = np.zeros((ids.size, width + 1), dtype=np.uint32)
-    if width:
-        key[:, :width] = ids.astype(f"U{width}").view(np.uint32).reshape(-1, width)
-    key[:, width] = lengths
-    return key.view(f"U{width + 1}").ravel()
 
+_ID_RULE = (
+    "unit id {!r} must be valid text: non-empty, without surrounding whitespace or a trailing NUL"
+)
 
 _WHITESPACE = np.array([c for c in range(0x3001) if chr(c).isspace()], dtype=np.uint32)
 """Code points ``str.strip()`` removes (U+3000 is the last of them)."""
 
 
-def _check_id_text(ids: np.ndarray, key: np.ndarray) -> None:
-    """Reject ids that ``ingest(serialize(...))`` cannot give back.
-
-    ``ingest`` strips every field and rejects an empty id, so an id must
-    be non-empty with no whitespace at either end. The test reads the
-    first and last code points off ``_order_key``'s key: ``np.strings.strip``
-    would also strip NULs, which ``str.strip`` keeps.
-    """
-    codes = key.view(np.uint32).reshape(key.size, -1)
-    lengths = codes[:, -1].astype(np.intp)
-    ends = np.stack((codes[:, 0], codes[np.arange(key.size), lengths - 1]))
-    bad = np.flatnonzero((lengths == 0) | np.isin(ends, _WHITESPACE).any(axis=0))
-    if bad.size:
-        raise MalformedRow(
-            f"unit id {str(ids[bad[0]])!r} must be non-empty,"
-            " without surrounding whitespace"
-        )
+def _check_id_text(ids: np.ndarray) -> None:
+    """Refuse ids that ``ingest(serialize(...))`` cannot give back: one
+    holding a lone surrogate (not UTF-8 text), an empty one, or one with
+    whitespace at either end (``ingest`` strips every field). The tests read
+    code points: ``np.strings.strip`` would also strip NULs, which
+    ``str.strip`` keeps."""
+    codes = ids.view(np.uint32).reshape(ids.size, -1)
+    lengths = np.strings.str_len(ids)
+    ends = np.stack((codes[:, 0], codes[np.arange(ids.size), lengths - 1]))
+    bad = (lengths == 0) | np.isin(ends, _WHITESPACE).any(axis=0)
+    bad[np.flatnonzero((codes >= 0xD800) & (codes <= 0xDFFF)) // codes.shape[1]] = True
+    if bad.any():
+        raise MalformedRow(_ID_RULE.format(str(ids[bad.argmax()])))
 
 
 def _is_binary(a: np.ndarray) -> bool:

@@ -32,7 +32,7 @@ import numpy as np
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
 from .errors import DegenerateInstrument
 from .estimators import ALL_TARGETS, moment_estimands, target_columns, target_row, unit_sums
-from .panel import UNIT_ID_DTYPE, Panel
+from .panel import Panel
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -167,7 +167,8 @@ def _draw_arrays(spec: DgpSpec, n: int, rng: np.random.Generator):
 def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
     """Draw n units with :func:`_draw_arrays` as a panel with ids u0, u1, ....
 
-    Ids are zero-padded to the width of n - 1, so they sort in draw order.
+    Ids are zero-padded to the width of n - 1, so they sort in draw order,
+    and are written as code points straight into one ``U`` array.
     Adoption pairs make treatment paths irreversible by construction, so
     the result always passes panel validation.
     """
@@ -175,9 +176,13 @@ def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z, d, y = _draw_arrays(spec, n, rng)
-    digits = np.arange(n).astype(UNIT_ID_DTYPE)
-    ids = np.strings.add("u", np.strings.zfill(digits, len(str(n - 1))))
-    return Panel.from_arrays(ids, z, d, y)
+    width = len(str(n - 1))
+    codes = np.empty((n, 1 + width), dtype=np.uint32)
+    codes[:, 0], index = ord("u"), np.arange(n)
+    for j in range(width, 0, -1):
+        index, codes[:, j] = np.divmod(index, 10)
+    codes[:, 1:] += ord("0")
+    return Panel.from_arrays(codes.view(f"U{1 + width}").ravel(), z, d, y)
 
 
 @dataclass(frozen=True)

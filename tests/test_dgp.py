@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from dynlate import dgp
 from dynlate.dgp import (
     DgpSpec,
     HistorySpec,
@@ -23,10 +24,16 @@ from dynlate.dgp import (
     true_dynamic_lates,
 )
 from dynlate.errors import PeriodOutOfRange, SchemaMismatch, SpecValidationError
-from dynlate.latent import C1, NEVER, AdoptionPair, GroupLabel
+from dynlate.latent import C1, NEVER, AdoptionPair, GroupLabel, switcher_group_labels
 
 from conftest import GOLDEN_DIR, make_homogeneity_spec
-from randspec import random_spec, static_compliance_spec, variant_spec
+from randspec import (
+    random_bounded_spec,
+    random_homogeneous_spec,
+    random_spec,
+    static_compliance_spec,
+    variant_spec,
+)
 
 P = AdoptionPair
 
@@ -445,6 +452,76 @@ class TestHomogeneitySwitcherBranches:
         assert spec.group_effect(GroupLabel("NTF", 2), 2, 0) == pytest.approx(3.0)
         assert not check_cross_group_homogeneity(spec)
         assert not check_calendar_homogeneity(spec)
+
+
+def label_switcher_effects(spec, t, tau):
+    """Reference: each label of ``switcher_group_labels(t - tau)``, looked up in turn."""
+    for labels in switcher_group_labels(t - tau):
+        for label in labels:
+            effect = spec.group_effect(label, t, tau)
+            if effect is not None:
+                yield effect
+
+
+def with_switcher_effect_moved(spec, pair, t, tau):
+    """``spec`` with history ``pair``'s effect at (t, tau) raised by 1."""
+    histories = []
+    for h in spec.histories:
+        if h.pair == pair:
+            rows = [list(row) for row in h.effects]
+            rows[t - 1][tau] += 1.0
+            h = dataclasses.replace(h, effects=rows)
+        histories.append(h)
+    return dataclasses.replace(spec, histories=tuple(histories))
+
+
+def a_switcher_effect_moved(spec, rng):
+    """``spec`` with one effect of a switcher group member raised, or None."""
+    switchers = [(x, members) for x, (_, members) in spec.groups.items() if x.switch >= 2]
+    if not switchers:
+        return None
+    label, members = switchers[rng.integers(len(switchers))]
+    t = int(rng.integers(label.switch, spec.T + 1))
+    return with_switcher_effect_moved(spec, members[0].pair, t, t - label.switch)
+
+
+def t60_spec():
+    """Five histories over 60 periods, switching at 2, 30 and 45; homogeneous."""
+    return make_calendar_homogeneous(
+        T=60, pz=0.5,
+        history_probs={
+            (1, NEVER): 0.3, (2, NEVER): 0.1, (30, NEVER): 0.1, (45, 2): 0.1, (NEVER, NEVER): 0.4,
+        },
+        baselines=(0.0,) * 60,
+        delta_profile=tuple(0.1 * tau for tau in range(60)),
+    )
+
+
+def homogeneity_verdicts(spec):
+    return check_calendar_homogeneity(spec), check_cross_group_homogeneity(spec)
+
+
+def test_homogeneity_checks_match_a_label_enumeration(monkeypatch):
+    rng = np.random.default_rng(41)
+    specs = [t60_spec()]
+    specs += [with_switcher_effect_moved(specs[0], P(30, NEVER), 40, 10)]
+    specs += [with_switcher_effect_moved(specs[0], P(2, NEVER), 10, 8)]
+    for T in range(2, 7):
+        for _ in range(4):
+            for spec in (
+                random_spec(rng, T=T),
+                random_homogeneous_spec(rng, T=T)[0],
+                random_bounded_spec(rng, -1.0, 1.0, T=T, cross_group=True),
+                variant_spec("all-pairs", T, 0.0, rng),
+            ):
+                specs += [spec, a_switcher_effect_moved(spec, rng) or spec]
+    got = [homogeneity_verdicts(spec) for spec in specs]
+    monkeypatch.setattr(dgp, "_switcher_effects", label_switcher_effects)
+    assert got == [homogeneity_verdicts(spec) for spec in specs]
+    # the T=60 spec holds; a moved lone switcher breaks calendar homogeneity
+    # only, one of two groups switching at 2 breaks both
+    assert got[:3] == [(True, True), (False, True), (False, False)]
+    assert {(True, True), (False, True), (False, False)} <= set(got[3:])
 
 
 class TestEffectRange:

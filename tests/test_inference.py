@@ -426,7 +426,8 @@ def test_fill_with_more_workers_than_cores(monkeypatch, threaded_pools):
 def test_resample_rows_match_the_count_product(T):
     # integer columns are exact; y columns are count-weighted sums in cell
     # order, so they match the product up to rounding of sums of |terms|.
-    # T=130 pins the cell key's widening of z: z * (T + 1) overflows int8.
+    # T=130 pins the cell key's widening of z: z * (T + 1) overflows int8;
+    # the next test pins the key's own int16 range.
     rng = np.random.default_rng(T)
     start = rng.integers(1, T + 2, size=999)  # T+1 means never treated
     d = np.arange(1, T + 1) >= start[:, None]
@@ -439,6 +440,23 @@ def test_resample_rows_match_the_count_product(T):
     assert np.array_equal(bits(got[:, ints]), bits(want[:, ints]))
     scale = counts @ np.abs(moment_features(panel.z, panel.d, panel.y)[:, ys])
     assert (np.abs(got[:, ys] - want[:, ys]) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("T", [16383, 16384])
+def test_cell_key_at_its_dtype_range_matches_an_intp_key(monkeypatch, T):
+    # the T=130 case above, at the key's own range: z * (T + 1) + (treated
+    # periods) reaches 2T + 1, the int16 maximum 32767 at T=16383 and one
+    # past it at T=16384, where the key falls back to intp
+    rng = np.random.default_rng(T)
+    start = rng.integers(1, T + 2, size=12)
+    start[:4] = (1, 1, T + 1, T + 1)  # both arms' smallest and largest keys
+    d = np.arange(1, T + 1) >= start[:, None]
+    y = rng.normal(0.3, 0.9, size=(12, T))
+    panel = Panel.from_arrays([f"u{i:02d}" for i in range(12)], np.arange(12) % 2, d, y)
+    assert (panel.z.astype(np.intp) * (T + 1) + panel.d.sum(axis=1)).max() == 2 * T + 1
+    got = _resample_moments(panel, 3, 5, 1)
+    monkeypatch.setattr(inference, "_CELL_KEY_DTYPE", np.intp)
+    assert np.array_equal(bits(got), bits(_resample_moments(panel, 3, 5, 1)))
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -214,19 +214,33 @@ _UNTRIMMED_IDS = st.one_of(
     st.randoms(use_true_random=False),
 )
 def test_round_trip_random_panels(T, ids, untrimmed, rnd):
+    rng = np.random.RandomState(rnd.randint(0, 2**31 - 1))
+
+    def arrays(n):
+        z = rng.randint(0, 2, size=n)
+        z[0], z[1] = 0, 1  # keep both arms
+        start = rng.randint(1, T + 2, size=n)  # T+1 means never treated
+        d = (np.arange(1, T + 1)[None, :] >= start[:, None]).astype(np.int8)
+        y = rng.standard_normal((n, T)) * np.pi  # non-round decimals
+        return z, d, y
+
     if untrimmed is not None:
         ids = ids + [untrimmed]
-    n = len(ids)
-    rng = np.random.RandomState(rnd.randint(0, 2**31 - 1))
-    z = rng.randint(0, 2, size=n)
-    z[0], z[1] = 0, 1  # keep both arms
-    start = rng.randint(1, T + 2, size=n)  # T+1 means never treated
-    d = (np.arange(1, T + 1)[None, :] >= start[:, None]).astype(np.int8)
-    y = rng.standard_normal((n, T)) * np.pi  # non-round decimals
-    if untrimmed is not None:
-        with pytest.raises(MalformedRow, match="without surrounding whitespace"):
-            Panel.from_arrays(ids, z, d, y)
+        big = np.array(ids)
+        big = np.repeat(big.astype(big.dtype.newbyteorder(">")), 2)[::2]
+        for given in (ids, big):  # a strided big-endian U array is read by code point too
+            with pytest.raises(MalformedRow, match="without surrounding whitespace"):
+                Panel.from_arrays(given, *arrays(len(ids)))
         return
+    kept = [u for u in ids if not u.endswith("\x00")]
+    if len(kept) < len(ids):
+        # a U array pads with NULs, so it cannot hold a trailing one
+        with pytest.raises(MalformedRow, match="trailing NUL"):
+            Panel.from_arrays(ids, *arrays(len(ids)))
+        if len(kept) < 2:
+            return
+        ids = kept
+    z, d, y = arrays(len(ids))
     p = Panel.from_arrays(ids, z, d, y)
     text = serialize(p)
     assert ingest(text) == p
@@ -279,8 +293,10 @@ def test_treatment_reversal_carries_a_plain_str_id():
 
 
 def test_unit_id_with_a_lone_surrogate_is_malformed():
-    with pytest.raises(MalformedRow, match="valid text"):
-        Panel.from_arrays(["a\ud800", "b"], [0, 1], [[0], [0]], [[0.0], [0.0]])
+    # a U array holds the surrogate; UTF-8 text cannot
+    for ids in (["a\ud800", "b"], np.array(["a\ud800", "b"])):
+        with pytest.raises(MalformedRow, match=r"unit id 'a\\ud800' must be valid text"):
+            Panel.from_arrays(ids, [0, 1], [[0], [0]], [[0.0], [0.0]])
 
 
 def test_whitespace_table_is_what_str_strip_removes():
@@ -288,20 +304,29 @@ def test_whitespace_table_is_what_str_strip_removes():
     assert sorted(_WHITESPACE.tolist()) == space
 
 
-def test_unit_ids_keep_a_trailing_nul():
-    p = Panel.from_arrays(["a\x00", "a"], [1, 0], [[0], [0]], [[1.0], [2.0]])
-    assert isinstance(p.unit_ids.dtype, UNIT_ID_DTYPE)
-    assert p.unit_ids.tolist() == ["a", "a\x00"]
-    assert p != Panel.from_arrays(["a", "a\x01"], [0, 1], [[0], [0]], [[2.0], [1.0]])
+def test_unit_id_ending_in_nul_is_refused():
+    # a U array pads with NULs, so "a\x00" would become "a": every input
+    # is refused before its conversion
+    ids = ["a\x00", "b"]
+    for given in (
+        ids,
+        np.array(ids, dtype=np.dtypes.StringDType()),
+        np.array(ids, dtype=object),
+    ):
+        with pytest.raises(MalformedRow, match=r"unit id 'a\\x00' .* trailing NUL"):
+            Panel.from_arrays(given, [1, 0], [[0], [0]], [[1.0], [2.0]])
+    with pytest.raises(MalformedRow, match=r"unit id 'a\\x00' .* trailing NUL"):
+        ingest("unit_id,period,z,d,y\na\x00,1,1,1,1.0\nb,1,0,0,2.0\n")
 
 
 def test_unit_ids_differing_after_an_embedded_nul():
-    # numpy's own StringDType comparisons and sort stop at the NUL
-    ids = ['0"\x00,,é', '0"\x00,,\x80', "a\x00c", "a\x00b", "a\x00", "a"]
-    y = [[float(i)] for i in range(6)]
-    p = Panel.from_arrays(ids, [0, 1] * 3, [[0]] * 6, y)
+    # U arrays compare every code point, so embedded NULs order as in str
+    ids = ['0"\x00,,é', '0"\x00,,\x80', "a\x00c", "a\x00b", "a"]
+    y = [[float(i)] for i in range(5)]
+    p = Panel.from_arrays(ids, [0, 1, 0, 1, 0], [[0]] * 5, y)
+    assert p.unit_ids.dtype.type is UNIT_ID_DTYPE
     assert p.unit_ids.tolist() == sorted(ids)
-    assert p.y[:, 0].tolist() == [1.0, 0.0, 5.0, 4.0, 3.0, 2.0]
+    assert p.y[:, 0].tolist() == [1.0, 0.0, 4.0, 3.0, 2.0]
     twin = Panel.from_arrays(["a\x00c", "a\x00d"], [0, 1], [[0], [0]], [[0.0], [0.0]])
     assert twin != Panel.from_arrays(["a\x00c", "a\x00e"], [0, 1], [[0], [0]], [[0.0], [0.0]])
     with pytest.raises(UnbalancedPanel, match=r"duplicate unit id 'a\\x00b'"):
@@ -325,8 +350,10 @@ def _reference_from_arrays(unit_ids, z, d, y):
         raise MalformedRow("array shapes are inconsistent")
     if d.shape[1] < 1:
         raise UnbalancedPanel("panel has no periods")
-    if any(u == "" or u != u.strip() for u in ids):
-        raise MalformedRow("unit ids must be non-empty, without surrounding whitespace")
+    if any(u == "" or u != u.strip() or u.endswith("\x00") for u in ids):
+        raise MalformedRow(
+            "unit ids must be non-empty, without surrounding whitespace or a trailing NUL"
+        )
     if len(set(ids)) != n:
         raise UnbalancedPanel("duplicate unit ids")
     if not np.isin(z, (0, 1)).all() or not np.isin(d, (0, 1)).all():
@@ -351,19 +378,25 @@ _RAW_IDS = st.one_of(st.text(_ID_CHARS, max_size=4), st.integers(-12, 12))
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(_RAW_IDS, min_size=1, max_size=10),
-    st.sampled_from(["list", "int_array", "nul_twin", "nul_inside", "untrimmed"]),
+    st.sampled_from(
+        ["list", "int_array", "u_array", "nul_twin", "nul_inside", "nul_embedded", "untrimmed"]
+    ),
     st.integers(min_value=1, max_value=3),
     st.randoms(use_true_random=False),
 )
 def test_from_arrays_matches_reference(raw_ids, form, T, rnd):
     if form == "int_array":
         ids = np.array([i for i in raw_ids if isinstance(i, int)] or [0])
+    elif form == "u_array":  # strided and big-endian: read by code point all the same
+        ids = np.repeat(np.array(raw_ids, dtype=">U4"), 2)[::2]
     else:
         ids = list(raw_ids)
         if form == "nul_twin":  # equal up to a trailing NUL
             ids.append(f"{ids[0]}\x00")
-        elif form == "nul_inside":  # equal up to an embedded NUL
+        elif form == "nul_inside":  # equal up to an embedded NUL, one ending in NUL
             ids += [f"{ids[0]}\x00b", f"{ids[0]}\x00a", f"{ids[0]}\x00a\x00"]
+        elif form == "nul_embedded":  # equal up to an embedded NUL
+            ids += [f"{ids[0]}\x00b", f"{ids[0]}\x00a", f"{ids[0]}\x00a\x00b"]
         elif form == "untrimmed":  # what ingest would strip, or reject as empty
             ids.append(rnd.choice(_UNTRIMMED))
         rnd.shuffle(ids)
@@ -381,6 +414,7 @@ def test_from_arrays_matches_reference(raw_ids, form, T, rnd):
         if isinstance(err, TreatmentReversal):
             assert (got.value.unit_id, got.value.period) == (err.unit_id, err.period)
         return
+    assert form not in ("nul_twin", "nul_inside")  # each adds an id ending in NUL
     p = Panel.from_arrays(ids, z, d, y)
     assert p.unit_ids.tolist() == list(want[0])
     for got, ref in zip((p.z, p.d, p.y), want[1:]):

@@ -75,10 +75,11 @@ class TestDrawPanel:
         assert panel.d.tolist() == [[1, 1]]
         assert panel.y.tolist() == [[1.5, 2.25]]
 
-    @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 1001])
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 1001, 100_000])
     def test_unit_ids_are_zero_padded_draw_indices(self, n):
         ids = draw_panel(three_history_spec(), n, seed=3).unit_ids
         width = len(str(n - 1))
+        assert ids.dtype.kind == "U"
         assert tuple(ids.tolist()) == tuple(f"u{i:0{width}d}" for i in range(n))
 
     def test_same_seed_same_panel(self):
