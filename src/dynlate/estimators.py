@@ -467,6 +467,23 @@ def target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight=True, kind="
     return [(name, values, ok & np.isfinite(values)) for name, values, ok in columns]
 
 
+def masked_blocks(values, masks):
+    """The columns ``values[i]`` grouped by their row masks ``masks[i]``.
+
+    Yields, per distinct mask in the order of its first column, the
+    positions of the columns it belongs to and a C-contiguous (columns,
+    kept rows) block of their masked entries, so that one reduction over
+    ``axis=1`` (or ``axis=0`` of the transpose) summarizes the whole group.
+    A :func:`target_columns` table has few distinct masks: every value
+    column shares the mask of its zero rule unless it is not finite.
+    """
+    groups = {}
+    for i, mask in enumerate(masks):
+        groups.setdefault(mask.tobytes(), (mask, []))[1].append(i)
+    for mask, columns in groups.values():
+        yield columns, np.stack([values[i][mask] for i in columns])
+
+
 def target_row(est: EstimandSet, targets, lo, hi, include_tight=True):
     """The one-row :func:`target_columns` table of ``est``, under its own zero rule."""
     return target_columns(*_one_row(est), targets, lo, hi, include_tight, kind=est.kind)

@@ -24,19 +24,22 @@ import numpy as np
 from .errors import AllReplicationsFailed
 from .estimands import is_zero
 from .estimators import ALL_TARGETS, estimate, moment_estimands, moment_features
-from .estimators import outcome_range_bounds, target_columns, target_row
+from .estimators import masked_blocks, outcome_range_bounds, target_columns, target_row
 from .panel import Panel
 from .simulate import _fill_rows, rep_rng
 
 
-def percentile_interval(values: np.ndarray, alpha: float) -> tuple[float, float]:
-    """Empirical (alpha/2, 1 - alpha/2) quantiles.
+def percentile_interval(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Empirical (alpha/2, 1 - alpha/2) quantiles of each column of ``values``.
 
-    Quantile rule: order statistics indexed from 1 with linear
-    interpolation at position 1 + q(B - 1) (numpy's "linear" method).
+    ``values`` holds B resamples in its rows: shape (B,) for one target or
+    (B, targets) for a block, whose columns each get the bits of a call on
+    that column alone. Returns the lower and upper ends stacked, shape
+    (2,) + ``values.shape[1:]``. Quantile rule: order statistics indexed
+    from 1 with linear interpolation at position 1 + q(B - 1) (numpy's
+    "linear" method).
     """
-    lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0], method="linear")
-    return float(lo), float(hi)
+    return np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0, method="linear")
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,9 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     """Moment rows ``counts_r @ moment_features(panel)`` of every resample.
 
     The units are sorted once, stably, by cell: arm, then the number of
-    treated periods, which fixes an irreversible path. Each cell and each
+    treated periods, which fixes an irreversible path. The cell key
+    z(T + 1) + (treated periods) is built by T column adds, and the present
+    cells' starts are read off one ``bincount`` of it. Each cell and each
     arm is then one block, the z=0 arm first. Resample r's counts are the
     int64 ``bincount`` of its ``rep_rng(seed, r)`` draws, taken in that
     order. Its integer columns are the cells' counts times the cells'
@@ -115,9 +120,12 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     """
     n, T = panel.n, panel.T
     dtype = _CELL_KEY_DTYPE if 2 * T + 1 <= np.iinfo(_CELL_KEY_DTYPE).max else np.intp
-    key = panel.z.astype(dtype) * (T + 1) + panel.d.sum(axis=1, dtype=dtype)
+    key = panel.z.astype(dtype) * (T + 1)
+    for t in range(T):  # T column adds: a row sum of int8 d is several times slower
+        key += panel.d[:, t]
     order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sizes = np.bincount(key)
+    starts = (np.cumsum(sizes) - sizes)[sizes > 0]
     first = order[starts]
     d = panel.d[first]
     features = moment_features(panel.z[first], d, np.zeros(d.shape)).astype(np.intp)
@@ -156,7 +164,10 @@ def bootstrap(
     dropped and counted, mirroring the maintained relevance condition;
     resamples where only fs_t = 0 for t >= 2 are dropped for iv_t alone,
     and a target that is not finite in a resample (an overflowing delta)
-    is dropped for that target alone.
+    is dropped for that target alone. Targets that keep the same
+    resamples share one :func:`percentile_interval` call on their block
+    (:func:`~dynlate.estimators.masked_blocks`); each interval has the bits
+    of a call on its own column.
     Effect bounds default to the observed outcome range of the original
     panel and stay fixed across resamples so that every resample
     evaluates the same functional. ``include_tight=False`` leaves out the
@@ -186,23 +197,22 @@ def bootstrap(
             "every bootstrap resample had an empty arm or a zero first stage"
         )
     resampled = target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight)
-    intervals = []
-    for (name, values, ok), (_, point_value, point_ok) in zip(resampled, point, strict=True):
-        ok &= valid
-        if not ok.any():
+    intervals = [None] * len(resampled)
+    masks = [ok & valid for _, _, ok in resampled]
+    for columns, block in masked_blocks([values for _, values, _ in resampled], masks):
+        n_ok = block.shape[1]
+        if not n_ok:
             continue
-        lower, upper = percentile_interval(values[ok], alpha)
-        n_ok = int(ok.sum())
-        intervals.append(
-            TargetInterval(
-                name=name,
+        for i, (lower, upper) in zip(columns, percentile_interval(block.T, alpha).T.tolist()):
+            _, point_value, point_ok = point[i]
+            intervals[i] = TargetInterval(
+                name=resampled[i][0],
                 point=float(point_value[0]) if point_ok[0] else None,
                 lower=lower,
                 upper=upper,
                 n_ok=n_ok,
                 n_failed=reps - n_ok,
             )
-        )
 
     return BootstrapResult(
         n=panel.n,
@@ -213,5 +223,5 @@ def bootstrap(
         n_failed_resamples=n_failed,
         lo=lo,
         hi=hi,
-        targets=tuple(intervals),
+        targets=tuple(t for t in intervals if t is not None),
     )

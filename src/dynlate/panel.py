@@ -93,6 +93,14 @@ class Panel:
         from the ``str`` of each entry, after the trailing-NUL check. Rows
         are sorted by unit id so equal data always yields an identical
         Panel; ids that already increase strictly are kept as they are.
+
+        No copy is made of an input that already has the panel's dtype,
+        layout and order: contiguous native ``U`` ids that increase
+        strictly, int8 z and d, float64 y. The panel then shares that
+        memory, so the caller must not write to the arrays after passing
+        them; a write would change the panel, which is treated as
+        immutable, and could break its sorted unique ids. Copying instead
+        would cost every drawn panel a copy of its arrays.
         """
         ids = _id_array(unit_ids)
         z = np.asarray(z)
@@ -156,18 +164,27 @@ _ID_RULE = (
 _WHITESPACE = np.array([c for c in range(0x3001) if chr(c).isspace()], dtype=np.uint32)
 """Code points ``str.strip()`` removes (U+3000 is the last of them)."""
 
+_IS_WHITESPACE = np.zeros(_WHITESPACE[-1] + 2, dtype=bool)
+_IS_WHITESPACE[_WHITESPACE] = True
+"""Whether each code point up to U+3001 is in ``_WHITESPACE``. Its last
+entry, U+3001, is not, so a lookup that clips a code point past it onto
+it reads "not whitespace"."""
+
 
 def _check_id_text(ids: np.ndarray) -> None:
     """Refuse ids that ``ingest(serialize(...))`` cannot give back: one
     holding a lone surrogate (not UTF-8 text), an empty one, or one with
     whitespace at either end (``ingest`` strips every field). The tests read
     code points: ``np.strings.strip`` would also strip NULs, which
-    ``str.strip`` keeps."""
+    ``str.strip`` keeps. Each id's first and last code points are looked up
+    in ``_IS_WHITESPACE``; the last ones are read by one flat ``take``."""
     codes = ids.view(np.uint32).reshape(ids.size, -1)
     lengths = np.strings.str_len(ids)
-    ends = np.stack((codes[:, 0], codes[np.arange(ids.size), lengths - 1]))
-    bad = (lengths == 0) | np.isin(ends, _WHITESPACE).any(axis=0)
-    bad[np.flatnonzero((codes >= 0xD800) & (codes <= 0xDFFF)) // codes.shape[1]] = True
+    width = codes.shape[1]
+    last = codes.reshape(-1).take(np.arange(0, ids.size * width, width) + lengths - 1)
+    bad = (lengths == 0) | _IS_WHITESPACE.take(codes[:, 0], mode="clip")
+    bad |= _IS_WHITESPACE.take(last, mode="clip")
+    bad[np.flatnonzero((codes >= 0xD800) & (codes <= 0xDFFF)) // width] = True
     if bad.any():
         raise MalformedRow(_ID_RULE.format(str(ids[bad.argmax()])))
 

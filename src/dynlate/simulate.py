@@ -31,7 +31,8 @@ import numpy as np
 
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
 from .errors import DegenerateInstrument
-from .estimators import ALL_TARGETS, moment_estimands, target_columns, target_row, unit_sums
+from .estimators import ALL_TARGETS, masked_blocks, moment_estimands, target_columns, target_row
+from .estimators import unit_sums
 from .panel import Panel
 
 
@@ -168,7 +169,10 @@ def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
     """Draw n units with :func:`_draw_arrays` as a panel with ids u0, u1, ....
 
     Ids are zero-padded to the width of n - 1, so they sort in draw order,
-    and are written as code points straight into one ``U`` array.
+    and are written as code points straight into one ``U`` array, a digit
+    column at a time and without division: the digit of place p runs
+    through "0" to "9", each held for p consecutive ids, so the column is
+    that cycle of ``np.repeat`` copies, tiled by one broadcast assignment.
     Adoption pairs make treatment paths irreversible by construction, so
     the result always passes panel validation.
     """
@@ -178,10 +182,14 @@ def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
     z, d, y = _draw_arrays(spec, n, rng)
     width = len(str(n - 1))
     codes = np.empty((n, 1 + width), dtype=np.uint32)
-    codes[:, 0], index = ord("u"), np.arange(n)
-    for j in range(width, 0, -1):
-        index, codes[:, j] = np.divmod(index, 10)
-    codes[:, 1:] += ord("0")
+    codes[:, 0], digits = ord("u"), np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+    for j in range(1, width + 1):
+        place = 10 ** (width - j)
+        # the digits up to the last one reached: under 2n code points
+        cycle = np.repeat(digits[: -(-n // place)], place)
+        whole = n - n % len(cycle)
+        codes[:whole, j].reshape(-1, len(cycle))[...] = cycle
+        codes[whole:, j] = cycle[: n - whole]
     return Panel.from_arrays(codes.view(f"U{1 + width}").ravel(), z, d, y)
 
 
@@ -239,7 +247,10 @@ def monte_carlo(
     it leaves undefined has no row. Replications run through :func:`_fill_rows`, with the floors
     ``_MC_MIN_N`` and ``_MC_MIN_UNITS``.
     A replication's moment row depends only on (spec, n, seed, r), so the
-    summary is the same for any ``threads``.
+    summary is the same for any ``threads``. Targets that keep the same
+    replications share one mean and one standard deviation call on their
+    block (:func:`~dynlate.estimators.masked_blocks`), each row with the
+    bits of the call on its own column.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -267,17 +278,21 @@ def monte_carlo(
     _fill_rows(fill, reps, n, threads, _MC_MIN_N, _MC_MIN_UNITS)
     both_arms, *moments = moment_estimands(M)
     replicated = target_columns(*moments, targets, lo, hi)
-    rows = []
-    for (name, truth, truth_ok), (_, values, ok) in zip(oracle, replicated, strict=True):
-        if not truth_ok[0]:
-            continue
-        truth = float(truth[0])
-        values = values[ok & both_arms]
-        n_ok = len(values)
-        mean = float(np.mean(values)) if n_ok else None
-        sd = float(np.std(values, ddof=1)) if n_ok >= 2 else None
-        rows.append(
-            TargetSummary(
+    kept = [
+        (name, float(truth[0]), values, ok & both_arms)
+        for (name, truth, truth_ok), (_, values, ok) in zip(oracle, replicated, strict=True)
+        if truth_ok[0]
+    ]
+    rows = [None] * len(kept)
+    blocks = masked_blocks([values for _, _, values, _ in kept], [ok for *_, ok in kept])
+    for columns, block in blocks:
+        n_ok = block.shape[1]
+        none = [None] * len(columns)
+        means = np.mean(block, axis=1).tolist() if n_ok else none
+        sds = np.std(block, axis=1, ddof=1).tolist() if n_ok >= 2 else none
+        for i, mean, sd in zip(columns, means, sds):
+            name, truth = kept[i][:2]
+            rows[i] = TargetSummary(
                 name=name,
                 oracle=truth,
                 mean=mean,
@@ -286,7 +301,6 @@ def monte_carlo(
                 n_ok=n_ok,
                 n_failed=reps - n_ok,
             )
-        )
     return MonteCarloSummary(
         n=n,
         reps=reps,

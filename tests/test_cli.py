@@ -725,6 +725,22 @@ class TestGoldenReports:
             panel=small_panel_csv,
         )
 
+    def test_bootstrap_non_dyadic_golden(self, capsys, tmp_path):
+        # unit-variance noise: every resample's y sums round, so a change
+        # in their summation order shows in the intervals' last bits
+        panel = tmp_path / "panel_t4_six_history_n20000.csv"
+        code, _, err = run(
+            capsys, "simulate", "--dgp", str(GOLDEN_DIR / "spec_t4_six_history.json"),
+            "--n", "20000", "--seed", "3", "--out", str(panel),
+        )
+        assert code == 0, err
+        self._assert_golden(
+            capsys, tmp_path, "bootstrap_t4_six_history.json",
+            ["bootstrap", "--reps", "200", "--seed", "3",
+             "--assume", "calendar-homogeneity,cross-group-homogeneity"],
+            panel=panel,
+        )
+
     def test_estimate_dgp_golden(self, capsys, tmp_path):
         self._assert_golden(
             capsys, tmp_path, "estimate_t4_six_history.json", ["estimate"],

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dynlate import inference, simulate
 from dynlate.errors import AllReplicationsFailed
 from dynlate.estimators import (
+    ALL_TARGETS,
     bound_report,
     bound_rows,
     estimate,
@@ -20,6 +21,7 @@ from dynlate.estimators import (
     moment_estimands,
     moment_features,
     selected_methods,
+    target_columns,
 )
 from dynlate.inference import (
     _resample_moments,
@@ -469,6 +471,87 @@ def test_counts_above_uint8_are_kept_exact(monkeypatch, threaded_pools, threads)
     force_fill_pool(monkeypatch)
     assert np.array_equal(_resample_moments(panel, reps, 4, threads), want)
     assert threaded_pools == ([threads] if threads > 1 else [])
+
+
+def row_sum_key_moments(panel, reps, seed):
+    """Reference resample rows: the cell key sums d's rows and the cells
+    start where the sorted key steps; the sort, the gather and the
+    per-resample sums are those of ``_resample_moments``."""
+    n, T = panel.n, panel.T
+    key = panel.z.astype(np.intp) * (T + 1) + panel.d.sum(axis=1)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    first = order[starts]
+    features = moment_features(panel.z[first], panel.d[first], np.zeros((len(first), T)))
+    ys = panel.y.T.take(order, axis=1)
+    n0 = int(np.count_nonzero(panel.z == 0))
+    M = np.empty((reps, 6 * T))
+    for r in range(reps):
+        counts = np.bincount(simulate.rep_rng(seed, r).integers(0, n, n), minlength=n)
+        counts = counts.take(order)
+        M[r] = np.add.reduceat(counts, starts) @ features.astype(np.intp)
+        weights = counts.astype(np.float64)
+        for j, arm in ((2, slice(n0, n)), (2 + T, slice(0, n0))):
+            M[r, j : j + T] = np.einsum("ji,i->j", ys[:, arm], weights[arm])
+    return M
+
+
+@pytest.mark.parametrize("case", ["one_cell_arm", "none_treated_at_1", "drawn"])
+def test_cell_setup_matches_a_row_sum_key(case):
+    # empty cells leave gaps in the key: a whole arm in one cell, or no
+    # unit treated at t=1 (no cell with every period treated)
+    rng = np.random.default_rng(21)
+    n, T = 400, 4
+    z = np.arange(n) % 2
+    start = rng.integers(1, T + 2, size=n)  # T+1 means never treated
+    if case == "one_cell_arm":
+        start[z == 0] = 3
+    elif case == "none_treated_at_1":
+        start = np.maximum(start, 2)
+    d = np.arange(1, T + 1) >= start[:, None]
+    y = rng.normal(0.3, 0.9, size=(n, T))
+    panel = Panel.from_arrays([f"u{i:03d}" for i in range(n)], z, d, y)
+    if case == "drawn":
+        panel = noisy_panel(n)
+    got = _resample_moments(panel, 30, 8, 1)
+    assert np.array_equal(bits(got), bits(row_sum_key_moments(panel, 30, 8)))
+
+
+def mixed_mask_panel(T=260):
+    """A bootstrap whose targets fall in many ok masks.
+
+    fs_1 is one z=1 unit's share, so some resamples have fs_1 = 0 and every
+    delta overflows from an exposure that depends on the resample; 19 z=1
+    units treated from t=3 against 20 z=0 units from t=2 make fs_3 = 0 in
+    a few resamples, where iv[3] alone is dropped.
+    """
+    start = [1] + [3] * 19 + [T + 1] * 4 + [2] * 20 + [T + 1] * 4
+    d = np.arange(1, T + 1) >= np.array(start)[:, None]
+    y = d + (np.arange(48)[:, None] * np.arange(T) % 7) / 7
+    return Panel.from_arrays([f"u{i:02d}" for i in range(48)], [1] * 24 + [0] * 24, d, y)
+
+
+def test_grouped_intervals_equal_one_call_per_target():
+    panel = mixed_mask_panel()
+    reps, alpha = 200, 0.1
+    res = bootstrap(panel, reps=reps, alpha=alpha, seed=3)
+    both_arms, rf, fs, sw0, sw1 = moment_estimands(_resample_moments(panel, reps, 3, 1))
+    valid = both_arms & (fs[:, 0] != 0.0)
+    columns = target_columns(rf, fs, sw0, sw1, ALL_TARGETS, res.lo, res.hi)
+    masks = [ok & valid for _, _, ok in columns]
+    assert len({m.tobytes() for m in masks}) >= 3
+    assert 0 < np.count_nonzero(valid & (fs[:, 2] == 0.0)) < np.count_nonzero(valid)
+    assert not all(np.isfinite(values[valid]).all() for _, values, _ in columns)
+    want = [
+        (name, *percentile_interval(values[ok], alpha), int(ok.sum()))
+        for (name, values, _), ok in zip(columns, masks)
+        if ok.any()
+    ]
+    got = [(t.name, t.lower, t.upper, t.n_ok) for t in res.targets]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[0] == w[0] and g[3] == w[3]
+        assert np.array_equal(bits(np.array(g[1:3])), bits(np.array(w[1:3])))
 
 
 def test_bootstrap_memory_does_not_grow_with_reps():

@@ -304,6 +304,28 @@ def test_whitespace_table_is_what_str_strip_removes():
     assert sorted(_WHITESPACE.tolist()) == space
 
 
+@pytest.mark.parametrize("char", ["\u3000", "\x85", "\xa0", "\u3001", "\ufeff", "\U0010ffff"])
+@pytest.mark.parametrize("left", [True, False])
+def test_whitespace_lookup_at_either_end(char, left):
+    # U+3000 is the last code point str.strip removes; those past it, up to
+    # U+10FFFF, are kept, not read as U+3000
+    unit = char + "a" if left else "a" + char
+    ids = ["b", unit] if left else [unit, "b"]  # the odd id first and last
+    args = [0, 1], [[0], [0]], [[0.0], [0.0]]
+    if char.isspace():
+        with pytest.raises(MalformedRow, match="without surrounding whitespace") as err:
+            Panel.from_arrays(ids, *args)
+        assert repr(unit) in str(err.value)
+    else:
+        assert unit in Panel.from_arrays(ids, *args).unit_ids.tolist()
+
+
+@pytest.mark.parametrize("ids", [["", "a"], ["a", ""], ["", "\U0010ffff"]])
+def test_empty_unit_id_is_refused(ids):
+    with pytest.raises(MalformedRow, match="unit id '' must be valid text: non-empty"):
+        Panel.from_arrays(ids, [0, 1], [[0], [0]], [[0.0], [0.0]])
+
+
 def test_unit_id_ending_in_nul_is_refused():
     # a U array pads with NULs, so "a\x00" would become "a": every input
     # is refused before its conversion

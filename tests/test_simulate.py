@@ -75,7 +75,9 @@ class TestDrawPanel:
         assert panel.d.tolist() == [[1, 1]]
         assert panel.y.tolist() == [[1.5, 2.25]]
 
-    @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 1001, 100_000])
+    @pytest.mark.parametrize(
+        "n", [1, 9, 10, 11, 99, 100, 999, 1001, 99_999, 100_000, 100_001]
+    )
     def test_unit_ids_are_zero_padded_draw_indices(self, n):
         ids = draw_panel(three_history_spec(), n, seed=3).unit_ids
         width = len(str(n - 1))
