@@ -52,10 +52,7 @@ from .latent import (
     AdoptionPair,
     GroupLabel,
     IvType,
-    enumerate_histories,
     switcher_group_labels,
-    switcher_sets,
-    type_at,
 )
 from .panel import Panel, ingest, serialize
 from .simulate import MonteCarloSummary, draw_panel, monte_carlo

@@ -182,7 +182,7 @@ def _estimands_table(est):
     headers = ["t", "rf", "fs", "iv", "rho", "switch_z0", "switch_z1"]
     rows = [
         [str(t), fnum(est.rf_at(t)), fnum(est.fs_at(t)), fnum(est.iv_at(t))]
-        + ([fnum(est.rho_at(t)), fnum(est.switch_at(t, 0)), fnum(est.switch_at(t, 1))]
+        + ([fnum(est.rho[t - 2]), fnum(est.switch_z0[t - 2]), fnum(est.switch_z1[t - 2])]
            if t >= 2 else ["-"] * 3)
         for t in range(1, est.T + 1)
     ]

@@ -80,9 +80,6 @@ class HistorySpec:
             return self.effects[t - 1][t - int(s)]
         return 0.0
 
-    def mean_outcome(self, t: int, s: float) -> float:
-        return self.baseline[t - 1] + self.treated_effect(t, s)
-
 
 @dataclass(frozen=True)
 class _Cells:

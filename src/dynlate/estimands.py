@@ -91,11 +91,3 @@ class EstimandSet:
     def iv_at(self, t: int) -> float | None:
         _check_period(t, self.T)
         return self.iv[t - 1]
-
-    def rho_at(self, t: int) -> float:
-        _check_period(t, self.T, lo=2)
-        return self.rho[t - 2]
-
-    def switch_at(self, t: int, z: int) -> float:
-        _check_period(t, self.T, lo=2)
-        return (self.switch_z1 if z == 1 else self.switch_z0)[t - 2]

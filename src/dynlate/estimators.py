@@ -360,8 +360,8 @@ def bound_report(method: str, est: EstimandSet, t: int, lo: float, hi: float) ->
         rf_t=est.rf_at(t),
         fs1=fs1,
         fs_t=est.fs_at(t),
-        switch_z0_t=None if tight else est.switch_at(t, 0),
-        switch_z1_t=None if tight else est.switch_at(t, 1),
+        switch_z0_t=None if tight else est.switch_z0[t - 2],
+        switch_z1_t=None if tight else est.switch_z1[t - 2],
         fs_path=tuple(est.fs[:t]) if tight else None,
         assumes=(CROSS_GROUP_HOMOGENEITY,) if tight else (),
     )

@@ -3,9 +3,9 @@
 A unit's entire potential-treatment behaviour is captured by one pair of
 adoption times: the first treated period under each instrument arm. The
 constant ``NEVER`` marks "not treated within the horizon" and sorts after
-every period. All per-period instrument types (always-taker, complier,
-defier, never-taker) and the period-t switcher sets fall out of integer
-comparisons on that pair.
+every period. A latent group kind is a path of per-period instrument types
+(always-taker, complier, defier, never-taker) in runs; the paper's taxonomy,
+against which the groups' members are checked, is in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class AdoptionPair:
     def adoption(self, z: int) -> float:
         return self.s1 if z == 1 else self.s0
 
-    def treated(self, z: int, t: int) -> bool:
-        return self.adoption(z) <= t
-
     @property
     def is_first_period_defier(self) -> bool:
         """Treated from period 1 only when the instrument is off."""
@@ -65,57 +62,6 @@ class AdoptionPair:
     def __str__(self) -> str:
         fmt = lambda s: "never" if s == NEVER else str(s)
         return f"({fmt(self.s1)},{fmt(self.s0)})"
-
-
-def type_at(pair: AdoptionPair, t: int) -> IvType:
-    """Instrument type of ``pair`` at period ``t``."""
-    if not isinstance(t, int) or t < 1:
-        raise PeriodOutOfRange(f"period must be an integer >= 1, got {t!r}")
-    on = pair.s1 <= t
-    off = pair.s0 <= t
-    if on and off:
-        return IvType.ALWAYS_TAKER
-    if on:
-        return IvType.COMPLIER
-    if off:
-        return IvType.DEFIER
-    return IvType.NEVER_TAKER
-
-
-def enumerate_histories(
-    T: int, exclude_first_period_defiers: bool = True
-) -> list[AdoptionPair]:
-    """All adoption pairs for horizon ``T``, sorted by (s1, s0) with NEVER last.
-
-    With the exclusion flag on (the default, matching first-period
-    monotonicity) the pairs with s0 = 1 < s1 are dropped, leaving
-    (T+1)^2 - T histories.
-    """
-    if not isinstance(T, int) or T < 1:
-        raise PeriodOutOfRange(f"horizon must be an integer >= 1, got {T!r}")
-    times = [*range(1, T + 1), NEVER]
-    pairs = [AdoptionPair(s1, s0) for s1 in times for s0 in times]
-    if exclude_first_period_defiers:
-        pairs = [p for p in pairs if not p.is_first_period_defier]
-    return sorted(pairs, key=lambda p: (p.s1, p.s0))
-
-
-def switcher_sets(T: int, t: int) -> tuple[set[AdoptionPair], set[AdoptionPair]]:
-    """Histories switching into treatment at ``t`` under z=1 resp. z=0.
-
-    The first set holds pairs with s1 = t (and s0 neither t nor 1); the
-    second holds pairs with s0 = t and s1 != t. The pair s1 = s0 = t
-    belongs to neither: its arms behave identically, so it contributes
-    nothing to arm contrasts.
-    """
-    if not isinstance(T, int) or T < 1:
-        raise PeriodOutOfRange(f"horizon must be an integer >= 1, got {T!r}")
-    if not isinstance(t, int) or not 2 <= t <= T:
-        raise PeriodOutOfRange(f"switch period must be in 2..{T}, got {t!r}")
-    times = [*range(1, T + 1), NEVER]
-    g_plus = {AdoptionPair(t, s0) for s0 in times if s0 != t and s0 != 1}
-    g_minus = {AdoptionPair(s1, t) for s1 in times if s1 != t}
-    return g_plus, g_minus
 
 
 _AT, _C, _F, _NT = IvType.ALWAYS_TAKER, IvType.COMPLIER, IvType.DEFIER, IvType.NEVER_TAKER
@@ -138,8 +84,8 @@ class GroupLabel:
     ``kind`` is one of C1, CAT, NTC, NTF, NTCAT, NTFAT. ``switch`` is the
     period the family switches into treatment (1 for C1); ``entry`` is the
     earlier arm-specific adoption period for the two-step kinds (NTCAT,
-    NTFAT) and is None otherwise. The name, the type path and the members
-    all follow from the kind's runs in ``_RUNS``.
+    NTFAT) and is None otherwise. The name and the members both follow from
+    the kind's runs in ``_RUNS``.
     """
 
     kind: str
@@ -178,11 +124,6 @@ class GroupLabel:
         return tuple(
             AdoptionPair(s1, s0) for s1 in adoption((_C, _AT)) for s0 in adoption((_F, _AT))
         )
-
-    def type_path(self) -> tuple[IvType, ...]:
-        """Per-period instrument types through the switch period."""
-        runs = _RUNS[self.kind](self.switch, self.entry)
-        return tuple(ty for ty, length in runs for _ in range(length))
 
     def __str__(self) -> str:
         parts, lo = [], 1

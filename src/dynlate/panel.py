@@ -40,6 +40,9 @@ UNIT_ID_DTYPE = np.str_
 (longest id) x 4 bytes. Its NUL padding cannot hold a trailing NUL, so
 :meth:`Panel.from_arrays` refuses an id that ends in one."""
 
+UNIT_ID_MAX_LENGTH = 256
+"""Longest unit id in code points; the longest id sets every id's ``U`` slot width."""
+
 
 @dataclass(eq=False)
 class Panel:
@@ -87,8 +90,8 @@ class Panel:
 
         Checks shapes, unit ids the CSV form can carry (valid non-empty
         text without surrounding whitespace) that a ``U`` array keeps (no
-        trailing NUL), unique unit ids, binary z/d (the values as given,
-        before the cast to int8), finite y, and irreversibility of d.
+        trailing NUL; UNIT_ID_MAX_LENGTH code points at most), unique ids,
+        binary z/d (as given, before the int8 cast), finite y, irreversible d.
         A ``U`` array of ids is kept as it is; any other input becomes one
         from the ``str`` of each entry, after the trailing-NUL check. Rows
         are sorted by unit id so equal data always yields an identical
@@ -145,21 +148,29 @@ class Panel:
 def _id_array(unit_ids) -> np.ndarray:
     """``unit_ids`` as a contiguous ``U`` array in native byte order, so its
     code points read as uint32. Any other input, such as a list or an object
-    array, becomes the ``str`` of each entry; as ``U`` pads with NULs, an id
-    that ends in NUL is refused before the conversion would drop it."""
+    array, becomes the ``str`` of each entry; an id ending in NUL (which ``U``
+    would drop) or over UNIT_ID_MAX_LENGTH is refused before the conversion."""
     if isinstance(unit_ids, np.ndarray) and unit_ids.dtype.kind == "U":
         return np.ascontiguousarray(unit_ids, dtype=unit_ids.dtype.newbyteorder("="))
     entries = np.asarray(unit_ids, dtype=object)
     texts = list(map(str, entries.flat))
-    bad = next((u for u in texts if u.endswith("\x00")), None)
+    bad = next((u for u in texts if u.endswith("\x00") or len(u) > UNIT_ID_MAX_LENGTH), None)
     if bad is not None:
-        raise MalformedRow(_ID_RULE.format(bad))
+        raise MalformedRow(_id_refusal(bad))
     return np.array(texts, dtype=UNIT_ID_DTYPE).reshape(entries.shape)
 
 
 _ID_RULE = (
     "unit id {!r} must be valid text: non-empty, without surrounding whitespace or a trailing NUL"
 )
+
+
+def _id_refusal(unit_id: str) -> str:
+    """Why ``unit_id`` is refused: too long (shown by its head alone), or else _ID_RULE."""
+    if len(unit_id) > UNIT_ID_MAX_LENGTH:
+        return f"unit id {unit_id[:32]!r}... is {len(unit_id)} long, over {UNIT_ID_MAX_LENGTH}"
+    return _ID_RULE.format(unit_id)
+
 
 _WHITESPACE = np.array([c for c in range(0x3001) if chr(c).isspace()], dtype=np.uint32)
 """Code points ``str.strip()`` removes (U+3000 is the last of them)."""
@@ -180,6 +191,8 @@ def _check_id_text(ids: np.ndarray) -> None:
     in ``_IS_WHITESPACE``; the last ones are read by one flat ``take``."""
     codes = ids.view(np.uint32).reshape(ids.size, -1)
     lengths = np.strings.str_len(ids)
+    if ids.itemsize > 4 * UNIT_ID_MAX_LENGTH and lengths.max() > UNIT_ID_MAX_LENGTH:
+        raise MalformedRow(_id_refusal(str(ids[lengths.argmax()])))
     width = codes.shape[1]
     last = codes.reshape(-1).take(np.arange(0, ids.size * width, width) + lengths - 1)
     bad = (lengths == 0) | _IS_WHITESPACE.take(codes[:, 0], mode="clip")

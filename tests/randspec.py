@@ -6,7 +6,9 @@ import math
 import numpy as np
 
 from dynlate.dgp import DgpSpec, HistorySpec, make_calendar_homogeneous
-from dynlate.latent import NEVER, AdoptionPair, enumerate_histories
+from dynlate.latent import NEVER, AdoptionPair
+
+from reference import enumerate_histories
 
 
 def _triangular(rng, T, lo, hi):

@@ -23,11 +23,12 @@ from dynlate.estimators import (
     identify,
 )
 from dynlate.inference import bootstrap
-from dynlate.latent import NEVER, AdoptionPair, enumerate_histories
+from dynlate.latent import NEVER, AdoptionPair
 from dynlate.panel import ingest
 from dynlate.simulate import draw_panel, monte_carlo
 
 from conftest import DATA_DIR, make_three_history_spec
+from reference import enumerate_histories
 from randspec import (
     random_bounded_spec,
     random_homogeneous_spec,

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from dynlate.dgp import (
     true_dynamic_lates,
 )
 from dynlate.errors import PeriodOutOfRange, SchemaMismatch, SpecValidationError
-from dynlate.latent import C1, NEVER, AdoptionPair, GroupLabel, switcher_group_labels
+from dynlate.latent import C1, NEVER, AdoptionPair, GroupLabel
 
 from conftest import GOLDEN_DIR, make_homogeneity_spec
 from randspec import (
@@ -33,6 +34,13 @@ from randspec import (
     random_spec,
     static_compliance_spec,
     variant_spec,
+)
+from reference import (
+    exact_contrasts,
+    exact_terms,
+    label_switcher_effects,
+    mean_outcome,
+    per_history_estimands,
 )
 
 P = AdoptionPair
@@ -108,9 +116,9 @@ class TestPopulationEstimands:
         assert est.rf_at(2) == pytest.approx(0.65, abs=1e-15)
         assert est.fs_at(2) == pytest.approx(0.3, abs=1e-15)
         assert est.iv_at(2) == pytest.approx(13 / 6, rel=1e-14)
-        assert est.rho_at(2) == pytest.approx(0.1, abs=1e-15)
-        assert est.switch_at(2, 0) == pytest.approx(0.1, abs=1e-15)
-        assert est.switch_at(2, 1) == 0.0
+        assert est.rho[0] == pytest.approx(0.1, abs=1e-15)
+        assert est.switch_z0[0] == pytest.approx(0.1, abs=1e-15)
+        assert est.switch_z1[0] == 0.0
         assert est.fs_at(1) == pytest.approx(0.4, abs=1e-15)
         assert est.rf_at(1) == pytest.approx(0.4, abs=1e-15)
 
@@ -130,8 +138,8 @@ class TestPopulationEstimands:
         for _ in range(20):
             est = population_estimands(random_spec(rng))
             for t in range(2, est.T + 1):
-                assert est.rho_at(t) == est.fs_at(t - 1) - est.fs_at(t)
-                assert est.switch_at(t, 0) - est.switch_at(t, 1) == pytest.approx(
+                assert est.rho[t - 2] == est.fs_at(t - 1) - est.fs_at(t)
+                assert est.switch_z0[t - 2] - est.switch_z1[t - 2] == pytest.approx(
                     est.fs_at(1) - est.fs_at(t), abs=1e-14
                 )
 
@@ -156,21 +164,6 @@ class TestPopulationEstimands:
         assert est.fs_at(2) == 0.0
         assert est.iv_at(2) is None
         assert est.iv_at(1) == pytest.approx(1.0)  # rf_1/fs_1 = 0.25/0.25
-
-
-def per_history_estimands(spec):
-    """(rf, fs, switch_z0, switch_z1) summed history by history: the reference
-    formulas of the oracle, each term written from the history itself."""
-    hs, periods = spec.histories, range(1, spec.T + 1)
-    rf = [
-        math.fsum(h.prob * (h.treated_effect(t, h.pair.s1) - h.treated_effect(t, h.pair.s0))
-                  for h in hs)
-        for t in periods
-    ]
-    fs = [math.fsum(h.prob * ((h.pair.s1 <= t) - (h.pair.s0 <= t)) for h in hs) for t in periods]
-    sw0 = [math.fsum(h.prob for h in hs if 2 <= h.pair.s0 <= t) for t in periods[1:]]
-    sw1 = [math.fsum(h.prob for h in hs if 2 <= h.pair.s1 <= t) for t in periods[1:]]
-    return rf, fs, sw0, sw1
 
 
 def hexes(values):
@@ -210,6 +203,32 @@ def test_oracle_is_per_history_bitwise(kind, T):
         else:
             spec = variant_spec(kind, T, 0.0, rng)
         assert_oracle_is_per_history(spec)
+
+
+U = 2.0**-53
+"""Unit roundoff of float64."""
+
+
+def test_decomposition_and_oracle_against_exact_rationals():
+    # spec floats are dyadic, so Fraction gives rf_t, fs_t and each group
+    # term exactly: the decomposition identity (criterion 1, at 1e-10 in
+    # test_acceptance.py) holds with ==, and the float oracle's rf_t and
+    # fs_t are within a few roundings of the exact values. The rf scale is
+    # the summed magnitude of the per-history terms the oracle rounds; a
+    # group term can be smaller than its members' (their effects cancel),
+    # so it bounds no rounding error
+    for seed in range(300):
+        spec = random_spec(np.random.default_rng(seed))
+        est = population_estimands(spec)
+        for t in range(1, spec.T + 1):
+            rf_terms, fs_terms = zip(*exact_contrasts(spec, t))
+            rf, fs = sum(rf_terms), sum(fs_terms)
+            terms = exact_terms(spec, t)
+            assert sum(p for p, _ in terms) == fs
+            assert sum(v for _, v in terms) == rf
+            size = sum(abs(v) for v in rf_terms)
+            assert abs(Fraction(est.rf[t - 1]) - rf) <= 4 * U * size, (seed, t)
+            assert abs(Fraction(est.fs[t - 1]) - fs) <= U * abs(fs), (seed, t)
 
 
 def test_cells_are_built_once_and_read_only():
@@ -341,7 +360,7 @@ class TestDecomposition:
             p = math.fsum(h.prob for h in c1)
             for t in range(2, spec.T + 1):
                 direct = math.fsum(
-                    h.prob * h.mean_outcome(t, h.pair.s0) for h in c1
+                    h.prob * mean_outcome(h, t, h.pair.s0) for h in c1
                 ) / p
                 base = math.fsum(h.prob * h.baseline[t - 1] for h in c1) / p
                 telescoped = base + math.fsum(
@@ -452,15 +471,6 @@ class TestHomogeneitySwitcherBranches:
         assert spec.group_effect(GroupLabel("NTF", 2), 2, 0) == pytest.approx(3.0)
         assert not check_cross_group_homogeneity(spec)
         assert not check_calendar_homogeneity(spec)
-
-
-def label_switcher_effects(spec, t, tau):
-    """Reference: each label of ``switcher_group_labels(t - tau)``, looked up in turn."""
-    for labels in switcher_group_labels(t - tau):
-        for label in labels:
-            effect = spec.group_effect(label, t, tau)
-            if effect is not None:
-                yield effect
 
 
 def with_switcher_effect_moved(spec, pair, t, tau):

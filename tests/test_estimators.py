@@ -51,6 +51,7 @@ from dynlate.latent import NEVER, AdoptionPair
 from dynlate.panel import Panel, ingest
 
 from randspec import random_spec
+from reference import exact_bound, exact_identify, six_mask_moments
 
 P = AdoptionPair
 
@@ -161,24 +162,15 @@ class TestEstimate:
             np.zeros((4, 2)),
         )
         est = estimate(p)
-        assert est.switch_at(2, 1) == 0.5  # one of two z=1 units switches at 2
-        assert est.switch_at(2, 0) == 0.5
+        assert est.switch_z1[0] == 0.5  # one of two z=1 units switches at 2
+        assert est.switch_z0[0] == 0.5
         assert est.fs == (0.5, 0.5)
-        assert est.rho_at(2) == 0.0
+        assert est.rho[0] == 0.0
 
     def test_degenerate_instrument(self):
         p = Panel.from_arrays(["a", "b"], [1, 1], [[0], [1]], [[0.0], [1.0]])
         with pytest.raises(DegenerateInstrument):
             estimate(p)
-
-
-def six_mask_moments(z, d, y):
-    """Reference arm moments: one boolean-mask copy and one mean per array and arm."""
-    on = z == 1
-    rf = y[on].mean(axis=0) - y[~on].mean(axis=0)
-    fs = d[on].mean(axis=0) - d[~on].mean(axis=0)
-    later = (d[:, 1:] == 1) & (d[:, :1] == 0)
-    return rf, fs, later[~on].mean(axis=0), later[on].mean(axis=0)
 
 
 @st.composite
@@ -379,68 +371,6 @@ def test_target_columns_never_mark_a_non_finite_value_ok():
 
 EPS = np.finfo(np.float64).eps
 TINY = np.finfo(np.float64).smallest_subnormal
-
-
-def _terms(*terms):
-    """Exact sum of ``terms`` and the sum of their magnitudes.
-
-    Rounding each term and each addition moves a float evaluation of the
-    sum by a few eps times the second number, whatever cancels.
-    """
-    return sum(terms), sum(abs(x) for x in terms)
-
-
-def exact_identify(rf, fs):
-    """delta of rf = P delta in exact arithmetic, and its scale m.
-
-    m solves the same recursion with |rf| and |rho| in place of rf and
-    rho: the magnitude of everything forward substitution adds up for
-    delta[t], which bounds delta[t] and sets its rounding error. With
-    nothing to cancel, floats give m to a few T eps.
-    """
-    T = len(rf)
-    exact_rf = [Fraction(v) for v in rf]
-    exact_fs = [Fraction(v) for v in fs]
-    rho = [exact_fs[k] - exact_fs[k + 1] for k in range(T - 1)]
-    delta = []
-    for t in range(T):
-        acc = exact_rf[t] + sum(rho[k] * delta[t - 1 - k] for k in range(t))
-        delta.append(acc / exact_fs[0])
-    size = [abs(float(v)) for v in rho]
-    scale = []
-    for t in range(T):
-        scale.append((abs(rf[t]) + sum(size[k] * scale[t - 1 - k] for k in range(t))) / fs[0])
-    return delta, scale
-
-
-def exact_bound(method, rf, fs, sw0, sw1, t, lo, hi):
-    """((lower, scale), (upper, scale)) of ``method`` at period t.
-
-    Every argument is a Fraction, or a list of them.
-    """
-    fs1, fst, base = fs[0], fs[t - 1], rf[t - 1] / fs[0]
-    s0, s1 = sw0[t - 2], sw1[t - 2]
-    if method == "tight":
-        inc = [min(fs[k - 1] - fs[k], 0) / fs1 for k in range(1, t)]
-        drop = (fs1 - fst) / fs1
-        return (
-            _terms(base, lo * drop, *((hi - lo) * v for v in inc)),
-            _terms(base, hi * drop, *((lo - hi) * v for v in inc)),
-        )
-    drop, rise = max(fs1 - fst, 0), max(fst - fs1, 0)
-    unrestricted = method == "unrestricted"
-    return (
-        _terms(
-            base,
-            (s0 if lo < 0 or not unrestricted else drop) * lo / fs1,
-            -(s1 if hi >= 0 or not unrestricted else rise) * hi / fs1,
-        ),
-        _terms(
-            base,
-            (s0 if hi >= 0 or not unrestricted else drop) * hi / fs1,
-            -(s1 if lo < 0 or not unrestricted else rise) * lo / fs1,
-        ),
-    )
 
 
 def normwise_error(computed, exact, scale, floor=0.0):

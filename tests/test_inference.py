@@ -32,6 +32,7 @@ from dynlate.panel import Panel
 from dynlate.simulate import draw_panel
 
 from randspec import random_homogeneous_spec
+from reference import concatenated_features, row_sum_key_moments
 
 
 def clone_panel(n_per_arm=6, T=2):
@@ -57,16 +58,6 @@ class TestPercentileInterval:
         # positions 1 + 0.25*3 = 1.75 and 1 + 0.75*3 = 3.25 (1-indexed)
         assert lo == pytest.approx(1.75)
         assert hi == pytest.approx(3.25)
-
-
-def concatenated_features(panel):
-    """Reference feature matrix: one temporary per column block, then np.concatenate."""
-    z = panel.z.astype(np.float64)[:, None]
-    zc = 1.0 - z
-    y = panel.y
-    d = panel.d.astype(np.float64)
-    s = ((panel.d[:, 1:] == 1) & (panel.d[:, :1] == 0)).astype(np.float64)
-    return np.concatenate([z, zc, z * y, zc * y, z * d, zc * d, z * s, zc * s], axis=1)
 
 
 @pytest.mark.parametrize("T", [1, 2, 5])
@@ -471,29 +462,6 @@ def test_counts_above_uint8_are_kept_exact(monkeypatch, threaded_pools, threads)
     force_fill_pool(monkeypatch)
     assert np.array_equal(_resample_moments(panel, reps, 4, threads), want)
     assert threaded_pools == ([threads] if threads > 1 else [])
-
-
-def row_sum_key_moments(panel, reps, seed):
-    """Reference resample rows: the cell key sums d's rows and the cells
-    start where the sorted key steps; the sort, the gather and the
-    per-resample sums are those of ``_resample_moments``."""
-    n, T = panel.n, panel.T
-    key = panel.z.astype(np.intp) * (T + 1) + panel.d.sum(axis=1)
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    first = order[starts]
-    features = moment_features(panel.z[first], panel.d[first], np.zeros((len(first), T)))
-    ys = panel.y.T.take(order, axis=1)
-    n0 = int(np.count_nonzero(panel.z == 0))
-    M = np.empty((reps, 6 * T))
-    for r in range(reps):
-        counts = np.bincount(simulate.rep_rng(seed, r).integers(0, n, n), minlength=n)
-        counts = counts.take(order)
-        M[r] = np.add.reduceat(counts, starts) @ features.astype(np.intp)
-        weights = counts.astype(np.float64)
-        for j, arm in ((2, slice(n0, n)), (2 + T, slice(0, n0))):
-            M[r, j : j + T] = np.einsum("ji,i->j", ys[:, arm], weights[arm])
-    return M
 
 
 @pytest.mark.parametrize("case", ["one_cell_arm", "none_treated_at_1", "drawn"])

@@ -1,18 +1,12 @@
-"""Latent-history algebra: types, enumeration, switcher sets."""
+"""Latent-history algebra: adoption pairs and group labels, against the
+paper's taxonomy in reference.py (types, enumeration, switcher sets)."""
 
 import pytest
 
 from dynlate.errors import PeriodOutOfRange
-from dynlate.latent import (
-    NEVER,
-    AdoptionPair,
-    GroupLabel,
-    IvType,
-    enumerate_histories,
-    switcher_group_labels,
-    switcher_sets,
-    type_at,
-)
+from dynlate.latent import NEVER, AdoptionPair, GroupLabel, IvType, switcher_group_labels
+
+from reference import enumerate_histories, switcher_sets, treated, type_at, type_path
 
 
 def P(s1, s0):
@@ -60,7 +54,7 @@ class TestAdoptionPair:
     def test_treatment_path_nondecreasing(self):
         for pair in enumerate_histories(5, exclude_first_period_defiers=False):
             for z in (0, 1):
-                path = [pair.treated(z, t) for t in range(1, 6)]
+                path = [treated(pair, z, t) for t in range(1, 6)]
                 assert path == sorted(path)
 
     def test_str(self):
@@ -172,7 +166,7 @@ class TestGroupLabels:
         for t in range(2, T + 1):
             for labels in switcher_group_labels(t):
                 for lab in labels:
-                    want = lab.type_path()
+                    want = type_path(lab)
                     for pair in lab.members(T):
                         got = tuple(type_at(pair, s) for s in range(1, lab.switch + 1))
                         assert got == want, (str(lab), pair)
@@ -186,7 +180,7 @@ class TestGroupLabels:
         for lab in labels:
             want = [
                 pair for pair in histories
-                if tuple(type_at(pair, s) for s in range(1, lab.switch + 1)) == lab.type_path()
+                if tuple(type_at(pair, s) for s in range(1, lab.switch + 1)) == type_path(lab)
             ]
             assert list(lab.members(T)) == want, str(lab)
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
+from reference import reference_from_arrays
 from dynlate.errors import (
     DegenerateInstrument,
     InstrumentVariesWithinUnit,
@@ -20,6 +22,7 @@ from dynlate.estimators import check_assumptions
 from dynlate.panel import (
     _WHITESPACE,
     UNIT_ID_DTYPE,
+    UNIT_ID_MAX_LENGTH,
     Panel,
     ingest,
     serialize,
@@ -341,6 +344,36 @@ def test_unit_id_ending_in_nul_is_refused():
         ingest("unit_id,period,z,d,y\na\x00,1,1,1,1.0\nb,1,0,0,2.0\n")
 
 
+@pytest.mark.parametrize("form", ["list", "u_array", "csv"])
+def test_unit_id_length_cap(form):
+    # the cap counts code points, not bytes; the message shows the head alone
+    def build(unit):
+        if form == "csv":
+            return ingest(f"unit_id,period,z,d,y\n{unit},1,1,1,1.0\nb,1,0,0,2.0\n")
+        ids = np.array([unit, "b"]) if form == "u_array" else [unit, "b"]
+        return Panel.from_arrays(ids, [1, 0], [[1], [0]], [[1.0], [2.0]])
+
+    assert UNIT_ID_MAX_LENGTH == 256
+    longest = "é" * 256
+    assert build(longest).unit_ids.tolist() == ["b", longest]
+    with pytest.raises(MalformedRow, match=r"^unit id 'x{32}'\.\.\. is 257 long, over 256$"):
+        build("x" * 256 + "y")
+
+
+def test_long_unit_id_is_refused_before_an_id_array_is_sized():
+    # one 10,000-character id among 1,000 would make a 38 MB <U10000 array
+    ids = [f"u{i:03d}" for i in range(999)] + ["x" * 10_000]
+    args = np.arange(1000) % 2, np.zeros((1000, 1)), np.zeros((1000, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedRow, match="is 10000 long"):
+            Panel.from_arrays(ids, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_unit_ids_differing_after_an_embedded_nul():
     # U arrays compare every code point, so embedded NULs order as in str
     ids = ['0"\x00,,é', '0"\x00,,\x80', "a\x00c", "a\x00b", "a"]
@@ -353,43 +386,6 @@ def test_unit_ids_differing_after_an_embedded_nul():
     assert twin != Panel.from_arrays(["a\x00c", "a\x00e"], [0, 1], [[0], [0]], [[0.0], [0.0]])
     with pytest.raises(UnbalancedPanel, match=r"duplicate unit id 'a\\x00b'"):
         Panel.from_arrays(["a\x00b", "a\x00c", "a\x00b"], [0] * 3, [[0]] * 3, [[0.0]] * 3)
-
-
-def _reference_from_arrays(unit_ids, z, d, y):
-    """The tuple/set/object-argsort algorithm unit ids were first checked by.
-
-    Returns (ids, z, d, y) in row order. It casts z and d to int8 before
-    checking them, so it is only a reference for binary z and d.
-    """
-    ids = tuple(str(u) for u in unit_ids)
-    z = np.asarray(z, dtype=np.int8)
-    d = np.asarray(d, dtype=np.int8)
-    y = np.asarray(y, dtype=np.float64)
-    n = len(ids)
-    if n == 0:
-        raise UnbalancedPanel("panel has no units")
-    if d.ndim != 2 or y.shape != d.shape or z.shape != (n,) or d.shape[0] != n:
-        raise MalformedRow("array shapes are inconsistent")
-    if d.shape[1] < 1:
-        raise UnbalancedPanel("panel has no periods")
-    if any(u == "" or u != u.strip() or u.endswith("\x00") for u in ids):
-        raise MalformedRow(
-            "unit ids must be non-empty, without surrounding whitespace or a trailing NUL"
-        )
-    if len(set(ids)) != n:
-        raise UnbalancedPanel("duplicate unit ids")
-    if not np.isin(z, (0, 1)).all() or not np.isin(d, (0, 1)).all():
-        raise MalformedRow("z and d must be 0 or 1")
-    if not np.isfinite(y).all():
-        raise MalformedRow("y must be finite")
-    order = np.argsort(np.array(ids, dtype=object), kind="stable")
-    ids = tuple(ids[i] for i in order)
-    z, d, y = z[order], d[order], y[order]
-    drops = np.argwhere(np.diff(d.astype(np.int16), axis=1) < 0)
-    if drops.size:
-        row, t = drops[0]
-        raise TreatmentReversal(ids[row], int(t) + 2)
-    return ids, z, d, y
 
 
 # few characters, so prefixes, duplicates and near-duplicates are common
@@ -429,7 +425,7 @@ def test_from_arrays_matches_reference(raw_ids, form, T, rnd):
         d = [sorted(row) for row in d]
     y = [[rnd.uniform(-3, 3) for _ in range(T)] for _ in range(n)]
     try:
-        want = _reference_from_arrays(ids, z, d, y)
+        want = reference_from_arrays(ids, z, d, y)
     except (MalformedRow, UnbalancedPanel, TreatmentReversal) as err:
         with pytest.raises(type(err)) as got:
             Panel.from_arrays(ids, z, d, y)

@@ -1,0 +1,61 @@
+"""The public surface: README's quick start runs, and dynlate's top-level
+names are pinned, so a name the README or the benchmark uses cannot go
+unnoticed."""
+
+import re
+import types
+from pathlib import Path
+
+import dynlate
+from dynlate.dgp import load_spec, save_spec
+
+from conftest import GOLDEN_DIR
+
+ROOT = Path(__file__).parent.parent
+
+PUBLIC_NAMES = {
+    # the population oracle
+    "DgpSpec", "HistorySpec", "check_calendar_homogeneity", "check_cross_group_homogeneity",
+    "contaminating_effect_range", "decompose", "load_spec", "make_calendar_homogeneous",
+    "population_estimands", "save_spec", "true_dynamic_lates",
+    # errors
+    "AllReplicationsFailed", "AssumptionRequired", "DegenerateInstrument", "DynlateError",
+    "InstrumentVariesWithinUnit", "MalformedRow", "PeriodOutOfRange", "RelevanceFailure",
+    "SchemaMismatch", "SignedBoundViolation", "SpecValidationError", "TreatmentReversal",
+    "UnbalancedPanel",
+    # estimands, estimators and inference
+    "EstimandSet", "BoundsReport", "IdentifiedProfile", "NegativeWeightFlag",
+    "NegativeWeightStatus", "PanelDiagnostics", "bounds_general", "bounds_general_unrestricted",
+    "bounds_tight", "check_assumptions", "estimate", "identify", "negative_weight_diagnostic",
+    "outcome_range_bounds", "BootstrapResult", "bootstrap",
+    # latent groups
+    "NEVER", "AdoptionPair", "GroupLabel", "IvType", "switcher_group_labels",
+    # panels and simulation
+    "Panel", "ingest", "serialize", "MonteCarloSummary", "draw_panel", "monte_carlo",
+}
+
+
+def test_top_level_names_are_pinned():
+    names = {
+        name for name, value in vars(dynlate).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == PUBLIC_NAMES
+
+
+def test_benchmark_uses_only_public_names():
+    used = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        used |= set(re.findall(r"\bdl\.(\w+)", path.read_text(encoding="utf-8")))
+    assert used
+    assert used <= PUBLIC_NAMES
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"), re.S)
+    assert len(blocks) == 1
+    save_spec(load_spec(GOLDEN_DIR / "spec_t4_six_history.json"), str(tmp_path / "spec.json"))
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(blocks[0], "README.md", "exec"), scope)
+    assert scope["ci"].targets

@@ -12,22 +12,11 @@ from hypothesis import strategies as st
 
 from dynlate import inference, simulate
 from dynlate.dgp import DgpSpec, HistorySpec, load_spec, population_estimands
-from dynlate.errors import DegenerateInstrument, DynlateError
-from dynlate.estimators import (
-    ALL_TARGETS,
-    arm_sums,
-    bound_report,
-    estimate,
-    identify,
-    moment_estimands,
-    selected_methods,
-)
+from dynlate.errors import DegenerateInstrument
+from dynlate.estimators import ALL_TARGETS, arm_sums, estimate, moment_estimands
 from dynlate.inference import bootstrap
 from dynlate.latent import NEVER, AdoptionPair
-from dynlate.panel import Panel
 from dynlate.simulate import (
-    MonteCarloSummary,
-    TargetSummary,
     _draw_arrays,
     _histories,
     _usable_cores,
@@ -38,6 +27,7 @@ from dynlate.simulate import (
 
 from conftest import GOLDEN_DIR
 from randspec import random_spec, static_compliance_spec, variant_spec
+from reference import mean_outcome, reference_monte_carlo, where_draw
 
 P = AdoptionPair
 
@@ -57,7 +47,7 @@ def three_history_spec(noise_sd=0.0):
 
 def arm_outcome_variance(spec, t, z):
     """Population variance of the period-t outcome within one arm, by enumeration."""
-    means = [h.mean_outcome(t, h.pair.adoption(z)) for h in spec.histories]
+    means = [mean_outcome(h, t, h.pair.adoption(z)) for h in spec.histories]
     probs = [h.prob for h in spec.histories]
     m1 = sum(p * m for p, m in zip(probs, means))
     m2 = sum(p * m * m for p, m in zip(probs, means))
@@ -437,30 +427,6 @@ def test_bootstrap_and_monte_carlo_report_targets_in_one_order(T):
     assert [t.name for t in res.targets] == names
 
 
-def where_draw(spec, n, rng):
-    """Reference draw: numpy's own history, arm and noise draws, then one table per
-    arm, both gathered for every unit and picked by np.where."""
-    probs = np.array([h.prob for h in spec.histories])
-    hist = rng.choice(len(probs), size=n, p=probs)
-    z = (rng.random(n) < spec.pz).astype(np.int8)
-    noise = rng.normal(0.0, spec.noise_sd, size=(n, spec.T))
-    d_arm, mean_arm = [], []
-    for arm in (0, 1):
-        adopt = [h.pair.adoption(arm) for h in spec.histories]
-        d_arm.append(np.array(
-            [[1 if a <= t else 0 for t in range(1, spec.T + 1)] for a in adopt], dtype=np.int8
-        ))
-        mean_arm.append(np.array(
-            [[h.mean_outcome(t, a) for t in range(1, spec.T + 1)]
-             for h, a in zip(spec.histories, adopt)],
-            dtype=np.float64,
-        ))
-    on = (z == 1)[:, None]
-    d = np.where(on, d_arm[1][hist], d_arm[0][hist])
-    y = np.where(on, mean_arm[1][hist], mean_arm[0][hist]) + noise
-    return z, d, y
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["random", "zero-probs", "all-pairs", "negative-zero"]),
@@ -487,69 +453,6 @@ def test_draw_arrays_match_two_table_reference(variant, T, n, pz, noise_sd, seed
         assert g.dtype == w.dtype  # d stays int8
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
-
-
-def _target_values(est, targets, lo, hi) -> dict[str, float]:
-    """Every requested target the scalar estimators define for ``est``, in report order.
-
-    The scalar reference of the target table: applied to the population
-    estimands it is the oracle, applied to a sample's estimands it is one
-    replication. A target the estimators reject (undefined IV, zero first
-    stage) is left out.
-    """
-    out: dict[str, float] = {}
-    if "estimands" in targets:
-        for t in range(1, est.T + 1):
-            out[f"rf[{t}]"] = est.rf_at(t)
-            out[f"fs[{t}]"] = est.fs_at(t)
-            iv = est.iv_at(t)
-            if iv is not None:
-                out[f"iv[{t}]"] = iv
-    if "identify" in targets:
-        try:
-            prof = identify(est)
-            for tau, v in enumerate(prof.deltas):
-                out[f"delta[{tau}]"] = v
-        except DynlateError:
-            pass
-    if "bounds" in targets:
-        for name in selected_methods(lo, hi):
-            for t in range(2, est.T + 1):
-                try:
-                    rep = bound_report(name, est, t, lo, hi)
-                except DynlateError:
-                    continue
-                out[f"{name}_lower[{t}]"] = rep.lower
-                out[f"{name}_upper[{t}]"] = rep.upper
-    return out
-
-
-def reference_monte_carlo(spec, n, reps, seed, targets, lo, hi):
-    """Monte Carlo through a validated Panel and the scalar estimators per replication."""
-    oracle = _target_values(population_estimands(spec), targets, lo, hi)
-    results = []
-    for r in range(reps):
-        z, d, y = _draw_arrays(spec, n, rep_rng(seed, r))
-        try:
-            est = estimate(Panel.from_arrays([f"u{i:03d}" for i in range(n)], z, d, y))
-        except DynlateError:
-            results.append({})
-            continue
-        results.append(_target_values(est, targets, lo, hi))
-    rows = []
-    for name, truth in oracle.items():
-        values = [res[name] for res in results if name in res]
-        mean = float(np.mean(values)) if values else None
-        rows.append(TargetSummary(
-            name=name,
-            oracle=truth,
-            mean=mean,
-            bias=None if mean is None else mean - truth,
-            sd=float(np.std(values, ddof=1)) if len(values) >= 2 else None,
-            n_ok=len(values),
-            n_failed=reps - len(values),
-        ))
-    return MonteCarloSummary(n, reps, seed, spec.T, targets, lo, hi, tuple(rows))
 
 
 @settings(max_examples=60, deadline=None)
