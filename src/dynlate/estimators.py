@@ -471,9 +471,10 @@ def masked_blocks(values, masks):
     """The columns ``values[i]`` grouped by their row masks ``masks[i]``.
 
     Yields, per distinct mask in the order of its first column, the
-    positions of the columns it belongs to and a C-contiguous (columns,
-    kept rows) block of their masked entries, so that one reduction over
-    ``axis=1`` (or ``axis=0`` of the transpose) summarizes the whole group.
+    positions of the columns it belongs to and a C-contiguous float64
+    (columns, kept rows) block of their masked entries, so that one
+    reduction over ``axis=1`` (or ``axis=0`` of the transpose) summarizes
+    the whole group.
     A :func:`target_columns` table has few distinct masks: every value
     column shares the mask of its zero rule unless it is not finite.
     """
@@ -481,7 +482,10 @@ def masked_blocks(values, masks):
     for i, mask in enumerate(masks):
         groups.setdefault(mask.tobytes(), (mask, []))[1].append(i)
     for mask, columns in groups.values():
-        yield columns, np.stack([values[i][mask] for i in columns])
+        block = np.empty((len(columns), np.count_nonzero(mask)))
+        for j, i in enumerate(columns):  # one masked copy at a time, not a list of them
+            block[j] = values[i][mask]
+        yield columns, block
 
 
 def target_row(est: EstimandSet, targets, lo, hi, include_tight=True):

@@ -11,8 +11,10 @@ reads it. Resample r draws its multinomial counts from a stream seeded by
 its whole row without a BLAS call, so the row depends only on (panel,
 seed, r): not on ``threads``, on execution order, on how many resamples
 the run has, or on the BLAS thread count. The first k resamples of a
-longer run are bitwise those of a k-resample run. Memory grows with reps
-only through the rows, never as reps x n.
+longer run are bitwise those of a k-resample run. Beyond the panel, a
+call holds one cell-ordered (T, n) copy of y, the rank of each unit in
+that order, and two n-vectors per worker, whatever reps is; memory grows
+with reps only through the rows, never as reps x n.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ def percentile_interval(values: np.ndarray, alpha: float) -> np.ndarray:
     that column alone. Returns the lower and upper ends stacked, shape
     (2,) + ``values.shape[1:]``. Quantile rule: order statistics indexed
     from 1 with linear interpolation at position 1 + q(B - 1) (numpy's
-    "linear" method).
+    "linear" method). ``values`` is partitioned in place, so the quantiles
+    take no copy of it: pass an array that is not needed afterwards.
     """
-    return np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0, method="linear")
+    q = [alpha / 2.0, 1.0 - alpha / 2.0]
+    return np.quantile(values, q, axis=0, method="linear", overwrite_input=True)
 
 
 @dataclass(frozen=True)
@@ -106,17 +110,23 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     treated periods, which fixes an irreversible path. The cell key
     z(T + 1) + (treated periods) is built by T column adds, and the present
     cells' starts are read off one ``bincount`` of it. Each cell and each
-    arm is then one block, the z=0 arm first. Resample r's counts are the
-    int64 ``bincount`` of its ``rep_rng(seed, r)`` draws, taken in that
-    order. Its integer columns are the cells' counts times the cells'
-    integer features: exact. Its 2T y columns are each arm's outcomes
-    weighted by the counts and summed in cell order (``einsum``), so with
-    non-dyadic y their last bits can differ from ``arm_sums``' unit order.
-    No step calls BLAS. One worker of :func:`~dynlate.simulate._fill_rows`
-    (floors ``_FILL_MIN_N`` and ``_FILL_MIN_UNITS``) computes the whole
-    row, so it depends only on (panel, seed, r): not on ``threads``,
-    ``reps``, execution order or the BLAS thread count. No reps x n array
-    is held.
+    arm is then one block, the z=0 arm first. The outcomes are copied into
+    that order one period at a time, and the sort is kept only as its
+    inverse, each unit's ``rank`` in cell order. Resample r maps its
+    ``rep_rng(seed, r)`` draws through ``rank`` and counts them in cell
+    order with a ``bincount`` weighted by ones: float64 weights that are
+    exact integers. Its integer columns are the cells' counts, cast to
+    intp, times the cells' integer features: exact. Its 2T y columns are
+    each arm's outcomes weighted by the counts and summed in cell order
+    (``einsum``), so with non-dyadic y their last bits can differ from
+    ``arm_sums``' unit order. No step calls BLAS. One worker of
+    :func:`~dynlate.simulate._fill_rows` (floors ``_FILL_MIN_N`` and
+    ``_FILL_MIN_UNITS``) computes the whole row, so it depends only on
+    (panel, seed, r): not on ``threads``, ``reps``, execution order or the
+    BLAS thread count. Working set beyond the panel and the rows: the
+    (T, n) cell-ordered outcomes, ``rank``, the shared ones, and two
+    n-vectors per worker at a time (a resample's draws, their cells, its
+    weights); no reps x n array is held.
     """
     n, T = panel.n, panel.T
     dtype = _CELL_KEY_DTYPE if 2 * T + 1 <= np.iinfo(_CELL_KEY_DTYPE).max else np.intp
@@ -129,18 +139,24 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     first = order[starts]
     d = panel.d[first]
     features = moment_features(panel.z[first], d, np.zeros(d.shape)).astype(np.intp)
-    ys = panel.y.T.take(order, axis=1)
+    ys = np.empty((T, n))
+    for t in range(T):  # take(axis=1) of y.T first copies it whole; "raise" buffers out
+        panel.y[:, t].take(order, out=ys[t], mode="clip")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    del key, order
+    ones = np.ones(n)
     n0 = int(np.count_nonzero(panel.z == 0))
     M = np.empty((reps, 6 * T))
 
     def fill(lo: int, hi: int) -> None:
-        weights = np.empty(n)
         for r in range(lo, hi):
-            counts = np.bincount(rep_rng(seed, r).integers(0, n, n), minlength=n).take(order)
-            np.matmul(np.add.reduceat(counts, starts), features, out=M[r])
-            np.copyto(weights, counts)
+            cells = rank.take(rep_rng(seed, r).integers(0, n, n))
+            weights = np.bincount(cells, weights=ones, minlength=n)
+            np.matmul(np.add.reduceat(weights, starts).astype(np.intp), features, out=M[r])
             for j, arm in ((2, slice(n0, n)), (2 + T, slice(0, n0))):
                 M[r, j : j + T] = np.einsum("ji,i->j", ys[:, arm], weights[arm])
+            del cells, weights  # freed before the next resample draws
 
     _fill_rows(fill, reps, n, threads, _FILL_MIN_N, _FILL_MIN_UNITS)
     return M

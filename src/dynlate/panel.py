@@ -138,9 +138,9 @@ class Panel:
         d = d.astype(np.int8, copy=False)
         if order is not None:
             z, d, y = z[order], d[order], y[order]
-        drops = d[:, 1:] < d[:, :-1]
-        if drops.any():
-            row, t = np.argwhere(drops)[0]
+        # T - 1 column compares; the (n, T - 1) compare only locates a drop
+        if any((d[:, t + 1] < d[:, t]).any() for t in range(d.shape[1] - 1)):
+            row, t = np.argwhere(d[:, 1:] < d[:, :-1])[0]
             raise TreatmentReversal(str(ids[row]), int(t) + 2)
         return cls(ids, z, d, y)
 
@@ -197,7 +197,8 @@ def _check_id_text(ids: np.ndarray) -> None:
     last = codes.reshape(-1).take(np.arange(0, ids.size * width, width) + lengths - 1)
     bad = (lengths == 0) | _IS_WHITESPACE.take(codes[:, 0], mode="clip")
     bad |= _IS_WHITESPACE.take(last, mode="clip")
-    bad[np.flatnonzero((codes >= 0xD800) & (codes <= 0xDFFF)) // width] = True
+    if codes.max(initial=0) >= 0xD800:  # no surrogate below it; one max is a quarter of the scan
+        bad[np.flatnonzero((codes >= 0xD800) & (codes <= 0xDFFF)) // width] = True
     if bad.any():
         raise MalformedRow(_ID_RULE.format(str(ids[bad.argmax()])))
 

@@ -464,12 +464,23 @@ def test_counts_above_uint8_are_kept_exact(monkeypatch, threaded_pools, threads)
     assert threaded_pools == ([threads] if threads > 1 else [])
 
 
-@pytest.mark.parametrize("case", ["one_cell_arm", "none_treated_at_1", "drawn"])
-def test_cell_setup_matches_a_row_sum_key(case):
+_SETUP_CASES = ["one_cell_arm", "none_treated_at_1", "drawn"]
+
+
+@pytest.mark.parametrize(
+    "case, T, threads",
+    [pytest.param(case, 4, 1, id=case) for case in _SETUP_CASES]
+    + [
+        pytest.param(case, T, 2, id=f"{case}-T{T}-threads2")
+        for T in (1, 12)
+        for case in _SETUP_CASES
+    ],
+)
+def test_cell_setup_matches_a_row_sum_key(monkeypatch, threaded_pools, case, T, threads):
     # empty cells leave gaps in the key: a whole arm in one cell, or no
     # unit treated at t=1 (no cell with every period treated)
     rng = np.random.default_rng(21)
-    n, T = 400, 4
+    n = 400
     z = np.arange(n) % 2
     start = rng.integers(1, T + 2, size=n)  # T+1 means never treated
     if case == "one_cell_arm":
@@ -480,9 +491,12 @@ def test_cell_setup_matches_a_row_sum_key(case):
     y = rng.normal(0.3, 0.9, size=(n, T))
     panel = Panel.from_arrays([f"u{i:03d}" for i in range(n)], z, d, y)
     if case == "drawn":
-        panel = noisy_panel(n)
-    got = _resample_moments(panel, 30, 8, 1)
+        panel = noisy_panel(n, T)
+    if threads > 1:
+        force_fill_pool(monkeypatch)
+    got = _resample_moments(panel, 30, 8, threads)
     assert np.array_equal(bits(got), bits(row_sum_key_moments(panel, 30, 8)))
+    assert threaded_pools == ([threads] if threads > 1 else [])
 
 
 def mixed_mask_panel(T=260):
@@ -533,3 +547,21 @@ def test_bootstrap_memory_does_not_grow_with_reps():
         finally:
             tracemalloc.stop()
     assert peak[2000] <= 1.25 * peak[600]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bootstrap_working_set_is_bounded_in_n_vectors(monkeypatch, threaded_pools, threads):
+    # beyond the panel: one cell-ordered (T, n) copy of y, the rank, the
+    # shared ones and two n-vectors per worker; 6 n-vectors cover the rank,
+    # the ones, the estimate and the set-up's temporaries
+    n, T = 20_000, 12
+    panel = noisy_panel(n, T)
+    force_fill_pool(monkeypatch)
+    tracemalloc.start()
+    try:
+        bootstrap(panel, reps=100, alpha=0.1, seed=1, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert threaded_pools == ([threads] if threads > 1 else [])
+    assert peak <= (T + 6 + 2 * threads) * n * 8

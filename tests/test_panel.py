@@ -295,6 +295,26 @@ def test_treatment_reversal_carries_a_plain_str_id():
     assert str(err.value) == "treatment reverses for unit 'a' at period 2"
 
 
+def test_first_reversal_in_row_order_is_named():
+    # after sorting, u0 reverses at period 4 and u1, a later row, at period
+    # 2: the first (unit, period) in row-major order is u0's, not period 2's
+    ids = ["u2", "u1", "u0"]
+    z, d, y = [1, 0, 1], [[0, 0, 1, 1], [1, 0, 0, 0], [1, 1, 1, 0]], [[0.0] * 4] * 3
+    with pytest.raises(TreatmentReversal) as want:
+        reference_from_arrays(ids, z, d, y)
+    with pytest.raises(TreatmentReversal) as got:
+        Panel.from_arrays(ids, z, d, y)
+    assert (got.value.unit_id, got.value.period) == (want.value.unit_id, want.value.period)
+    assert (got.value.unit_id, got.value.period) == ("u0", 4)
+
+
+def test_unit_id_with_an_astral_character_is_accepted():
+    # a code point past the surrogates makes the lone-surrogate scan run
+    for ids in (["u\U0001F600", "b"], np.array(["u\U0001F600", "b"])):
+        p = Panel.from_arrays(ids, [0, 1], [[0], [0]], [[0.0], [0.0]])
+        assert p.unit_ids.tolist() == ["b", "u\U0001F600"]
+
+
 def test_unit_id_with_a_lone_surrogate_is_malformed():
     # a U array holds the surrogate; UTF-8 text cannot
     for ids in (["a\ud800", "b"], np.array(["a\ud800", "b"])):
