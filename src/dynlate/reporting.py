@@ -35,8 +35,10 @@ def dumps(obj) -> str:
 
 
 def dump(obj, path: str) -> None:
+    """Write ``dumps(obj)`` to ``path``; a refused document leaves the file untouched."""
+    text = dumps(obj)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
 
 
 def _write(obj, out: list[str], level: int) -> None:

@@ -22,6 +22,7 @@ names, report order and defined-target rules.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -195,7 +196,13 @@ def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
 
 @dataclass(frozen=True)
 class TargetSummary:
-    """Across-replication summary for one scalar target."""
+    """Across-replication summary for one scalar target.
+
+    ``mean`` and ``bias`` are None without a kept replication, and ``sd``
+    with fewer than two. Each is None as well where it is not finite: kept
+    replications are finite, but far apart ones can overflow the float
+    range in their sum or in their squared deviations.
+    """
 
     name: str
     oracle: float
@@ -224,6 +231,11 @@ class MonteCarloSummary:
             if r.name == name:
                 return r
         raise KeyError(name)
+
+
+def _finite(x: float | None) -> float | None:
+    """``x``, or None where it is None or not finite."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 def monte_carlo(
@@ -288,16 +300,18 @@ def monte_carlo(
     for columns, block in blocks:
         n_ok = block.shape[1]
         none = [None] * len(columns)
-        means = np.mean(block, axis=1).tolist() if n_ok else none
-        sds = np.std(block, axis=1, ddof=1).tolist() if n_ok >= 2 else none
+        # an overflow reads as inf or nan, which _finite reports as None
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = np.mean(block, axis=1).tolist() if n_ok else none
+            sds = np.std(block, axis=1, ddof=1).tolist() if n_ok >= 2 else none
         for i, mean, sd in zip(columns, means, sds):
             name, truth = kept[i][:2]
             rows[i] = TargetSummary(
                 name=name,
                 oracle=truth,
-                mean=mean,
-                bias=None if mean is None else mean - truth,
-                sd=sd,
+                mean=_finite(mean),
+                bias=None if mean is None else _finite(mean - truth),
+                sd=_finite(sd),
                 n_ok=n_ok,
                 n_failed=reps - n_ok,
             )

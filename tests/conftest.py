@@ -44,6 +44,19 @@ def make_homogeneity_spec(with_ntf2):
     return DgpSpec(2, 0.5, tuple(histories))
 
 
+def make_weak_long_spec(T):
+    """fs_1 = 1/24 against rho_2 = 1 over T periods, with unit-variance noise.
+
+    Each exposure of the identified profile grows about 24-fold, so at
+    T = 200 the late deltas of one sample reach 1e250 and more.
+    """
+    effects = tuple((1.0,) * t for t in range(1, T + 1))
+    return DgpSpec(T, 0.5, (
+        HistorySpec(AdoptionPair(1, 2), 1 / 24, (0.0,) * T, effects),
+        HistorySpec(AdoptionPair(NEVER, 2), 23 / 24, (0.0,) * T, effects),
+    ), noise_sd=1.0)
+
+
 @pytest.fixture
 def three_history_spec():
     return make_three_history_spec()

@@ -12,7 +12,7 @@ from dynlate.cli import main
 from dynlate.latent import NEVER, AdoptionPair
 from dynlate.panel import ingest
 
-from conftest import DATA_DIR, GOLDEN_DIR, make_homogeneity_spec
+from conftest import DATA_DIR, GOLDEN_DIR, make_homogeneity_spec, make_weak_long_spec
 
 
 def run(capsys, *argv):
@@ -89,12 +89,24 @@ class TestErrorContract:
         assert code == 2
         assert err.startswith("error[E_IO]:")
 
-    def test_malformed_csv(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "A,1,1,0,oops\n",
+            # unit ids are fixed-width text, which cannot hold a trailing NUL
+            "a\x00,1,1,1,2.0\nb,1,0,0,0.0\n",
+            # one id sets every id's slot width, so an id over 256 code points is refused
+            "a" * 257 + ",1,1,1,2.0\nb,1,0,0,0.0\n",
+        ],
+        ids=["value", "nul-id", "long-id"],
+    )
+    def test_malformed_csv(self, capsys, tmp_path, rows):
         bad = tmp_path / "bad.csv"
-        bad.write_text("unit_id,period,z,d,y\nA,1,1,0,oops\n")
-        code, _, err = run(capsys, "estimate", "--panel", str(bad))
-        assert code == 2
+        bad.write_text("unit_id,period,z,d,y\n" + rows)
+        code, out, err = run(capsys, "estimate", "--panel", str(bad))
+        assert (code, out) == (2, "")
         assert err.startswith("error[E_MALFORMED_ROW]:")
+        assert err.count("\n") == 1
 
     def test_non_utf8_panel(self, capsys, tmp_path):
         # Windows-1252 / Latin-1 "café" in a unit id
@@ -607,6 +619,19 @@ class TestMonteCarlo:
         names = {r["name"] for r in doc["outputs"]["monte_carlo"]["rows"]}
         assert names == {"delta[0]", "delta[1]"}
 
+    def test_overflowing_summary_is_written(self, capsys, tmp_path):
+        # finite deltas whose squared deviations pass the float range
+        spec_path, report = tmp_path / "weak.json", tmp_path / "mc.json"
+        dgp.save_spec(make_weak_long_spec(200), str(spec_path))
+        code, _, err = run(
+            capsys, "montecarlo", "--dgp", str(spec_path), "--n", "500", "--reps", "10",
+            "--seed", "1", "--targets", "identify", "--json", str(report),
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(report.read_text(), parse_constant=_refuse_constant)
+        rows = doc["outputs"]["monte_carlo"]["rows"]
+        assert any(r["sd"] is None and r["n_ok"] >= 2 for r in rows)
+
 
 class TestBootstrapCommand:
     def test_gating_and_report(self, capsys, small_panel_csv, tmp_path):
@@ -678,6 +703,16 @@ def test_threads_default_to_the_usable_cores(
     assert seen == [1, 1]
 
 
+@pytest.fixture(scope="class")
+def non_dyadic_panel(tmp_path_factory):
+    """The panel ``simulate`` draws from the T=4 six-history spec at n = 20000, seed 3."""
+    panel = tmp_path_factory.mktemp("simulate") / "panel_t4_six_history_n20000.csv"
+    code = main(["simulate", "--dgp", str(GOLDEN_DIR / "spec_t4_six_history.json"),
+                 "--n", "20000", "--seed", "3", "--out", str(panel)])
+    assert code == 0
+    return panel
+
+
 class TestGoldenReports:
     """Pinned inputs must produce byte-identical JSON reports."""
 
@@ -725,21 +760,26 @@ class TestGoldenReports:
             panel=small_panel_csv,
         )
 
-    def test_bootstrap_non_dyadic_golden(self, capsys, tmp_path):
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+    def test_bootstrap_non_dyadic_golden(
+        self, capsys, monkeypatch, threaded_pools, tmp_path, non_dyadic_panel, pooled
+    ):
         # unit-variance noise: every resample's y sums round, so a change
-        # in their summation order shows in the intervals' last bits
-        panel = tmp_path / "panel_t4_six_history_n20000.csv"
-        code, _, err = run(
-            capsys, "simulate", "--dgp", str(GOLDEN_DIR / "spec_t4_six_history.json"),
-            "--n", "20000", "--seed", "3", "--out", str(panel),
-        )
-        assert code == 0, err
+        # in their summation order shows in the intervals' last bits; with
+        # the floors lowered, two workers must write the same bytes
+        threads = []
+        if pooled:
+            monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
+            monkeypatch.setattr(inference, "_FILL_MIN_UNITS", 1)
+            monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+            threads = ["--threads", "2"]
         self._assert_golden(
             capsys, tmp_path, "bootstrap_t4_six_history.json",
             ["bootstrap", "--reps", "200", "--seed", "3",
-             "--assume", "calendar-homogeneity,cross-group-homogeneity"],
-            panel=panel,
+             "--assume", "calendar-homogeneity,cross-group-homogeneity", *threads],
+            panel=non_dyadic_panel,
         )
+        assert threaded_pools == ([2] if pooled else [])
 
     def test_estimate_dgp_golden(self, capsys, tmp_path):
         self._assert_golden(

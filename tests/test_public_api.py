@@ -1,8 +1,14 @@
-"""The public surface: README's quick start runs, and dynlate's top-level
+"""The public surface: README's quick start runs, dynlate's top-level
 names are pinned, so a name the README or the benchmark uses cannot go
-unnoticed."""
+unnoticed, and the ``dynlate`` console script is ``cli.main``, whose
+module also runs here in fresh processes."""
 
+import hashlib
+import os
 import re
+import subprocess
+import sys
+import tomllib
 import types
 from pathlib import Path
 
@@ -59,3 +65,33 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
     scope = {}
     exec(compile(blocks[0], "README.md", "exec"), scope)
     assert scope["ci"].targets
+
+
+def test_console_script_is_cli_main():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"dynlate": "dynlate.cli:main"}
+
+
+def run_module(monkeypatch, *argv):
+    """``python -m dynlate.cli argv`` in a fresh process that imports ``src``."""
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"), prepend=os.pathsep)
+    return subprocess.run([sys.executable, "-m", "dynlate.cli", *argv], capture_output=True)
+
+
+def test_entry_point_prints_the_simulate_golden(monkeypatch):
+    done = run_module(
+        monkeypatch, "simulate", "--dgp", str(GOLDEN_DIR / "spec_t4_six_history.json"),
+        "--n", "5000", "--seed", "4",
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    digest = hashlib.sha256(done.stdout).hexdigest()
+    assert f"{digest}\n" == (GOLDEN_DIR / "simulate_t4_six_history.sha256").read_text()
+
+
+def test_entry_point_refuses_a_nul_id(monkeypatch, tmp_path):
+    bad = tmp_path / "nul_id.csv"
+    bad.write_bytes(b"unit_id,period,z,d,y\na\x00,1,1,1,2.0\nb,1,0,0,0.0\n")
+    done = run_module(monkeypatch, "estimate", "--panel", str(bad))
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"error[E_MALFORMED_ROW]: ")
+    assert done.stderr.count(b"\n") == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynlate.reporting import dumps, fnum, format_float, render_table
+from dynlate.reporting import dump, dumps, fnum, format_float, render_table
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -42,6 +42,15 @@ def test_dumps_refuses_non_finite_floats(x):
     # JSON has no text for them; a strict parser rejects Python's
     with pytest.raises(ValueError, match="non-finite"):
         dumps({"x": [1.0, x]})
+
+
+def test_refused_dump_leaves_the_file_unchanged(tmp_path):
+    path = tmp_path / "report.json"
+    dump({"x": 1.0}, str(path))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="non-finite"):
+        dump({"x": [1.0, math.inf]}, str(path))
+    assert path.read_bytes() == before
 
 
 def test_render_table_alignment():

@@ -25,7 +25,7 @@ from dynlate.simulate import (
     rep_rng,
 )
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, make_weak_long_spec
 from randspec import random_spec, static_compliance_spec, variant_spec
 from reference import mean_outcome, reference_monte_carlo, where_draw
 
@@ -247,6 +247,17 @@ class TestMonteCarlo:
         assert summary.row("fs[2]").oracle == 0.0
         with pytest.raises(KeyError):
             summary.row("iv[2]")
+
+    def test_summary_that_overflows_is_undefined(self):
+        # every kept delta is finite, but late ones lie about 1e155 apart and
+        # more, so their squared deviations pass the float range
+        summary = monte_carlo(make_weak_long_spec(200), n=500, reps=10, seed=1,
+                              targets=("identify",))
+        overflowed = [row for row in summary.rows if row.sd is None and row.n_ok >= 2]
+        assert overflowed
+        assert all(row.mean is not None for row in overflowed)
+        for row in summary.rows:
+            assert all(x is None or math.isfinite(x) for x in (row.mean, row.bias, row.sd))
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize(
