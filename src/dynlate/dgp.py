@@ -315,7 +315,7 @@ def _make_term(spec: DgpSpec, label: GroupLabel, t: int, fs_t: float) -> Decompo
 
 def decompose(spec: DgpSpec, t: int) -> DecompositionReport:
     """Exact decomposition of the period-t reduced form by latent group."""
-    _check_period(t, spec.T, lo=2)
+    t = _check_period(t, spec.T, lo=2)
     pop = population_estimands(spec)
     fs_t = pop.fs_at(t)
     lead, *terms = (_make_term(spec, label, t, fs_t) for label in spec.groups if label.switch <= t)

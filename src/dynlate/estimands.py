@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .errors import PeriodOutOfRange
 
@@ -29,12 +30,17 @@ def is_positive(value: float, kind: str) -> bool:
     return value > (POPULATION_ZERO_TOL if kind == "population" else 0.0)
 
 
-def _check_period(t: int, T: int, lo: int = 1) -> None:
-    """Refuse anything but an integer period in lo..T, for estimands and specs."""
+def _check_period(t: int, T: int, lo: int = 1) -> int:
+    """Refuse anything but an integer period in lo..T, for estimands and specs.
+
+    Any integral type but ``bool`` is an integer here (NumPy's too); the
+    period is returned as an ``int``.
+    """
     if T < lo:
         raise PeriodOutOfRange(f"no period in {lo}..{T}: the input has T = {T}")
-    if not isinstance(t, int) or not lo <= t <= T:
+    if not isinstance(t, Integral) or isinstance(t, bool) or not lo <= t <= T:
         raise PeriodOutOfRange(f"period must be in {lo}..{T}, got {t!r}")
+    return int(t)
 
 
 @dataclass(frozen=True)

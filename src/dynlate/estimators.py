@@ -339,7 +339,7 @@ def bound_report(method: str, est: EstimandSet, t: int, lo: float, hi: float) ->
     """
     if method not in BOUND_METHODS:
         raise ValueError(f"unknown bound method {method!r}; valid: {', '.join(BOUND_METHODS)}")
-    _check_period(t, est.T, lo=2)
+    t = _check_period(t, est.T, lo=2)
     _check_ordered(lo, hi)
     if not _signs_ok(method, lo, hi):
         raise SignedBoundViolation(

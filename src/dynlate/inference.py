@@ -41,9 +41,18 @@ def percentile_interval(values: np.ndarray, alpha: float) -> np.ndarray:
     from 1 with linear interpolation at position 1 + q(B - 1) (numpy's
     "linear" method). ``values`` is partitioned in place, so the quantiles
     take no copy of it: pass an array that is not needed afterwards.
+    Interpolating between finite order statistics more than the float
+    range apart overflows in numpy's b - a; such an end is taken as twice
+    the quantile of its column halved, which is exact at those magnitudes,
+    and every other end keeps its bits.
     """
     q = [alpha / 2.0, 1.0 - alpha / 2.0]
-    return np.quantile(values, q, axis=0, method="linear", overwrite_input=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = np.quantile(values, q, axis=0, method="linear", overwrite_input=True)
+        bad = ~np.isfinite(ends)
+        if bad.any():
+            ends[bad] = 2.0 * np.quantile(values / 2.0, q, axis=0, method="linear")[bad]
+    return ends
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dynlate.dgp import (
 from dynlate.errors import PeriodOutOfRange, SchemaMismatch, SpecValidationError
 from dynlate.latent import C1, NEVER, AdoptionPair, GroupLabel
 
-from conftest import GOLDEN_DIR, make_homogeneity_spec
+from conftest import GOLDEN_DIR, make_homogeneity_spec, make_three_history_spec
 from randspec import (
     random_bounded_spec,
     random_homogeneous_spec,
@@ -53,19 +53,6 @@ def toml_text(doc: dict) -> str:
     for h in doc["histories"]:
         lines += ["", "[[histories]]", *(f"{k} = {json.dumps(v)}" for k, v in h.items())]
     return "\n".join(lines) + "\n"
-
-
-def three_history_spec():
-    """T=2 example: compliers (1,never) 0.3, fast adopters (1,2) 0.1, rest never."""
-    return DgpSpec(
-        T=2,
-        pz=0.5,
-        histories=(
-            HistorySpec(P(1, NEVER), 0.3, (0.0, 0.0), ((1.0,), (0.0, 2.0))),
-            HistorySpec(P(1, 2), 0.1, (0.0, 0.0), ((1.0,), (1.5, 2.0))),
-            HistorySpec(P(NEVER, NEVER), 0.6, (0.0, 0.0), ((0.0,), (0.0, 0.0))),
-        ),
-    )
 
 
 class TestSpecValidation:
@@ -112,7 +99,7 @@ class TestPopulationEstimands:
     def test_three_history_example(self):
         # by direct enumeration: E[Y2|z=1] = 0.3*2 + 0.1*2 = 0.8,
         # E[Y2|z=0] = 0.1*1.5 = 0.15, P(D2=1|z=1) = 0.4, P(D2=1|z=0) = 0.1
-        est = population_estimands(three_history_spec())
+        est = population_estimands(make_three_history_spec())
         assert est.rf_at(2) == pytest.approx(0.65, abs=1e-15)
         assert est.fs_at(2) == pytest.approx(0.3, abs=1e-15)
         assert est.iv_at(2) == pytest.approx(13 / 6, rel=1e-14)
@@ -232,7 +219,7 @@ def test_decomposition_and_oracle_against_exact_rationals():
 
 
 def test_cells_are_built_once_and_read_only():
-    spec = three_history_spec()
+    spec = make_three_history_spec()
     cells = spec.cells
     assert spec.cells is cells
     assert dataclasses.replace(spec).cells is not cells
@@ -244,7 +231,7 @@ def test_cells_are_built_once_and_read_only():
 
 
 def test_groups_are_built_once_and_read_only():
-    spec = three_history_spec()
+    spec = make_three_history_spec()
     groups = spec.groups
     assert spec.groups is groups
     assert dataclasses.replace(spec).groups is not groups
@@ -277,7 +264,7 @@ def test_groups_skip_zero_probability_histories():
 class TestTrueDynamicLates:
     def test_three_history_example(self):
         # (0.3*2 + 0.1*2) / 0.4 = 2 at t=2; (0.3*1 + 0.1*1) / 0.4 = 1 at t=1
-        assert true_dynamic_lates(three_history_spec()) == pytest.approx((1.0, 2.0))
+        assert true_dynamic_lates(make_three_history_spec()) == pytest.approx((1.0, 2.0))
 
     def test_constant_effects(self):
         spec = make_calendar_homogeneous(
@@ -291,7 +278,7 @@ class TestTrueDynamicLates:
 
 class TestDecomposition:
     def test_three_history_example(self):
-        rep = decompose(three_history_spec(), 2)
+        rep = decompose(make_three_history_spec(), 2)
         assert rep.lead.probability == pytest.approx(0.4, abs=1e-15)
         assert rep.lead.effect == pytest.approx(2.0)
         assert rep.lead.signed_value == pytest.approx(0.8, abs=1e-15)
@@ -306,7 +293,7 @@ class TestDecomposition:
         assert rep.reconstructed_rf == pytest.approx(rep.rf_t, abs=1e-15)
 
     def test_three_history_weights(self):
-        rep = decompose(three_history_spec(), 2)
+        rep = decompose(make_three_history_spec(), 2)
         assert rep.lead.weight == pytest.approx(4 / 3, rel=1e-14)
         assert rep.terms[0].weight == pytest.approx(-1 / 3, rel=1e-14)
         assert rep.lead.weight + rep.terms[0].weight == pytest.approx(1.0, abs=1e-14)
@@ -345,9 +332,9 @@ class TestDecomposition:
 
     def test_period_out_of_range(self):
         with pytest.raises(PeriodOutOfRange):
-            decompose(three_history_spec(), 1)
+            decompose(make_three_history_spec(), 1)
         with pytest.raises(PeriodOutOfRange):
-            decompose(three_history_spec(), 3)
+            decompose(make_three_history_spec(), 3)
 
     def test_telescoping_of_untreated_arm(self):
         # mean outcome under z=0 for compliers-at-1 equals the untreated
@@ -374,7 +361,7 @@ class TestDecomposition:
 
 class TestNegativeWeightReport:
     def test_three_history_example(self):
-        rep = decompose(three_history_spec(), 2)
+        rep = decompose(make_three_history_spec(), 2)
         assert rep.iv_defined
         assert [str(x.label) for x in rep.negative_terms] == ["C1,AT2"]
 
@@ -541,7 +528,7 @@ class TestEffectRange:
 
     def test_three_history_example(self):
         # only the fast adopters contaminate, at exposure 0 with effect 1.5
-        assert contaminating_effect_range(three_history_spec()) == (0.0, 1.5)
+        assert contaminating_effect_range(make_three_history_spec()) == (0.0, 1.5)
 
     @pytest.mark.parametrize("kind", ["random", "zero-probs", "all-pairs", "negative-zero"])
     def test_matches_per_history_scan(self, kind):
@@ -563,11 +550,11 @@ class TestEffectRange:
 
 class TestSpecFiles:
     def test_dict_round_trip(self):
-        spec = three_history_spec()
+        spec = make_three_history_spec()
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
     def test_json_round_trip(self, tmp_path):
-        spec = three_history_spec()
+        spec = make_three_history_spec()
         path = tmp_path / "spec.json"
         save_spec(spec, str(path))
         assert load_spec(str(path)) == spec
@@ -575,7 +562,7 @@ class TestSpecFiles:
     def test_yaml_round_trip(self, tmp_path):
         import yaml
 
-        spec = three_history_spec()
+        spec = make_three_history_spec()
         path = tmp_path / "spec.yaml"
         path.write_text(yaml.safe_dump(spec_to_dict(spec)))
         assert load_spec(str(path)) == spec
@@ -583,7 +570,7 @@ class TestSpecFiles:
     @pytest.mark.parametrize("seed", [None, 1, 2])
     def test_toml_round_trip(self, tmp_path, seed):
         if seed is None:
-            spec = three_history_spec()
+            spec = make_three_history_spec()
         else:
             spec = random_spec(np.random.default_rng(seed), noise_sd=0.7)
         path = tmp_path / "spec.toml"
@@ -592,7 +579,7 @@ class TestSpecFiles:
 
     @pytest.mark.parametrize("name", ["spec.json", "spec.yaml", "spec.toml"])
     def test_byte_order_mark_is_ignored(self, tmp_path, name):
-        spec = three_history_spec()
+        spec = make_three_history_spec()
         doc = spec_to_dict(spec)
         if name.endswith(".json"):
             text = json.dumps(doc)
@@ -610,7 +597,7 @@ class TestSpecFiles:
 
     def test_second_byte_order_mark_is_text(self, tmp_path):
         path = tmp_path / "spec.json"
-        text = json.dumps(spec_to_dict(three_history_spec()))
+        text = json.dumps(spec_to_dict(make_three_history_spec()))
         path.write_bytes(b"\xef\xbb\xbf" * 2 + text.encode())
         with pytest.raises(SchemaMismatch, match="invalid JSON"):
             load_spec(str(path))
@@ -643,7 +630,7 @@ class TestSpecFiles:
         ],
     )
     def test_malformed_scalar_rejected(self, field, value):
-        doc = spec_to_dict(three_history_spec())
+        doc = spec_to_dict(make_three_history_spec())
         if field in doc:
             doc[field] = value
         else:
@@ -652,25 +639,25 @@ class TestSpecFiles:
             spec_from_dict(doc)
 
     def test_unknown_field_rejected(self):
-        doc = spec_to_dict(three_history_spec())
+        doc = spec_to_dict(make_three_history_spec())
         doc["bogus"] = 1
         with pytest.raises(SchemaMismatch):
             spec_from_dict(doc)
 
     def test_unknown_history_field_rejected(self):
-        doc = spec_to_dict(three_history_spec())
+        doc = spec_to_dict(make_three_history_spec())
         doc["histories"][0]["bogus"] = 1
         with pytest.raises(SchemaMismatch):
             spec_from_dict(doc)
 
     def test_schema_version_checked(self):
-        doc = spec_to_dict(three_history_spec())
+        doc = spec_to_dict(make_three_history_spec())
         doc["schema_version"] = 2
         with pytest.raises(SchemaMismatch):
             spec_from_dict(doc)
 
     def test_never_encoding(self):
-        doc = spec_to_dict(three_history_spec())
+        doc = spec_to_dict(make_three_history_spec())
         assert doc["histories"][0]["s0"] == "never"
         text = json.dumps(doc)
         assert "Infinity" not in text

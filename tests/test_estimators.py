@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dynlate.dgp import (
     DgpSpec,
     HistorySpec,
+    decompose,
     make_calendar_homogeneous,
     population_estimands,
     true_dynamic_lates,
@@ -49,7 +50,9 @@ from dynlate.estimators import (
 )
 from dynlate.latent import NEVER, AdoptionPair
 from dynlate.panel import Panel, ingest
+from dynlate.reporting import bounds_to_dict, decomposition_to_dict, dumps
 
+from conftest import make_three_history_spec
 from randspec import random_spec
 from reference import exact_bound, exact_identify, six_mask_moments
 
@@ -434,6 +437,29 @@ def test_row_kernels_match_exact_arithmetic(inputs):
 def test_bound_report_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown bound method"):
         bound_report("general_unrestricted", make_est(rf=(0.3, 0.1), fs=(0.5, 0.3)), 2, -1, 1)
+
+
+@pytest.mark.parametrize("t", [np.int64(2), np.int32(2)], ids=["int64", "int32"])
+def test_numpy_integer_periods_are_periods(t):
+    spec = make_three_history_spec()
+    est = population_estimands(spec)
+    assert (est.rf_at(t), est.fs_at(t), est.iv_at(t)) == (est.rf[1], est.fs[1], est.iv[1])
+    bounds, parts = bound_report("general", est, t, -1.0, 1.0), decompose(spec, t)
+    assert type(bounds.t) is type(parts.t) is int
+    for doc in (bounds_to_dict(bounds), decomposition_to_dict(parts)):
+        assert dumps(doc).startswith('{\n  "t": 2,\n')
+
+
+@pytest.mark.parametrize("t", [True, 2.0, "2"], ids=["bool", "float", "str"])
+def test_periods_that_are_not_integers_are_refused(t):
+    spec = make_three_history_spec()
+    est = population_estimands(spec)
+    for call in (
+        est.rf_at, est.fs_at, est.iv_at,
+        lambda t: bound_report("general", est, t, -1.0, 1.0), lambda t: decompose(spec, t),
+    ):
+        with pytest.raises(PeriodOutOfRange):
+            call(t)
 
 
 class TestBoundsGeneral:

@@ -59,6 +59,18 @@ class TestPercentileInterval:
         assert lo == pytest.approx(1.75)
         assert hi == pytest.approx(3.25)
 
+    def test_ends_beyond_the_float_range_are_finite(self):
+        assert percentile_interval(np.array([-1e308, 1e308]), 0.05).tolist() == [
+            -9.5e307, 9.5e307
+        ]
+
+    def test_overflowing_column_leaves_the_others_bitwise(self):
+        block = np.array([[-1e308, 1.0], [1e308, 2.0]])
+        want = np.quantile(block[:, 1], [0.025, 0.975], method="linear")
+        got = percentile_interval(block.copy(), 0.05)
+        assert got[:, 0].tolist() == [-9.5e307, 9.5e307]
+        assert np.array_equal(got[:, 1].view(np.uint64), want.view(np.uint64))
+
 
 @pytest.mark.parametrize("T", [1, 2, 5])
 def test_features_match_concatenated_reference_bitwise(T):

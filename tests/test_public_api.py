@@ -1,7 +1,8 @@
 """The public surface: README's quick start runs, dynlate's top-level
 names are pinned, so a name the README or the benchmark uses cannot go
 unnoticed, and the ``dynlate`` console script is ``cli.main``, whose
-module also runs here in fresh processes."""
+module also runs here in fresh processes. The golden reports are also
+checked in a fresh process with one BLAS thread."""
 
 import hashlib
 import os
@@ -95,3 +96,21 @@ def test_entry_point_refuses_a_nul_id(monkeypatch, tmp_path):
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr.startswith(b"error[E_MALFORMED_ROW]: ")
     assert done.stderr.count(b"\n") == 1
+
+
+def test_golden_reports_with_one_blas_thread(monkeypatch):
+    """Bootstrap and Monte Carlo moment rows make no BLAS call, so the golden
+    reports keep their bits when OpenBLAS runs one thread; every other test
+    compares values computed in one process at one BLAS setting."""
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"), prepend=os.pathsep)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "tests/test_cli.py::TestGoldenReports", "tests/test_cli.py::test_stdout_golden",
+        ],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    summary = done.stdout.splitlines()[-1] if done.stdout else ""
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert re.fullmatch(r"\d+ passed in [\d.]+s", summary), summary

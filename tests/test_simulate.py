@@ -25,24 +25,11 @@ from dynlate.simulate import (
     rep_rng,
 )
 
-from conftest import GOLDEN_DIR, make_weak_long_spec
+from conftest import GOLDEN_DIR, make_three_history_spec, make_weak_long_spec
 from randspec import random_spec, static_compliance_spec, variant_spec
 from reference import mean_outcome, reference_monte_carlo, where_draw
 
 P = AdoptionPair
-
-
-def three_history_spec(noise_sd=0.0):
-    return DgpSpec(
-        T=2,
-        pz=0.5,
-        histories=(
-            HistorySpec(P(1, NEVER), 0.3, (0.0, 0.0), ((1.0,), (0.0, 2.0))),
-            HistorySpec(P(1, 2), 0.1, (0.0, 0.0), ((1.0,), (1.5, 2.0))),
-            HistorySpec(P(NEVER, NEVER), 0.6, (0.0, 0.0), ((0.0,), (0.0, 0.0))),
-        ),
-        noise_sd=noise_sd,
-    )
 
 
 def arm_outcome_variance(spec, t, z):
@@ -69,18 +56,18 @@ class TestDrawPanel:
         "n", [1, 9, 10, 11, 99, 100, 999, 1001, 99_999, 100_000, 100_001]
     )
     def test_unit_ids_are_zero_padded_draw_indices(self, n):
-        ids = draw_panel(three_history_spec(), n, seed=3).unit_ids
+        ids = draw_panel(make_three_history_spec(), n, seed=3).unit_ids
         width = len(str(n - 1))
         assert ids.dtype.kind == "U"
         assert tuple(ids.tolist()) == tuple(f"u{i:0{width}d}" for i in range(n))
 
     def test_same_seed_same_panel(self):
-        spec = three_history_spec(noise_sd=0.7)
+        spec = make_three_history_spec(noise_sd=0.7)
         assert draw_panel(spec, 500, seed=42) == draw_panel(spec, 500, seed=42)
         assert draw_panel(spec, 500, seed=42) != draw_panel(spec, 500, seed=43)
 
     def test_history_shares(self):
-        spec = three_history_spec()
+        spec = make_three_history_spec()
         rng = np.random.default_rng(np.random.SeedSequence(123))
         n = 1_000_000
         hist = _histories(rng.random(n), spec.cells.cdf)
@@ -109,7 +96,7 @@ class TestDrawPanel:
         assert _histories(u, cdf).tolist() == cdf.searchsorted(u, side="right").tolist()
 
     def test_estimate_agrees_with_oracle_at_large_n(self):
-        spec = three_history_spec()
+        spec = make_three_history_spec()
         pop = population_estimands(spec)
         n = 200_000
         panel = draw_panel(spec, n, seed=2024)
@@ -160,7 +147,7 @@ def test_usable_cores_counts_the_affinity_set(monkeypatch):
 
 class TestMonteCarlo:
     def test_summary_echoes_request_and_attaches_oracle(self):
-        spec = three_history_spec(noise_sd=0.2)
+        spec = make_three_history_spec(noise_sd=0.2)
         summary = monte_carlo(spec, n=400, reps=5, seed=7)
         assert summary.n == 400 and summary.reps == 5 and summary.seed == 7
         assert summary.row("rf[2]").oracle == pytest.approx(0.65)
@@ -168,7 +155,7 @@ class TestMonteCarlo:
             assert row.n_ok + row.n_failed == 5
 
     def test_determinism_across_thread_counts(self):
-        spec = three_history_spec(noise_sd=0.5)
+        spec = make_three_history_spec(noise_sd=0.5)
         a = monte_carlo(spec, n=300, reps=12, seed=99, threads=1)
         b = monte_carlo(spec, n=300, reps=12, seed=99, threads=4)
         assert a == b
@@ -273,7 +260,7 @@ class TestMonteCarlo:
                 histories=(HistorySpec(P(1, NEVER), 1.0, (0.0,), ((1.0,),)),),
             )
         else:
-            spec = three_history_spec(noise_sd=0.5)
+            spec = make_three_history_spec(noise_sd=0.5)
         want, want_rows = mc_with_rows(monkeypatch, spec, n, reps, threads=1)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
         if min_n is None:
@@ -314,7 +301,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(simulate, "_MC_MIN_N", 200)
         monkeypatch.setattr(simulate, "_MC_MIN_UNITS", 1000)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
-        spec = three_history_spec(noise_sd=0.5)
+        spec = make_three_history_spec(noise_sd=0.5)
         got = monte_carlo(spec, n=n, reps=reps, seed=4, threads=threads)
         assert pool_sizes == ([workers] if workers > 1 else [])
         monkeypatch.undo()
@@ -348,7 +335,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(simulate, "_MC_MIN_UNITS", 1)
         monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
         monkeypatch.setattr(inference, "_FILL_MIN_UNITS", 1)
-        spec = three_history_spec(noise_sd=0.5)
+        spec = make_three_history_spec(noise_sd=0.5)
         runs = [
             lambda: monte_carlo(spec, n=50, reps=reps, seed=4, threads=threads),
             lambda: inference._resample_moments(draw_panel(spec, 50, 4), reps, 4, threads),
@@ -363,20 +350,20 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("n", [0, -5])
     def test_rejects_nonpositive_n(self, n):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            monte_carlo(three_history_spec(), n=n, reps=2, seed=1)
+            monte_carlo(make_three_history_spec(), n=n, reps=2, seed=1)
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_rejects_nonpositive_threads(self, threads):
         with pytest.raises(ValueError, match="threads must be >= 1"):
-            monte_carlo(three_history_spec(), n=50, reps=2, seed=1, threads=threads)
+            monte_carlo(make_three_history_spec(), n=50, reps=2, seed=1, threads=threads)
 
     def test_rejects_empty_targets(self):
         with pytest.raises(ValueError, match="at least one"):
-            monte_carlo(three_history_spec(), n=50, reps=2, seed=1, targets=())
+            monte_carlo(make_three_history_spec(), n=50, reps=2, seed=1, targets=())
 
     @pytest.mark.parametrize("pz", [0.0, 1.0])
     def test_rejects_single_arm_spec(self, pz):
-        spec = dataclasses.replace(three_history_spec(), pz=pz)
+        spec = dataclasses.replace(make_three_history_spec(), pz=pz)
         with pytest.raises(DegenerateInstrument) as err:
             monte_carlo(spec, n=50, reps=2, seed=1)
         assert err.value.code == "E_DEGENERATE"
