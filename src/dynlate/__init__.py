@@ -22,6 +22,7 @@ from .errors import (
     DynlateError,
     InstrumentVariesWithinUnit,
     MalformedRow,
+    NonFiniteResult,
     PeriodOutOfRange,
     RelevanceFailure,
     SchemaMismatch,

@@ -24,7 +24,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import SchemaMismatch, SpecValidationError
-from .estimands import POPULATION_ZERO_TOL, EstimandSet, _check_period, is_positive, is_zero
+from .estimands import POPULATION_ZERO_TOL, EstimandSet, _check_period, is_integer
+from .estimands import is_positive, is_zero
 from .estimators import moment_features
 from .latent import C1, NEVER, AdoptionPair, GroupLabel, switcher_group_labels
 
@@ -122,8 +123,9 @@ class DgpSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "histories", tuple(self.histories))
-        if not isinstance(self.T, int) or self.T < 1:
+        if not is_integer(self.T) or self.T < 1:
             raise SpecValidationError(f"T must be an integer >= 1, got {self.T!r}")
+        object.__setattr__(self, "T", int(self.T))
         if not 0.0 <= self.pz <= 1.0:
             raise SpecValidationError(f"pz must be in [0, 1], got {self.pz!r}")
         if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
@@ -437,7 +439,7 @@ def spec_from_dict(doc: dict) -> DgpSpec:
     if not isinstance(doc, dict):
         raise SchemaMismatch("spec document must be a mapping")
     version = doc.get("schema_version")
-    if not _is_integer(version) or version != SCHEMA_VERSION:
+    if not is_integer(version) or version != SCHEMA_VERSION:
         raise SchemaMismatch(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
@@ -479,7 +481,7 @@ def spec_from_dict(doc: dict) -> DgpSpec:
             )
         )
     T = doc["T"]
-    if not _is_integer(T):
+    if not is_integer(T):
         raise SchemaMismatch(f"T must be an integer, got {T!r}")
     return DgpSpec(
         T=T,
@@ -489,13 +491,9 @@ def spec_from_dict(doc: dict) -> DgpSpec:
     )
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _number(v, what: str) -> float:
     """A spec scalar: a real number, as JSON, YAML and TOML parse it (not a bool)."""
-    if not (_is_integer(v) or isinstance(v, float)):
+    if not (is_integer(v) or isinstance(v, float)):
         raise SchemaMismatch(f"{what} must be a number, got {v!r}")
     try:
         return float(v)
@@ -512,7 +510,7 @@ def _numbers(v, what: str) -> tuple[float, ...]:
 def _adoption_time(v) -> float:
     if v == "never":
         return NEVER
-    if not _is_integer(v):
+    if not is_integer(v):
         raise ValueError(f"adoption period must be an integer or 'never', got {v!r}")
     return v
 

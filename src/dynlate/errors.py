@@ -86,6 +86,13 @@ class AllReplicationsFailed(DynlateError):
     code = "E_ALL_FAILED"
 
 
+class NonFiniteResult(DynlateError, ValueError):
+    """A result is not finite: a report float with no JSON text, or an
+    outcome range that overflows the float range."""
+
+    code = "E_NONFINITE"
+
+
 class AssumptionRequired(DynlateError):
     """An output was requested without declaring the assumption it relies on."""
 

@@ -30,15 +30,18 @@ def is_positive(value: float, kind: str) -> bool:
     return value > (POPULATION_ZERO_TOL if kind == "population" else 0.0)
 
 
-def _check_period(t: int, T: int, lo: int = 1) -> int:
-    """Refuse anything but an integer period in lo..T, for estimands and specs.
+def is_integer(value) -> bool:
+    """The library's one integer rule, for periods, T, adoption times and run
+    sizes: any ``numbers.Integral`` (NumPy's integers too) but ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
-    Any integral type but ``bool`` is an integer here (NumPy's too); the
-    period is returned as an ``int``.
-    """
+
+def _check_period(t: int, T: int, lo: int = 1) -> int:
+    """Refuse anything but an :func:`is_integer` period in lo..T, for
+    estimands and specs; the period is returned as an ``int``."""
     if T < lo:
         raise PeriodOutOfRange(f"no period in {lo}..{T}: the input has T = {T}")
-    if not isinstance(t, Integral) or isinstance(t, bool) or not lo <= t <= T:
+    if not is_integer(t) or not lo <= t <= T:
         raise PeriodOutOfRange(f"period must be in {lo}..{T}, got {t!r}")
     return int(t)
 

@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateInstrument, RelevanceFailure, SignedBoundViolation
+from .errors import DegenerateInstrument, NonFiniteResult, RelevanceFailure
+from .errors import SignedBoundViolation
 from .estimands import EstimandSet, _check_period, is_positive, is_zero
 from .panel import Panel
 
@@ -77,14 +78,15 @@ def moment_estimands(M: np.ndarray):
 
     rf_t and fs_t are differences of arm means of y and d; sw0 and sw1 are
     the arm-wise shares of units treated at t but not at 1. Rows without
-    both arms hold NaN.
+    both arms hold NaN, and an rf past the float range an infinity.
     """
     T = M.shape[1] // 6
     n1, n0 = M[:, :1], M[:, 1:2]
     sums = np.split(M[:, 2:], np.cumsum([T, T, T, T, T - 1]), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         y1, y0, d1, d0, sw1, sw0 = (s / n for s, n in zip(sums, (n1, n0) * 3))
-    return (n1[:, 0] > 0) & (n0[:, 0] > 0), y1 - y0, d1 - d0, sw0, sw1
+        rf = y1 - y0
+    return (n1[:, 0] > 0) & (n0[:, 0] > 0), rf, d1 - d0, sw0, sw1
 
 
 def estimate(panel: Panel) -> EstimandSet:
@@ -300,7 +302,8 @@ def bound_rows(method, rf, fs, sw0, sw1, t, lo, hi):
       and the increases fs_k - fs_{k-1} > 0 for k <= t.
     """
     fs1 = fs[:, 0]
-    base = rf[:, t - 1] / fs1
+    with np.errstate(over="ignore"):  # an overflow is inf, which callers test for
+        base = rf[:, t - 1] / fs1
     fst = fs[:, t - 1]
     if method == "tight":
         diffs = fs[:, : t - 1] - fs[:, 1:t]  # column k-2 holds fs_{k-1} - fs_k
@@ -444,8 +447,8 @@ def target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight=True, kind="
     T = rf.shape[1]
     every = np.ones(rf.shape[0], dtype=bool)
     columns = []
-    # rows outside ``ok`` may divide by a zero first stage
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # rows outside ``ok`` may divide by a zero first stage, or overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if "estimands" in targets:
             for t in range(1, T + 1):
                 columns.append((f"rf[{t}]", rf[:, t - 1], every))
@@ -494,8 +497,16 @@ def target_row(est: EstimandSet, targets, lo, hi, include_tight=True):
 
 
 def outcome_range_bounds(panel: Panel) -> tuple[float, float]:
-    """Default effect bounds +-(max(y) - min(y)) from the observed outcome range."""
-    spread = float(panel.y.max() - panel.y.min())
+    """Default effect bounds +-(max(y) - min(y)) from the observed outcome range.
+
+    A range wider than the float range is refused with :class:`NonFiniteResult`.
+    """
+    spread = float(panel.y.max()) - float(panel.y.min())  # a Python float overflows to inf
+    if not math.isfinite(spread):
+        raise NonFiniteResult(
+            "the outcome range max(y) - min(y) overflows the float range;"
+            " give the effect bounds with --bounds lo,hi"
+        )
     return -spread, spread
 
 

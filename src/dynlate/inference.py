@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllReplicationsFailed
-from .estimands import is_zero
+from .estimands import is_integer, is_zero
 from .estimators import ALL_TARGETS, estimate, moment_estimands, moment_features
 from .estimators import masked_blocks, outcome_range_bounds, target_columns, target_row
 from .panel import Panel
-from .simulate import _fill_rows, rep_rng
+from .simulate import _fill_rows
 
 
 def percentile_interval(values: np.ndarray, alpha: float) -> np.ndarray:
@@ -121,8 +121,8 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     cells' starts are read off one ``bincount`` of it. Each cell and each
     arm is then one block, the z=0 arm first. The outcomes are copied into
     that order one period at a time, and the sort is kept only as its
-    inverse, each unit's ``rank`` in cell order. Resample r maps its
-    ``rep_rng(seed, r)`` draws through ``rank`` and counts them in cell
+    inverse, each unit's ``rank`` in cell order. Resample r maps the
+    draws of its stream (seed, r) through ``rank`` and counts them in cell
     order with a ``bincount`` weighted by ones: float64 weights that are
     exact integers. Its integer columns are the cells' counts, cast to
     intp, times the cells' integer features: exact. Its 2T y columns are
@@ -130,7 +130,7 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     (``einsum``), so with non-dyadic y their last bits can differ from
     ``arm_sums``' unit order. No step calls BLAS. One worker of
     :func:`~dynlate.simulate._fill_rows` (floors ``_FILL_MIN_N`` and
-    ``_FILL_MIN_UNITS``) computes the whole row, so it depends only on
+    ``_FILL_MIN_UNITS``) writes the whole row, so it depends only on
     (panel, seed, r): not on ``threads``, ``reps``, execution order or the
     BLAS thread count. Working set beyond the panel and the rows: the
     (T, n) cell-ordered outcomes, ``rank``, the shared ones, and two
@@ -156,19 +156,15 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     del key, order
     ones = np.ones(n)
     n0 = int(np.count_nonzero(panel.z == 0))
-    M = np.empty((reps, 6 * T))
 
-    def fill(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            cells = rank.take(rep_rng(seed, r).integers(0, n, n))
-            weights = np.bincount(cells, weights=ones, minlength=n)
-            np.matmul(np.add.reduceat(weights, starts).astype(np.intp), features, out=M[r])
-            for j, arm in ((2, slice(n0, n)), (2 + T, slice(0, n0))):
-                M[r, j : j + T] = np.einsum("ji,i->j", ys[:, arm], weights[arm])
-            del cells, weights  # freed before the next resample draws
+    def write(rng: np.random.Generator, out: np.ndarray) -> None:
+        cells = rank.take(rng.integers(0, n, n))
+        weights = np.bincount(cells, weights=ones, minlength=n)
+        np.matmul(np.add.reduceat(weights, starts).astype(np.intp), features, out=out)
+        for j, arm in ((2, slice(n0, n)), (2 + T, slice(0, n0))):
+            out[j : j + T] = np.einsum("ji,i->j", ys[:, arm], weights[arm])
 
-    _fill_rows(fill, reps, n, threads, _FILL_MIN_N, _FILL_MIN_UNITS)
-    return M
+    return _fill_rows(lambda: write, T, reps, n, seed, threads, _FILL_MIN_N, _FILL_MIN_UNITS)
 
 
 def bootstrap(
@@ -198,12 +194,11 @@ def bootstrap(
     evaluates the same functional. ``include_tight=False`` leaves out the
     tight bounds, whose assumption the caller has not declared.
     """
-    if reps < 2:
+    if not is_integer(reps) or reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
+    reps = int(reps)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     targets = tuple(targets)
     if "bounds" in targets:
         if lo is None or hi is None:

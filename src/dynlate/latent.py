@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import PeriodOutOfRange
+from .estimands import is_integer
 
 NEVER: float = math.inf
 """Adoption-time sentinel for units never treated under an arm."""
@@ -47,7 +48,7 @@ class AdoptionPair:
             if v == NEVER:
                 object.__setattr__(self, name, NEVER)
                 continue
-            if not (isinstance(v, (int, float)) and float(v).is_integer() and v >= 1):
+            if not (is_integer(v) and v >= 1):
                 raise ValueError(f"{name} must be a period >= 1 or NEVER, got {v!r}")
             object.__setattr__(self, name, int(v))
 
@@ -95,6 +96,13 @@ class GroupLabel:
     def __post_init__(self):
         if self.kind not in _RUNS:
             raise ValueError(f"unknown group kind {self.kind!r}")
+        if not is_integer(self.switch) or not (self.entry is None or is_integer(self.entry)):
+            raise ValueError(
+                f"switch and entry must be integer periods, got {self.switch!r}, {self.entry!r}"
+            )
+        object.__setattr__(self, "switch", int(self.switch))
+        if self.entry is not None:
+            object.__setattr__(self, "entry", int(self.entry))
         if self.kind == "C1" and self.switch != 1:
             raise ValueError("C1 has switch period 1")
         if self.kind in {"CAT", "NTC", "NTF"} and self.switch < 2:
@@ -139,8 +147,9 @@ C1 = GroupLabel("C1", 1)
 
 def switcher_group_labels(t: int) -> tuple[tuple[GroupLabel, ...], tuple[GroupLabel, ...]]:
     """Group labels switching into treatment at ``t``: (under z=1, under z=0)."""
-    if not isinstance(t, int) or t < 2:
+    if not is_integer(t) or t < 2:
         raise PeriodOutOfRange(f"switch period must be an integer >= 2, got {t!r}")
+    t = int(t)
     plus = (GroupLabel("NTC", t),) + tuple(
         GroupLabel("NTFAT", t, l) for l in range(2, t)
     )

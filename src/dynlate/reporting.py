@@ -3,7 +3,8 @@
 JSON output is written by a small dedicated serializer so that floats are
 rendered with 17 significant digits (lossless round-trip) and byte-for-byte
 stable across runs. Report dictionaries are built in a fixed key order.
-A float that is not finite has no JSON text and is refused.
+A float that is not finite has no JSON text and is refused
+(:class:`~dynlate.errors.NonFiniteResult`).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import asdict
 
 from .dgp import DecompositionReport
+from .errors import NonFiniteResult
 from .estimators import NegativeWeightFlag
 
 REPORT_SCHEMA_VERSION = 1
@@ -52,7 +54,7 @@ def _write(obj, out: list[str], level: int) -> None:
         out.append(str(obj))
     elif isinstance(obj, float):
         if not math.isfinite(obj):
-            raise ValueError(f"cannot write the non-finite float {obj!r} to JSON")
+            raise NonFiniteResult(f"cannot write the non-finite float {obj!r} to JSON")
         out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))

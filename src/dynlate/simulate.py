@@ -32,6 +32,7 @@ import numpy as np
 
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
 from .errors import DegenerateInstrument
+from .estimands import is_integer
 from .estimators import ALL_TARGETS, masked_blocks, moment_estimands, target_columns, target_row
 from .estimators import unit_sums
 from .panel import Panel
@@ -53,24 +54,35 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_rows(fill, reps: int, n: int, threads: int, min_n: int, min_units: int) -> None:
-    """Run ``fill(lo, hi)`` over ``reps`` rows, one sample of n units each.
+def _fill_rows(worker, T: int, reps: int, n: int, seed: int, threads: int, min_n: int,
+               min_units: int) -> np.ndarray:
+    """The (reps, 6T) moment rows of ``reps`` samples of n units each.
 
-    The one worker rule for Monte Carlo replications and bootstrap
-    resamples: at most one thread per row, per usable core, per requested
-    thread and per ``min_units`` unit draws (reps x n); inline, with a
-    plain ``map``, when n < min_n or one worker is left. A pool costs a
-    few ms per call whatever the work, so the draws in all decide whether
-    it pays; small samples lose even with many draws. The rows go in
-    balanced contiguous ranges, one per worker; each ``fill`` call
-    computes and writes whole rows, so the result does not depend on the
-    worker count.
+    The one replication driver: each worker calls the row-writer factory
+    ``worker()`` once and writes row r of its range as
+    ``write(rep_rng(seed, r), M[r])``. At most one thread per row, per
+    usable core, per requested thread and per ``min_units`` unit draws
+    (reps x n); inline, with a plain ``map``, when n < min_n or one worker
+    is left. A pool costs a few ms per call whatever the work, so the draws
+    in all decide whether it pays; small samples lose even with many draws.
+    The rows go in balanced contiguous ranges, one per worker, and a row
+    depends only on (writer input, seed, r), not on the worker count.
     """
+    if not is_integer(threads) or threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    M = np.empty((reps, 6 * T))
+
+    def fill(start: int, stop: int) -> None:
+        write = worker()
+        for r in range(start, stop):
+            write(rep_rng(seed, r), M[r])
+
     workers = 1 if n < min_n else max(1, min(threads, reps, reps * n // min_units, _usable_cores()))
     cuts = [w * reps // workers for w in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         list(run(fill, cuts[:-1], cuts[1:]))
+    return M
 
 
 _MC_MIN_N = 4096
@@ -177,7 +189,7 @@ def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
     Adoption pairs make treatment paths irreversible by construction, so
     the result always passes panel validation.
     """
-    if n < 1:
+    if not is_integer(n) or n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z, d, y = _draw_arrays(spec, n, rng)
@@ -264,12 +276,11 @@ def monte_carlo(
     block (:func:`~dynlate.estimators.masked_blocks`), each row with the
     bits of the call on its own column.
     """
-    if n < 1:
+    if not is_integer(n) or n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if reps < 1:
+    if not is_integer(reps) or reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    n, reps = int(n), int(reps)
     if not 0.0 < spec.pz < 1.0:
         raise DegenerateInstrument(f"pz = {spec.pz} puts every unit in one instrument arm")
     targets = tuple(targets)
@@ -279,15 +290,8 @@ def monte_carlo(
     # fs_1 = P(C1) > 0 for a valid spec, so the oracle keeps every identify
     # and bounds target
     oracle = target_row(population_estimands(spec), targets, lo, hi)
-
-    M = np.empty((reps, 6 * spec.T))
-
-    def fill(start: int, stop: int) -> None:
-        draws = _Draws(spec, n)
-        for r in range(start, stop):
-            draws.moment_row(rep_rng(seed, r), M[r])
-
-    _fill_rows(fill, reps, n, threads, _MC_MIN_N, _MC_MIN_UNITS)
+    M = _fill_rows(lambda: _Draws(spec, n).moment_row, spec.T, reps, n, seed, threads,
+                   _MC_MIN_N, _MC_MIN_UNITS)
     both_arms, *moments = moment_estimands(M)
     replicated = target_columns(*moments, targets, lo, hi)
     kept = [

@@ -230,6 +230,73 @@ class TestErrorContract:
         assert "bootstrap" in out
 
 
+def write_panel(tmp_path, name, rows):
+    path = tmp_path / name
+    path.write_text("\n".join(["unit_id,period,z,d,y", *rows]) + "\n")
+    return str(path)
+
+
+@pytest.fixture
+def edge_panel(tmp_path):
+    """A valid panel with y of +-1e308: max(y) - min(y) and iv[1] = 3e308 pass the float range."""
+    return write_panel(tmp_path, "edge.csv", [
+        "a,1,1,1,1e308", "a,2,1,1,1e308", "b,1,0,0,-1e308", "b,2,0,0,-1e308",
+        "c,1,1,0,0", "c,2,1,1,0",
+    ])
+
+
+class TestFloatRangeEdge:
+    """Results past the float range are refused or dropped, never an internal error.
+
+    Tier-1 turns every RuntimeWarning into an error, so an overflow that
+    warns would exit 1 here.
+    """
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds"], "the outcome range max(y) - min(y) overflows the float range;"
+                     " give the effect bounds with --bounds lo,hi"),
+        (["bootstrap", "--reps", "50", "--seed", "1"],
+         "the outcome range max(y) - min(y) overflows the float range;"
+         " give the effect bounds with --bounds lo,hi"),
+        (["estimate"], "cannot write the non-finite float inf to JSON"),
+        (["bounds", "--bounds", "-1,1"], "cannot write the non-finite float inf to JSON"),
+    ], ids=["bounds", "bootstrap", "estimate-json", "bounds-json"])
+    def test_refused_with_one_error_line(self, capsys, edge_panel, tmp_path, argv, message):
+        report = tmp_path / "report.json"
+        report.write_text("kept\n")
+        code, _, err = run(
+            capsys, argv[0], "--panel", edge_panel, *argv[1:], "--json", str(report)
+        )
+        assert (code, err) == (2, f"error[E_NONFINITE]: {message}\n")
+        assert report.read_text() == "kept\n"
+
+    def test_bootstrap_with_bounds_drops_what_overflows(self, capsys, edge_panel, tmp_path):
+        report = tmp_path / "boot.json"
+        code, _, err = run(
+            capsys, "bootstrap", "--panel", edge_panel, "--reps", "50", "--seed", "1",
+            "--bounds", "-1,1", "--json", str(report),
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(report.read_text(), parse_constant=_refuse_constant)
+        names = {t["name"] for t in doc["outputs"]["bootstrap"]["targets"]}
+        # iv[1] = rf_1 / fs_1 and the bounds' rf_2 / fs_1 overflow in every resample
+        assert "rf[1]" in names and "iv[1]" not in names and "general_lower[2]" not in names
+
+    def test_arm_means_a_float_range_apart(self, capsys, tmp_path):
+        # rf_1 = 1e308 - (-1e308) overflows in the difference of the arm means
+        panel = write_panel(tmp_path, "two.csv", [
+            "a,1,1,1,1e308", "a,2,1,1,1e308", "b,1,0,0,-1e308", "b,2,0,0,-1e308",
+        ])
+        code, out, err = run(capsys, "estimate", "--panel", panel)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].split()[:3] == ["1", "inf", "1"]
+        code, _, err = run(
+            capsys, "bootstrap", "--panel", panel, "--reps", "30", "--seed", "1",
+            "--bounds", "-1,1",
+        )
+        assert (code, err) == (0, "")
+
+
 class TestCheck:
     def test_panel(self, capsys, small_panel_csv):
         code, out, _ = run(capsys, "check", "--panel", small_panel_csv)

@@ -694,3 +694,38 @@ class TestSpecFiles:
         assert str(info.value) == (
             f"unrecognized spec extension for {path!r}; use .json, .yaml, or .toml"
         )
+
+
+@pytest.mark.parametrize("cast", [np.int64, np.int32], ids=["int64", "int32"])
+def test_numpy_integers_are_spec_integers(tmp_path, cast):
+    spec = load_spec(str(GOLDEN_DIR / "spec_t4_six_history.json"))
+    numpy_spec = dataclasses.replace(spec, T=cast(4))
+    assert numpy_spec == spec and type(numpy_spec.T) is int
+    path = tmp_path / "spec.json"
+    save_spec(numpy_spec, str(path))
+    assert load_spec(str(path)) == spec
+    # the reader takes them too, as a YAML or programmatic document may hold them
+    doc = spec_to_dict(spec)
+    doc["schema_version"], doc["T"] = cast(1), cast(4)
+    for h in doc["histories"]:
+        h["s1"], h["s0"] = (s if s == "never" else cast(s) for s in (h["s1"], h["s0"]))
+    assert spec_from_dict(doc) == spec
+
+
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+def test_spec_integers_that_are_not_integers_are_refused(value):
+    # a one-period spec, so that T = True is refused as T, not as a horizon mismatch
+    spec = DgpSpec(1, 0.5, (
+        HistorySpec(AdoptionPair(1, NEVER), 0.5, (0.0,), ((1.0,),)),
+        HistorySpec(AdoptionPair(NEVER, NEVER), 0.5, (0.0,), ((0.0,),)),
+    ))
+    with pytest.raises(SpecValidationError, match="T must be an integer"):
+        dataclasses.replace(spec, T=value)
+    doc = spec_to_dict(spec)
+    doc["T"] = value
+    with pytest.raises(SchemaMismatch, match="T must be an integer"):
+        spec_from_dict(doc)
+    doc = spec_to_dict(spec)
+    doc["histories"][1]["s0"] = value
+    with pytest.raises(SchemaMismatch, match="adoption period must be an integer"):
+        spec_from_dict(doc)

@@ -364,6 +364,23 @@ def test_resamples_above_the_fill_floor_independent_of_threads(
     assert threaded_pools == [threads]
 
 
+@pytest.mark.parametrize("cast", [np.int64, np.int32], ids=["int64", "int32"])
+def test_numpy_integer_resample_counts(cast):
+    panel = noisy_panel(300)
+    got = bootstrap(panel, reps=cast(10), alpha=0.1, seed=3, threads=cast(2))
+    assert got == bootstrap(panel, reps=10, alpha=0.1, seed=3)
+    assert type(got.reps) is type(got.targets[0].n_failed) is int
+
+
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+def test_resample_counts_that_are_not_integers_are_refused(value):
+    panel = noisy_panel(300)
+    with pytest.raises(ValueError, match="reps must be >= 2"):
+        bootstrap(panel, reps=value, alpha=0.1, seed=3)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        bootstrap(panel, reps=10, alpha=0.1, seed=3, threads=value)
+
+
 class TwoUnitRng:
     """Stand-in for ``rep_rng``: draws only units 0 and 1, so counts reach about n/2."""
 
@@ -415,7 +432,7 @@ def test_fill_with_more_workers_than_cores(monkeypatch, threaded_pools):
     panel = dyadic_panel(600)
     counts, want = exact_moments(panel, TwoUnitRng, 9, 200)
     assert (counts.max(axis=1) > 255).all()
-    monkeypatch.setattr(inference, "rep_rng", TwoUnitRng)
+    monkeypatch.setattr(simulate, "rep_rng", TwoUnitRng)
     force_fill_pool(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -470,7 +487,7 @@ def test_counts_above_uint8_are_kept_exact(monkeypatch, threaded_pools, threads)
     panel = dyadic_panel(600)
     counts, want = exact_moments(panel, TwoUnitRng, 4, reps)
     assert (counts.max(axis=1) > 255).all()
-    monkeypatch.setattr(inference, "rep_rng", TwoUnitRng)
+    monkeypatch.setattr(simulate, "rep_rng", TwoUnitRng)
     force_fill_pool(monkeypatch)
     assert np.array_equal(_resample_moments(panel, reps, 4, threads), want)
     assert threaded_pools == ([threads] if threads > 1 else [])

@@ -1,6 +1,7 @@
 """Latent-history algebra: adoption pairs and group labels, against the
 paper's taxonomy in reference.py (types, enumeration, switcher sets)."""
 
+import numpy as np
 import pytest
 
 from dynlate.errors import PeriodOutOfRange
@@ -187,3 +188,28 @@ class TestGroupLabels:
     def test_c1_members(self):
         want = {P(1, 2), P(1, 3), P(1, NEVER)}
         assert set(GroupLabel("C1", 1).members(3)) == want
+
+
+@pytest.mark.parametrize("cast", [np.int64, np.int32], ids=["int64", "int32"])
+def test_numpy_integers_are_periods(cast):
+    pair = AdoptionPair(cast(2), NEVER)
+    assert pair == AdoptionPair(2, NEVER) and type(pair.s1) is int
+    label = GroupLabel("NTCAT", cast(4), cast(2))
+    assert label == GroupLabel("NTCAT", 4, 2) and str(label) == "NT1,C2:3,AT4"
+    assert type(label.switch) is type(label.entry) is int
+    assert label.members(5) == GroupLabel("NTCAT", 4, 2).members(5)
+    assert switcher_group_labels(cast(3)) == switcher_group_labels(3)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5], ids=["bool", "float", "fraction"])
+def test_periods_that_are_not_integers_are_refused(value):
+    for make in (
+        lambda: AdoptionPair(value, NEVER),
+        lambda: AdoptionPair(3, value),
+        lambda: GroupLabel("NTC", value),
+        lambda: GroupLabel("NTCAT", 3, value),
+    ):
+        with pytest.raises(ValueError):
+            make()
+    with pytest.raises(PeriodOutOfRange):
+        switcher_group_labels(value)

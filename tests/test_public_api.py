@@ -27,9 +27,9 @@ PUBLIC_NAMES = {
     "population_estimands", "save_spec", "true_dynamic_lates",
     # errors
     "AllReplicationsFailed", "AssumptionRequired", "DegenerateInstrument", "DynlateError",
-    "InstrumentVariesWithinUnit", "MalformedRow", "PeriodOutOfRange", "RelevanceFailure",
-    "SchemaMismatch", "SignedBoundViolation", "SpecValidationError", "TreatmentReversal",
-    "UnbalancedPanel",
+    "InstrumentVariesWithinUnit", "MalformedRow", "NonFiniteResult", "PeriodOutOfRange",
+    "RelevanceFailure", "SchemaMismatch", "SignedBoundViolation", "SpecValidationError",
+    "TreatmentReversal", "UnbalancedPanel",
     # estimands, estimators and inference
     "EstimandSet", "BoundsReport", "IdentifiedProfile", "NegativeWeightFlag",
     "NegativeWeightStatus", "PanelDiagnostics", "bounds_general", "bounds_general_unrestricted",

@@ -18,6 +18,7 @@ from dynlate.inference import bootstrap
 from dynlate.latent import NEVER, AdoptionPair
 from dynlate.simulate import (
     _draw_arrays,
+    _fill_rows,
     _histories,
     _usable_cores,
     draw_panel,
@@ -143,6 +144,56 @@ def test_usable_cores_counts_the_affinity_set(monkeypatch):
     assert _usable_cores() == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _usable_cores() == 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fill_rows_writes_row_r_from_its_stream(monkeypatch, threaded_pools, threads):
+    # floors forced down, so two threads split the 7 rows between two workers
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
+    written = []
+
+    def worker():
+        rows = []
+        written.append(rows)
+
+        def write(rng, out):
+            rows.append(out)
+            out[:] = rng.random(len(out))
+
+        return write
+
+    T, reps, seed = 2, 7, 11
+    M = _fill_rows(worker, T, reps, 5, seed, threads, 1, 1)
+    assert threaded_pools == ([2] if threads == 2 else [])
+    assert len(written) == threads  # one writer per worker
+    assert sum(map(len, written)) == reps
+    assert all(out.base is M for rows in written for out in rows)
+    want = np.array([rep_rng(seed, r).random(6 * T) for r in range(reps)])
+    assert M.shape == (reps, 6 * T) and M.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+        _fill_rows(worker, T, reps, 5, seed, 0, 1, 1)
+
+
+@pytest.mark.parametrize("cast", [np.int64, np.int32], ids=["int64", "int32"])
+def test_numpy_integer_run_sizes(cast):
+    spec = make_three_history_spec(noise_sd=0.5)
+    assert draw_panel(spec, cast(50), seed=3) == draw_panel(spec, 50, seed=3)
+    got = monte_carlo(spec, n=cast(50), reps=cast(3), seed=4, threads=cast(2))
+    assert got == monte_carlo(spec, n=50, reps=3, seed=4)
+    assert type(got.n) is type(got.reps) is type(got.rows[0].n_failed) is int
+
+
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+def test_run_sizes_that_are_not_integers_are_refused(value):
+    spec = make_three_history_spec()
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        draw_panel(spec, value, seed=3)
+    for name, kwargs in (
+        ("n", dict(n=value, reps=2)), ("reps", dict(n=50, reps=value)),
+        ("threads", dict(n=50, reps=2, threads=value)),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            monte_carlo(spec, seed=1, **kwargs)
 
 
 class TestMonteCarlo:
