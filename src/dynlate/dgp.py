@@ -155,6 +155,18 @@ class DgpSpec:
             raise SpecValidationError(
                 f"history probabilities sum to {total!r}, expected 1 within 1e-12"
             )
+        # every contrast p_h * gap is then finite, and so is each fsum of them
+        cells, H = self.cells, len(self.histories)
+        with np.errstate(over="ignore"):
+            gap = cells.effect[H:] - cells.effect[:H]
+        for what, table in (("cell mean", cells.mean), ("arm effect difference", gap)):
+            bad = np.argwhere(~np.isfinite(table))
+            if len(bad):
+                row, t = bad[0]
+                raise SpecValidationError(
+                    f"history {self.histories[row % H].pair}: {what} at t={t + 1}"
+                    " overflows the float range"
+                )
         if not is_positive(self.p_c1, "population"):
             raise SpecValidationError(
                 "relevance fails: no first-period compliers (P(C1) is zero)"
@@ -167,7 +179,7 @@ class DgpSpec:
 
     @cached_property
     def cells(self) -> _Cells:
-        """The spec's :class:`_Cells`, built with it: validation reads ``p_c1``."""
+        """The spec's :class:`_Cells`, built with it: validation reads it."""
         H, periods = len(self.histories), range(1, self.T + 1)
         prob = np.array([h.prob for h in self.histories], dtype=np.float64)
         cdf = prob.cumsum()
@@ -175,7 +187,8 @@ class DgpSpec:
         cells = [(h, h.pair.adoption(z)) for z in (0, 1) for h in self.histories]
         d = np.array([[a <= t for t in periods] for _, a in cells], dtype=np.int8)
         effect = np.array([[h.treated_effect(t, a) for t in periods] for h, a in cells])
-        mean = np.array([h.baseline for h, _ in cells]) + effect + 0.0  # -0.0 to +0.0
+        with np.errstate(over="ignore"):  # validation refuses a mean past the float range
+            mean = np.array([h.baseline for h, _ in cells]) + effect + 0.0  # -0.0 to +0.0
         features = moment_features(np.repeat([0, 1], H), d, np.zeros(d.shape)).astype(np.intp)
         table = _Cells(prob, cdf, d, effect, mean, features)
         for column in vars(table).values():

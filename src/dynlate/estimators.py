@@ -302,28 +302,30 @@ def bound_rows(method, rf, fs, sw0, sw1, t, lo, hi):
       and the increases fs_k - fs_{k-1} > 0 for k <= t.
     """
     fs1 = fs[:, 0]
-    with np.errstate(over="ignore"):  # an overflow is inf, which callers test for
-        base = rf[:, t - 1] / fs1
     fst = fs[:, t - 1]
-    if method == "tight":
-        diffs = fs[:, : t - 1] - fs[:, 1:t]  # column k-2 holds fs_{k-1} - fs_k
-        inc = np.where(diffs < 0.0, diffs, 0.0).sum(axis=1) / fs1
-        drop = (fs1 - fst) / fs1
-        lower = base + lo * drop + (hi - lo) * inc
-        upper = base + hi * drop + (lo - hi) * inc
-    else:  # general and unrestricted
-        drop = np.maximum(fs1 - fst, 0.0)
-        rise = np.maximum(fst - fs1, 0.0)
-        lower = (
-            base
-            + (sw0[:, t - 2] if lo < 0.0 else drop) * lo / fs1
-            - (sw1[:, t - 2] if hi >= 0.0 else rise) * hi / fs1
-        )
-        upper = (
-            base
-            + (sw0[:, t - 2] if hi >= 0.0 else drop) * hi / fs1
-            - (sw1[:, t - 2] if lo < 0.0 else rise) * lo / fs1
-        )
+    # an overflow is inf or nan, which callers test for
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = rf[:, t - 1] / fs1
+        if method == "tight":
+            diffs = fs[:, : t - 1] - fs[:, 1:t]  # column k-2 holds fs_{k-1} - fs_k
+            inc = np.where(diffs < 0.0, diffs, 0.0).sum(axis=1) / fs1
+            drop = (fs1 - fst) / fs1
+            spread = np.where(inc == 0.0, 0.0, (hi - lo) * inc)  # 0, not inf * 0, at inc = 0
+            lower = base + lo * drop + spread
+            upper = base + hi * drop - spread
+        else:  # general and unrestricted
+            drop = np.maximum(fs1 - fst, 0.0)
+            rise = np.maximum(fst - fs1, 0.0)
+            lower = (
+                base
+                + (sw0[:, t - 2] if lo < 0.0 else drop) * lo / fs1
+                - (sw1[:, t - 2] if hi >= 0.0 else rise) * hi / fs1
+            )
+            upper = (
+                base
+                + (sw0[:, t - 2] if hi >= 0.0 else drop) * hi / fs1
+                - (sw1[:, t - 2] if lo < 0.0 else rise) * lo / fs1
+            )
     return lower, upper
 
 
@@ -470,25 +472,28 @@ def target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight=True, kind="
     return [(name, values, ok & np.isfinite(values)) for name, values, ok in columns]
 
 
-def masked_blocks(values, masks):
-    """The columns ``values[i]`` grouped by their row masks ``masks[i]``.
+def target_blocks(moments, keep, targets, lo, hi, include_tight=True):
+    """The :func:`target_columns` table of the rows ``moments``, grouped by kept rows.
 
-    Yields, per distinct mask in the order of its first column, the
-    positions of the columns it belongs to and a C-contiguous float64
-    (columns, kept rows) block of their masked entries, so that one
-    reduction over ``axis=1`` (or ``axis=0`` of the transpose) summarizes
-    the whole group.
-    A :func:`target_columns` table has few distinct masks: every value
-    column shares the mask of its zero rule unless it is not finite.
+    ``moments`` is (rf, fs, sw0, sw1) of replicated samples and ``keep``
+    the caller's row screen. Each target keeps the rows where its ``ok``
+    and ``keep`` both hold. Yields, per distinct set of kept rows in the
+    order of its first target, the report-order positions of its targets
+    and a C-contiguous float64 (targets, kept rows) block of their kept
+    values, so that one reduction over ``axis=1`` (or ``axis=0`` of the
+    transpose) summarizes the whole group. There are few groups: every
+    target shares the rows of its zero rule unless it is not finite.
     """
+    columns = target_columns(*moments, targets, lo, hi, include_tight)
     groups = {}
-    for i, mask in enumerate(masks):
+    for i, (_, _, ok) in enumerate(columns):
+        mask = ok & keep
         groups.setdefault(mask.tobytes(), (mask, []))[1].append(i)
-    for mask, columns in groups.values():
-        block = np.empty((len(columns), np.count_nonzero(mask)))
-        for j, i in enumerate(columns):  # one masked copy at a time, not a list of them
-            block[j] = values[i][mask]
-        yield columns, block
+    for mask, positions in groups.values():
+        block = np.empty((len(positions), np.count_nonzero(mask)))
+        for j, i in enumerate(positions):  # one masked copy at a time, not a list of them
+            block[j] = columns[i][1][mask]
+        yield positions, block
 
 
 def target_row(est: EstimandSet, targets, lo, hi, include_tight=True):

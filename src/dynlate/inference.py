@@ -26,7 +26,7 @@ import numpy as np
 from .errors import AllReplicationsFailed
 from .estimands import is_integer, is_zero
 from .estimators import ALL_TARGETS, estimate, moment_estimands, moment_features
-from .estimators import masked_blocks, outcome_range_bounds, target_columns, target_row
+from .estimators import outcome_range_bounds, target_blocks, target_row
 from .panel import Panel
 from .simulate import _fill_rows
 
@@ -179,16 +179,16 @@ def bootstrap(
     threads: int = 1,
 ) -> BootstrapResult:
     """Percentile bootstrap over units for the ``targets`` groups of
-    :func:`~dynlate.estimators.target_columns`.
+    :func:`~dynlate.estimators.target_columns`, the resamples screened and
+    grouped by :func:`~dynlate.estimators.target_blocks`.
 
     Resamples with a zero first stage at t=1 (or an empty arm) are
     dropped and counted, mirroring the maintained relevance condition;
     resamples where only fs_t = 0 for t >= 2 are dropped for iv_t alone,
     and a target that is not finite in a resample (an overflowing delta)
     is dropped for that target alone. Targets that keep the same
-    resamples share one :func:`percentile_interval` call on their block
-    (:func:`~dynlate.estimators.masked_blocks`); each interval has the bits
-    of a call on its own column.
+    resamples share one :func:`percentile_interval` call on their block;
+    each interval has the bits of a call on its own column.
     Effect bounds default to the observed outcome range of the original
     panel and stay fixed across resamples so that every resample
     evaluates the same functional. ``include_tight=False`` leaves out the
@@ -209,25 +209,23 @@ def bootstrap(
         lo = hi = None
     point = target_row(estimate(panel), targets, lo, hi, include_tight)
 
-    both_arms, rf, fs, sw0, sw1 = moment_estimands(_resample_moments(panel, reps, seed, threads))
-    valid = both_arms & ~is_zero(fs[:, 0], "sample")
+    both_arms, *moments = moment_estimands(_resample_moments(panel, reps, seed, threads))
+    valid = both_arms & ~is_zero(moments[1][:, 0], "sample")  # moments[1] is fs
     n_failed = int(reps - valid.sum())
     if n_failed == reps:
         raise AllReplicationsFailed(
             "every bootstrap resample had an empty arm or a zero first stage"
         )
-    resampled = target_columns(rf, fs, sw0, sw1, targets, lo, hi, include_tight)
-    intervals = [None] * len(resampled)
-    masks = [ok & valid for _, _, ok in resampled]
-    for columns, block in masked_blocks([values for _, values, _ in resampled], masks):
+    intervals = [None] * len(point)
+    for positions, block in target_blocks(moments, valid, targets, lo, hi, include_tight):
         n_ok = block.shape[1]
         if not n_ok:
             continue
-        for i, (lower, upper) in zip(columns, percentile_interval(block.T, alpha).T.tolist()):
-            _, point_value, point_ok = point[i]
+        for i, (lower, upper) in zip(positions, percentile_interval(block.T, alpha).T.tolist()):
+            name, (value,), (defined,) = point[i]
             intervals[i] = TargetInterval(
-                name=resampled[i][0],
-                point=float(point_value[0]) if point_ok[0] else None,
+                name=name,
+                point=float(value) if defined else None,
                 lower=lower,
                 upper=upper,
                 n_ok=n_ok,

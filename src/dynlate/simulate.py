@@ -11,8 +11,8 @@ its moment row are its cell counts times the cell features, and its y
 columns each arm's outcomes added unit by unit in draw order
 (:func:`~dynlate.estimators.unit_sums`), so the row has the bits of
 :func:`~dynlate.estimators.arm_sums` of the drawn (z, d, y). The rows go
-into one array and are evaluated together as rows of one
-:func:`~dynlate.estimators.target_columns` table. Worker threads fill
+into one array and are evaluated together, screened and grouped by
+:func:`~dynlate.estimators.target_blocks`. Worker threads fill
 contiguous ranges of those rows; a row depends only on (spec, n, seed, r),
 so every result is the same for any thread count. The oracle is the
 one-row table of the population estimands
@@ -33,8 +33,7 @@ import numpy as np
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
 from .errors import DegenerateInstrument
 from .estimands import is_integer
-from .estimators import ALL_TARGETS, masked_blocks, moment_estimands, target_columns, target_row
-from .estimators import unit_sums
+from .estimators import ALL_TARGETS, moment_estimands, target_blocks, target_row, unit_sums
 from .panel import Panel
 
 
@@ -271,10 +270,10 @@ def monte_carlo(
     it leaves undefined has no row. Replications run through :func:`_fill_rows`, with the floors
     ``_MC_MIN_N`` and ``_MC_MIN_UNITS``.
     A replication's moment row depends only on (spec, n, seed, r), so the
-    summary is the same for any ``threads``. Targets that keep the same
-    replications share one mean and one standard deviation call on their
-    block (:func:`~dynlate.estimators.masked_blocks`), each row with the
-    bits of the call on its own column.
+    summary is the same for any ``threads``. Replications with both arms
+    go to :func:`~dynlate.estimators.target_blocks`; targets that keep the
+    same replications share one mean and one standard deviation call on
+    their block, each row with the bits of the call on its own column.
     """
     if not is_integer(n) or n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -293,28 +292,23 @@ def monte_carlo(
     M = _fill_rows(lambda: _Draws(spec, n).moment_row, spec.T, reps, n, seed, threads,
                    _MC_MIN_N, _MC_MIN_UNITS)
     both_arms, *moments = moment_estimands(M)
-    replicated = target_columns(*moments, targets, lo, hi)
-    kept = [
-        (name, float(truth[0]), values, ok & both_arms)
-        for (name, truth, truth_ok), (_, values, ok) in zip(oracle, replicated, strict=True)
-        if truth_ok[0]
-    ]
-    rows = [None] * len(kept)
-    blocks = masked_blocks([values for _, _, values, _ in kept], [ok for *_, ok in kept])
-    for columns, block in blocks:
+    rows = [None] * len(oracle)
+    for positions, block in target_blocks(moments, both_arms, targets, lo, hi):
         n_ok = block.shape[1]
-        none = [None] * len(columns)
+        none = [None] * len(positions)
         # an overflow reads as inf or nan, which _finite reports as None
         with np.errstate(over="ignore", invalid="ignore"):
             means = np.mean(block, axis=1).tolist() if n_ok else none
             sds = np.std(block, axis=1, ddof=1).tolist() if n_ok >= 2 else none
-        for i, mean, sd in zip(columns, means, sds):
-            name, truth = kept[i][:2]
+        for i, mean, sd in zip(positions, means, sds):
+            name, (truth,), (defined,) = oracle[i]
+            if not defined:
+                continue
             rows[i] = TargetSummary(
                 name=name,
-                oracle=truth,
+                oracle=float(truth),
                 mean=_finite(mean),
-                bias=None if mean is None else _finite(mean - truth),
+                bias=None if mean is None else _finite(mean - float(truth)),
                 sd=_finite(sd),
                 n_ok=n_ok,
                 n_failed=reps - n_ok,
@@ -327,5 +321,5 @@ def monte_carlo(
         targets=targets,
         lo=lo,
         hi=hi,
-        rows=tuple(rows),
+        rows=tuple(r for r in rows if r is not None),
     )

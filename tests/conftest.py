@@ -1,6 +1,8 @@
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dynlate import simulate
-from dynlate.dgp import DgpSpec, HistorySpec, save_spec
+from dynlate.dgp import DgpSpec, HistorySpec, save_spec, spec_to_dict
 from dynlate.latent import NEVER, AdoptionPair
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -55,6 +57,32 @@ def make_weak_long_spec(T):
         HistorySpec(AdoptionPair(1, 2), 1 / 24, (0.0,) * T, effects),
         HistorySpec(AdoptionPair(NEVER, 2), 23 / 24, (0.0,) * T, effects),
     ), noise_sd=1.0)
+
+
+def overflowing_histories(case):
+    """Histories of a T=2 spec, both at 0.5, that ``DgpSpec`` refuses: a
+    ``case`` history, then (never, never) with zero baselines and effects."""
+    first = {
+        # baseline + effect of 1e308 + 1e308 in both cells of (1, never)
+        "cell-mean": HistorySpec(
+            AdoptionPair(1, NEVER), 0.5, (1e308, 1e308), ((1e308,), (1e308, 1e308))
+        ),
+        # (1, 2)'s arm-1 effect 1e308 minus its arm-0 effect -1e308 at t=2
+        "arm-difference": HistorySpec(
+            AdoptionPair(1, 2), 0.5, (0.0, 0.0), ((0.0,), (-1e308, 1e308))
+        ),
+    }[case]
+    zero = HistorySpec(AdoptionPair(NEVER, NEVER), 0.5, (0.0, 0.0), ((0.0,), (0.0, 0.0)))
+    return first, zero
+
+
+def overflowing_spec_file(tmp_path, case):
+    """The spec file of ``overflowing_histories(case)`` at pz 0.5, which
+    ``DgpSpec`` refuses, so it is written from the fields alone."""
+    fields = SimpleNamespace(T=2, pz=0.5, noise_sd=0.0, histories=overflowing_histories(case))
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(spec_to_dict(fields)))
+    return str(path)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ criterion (add ``-s`` to also see the explicit PASS prints).
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from dynlate.panel import ingest
 from dynlate.simulate import draw_panel, monte_carlo
 
 from conftest import DATA_DIR, make_three_history_spec
-from reference import enumerate_histories
+from reference import enumerate_histories, exact_contrasts, exact_identify
 from randspec import (
     random_bounded_spec,
     random_homogeneous_spec,
@@ -76,7 +77,8 @@ def test_criterion_2_two_period_groups():
 
 
 def test_criterion_3_recursive_identification():
-    """Population recovery to 1e-9; closed form to 1e-12; sample recovery at n=1e5."""
+    """Population recovery to 1e-9 and in exact rationals; closed form to 1e-12;
+    sample recovery at n=1e5."""
     start = time.perf_counter()
     rng = np.random.default_rng(1003)
     for i in range(100):
@@ -84,6 +86,10 @@ def test_criterion_3_recursive_identification():
         est = population_estimands(spec)
         prof = identify(est)
         assert prof.deltas == pytest.approx(profile, abs=1e-9)
+        # exactly: the recursion of the exact rf and fs is the exact profile
+        contrasts = [exact_contrasts(spec, t) for t in range(1, spec.T + 1)]
+        rf, fs = ([sum(c[j] for c in per_t) for per_t in contrasts] for j in (0, 1))
+        assert exact_identify(rf, fs)[0] == [Fraction(x) for x in profile]
         if spec.T == 2:
             closed = est.rf_at(2) / est.fs_at(1) + (
                 (est.fs_at(1) - est.fs_at(2)) / est.fs_at(1)

@@ -13,6 +13,7 @@ from dynlate.latent import NEVER, AdoptionPair
 from dynlate.panel import ingest
 
 from conftest import DATA_DIR, GOLDEN_DIR, make_homogeneity_spec, make_weak_long_spec
+from conftest import overflowing_spec_file
 
 
 def run(capsys, *argv):
@@ -295,6 +296,50 @@ class TestFloatRangeEdge:
             "--bounds", "-1,1",
         )
         assert (code, err) == (0, "")
+
+    def test_bounds_past_the_float_range_show_as_inf(self, capsys, tmp_path):
+        # the general lower bound at t=2 is -7.5e307 - 1e308 - 7.5e307: past the float range
+        H, P = dgp.HistorySpec, AdoptionPair
+        spec = dgp.DgpSpec(3, 0.5, (
+            H(P(1, 2), 0.4, (0.0,) * 3, ((1e308,), (1e308,) * 2, (1e308,) * 3)),
+            H(P(2, NEVER), 0.3, (0.0,) * 3, ((-1e308,), (-1e308,) * 2, (-1e308,) * 3)),
+            H(P(NEVER, NEVER), 0.3, (0.0,) * 3, ((0.0,), (0.0,) * 2, (0.0,) * 3)),
+        ))
+        spec_path, report = tmp_path / "edge.json", tmp_path / "bounds.json"
+        dgp.save_spec(spec, str(spec_path))
+        code, out, err = run(capsys, "bounds", "--dgp", str(spec_path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].split() == ["2", "general", "-inf", "1e+308"]
+        report.write_text("kept\n")
+        code, _, err = run(capsys, "bounds", "--dgp", str(spec_path), "--json", str(report))
+        assert (code, err) == (2, "error[E_NONFINITE]: cannot write the non-finite float"
+                                  " -inf to JSON\n")
+        assert report.read_text() == "kept\n"
+
+    def test_tight_bounds_of_a_first_stage_that_never_rises(self, capsys, tmp_path):
+        # (hi - lo) * inc would be inf * 0 here; the bounds are lo * drop and hi * drop
+        report = tmp_path / "bounds.json"
+        code, _, err = run(
+            capsys, "bounds", "--panel", str(DATA_DIR / "panel_small.csv"),
+            "--bounds=-1e308,1e308", "--assume", "cross-group-homogeneity",
+            "--json", str(report),
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(report.read_text(), parse_constant=_refuse_constant)
+        (tight,) = [b for b in doc["outputs"]["bounds"] if b["method"] == "tight"]
+        assert (tight["lower"], tight["upper"]) == (-1e308 / 2, 1e308 / 2)
+
+    @pytest.mark.parametrize("case, message", [
+        ("cell-mean", "history (1,never): cell mean at t=1 overflows the float range"),
+        ("arm-difference",
+         "history (1,2): arm effect difference at t=2 overflows the float range"),
+    ], ids=["cell-mean", "arm-difference"])
+    @pytest.mark.parametrize("argv", [["check"], ["estimate"], ["decompose", "--period", "2"]],
+                             ids=["check", "estimate", "decompose"])
+    def test_spec_past_the_float_range_is_refused(self, capsys, tmp_path, case, message, argv):
+        spec = overflowing_spec_file(tmp_path, case)
+        code, out, err = run(capsys, argv[0], "--dgp", spec, *argv[1:])
+        assert (code, out, err) == (2, "", f"error[E_SPEC]: {message}\n")
 
 
 class TestCheck:

@@ -28,6 +28,7 @@ from dynlate.errors import PeriodOutOfRange, SchemaMismatch, SpecValidationError
 from dynlate.latent import C1, NEVER, AdoptionPair, GroupLabel
 
 from conftest import GOLDEN_DIR, make_homogeneity_spec, make_three_history_spec
+from conftest import overflowing_histories
 from randspec import (
     random_bounded_spec,
     random_homogeneous_spec,
@@ -93,6 +94,16 @@ class TestSpecValidation:
             DgpSpec(2, 1.5, (h,))
         with pytest.raises(SpecValidationError):
             DgpSpec(2, 0.5, (h,), noise_sd=-1.0)
+
+    @pytest.mark.parametrize("case, message", [
+        ("cell-mean", "history (1,never): cell mean at t=1 overflows the float range"),
+        ("arm-difference",
+         "history (1,2): arm effect difference at t=2 overflows the float range"),
+    ], ids=["cell-mean", "arm-difference"])
+    def test_means_and_arm_differences_within_the_float_range(self, case, message):
+        with pytest.raises(SpecValidationError) as err:
+            DgpSpec(2, 0.5, overflowing_histories(case))
+        assert str(err.value) == message
 
 
 class TestPopulationEstimands:

@@ -45,6 +45,7 @@ from dynlate.estimators import (
     outcome_range_bounds,
     selected_methods,
     unit_sums,
+    target_blocks,
     target_columns,
     target_row,
 )
@@ -370,6 +371,25 @@ def test_target_columns_never_mark_a_non_finite_value_ok():
     ok = {name: ok.tolist() for name, _, ok in table}
     assert ok["delta[0]"] == [True, True]
     assert ok["delta[69]"] == [True, False]
+
+
+def test_target_blocks_group_kept_rows_in_report_order():
+    # row 1 fails the screen; iv[1] overflows in row 3 and iv[2] divides by fs_2 = 0 in row 2
+    rf = np.array([[1.0, 2.0], [9e9, 9e9], [3.0, 4.0], [1e308, 5.0]])
+    fs = np.array([[0.5, 0.4], [9e9, 9e9], [0.5, 0.0], [0.5, 0.25]])
+    sw = np.zeros((4, 1))
+    keep = np.array([True, False, True, True])
+    table = target_columns(rf, fs, sw, sw, ("estimands",), None, None)
+    blocks = list(target_blocks((rf, fs, sw, sw), keep, ("estimands",), None, None))
+    assert [positions for positions, _ in blocks] == [[0, 1, 3, 4], [2], [5]]
+    kept = {"rf[1]": [0, 2, 3], "fs[1]": [0, 2, 3], "iv[1]": [0, 2],
+            "rf[2]": [0, 2, 3], "fs[2]": [0, 2, 3], "iv[2]": [0, 3]}
+    for positions, block in blocks:
+        assert block.dtype == np.float64 and block.flags.c_contiguous
+        assert 9e9 not in block
+        for i, row in zip(positions, block, strict=True):
+            name, values, _ = table[i]
+            assert row.tolist() == values[kept[name]].tolist(), name
 
 
 EPS = np.finfo(np.float64).eps
