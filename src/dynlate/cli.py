@@ -94,9 +94,10 @@ seed_opt = click.option(
 )
 threads_opt = click.option(
     "--threads", type=click.IntRange(min=1), default=lambda: simulate._usable_cores(),
-    help="Worker threads for bootstrap resamples and Monte Carlo replications"
-    " (default and cap: the usable cores; small runs use one thread;"
-    " results are thread-count invariant).",
+    help="Worker threads for bootstrap resamples (default and cap: the usable"
+    " cores; small runs use one thread; results are thread-count invariant)."
+    " Monte Carlo draws each replication from the cell table in one thread"
+    " whatever the value.",
 )
 assume_opt = click.option(
     "--assume", multiple=True, callback=_parse_assume,

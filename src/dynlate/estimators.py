@@ -224,9 +224,17 @@ def identify(est: EstimandSet) -> IdentifiedProfile:
     """Solve the recursion of :func:`identify_rows` for one estimand set.
 
     Only first-period relevance is required; later first stages may vanish.
-    A profile that overflows is refused. An :func:`amplification` above
+    An rf or fs that is not finite is refused with :class:`NonFiniteResult`,
+    naming its period; a finite input whose profile overflows is refused
+    with :class:`RelevanceFailure`. An :func:`amplification` above
     ``AMPLIFICATION_THRESHOLD`` (every |fs_1| < 0.01 is one) adds a warning.
     """
+    for name, values in (("rf", est.rf), ("fs", est.fs)):
+        for t, value in enumerate(values, start=1):
+            if not math.isfinite(value):
+                raise NonFiniteResult(
+                    f"{name}_{t} = {value:g} is not finite: no profile can be identified"
+                )
     fs1 = est.fs[0]
     if is_zero(fs1, est.kind):
         raise RelevanceFailure("first stage at t=1 is zero")

@@ -1,20 +1,23 @@
 """Sampling from a DGP and Monte Carlo comparison against the exact oracle.
 
-Replication r always draws from a stream seeded by (seed, r), so its
-draws depend on nothing but the seed and its index. Each draw takes a
-history, an arm and the noise from its stream (in that order), the draws
-of ``Generator.choice``, ``random`` and ``normal``, and reads its units'
-cells off the spec's one cell table, :attr:`~dynlate.dgp.DgpSpec.cells`,
-which the exact oracle sums too. A panel takes its paths and means from
-it. A Monte Carlo replication gathers no panel: the integer columns of
-its moment row are its cell counts times the cell features, and its y
-columns each arm's outcomes added unit by unit in draw order
-(:func:`~dynlate.estimators.unit_sums`), so the row has the bits of
-:func:`~dynlate.estimators.arm_sums` of the drawn (z, d, y). The rows go
-into one array and are evaluated together, screened and grouped by
-:func:`~dynlate.estimators.target_blocks`. Worker threads fill
-contiguous ranges of those rows; a row depends only on (spec, n, seed, r),
-so every result is the same for any thread count. The oracle is the
+Both read the spec's one cell table, :attr:`~dynlate.dgp.DgpSpec.cells`,
+which the exact oracle sums too. A panel draws each unit's history, arm
+and noise (in that order), the draws of ``Generator.choice``, ``random``
+and ``normal``, and takes its paths and means from the table.
+
+A Monte Carlo replication draws no units. Its moment row is a function of
+its 2H cell counts and of each (arm, period) sum of noise, so it draws
+those: the counts from one multinomial over the cells, then 2T standard
+normals. The integer columns are the counts times the cell features,
+exactly; each y column is the arm's counts times its cell means plus
+``noise_sd * sqrt(n_z)`` times one normal. With i.i.d. normal noise, an
+arm's noise sum at one period is exactly N(0, noise_sd^2 n_z) given the
+counts, so the row has the law of :func:`~dynlate.estimators.arm_sums` of
+a drawn panel, though not its bits; the condition is that the noise is
+normal. Replication r draws from the stream seeded by (seed, r), so its
+row depends on nothing but the spec, n, the seed and r. The rows go into
+one array, filled in one thread, and are evaluated together, screened and
+grouped by :func:`~dynlate.estimators.target_blocks`. The oracle is the
 one-row table of the population estimands
 (:func:`~dynlate.estimators.target_row`), so both share the targets'
 names, report order and defined-target rules.
@@ -31,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
-from .errors import DegenerateInstrument
+from .errors import DegenerateInstrument, NonFiniteResult
 from .estimands import is_integer
-from .estimators import ALL_TARGETS, moment_estimands, target_blocks, target_row, unit_sums
+from .estimators import ALL_TARGETS, moment_estimands, target_blocks, target_row
 from .panel import Panel
 
 
@@ -53,19 +56,20 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_rows(worker, T: int, reps: int, n: int, seed: int, threads: int, min_n: int,
-               min_units: int) -> np.ndarray:
+def _fill_rows(worker, T: int, reps: int, n: int, seed: int, threads: int,
+               min_n: float = math.inf, min_units: int = 1) -> np.ndarray:
     """The (reps, 6T) moment rows of ``reps`` samples of n units each.
 
     The one replication driver: each worker calls the row-writer factory
     ``worker()`` once and writes row r of its range as
     ``write(rep_rng(seed, r), M[r])``. At most one thread per row, per
     usable core, per requested thread and per ``min_units`` unit draws
-    (reps x n); inline, with a plain ``map``, when n < min_n or one worker
-    is left. A pool costs a few ms per call whatever the work, so the draws
-    in all decide whether it pays; small samples lose even with many draws.
-    The rows go in balanced contiguous ranges, one per worker, and a row
-    depends only on (writer input, seed, r), not on the worker count.
+    (reps x n); inline, with a plain ``map``, when n < min_n (always,
+    without floors) or one worker is left. A pool costs a few ms per call
+    whatever the work, so the draws in all decide whether it pays; small
+    samples lose even with many draws. The rows go in balanced contiguous
+    ranges, one per worker, and a row depends only on (writer input, seed,
+    r), not on the worker count.
     """
     if not is_integer(threads) or threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -82,21 +86,6 @@ def _fill_rows(worker, T: int, reps: int, n: int, seed: int, threads: int, min_n
         run = map if pool is None else pool.map
         list(run(fill, cuts[:-1], cuts[1:]))
     return M
-
-
-_MC_MIN_N = 4096
-"""Sample size from which Monte Carlo replications go to worker threads.
-Two threads over one, pool forced on, reps=100, medians of 15-21
-alternating in-process pairs on 2 vCPUs (T=4): 1.25 at n=1000, 1.14 at
-2000, 0.91-0.94 at 3000 (upper quartile 1.00), 0.76 at 4096, 0.77 at 5000
-and 0.62 at 1e4; at 3e5 draws, 1.06 at n=1000 and 1.16 at 2000."""
-
-_MC_MIN_UNITS = 150_000
-"""Unit draws (replications times n) per Monte Carlo worker. Timed as for
-``_MC_MIN_N``: 2-4 replications 1.21-1.97 at every n from 1000 to 1e4;
-2e5 draws 1.06 (n=4096), 1.01 (5000), 0.76 (8000) and 0.85 (1e4); 2.5e5
-draws 1.04 (4096), 0.87 (5000) and 0.75 (1e4); 3e5 draws 0.85 (4096),
-0.72 (5000) and 0.77 (1e4); 4e5 draws 0.70-0.83."""
 
 
 _COUNT_MAX_HISTORIES = 64
@@ -123,58 +112,66 @@ def _histories(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return hist
 
 
-class _Draws:
-    """One worker's arrays for samples of n units from one study.
-
-    :meth:`draw` takes each unit's latent history, then its arm, then its
-    outcome noise from ``rng``, the draws of ``rng.choice(H, size=n,
-    p=probs)``, ``rng.random(n) < pz`` and ``rng.normal(0, sd, (n, T))``. It
-    leaves the arms in ``z`` (bool), the cells in ``cell`` and the outcomes
-    in ``y``; every later draw reuses the same arrays.
-    """
-
-    def __init__(self, spec: DgpSpec, n: int):
-        self.spec, self.cells = spec, spec.cells
-        self.z = np.empty(n, dtype=bool)
-        self.cell = np.empty(n, dtype=np.intp)
-        self.y = np.empty((n, spec.T))
-        self.scratch = np.empty((n, spec.T))
-        self.u = self.scratch.reshape(-1)[:n]  # spent before the mean gather fills scratch
-
-    def draw(self, rng: np.random.Generator) -> None:
-        hist = _histories(rng.random(out=self.u), self.cells.cdf)
-        np.less(rng.random(out=self.u), self.spec.pz, out=self.z)
-        np.multiply(self.z, len(self.cells.cdf), out=self.cell)
-        self.cell += hist
-        rng.standard_normal(out=self.y)
-        self.y *= self.spec.noise_sd
-        # every index is in range; "clip" writes ``out`` directly, "raise" buffers it
-        self.y += self.cells.mean.take(self.cell, axis=0, out=self.scratch, mode="clip")
-
-    def moment_row(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Draw, then write the sample's moment row into ``out``.
-
-        The integer columns are the cell counts times the cells' features;
-        the y columns are each arm's :func:`~dynlate.estimators.unit_sums`,
-        so the row has the bits of ``arm_sums`` of the drawn (z, d, y).
-        """
-        self.draw(rng)
-        counts = np.bincount(self.cell, minlength=len(self.cells.features))
-        np.matmul(counts, self.cells.features, out=out)
-        T = self.spec.T
-        for j, arm in ((2, self.z), (2 + T, ~self.z)):
-            units = np.flatnonzero(arm)
-            rows = self.y.take(units, axis=0, out=self.scratch[: len(units)], mode="clip")
-            out[j : j + T] = unit_sums(rows)
-
-
 def _draw_arrays(spec: DgpSpec, n: int, rng: np.random.Generator):
-    """(z, d, y) of n units, each one cell of ``spec.cells`` plus its noise."""
-    draws = _Draws(spec, n)
-    draws.draw(rng)
-    z, cell, y = draws.z, draws.cell, draws.y
-    del draws  # the scratch rows go before d and z are allocated, which may reuse them
-    return z.astype(np.int8), spec.cells.d.take(cell, axis=0), y
+    """(z, d, y) of n units, each one cell of ``spec.cells`` plus its noise.
+
+    Takes each unit's latent history, then its arm, then its outcome noise
+    from ``rng``, the draws of ``rng.choice(H, size=n, p=probs)``,
+    ``rng.random(n) < pz`` and ``rng.normal(0, sd, (n, T))``. Noise that
+    takes an outcome past the float range is refused with
+    :class:`~dynlate.errors.NonFiniteResult`, naming ``noise_sd``.
+    """
+    cells = spec.cells
+    scratch = np.empty((n, spec.T))
+    u = scratch.reshape(-1)[:n]  # spent before the mean gather fills scratch
+    hist = _histories(rng.random(out=u), cells.cdf)
+    z = rng.random(out=u) < spec.pz
+    cell = np.multiply(z, len(cells.cdf), dtype=np.intp)
+    cell += hist
+    y = rng.standard_normal((n, spec.T))
+    try:
+        with np.errstate(over="raise"):
+            y *= spec.noise_sd
+            # every index is in range; "clip" writes ``out`` directly, "raise" buffers it
+            y += cells.mean.take(cell, axis=0, out=scratch, mode="clip")
+    except FloatingPointError:
+        raise NonFiniteResult(
+            f"a drawn outcome overflows the float range: noise_sd = {spec.noise_sd:g}"
+            " is too large for this spec's cell means"
+        ) from None
+    del scratch, u  # the scratch rows go before d and z are allocated, which may reuse them
+    return z.astype(np.int8), cells.d.take(cell, axis=0), y
+
+
+def _cell_writer(spec: DgpSpec, n: int):
+    """Monte Carlo's row writer: ``write(rng, out)`` draws one sample of n
+    units from the cell table and writes its moment row into ``out``.
+
+    It draws the cell counts ``rng.multinomial(n, probs)``, over the cells'
+    probabilities (1 - pz) p_h, then pz p_h, divided by their sum, and then
+    ``rng.standard_normal(2T)``. The integer columns are the counts times
+    the cell features, exactly. Each arm's T y columns are its counts times
+    its cell means, added cell by cell in order (a ``cumsum``, no BLAS
+    call), plus ``noise_sd * sqrt(n_z)`` times T of the normals, arm 1's
+    first. Given the counts, that is the law of the arm's noise sums when
+    the noise is i.i.d. normal. A sum past the float range reads as inf or
+    nan, which :func:`~dynlate.estimators.target_columns` never marks ok.
+    """
+    cells, T, H = spec.cells, spec.T, len(spec.histories)
+    probs = np.concatenate([(1.0 - spec.pz) * cells.prob, spec.pz * cells.prob])
+    probs /= probs.sum()
+    means = cells.mean.reshape(2, H, T)[::-1]  # arm 1 first, as in the row
+
+    def write(rng: np.random.Generator, out: np.ndarray) -> None:
+        counts = rng.multinomial(n, probs)
+        np.matmul(counts, cells.features, out=out)
+        noise = rng.standard_normal(2 * T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise *= np.repeat(spec.noise_sd * np.sqrt(out[:2]), T)
+            sums = np.multiply(counts.reshape(2, H, 1)[::-1], means).cumsum(axis=1)[:, -1]
+            np.add(sums.reshape(-1), noise, out=out[2 : 2 + 2 * T])
+
+    return write
 
 
 def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
@@ -267,10 +264,16 @@ def monte_carlo(
     target. Default effect bounds come from the spec's own
     contaminating-effect envelope. The oracle is the one-row target table
     of the population estimands, under the population zero rule; a target
-    it leaves undefined has no row. Replications run through :func:`_fill_rows`, with the floors
-    ``_MC_MIN_N`` and ``_MC_MIN_UNITS``.
-    A replication's moment row depends only on (spec, n, seed, r), so the
-    summary is the same for any ``threads``. Replications with both arms
+    it leaves undefined has no row. Each replication's moment row is drawn
+    from the cell table by :func:`_cell_writer`: it has the law of
+    :func:`~dynlate.estimators.arm_sums` of a drawn panel when the noise is
+    normal, as every spec's is, but not its bits. The rows come from
+    :func:`_fill_rows` in one thread: a row is a few tens of microseconds
+    of work that holds the interpreter lock, so no worker pool pays.
+    ``threads`` is checked and has no other effect; a replication's row
+    depends only on (spec, n, seed, r), so the summary is the same for any
+    ``threads`` and the first k replications of a longer run are those of
+    a k-replication run. Replications with both arms
     go to :func:`~dynlate.estimators.target_blocks`; targets that keep the
     same replications share one mean and one standard deviation call on
     their block, each row with the bits of the call on its own column.
@@ -289,8 +292,7 @@ def monte_carlo(
     # fs_1 = P(C1) > 0 for a valid spec, so the oracle keeps every identify
     # and bounds target
     oracle = target_row(population_estimands(spec), targets, lo, hi)
-    M = _fill_rows(lambda: _Draws(spec, n).moment_row, spec.T, reps, n, seed, threads,
-                   _MC_MIN_N, _MC_MIN_UNITS)
+    M = _fill_rows(lambda: _cell_writer(spec, n), spec.T, reps, n, seed, threads)
     both_arms, *moments = moment_estimands(M)
     rows = [None] * len(oracle)
     for positions, block in target_blocks(moments, both_arms, targets, lo, hi):

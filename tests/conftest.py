@@ -104,7 +104,7 @@ def small_panel_csv():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """``max_workers`` of every pool the bootstrap or Monte Carlo starts.
+    """``max_workers`` of every pool ``_fill_rows`` starts.
 
     An inline stand-in replaces ``ThreadPoolExecutor`` in ``simulate``,
     which starts every pool, so no thread is started, whatever the code

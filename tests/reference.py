@@ -16,7 +16,8 @@ promises the same bits, and against exact rationals elsewhere.
 - Moments and estimators: :func:`six_mask_moments`,
   :func:`concatenated_features`, :func:`row_sum_key_moments`,
   :func:`exact_identify`, :func:`exact_bound`.
-- Monte Carlo: :func:`target_values`, :func:`reference_monte_carlo`.
+- Monte Carlo: :func:`array_writer`, :func:`cell_row`, :func:`target_values`,
+  :func:`reference_monte_carlo`.
 """
 
 import math
@@ -33,7 +34,8 @@ from dynlate.errors import (
     TreatmentReversal,
     UnbalancedPanel,
 )
-from dynlate.estimators import bound_report, estimate, identify, moment_features, selected_methods
+from dynlate.estimators import arm_sums, bound_report, estimate, identify, moment_features
+from dynlate.estimators import selected_methods
 from dynlate.latent import NEVER, AdoptionPair, IvType, switcher_group_labels
 from dynlate.panel import Panel
 from dynlate.simulate import MonteCarloSummary, TargetSummary, _draw_arrays, rep_rng
@@ -369,6 +371,51 @@ def exact_bound(method, rf, fs, sw0, sw1, t, lo, hi):
 # Monte Carlo
 
 
+def array_writer(spec, n):
+    """A Monte Carlo row writer that draws every unit: row r is ``arm_sums`` of
+    ``_draw_arrays`` from the replication's stream, the rows Monte Carlo wrote
+    before it drew them from the cell table. Substituted for
+    ``simulate._cell_writer``, it lets :func:`reference_monte_carlo` check
+    ``monte_carlo``'s pipeline bit for bit; unsubstituted, it is the law
+    ``_cell_writer``'s rows must have."""
+
+    def write(rng, out):
+        out[:] = arm_sums(*_draw_arrays(spec, n, rng))
+
+    return write
+
+
+def cell_row(spec, n, rng):
+    """One Monte Carlo moment row drawn from the cell table, summed cell by cell
+    in Python. Checks ``simulate._cell_writer`` exactly.
+
+    Draws the (arm, history) cell counts, arm 0's cells first, then 2T
+    standard normals: the first T are arm 1's noise sums per period, the
+    next T arm 0's, each scaled by noise_sd * sqrt(n_z).
+    """
+    T, H = spec.T, len(spec.histories)
+    shares = np.array([(1.0 - spec.pz) * h.prob for h in spec.histories]
+                      + [spec.pz * h.prob for h in spec.histories])
+    counts = rng.multinomial(n, shares / shares.sum()).tolist()
+    normals = rng.standard_normal(2 * T).tolist()
+    row = [0.0] * (6 * T)
+    for c, count in enumerate(counts):
+        z, h = c // H, spec.histories[c % H]
+        s = h.pair.adoption(z)
+        arm = 1 - z  # column offset within each block: arm 1 first
+        row[arm] += count
+        for t in range(1, T + 1):
+            row[2 + arm * T + t - 1] += count * mean_outcome(h, t, s)
+            row[2 + (2 + arm) * T + t - 1] += count * treated(h.pair, z, t)
+            if t >= 2:
+                row[2 + 4 * T + arm * (T - 1) + t - 2] += count * (1 < s <= t)
+    for arm in (0, 1):
+        scale = spec.noise_sd * math.sqrt(row[arm])
+        for t in range(T):
+            row[2 + arm * T + t] += scale * normals[arm * T + t]
+    return np.array(row)
+
+
 def target_values(est, targets, lo, hi) -> dict[str, float]:
     """Every requested target the scalar estimators define for ``est``, in report order.
 
@@ -406,7 +453,7 @@ def target_values(est, targets, lo, hi) -> dict[str, float]:
 
 def reference_monte_carlo(spec, n, reps, seed, targets, lo, hi):
     """Monte Carlo through a validated Panel and the scalar estimators per replication.
-    Checks ``monte_carlo``, which reads each replication off its cell counts."""
+    Checks ``monte_carlo`` with :func:`array_writer` in place of its cell writer."""
     oracle = target_values(population_estimands(spec), targets, lo, hi)
     results = []
     for r in range(reps):

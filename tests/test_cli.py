@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, error lines, reports, golden stability."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,7 +13,8 @@ from dynlate.cli import main
 from dynlate.latent import NEVER, AdoptionPair
 from dynlate.panel import ingest
 
-from conftest import DATA_DIR, GOLDEN_DIR, make_homogeneity_spec, make_weak_long_spec
+from conftest import DATA_DIR, GOLDEN_DIR, make_homogeneity_spec, make_three_history_spec
+from conftest import make_weak_long_spec
 from conftest import overflowing_spec_file
 
 
@@ -297,16 +299,22 @@ class TestFloatRangeEdge:
         )
         assert (code, err) == (0, "")
 
-    def test_bounds_past_the_float_range_show_as_inf(self, capsys, tmp_path):
-        # the general lower bound at t=2 is -7.5e307 - 1e308 - 7.5e307: past the float range
+    @staticmethod
+    def effects_spec_file(tmp_path):
+        """A T=3 spec with effects of 1e308 on (1, 2) and -1e308 on (2, never)."""
         H, P = dgp.HistorySpec, AdoptionPair
         spec = dgp.DgpSpec(3, 0.5, (
             H(P(1, 2), 0.4, (0.0,) * 3, ((1e308,), (1e308,) * 2, (1e308,) * 3)),
             H(P(2, NEVER), 0.3, (0.0,) * 3, ((-1e308,), (-1e308,) * 2, (-1e308,) * 3)),
             H(P(NEVER, NEVER), 0.3, (0.0,) * 3, ((0.0,), (0.0,) * 2, (0.0,) * 3)),
         ))
-        spec_path, report = tmp_path / "edge.json", tmp_path / "bounds.json"
+        spec_path = tmp_path / "edge.json"
         dgp.save_spec(spec, str(spec_path))
+        return spec_path
+
+    def test_bounds_past_the_float_range_show_as_inf(self, capsys, tmp_path):
+        # the general lower bound at t=2 is -7.5e307 - 1e308 - 7.5e307: past the float range
+        spec_path, report = self.effects_spec_file(tmp_path), tmp_path / "bounds.json"
         code, out, err = run(capsys, "bounds", "--dgp", str(spec_path))
         assert (code, err) == (0, "")
         assert out.splitlines()[2].split() == ["2", "general", "-inf", "1e+308"]
@@ -328,6 +336,44 @@ class TestFloatRangeEdge:
         doc = json.loads(report.read_text(), parse_constant=_refuse_constant)
         (tight,) = [b for b in doc["outputs"]["bounds"] if b["method"] == "tight"]
         assert (tight["lower"], tight["upper"]) == (-1e308 / 2, 1e308 / 2)
+
+    def test_identify_refuses_a_reduced_form_past_the_float_range(self, capsys, tmp_path):
+        # a drawn panel's arm means of about +-1e308 differ by more than the
+        # float range, so rf_1 is inf: that is the input's fault, not |fs_1|'s
+        panel = tmp_path / "edge.csv"
+        code, _, err = run(capsys, "simulate", "--dgp", str(self.effects_spec_file(tmp_path)),
+                           "--n", "300", "--seed", "1", "--out", str(panel))
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "identify", "--panel", str(panel),
+                             "--assume", "calendar-homogeneity")
+        assert (code, out) == (2, "")
+        assert err == ("error[E_NONFINITE]: rf_1 = inf is not finite:"
+                       " no profile can be identified\n")
+
+    def test_montecarlo_counts_noise_past_the_float_range_as_failed(self, capsys, tmp_path):
+        # noise_sd = 1e308: every replication's noise sums overflow, so each
+        # target read from y fails in all 5; the first stages read only d
+        spec_path, report = tmp_path / "noisy.json", tmp_path / "mc.json"
+        dgp.save_spec(dataclasses.replace(make_three_history_spec(), noise_sd=1e308),
+                      str(spec_path))
+        code, _, err = run(capsys, "montecarlo", "--dgp", str(spec_path), "--n", "50",
+                           "--reps", "5", "--seed", "1", "--json", str(report))
+        assert (code, err) == (0, "")
+        doc = json.loads(report.read_text(), parse_constant=_refuse_constant)
+        for row in doc["outputs"]["monte_carlo"]["rows"]:
+            failed = 0 if row["name"].startswith("fs[") else 5
+            assert (row["n_failed"], row["n_ok"]) == (failed, 5 - failed), row["name"]
+            assert (row["mean"] is None) == (failed == 5)
+
+    def test_simulate_refuses_noise_past_the_float_range(self, capsys, tmp_path):
+        spec_path = tmp_path / "noisy.json"
+        dgp.save_spec(dataclasses.replace(make_three_history_spec(), noise_sd=1e308),
+                      str(spec_path))
+        code, out, err = run(capsys, "simulate", "--dgp", str(spec_path), "--n", "50",
+                             "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error[E_NONFINITE]: a drawn outcome overflows the float range:"
+                       " noise_sd = 1e+308 is too large for this spec's cell means\n")
 
     @pytest.mark.parametrize("case, message", [
         ("cell-mean", "history (1,never): cell mean at t=1 overflows the float range"),
@@ -936,7 +982,6 @@ class TestGoldenReports:
     def test_decompose_golden(self, capsys, tmp_path):
         # regenerate the spec file at a fixed path-independent location
         from dynlate.dgp import save_spec
-        from conftest import make_three_history_spec
 
         spec_path = tmp_path / "spec.json"
         save_spec(make_three_history_spec(), str(spec_path))

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -11,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynlate import inference, simulate
-from dynlate.dgp import DgpSpec, HistorySpec, load_spec, population_estimands
-from dynlate.errors import DegenerateInstrument
-from dynlate.estimators import ALL_TARGETS, arm_sums, estimate, moment_estimands
+from dynlate.dgp import DgpSpec, HistorySpec, contaminating_effect_range, load_spec
+from dynlate.dgp import population_estimands
+from dynlate.errors import DegenerateInstrument, NonFiniteResult
+from dynlate.estimators import ALL_TARGETS, arm_sums, estimate, moment_estimands, target_columns
 from dynlate.inference import bootstrap
 from dynlate.latent import NEVER, AdoptionPair
 from dynlate.simulate import (
@@ -28,7 +28,7 @@ from dynlate.simulate import (
 
 from conftest import GOLDEN_DIR, make_three_history_spec, make_weak_long_spec
 from randspec import random_spec, static_compliance_spec, variant_spec
-from reference import mean_outcome, reference_monte_carlo, where_draw
+from reference import array_writer, cell_row, mean_outcome, reference_monte_carlo, where_draw
 
 P = AdoptionPair
 
@@ -95,6 +95,12 @@ class TestDrawPanel:
         u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0]])
         u = u[u < 1.0]
         assert _histories(u, cdf).tolist() == cdf.searchsorted(u, side="right").tolist()
+
+    def test_noise_past_the_float_range_is_refused(self):
+        spec = dataclasses.replace(make_three_history_spec(), noise_sd=1e308)
+        with pytest.raises(NonFiniteResult, match=r"noise_sd = 1e\+308 is too large") as err:
+            draw_panel(spec, 50, seed=1)
+        assert err.value.code == "E_NONFINITE"
 
     def test_estimate_agrees_with_oracle_at_large_n(self):
         spec = make_three_history_spec()
@@ -223,6 +229,22 @@ class TestMonteCarlo:
         assert 1.6 <= mcse_small / mcse_large <= 2.4
         assert abs(large.row(name).bias) < 4 * mcse_large
 
+    def test_iv_and_delta_are_root_n_consistent(self):
+        # sd * sqrt(n) of every iv and delta target holds within 15% from
+        # n = 1e3 to 1e7, and at 1e7 the bias is within 4 standard errors
+        spec = load_spec(GOLDEN_DIR / "spec_t4_six_history.json")
+        reps, sizes = 2000, (10**3, 10**5, 10**7)
+        runs = [monte_carlo(spec, n=n, reps=reps, seed=5, targets=("estimands", "identify"))
+                for n in sizes]
+        names = [r.name for r in runs[0].rows if r.name.startswith(("iv", "delta"))]
+        assert len(names) == 8
+        for name in names:
+            scaled = [run.row(name).sd * math.sqrt(n) for run, n in zip(runs, sizes)]
+            assert max(scaled) <= 1.15 * min(scaled), (name, scaled)
+            row = runs[-1].row(name)
+            assert row.n_ok == reps
+            assert abs(row.bias) <= 4 * row.sd / math.sqrt(reps), (name, row)
+
     def test_identify_target_tracks_profile(self):
         from randspec import random_homogeneous_spec
 
@@ -297,14 +319,12 @@ class TestMonteCarlo:
         for row in summary.rows:
             assert all(x is None or math.isfinite(x) for x in (row.mean, row.bias, row.sd))
 
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    @pytest.mark.parametrize(
-        "case, n, reps, min_n",
-        [("floor-lowered", 300, 13, 1), ("single-arm", 3, 60, 1), ("above-floor", 5000, 120, None)],
-    )
-    def test_threaded_replications_match_inline_bitwise(
-        self, monkeypatch, threaded_pools, case, n, reps, min_n, threads
-    ):
+    @pytest.mark.parametrize("case, n, reps", [("small", 300, 13), ("single-arm", 3, 60),
+                                               ("large", 5000, 120)])
+    def test_replications_run_inline(self, monkeypatch, threaded_pools, case, n, reps):
+        # a cell row is a few tens of microseconds of work that holds the
+        # interpreter lock: no thread count starts a pool, every count and
+        # every rerun gives the same rows, and a longer run starts with them
         if case == "single-arm":  # a rare arm: some replications fail
             spec = DgpSpec(
                 T=1, pz=0.05,
@@ -314,21 +334,13 @@ class TestMonteCarlo:
             spec = make_three_history_spec(noise_sd=0.5)
         want, want_rows = mc_with_rows(monkeypatch, spec, n, reps, threads=1)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
-        if min_n is None:
-            assert n >= simulate._MC_MIN_N
-            assert n * reps >= 4 * simulate._MC_MIN_UNITS
-        else:
-            monkeypatch.setattr(simulate, "_MC_MIN_N", min_n)
-            monkeypatch.setattr(simulate, "_MC_MIN_UNITS", 1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # workers switch often while they write rows of one array
-        try:
+        for threads in (1, 2, 4):
             got, rows = mc_with_rows(monkeypatch, spec, n, reps, threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded_pools == ([] if threads == 1 else [threads])
-        assert np.array_equal(rows.view(np.uint64), want_rows.view(np.uint64))
-        assert got == want
+            assert np.array_equal(rows.view(np.uint64), want_rows.view(np.uint64))
+            assert got == want
+        _, longer = mc_with_rows(monkeypatch, spec, n, reps + 7, threads=2)
+        assert np.array_equal(longer[:reps].view(np.uint64), want_rows.view(np.uint64))
+        assert threaded_pools == []
         if case == "single-arm":
             assert 0 < got.row("fs[1]").n_failed < reps
 
@@ -349,12 +361,16 @@ class TestMonteCarlo:
     def test_replication_workers_capped(
         self, monkeypatch, pool_sizes, threads, reps, cores, n, workers
     ):
-        monkeypatch.setattr(simulate, "_MC_MIN_N", 200)
-        monkeypatch.setattr(simulate, "_MC_MIN_UNITS", 1000)
+        # the rule sizes the pools of _fill_rows' floors (here 200 units per
+        # sample and 1000 unit draws per worker); Monte Carlo passes none, so
+        # it starts no pool where the rule would
         monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+        _fill_rows(lambda: lambda rng, out: None, 1, reps, n, 4, threads, 200, 1000)
+        assert pool_sizes == ([workers] if workers > 1 else [])
+        pool_sizes.clear()
         spec = make_three_history_spec(noise_sd=0.5)
         got = monte_carlo(spec, n=n, reps=reps, seed=4, threads=threads)
-        assert pool_sizes == ([workers] if workers > 1 else [])
+        assert pool_sizes == []
         monkeypatch.undo()
         assert got == monte_carlo(spec, n=n, reps=reps, seed=4, threads=1)
 
@@ -362,7 +378,7 @@ class TestMonteCarlo:
         "reps, threads, sizes", [(9, 4, [2, 2, 2, 3]), (7, 3, [2, 2, 3]), (8, 2, [4, 4])]
     )
     def test_every_worker_draws_a_balanced_range(self, monkeypatch, reps, threads, sizes):
-        # Monte Carlo replications and bootstrap resamples share one dispatch
+        # bootstrap resamples with the floors lowered: one dispatch of _fill_rows
         ranges = []
 
         class RangeRecorder:
@@ -382,21 +398,13 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", RangeRecorder)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
-        monkeypatch.setattr(simulate, "_MC_MIN_N", 1)
-        monkeypatch.setattr(simulate, "_MC_MIN_UNITS", 1)
         monkeypatch.setattr(inference, "_FILL_MIN_N", 1)
         monkeypatch.setattr(inference, "_FILL_MIN_UNITS", 1)
         spec = make_three_history_spec(noise_sd=0.5)
-        runs = [
-            lambda: monte_carlo(spec, n=50, reps=reps, seed=4, threads=threads),
-            lambda: inference._resample_moments(draw_panel(spec, 50, 4), reps, 4, threads),
-        ]
-        for run in runs:
-            ranges.clear()
-            run()
-            assert [stop - start for start, stop in ranges] == sizes
-            assert [start for start, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
-            assert (ranges[0][0], ranges[-1][1]) == (0, reps)
+        inference._resample_moments(draw_panel(spec, 50, 4), reps, 4, threads)
+        assert [stop - start for start, stop in ranges] == sizes
+        assert [start for start, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
+        assert (ranges[0][0], ranges[-1][1]) == (0, reps)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_rejects_nonpositive_n(self, n):
@@ -426,18 +434,89 @@ class TestMonteCarlo:
 def test_monte_carlo_rows_are_arm_sums_of_the_draws(
     monkeypatch, threaded_pools, n, reps, pz, T, threads
 ):
-    # non-dyadic y; at pz=0.03 about a third of the 40-unit replications
-    # have no z=1 unit; 5000 units run on the pool when threads=2
+    # with the array writer in place of the cell writer, row r is arm_sums of
+    # the units drawn from stream (8, r) at any thread count, and no pool
+    # starts; non-dyadic y; at pz=0.03 about a third of the 40-unit
+    # replications have no z=1 unit
     rng = np.random.default_rng(T)
     spec = dataclasses.replace(random_spec(rng, T=T, noise_sd=0.6), pz=pz)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(simulate, "_cell_writer", array_writer)
     _, rows = mc_with_rows(monkeypatch, spec, n, reps, threads)
     want = [arm_sums(*_draw_arrays(spec, n, rep_rng(8, r))) for r in range(reps)]
     assert rows.tobytes() == np.array(want).tobytes()
-    pooled = threads == 2 and n >= simulate._MC_MIN_N
-    assert threaded_pools == ([2] if pooled else [])
+    assert threaded_pools == []
     if pz < 0.1:
         assert 0 < np.count_nonzero(rows[:, 0] == 0) < reps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["random", "zero-probs", "all-pairs", "negative-zero"]),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=500),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([0.03, 0.3, 0.5]),
+    st.sampled_from([0.0, 0.7, 1.0]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example("all-pairs", 8, 300, 3, 0.5, 0.7, 1)
+@example("negative-zero", 3, 1, 5, 0.03, 0.0, 2)
+def test_monte_carlo_rows_are_cell_draws(variant, T, n, reps, pz, noise_sd, seed):
+    # row r is the cell draw of stream (8, r), summed cell by cell in Python:
+    # the same counts, the same normals and the same sums
+    rng = np.random.default_rng(seed)
+    if variant == "all-pairs":
+        T = 6 if T <= 4 else 8
+    spec = dataclasses.replace(variant_spec(variant, T, noise_sd, rng), pz=pz)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _, rows = mc_with_rows(monkeypatch, spec, n, reps, threads=1)
+    want = np.array([cell_row(spec, n, rep_rng(8, r)) for r in range(reps)])
+    assert np.array_equal(rows, want)
+
+
+def kept_targets(spec, n, reps, seed, writer):
+    """Each target of ``ALL_TARGETS`` over the replications of ``writer``'s rows
+    that Monte Carlo keeps for it, by name."""
+    lo, hi = contaminating_effect_range(spec)
+    M = _fill_rows(lambda: writer(spec, n), spec.T, reps, n, seed, 1)
+    both_arms, *moments = moment_estimands(M)
+    return {name: values[ok & both_arms]
+            for name, values, ok in target_columns(*moments, ALL_TARGETS, lo, hi)}
+
+
+def sd_log_se(values):
+    """Standard error of log(sample sd) from the sample kurtosis k: sqrt((k - 1) / 4m)."""
+    dev = values - values.mean()
+    kurtosis = np.mean(dev**4) / np.mean(dev**2) ** 2
+    return math.sqrt((kurtosis - 1.0) / (4 * len(values)))
+
+
+@pytest.mark.parametrize("case", ["six_history", *range(50)])
+def test_cell_rows_have_the_law_of_drawn_units(case):
+    # every target's mean and sd from cell rows against those of arm_sums of
+    # drawn units, within 4.5 Monte Carlo standard errors; a ratio whose
+    # denominator (fs_t for iv[t], fs_1 for delta and the bounds) has an sd
+    # above 20% of its mean has tails too heavy for a sample sd, so its sd is
+    # not compared
+    if case == "six_history":
+        spec, n, reps, seed = load_spec(GOLDEN_DIR / "spec_t4_six_history.json"), 1000, 2000, 1
+    else:
+        spec = random_spec(np.random.default_rng(500 + case), noise_sd=0.5)
+        n, reps, seed = 2000, 300, 2 * case
+    cell = kept_targets(spec, n, reps, seed, simulate._cell_writer)
+    units = kept_targets(spec, n, reps, seed + 1, array_writer)
+    for name, x in cell.items():
+        y = units[name]
+        se = math.sqrt(x.var(ddof=1) / len(x) + y.var(ddof=1) / len(y))
+        assert abs(x.mean() - y.mean()) <= 4.5 * se, name
+        if name.startswith(("rf", "fs")):
+            fs = None
+        else:
+            fs = cell[f"fs[{name[3:-1]}]" if name.startswith("iv") else "fs[1]"]
+        if fs is None or fs.std(ddof=1) <= 0.2 * abs(fs.mean()):
+            log_ratio = math.log(x.std(ddof=1) / y.std(ddof=1))
+            assert abs(log_ratio) <= 4.5 * math.hypot(sd_log_se(x), sd_log_se(y)), name
 
 
 @pytest.mark.parametrize("case", ["six_history", "all_histories", *range(50)])
@@ -516,11 +595,14 @@ def test_draw_arrays_match_two_table_reference(variant, T, n, pz, noise_sd, seed
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_table_matches_scalar_reference(T, n, reps, pz, lo8, width8, targets, seed):
-    # Tiny n leaves some replications with a single arm or a zero first
-    # stage; lo > 0 and hi < 0 drop the sign-restricted bound methods.
+    # With the array writer substituted, the rows are those the reference
+    # draws. Tiny n leaves some replications with a single arm or a zero
+    # first stage; lo > 0 and hi < 0 drop the sign-restricted bound methods.
     rng = np.random.default_rng(seed)
     spec = dataclasses.replace(random_spec(rng, T=T, noise_sd=0.5), pz=pz)
     lo, hi = lo8 / 8.0, (lo8 + width8) / 8.0
     targets = tuple(targets)
-    got = monte_carlo(spec, n=n, reps=reps, seed=seed, targets=targets, lo=lo, hi=hi)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(simulate, "_cell_writer", array_writer)
+        got = monte_carlo(spec, n=n, reps=reps, seed=seed, targets=targets, lo=lo, hi=hi)
     assert got == reference_monte_carlo(spec, n, reps, seed, targets, lo, hi)
