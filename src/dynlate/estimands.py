@@ -36,6 +36,13 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def check_count(name: str, value, least: int) -> int:
+    """A run size as an ``int``, refused unless an :func:`is_integer` >= ``least``."""
+    if not is_integer(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _check_period(t: int, T: int, lo: int = 1) -> int:
     """Refuse anything but an :func:`is_integer` period in lo..T, for
     estimands and specs; the period is returned as an ``int``."""

@@ -49,9 +49,10 @@ def unit_sums(y: np.ndarray) -> np.ndarray:
     The bits of ``y.sum(axis=0)``, which for T >= 2 adds whole rows in
     order; ``einsum`` makes the same adds at a fraction of the per-row
     dispatch cost. A single column, which ``sum`` adds pairwise, keeps
-    ``sum``.
+    ``sum``. A sum past the float range is an infinity, as in ``einsum``.
     """
-    return y.sum(axis=0) if y.shape[1] == 1 else np.einsum("ij->j", y)
+    with np.errstate(over="ignore"):
+        return y.sum(axis=0) if y.shape[1] == 1 else np.einsum("ij->j", y)
 
 
 def arm_sums(z: np.ndarray, d: np.ndarray, y: np.ndarray) -> np.ndarray:

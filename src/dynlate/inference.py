@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllReplicationsFailed
-from .estimands import is_integer, is_zero
+from .estimands import check_count, is_zero
 from .estimators import ALL_TARGETS, estimate, moment_estimands, moment_features
 from .estimators import outcome_range_bounds, target_blocks, target_row
 from .panel import Panel
@@ -91,7 +91,8 @@ class BootstrapResult:
 
 
 _FILL_MIN_N = 20_000
-"""Panel size from which resamples are computed by worker threads.
+"""Panel size from which resamples are computed by worker threads: a pool
+costs a few ms per call, and small samples lose even with many draws.
 Whole ``bootstrap`` calls, two threads over one, pool forced on, medians
 of 21 alternating in-process pairs on 2 vCPUs (T=4): 1.14 at 5000 x 2000
 resamples, 1.06 at 10k x 1000, 1.00 at 10k x 2000, 0.92 at 15k x 1000
@@ -128,14 +129,14 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     intp, times the cells' integer features: exact. Its 2T y columns are
     each arm's outcomes weighted by the counts and summed in cell order
     (``einsum``), so with non-dyadic y their last bits can differ from
-    ``arm_sums``' unit order. No step calls BLAS. One worker of
-    :func:`~dynlate.simulate._fill_rows` (floors ``_FILL_MIN_N`` and
-    ``_FILL_MIN_UNITS``) writes the whole row, so it depends only on
-    (panel, seed, r): not on ``threads``, ``reps``, execution order or the
-    BLAS thread count. Working set beyond the panel and the rows: the
-    (T, n) cell-ordered outcomes, ``rank``, the shared ones, and two
-    n-vectors per worker at a time (a resample's draws, their cells, its
-    weights); no reps x n array is held.
+    ``arm_sums``' unit order. No step calls BLAS. From ``_FILL_MIN_N``
+    units, :func:`~dynlate.simulate._fill_rows` may start one worker per
+    ``_FILL_MIN_UNITS`` unit draws; one worker writes a whole row, so it
+    depends only on (panel, seed, r): not on ``threads``, ``reps``,
+    execution order or the BLAS thread count. Working set beyond the panel
+    and the rows: the (T, n) cell-ordered outcomes, ``rank``, the shared
+    ones, and two n-vectors per worker at a time (a resample's draws, their
+    cells, its weights); no reps x n array is held.
     """
     n, T = panel.n, panel.T
     dtype = _CELL_KEY_DTYPE if 2 * T + 1 <= np.iinfo(_CELL_KEY_DTYPE).max else np.intp
@@ -164,7 +165,8 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
         for j, arm in ((2, slice(n0, n)), (2 + T, slice(0, n0))):
             out[j : j + T] = np.einsum("ji,i->j", ys[:, arm], weights[arm])
 
-    return _fill_rows(lambda: write, T, reps, n, seed, threads, _FILL_MIN_N, _FILL_MIN_UNITS)
+    max_workers = reps * n // _FILL_MIN_UNITS if n >= _FILL_MIN_N else 1
+    return _fill_rows(write, features.shape[1], reps, seed, threads, max_workers)
 
 
 def bootstrap(
@@ -194,9 +196,7 @@ def bootstrap(
     evaluates the same functional. ``include_tight=False`` leaves out the
     tight bounds, whose assumption the caller has not declared.
     """
-    if not is_integer(reps) or reps < 2:
-        raise ValueError(f"reps must be >= 2, got {reps}")
-    reps = int(reps)
+    reps = check_count("reps", reps, 2)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     targets = tuple(targets)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .dgp import DgpSpec, contaminating_effect_range, population_estimands
 from .errors import DegenerateInstrument, NonFiniteResult
-from .estimands import is_integer
+from .estimands import check_count
 from .estimators import ALL_TARGETS, moment_estimands, target_blocks, target_row
 from .panel import Panel
 
@@ -56,31 +56,27 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_rows(worker, T: int, reps: int, n: int, seed: int, threads: int,
-               min_n: float = math.inf, min_units: int = 1) -> np.ndarray:
-    """The (reps, 6T) moment rows of ``reps`` samples of n units each.
+def _fill_rows(write, width: int, reps: int, seed: int, threads: int,
+               max_workers: int = 1) -> np.ndarray:
+    """The (reps, width) rows of ``reps`` replications, row r written by
+    ``write(rep_rng(seed, r), M[r])``.
 
-    The one replication driver: each worker calls the row-writer factory
-    ``worker()`` once and writes row r of its range as
-    ``write(rep_rng(seed, r), M[r])``. At most one thread per row, per
-    usable core, per requested thread and per ``min_units`` unit draws
-    (reps x n); inline, with a plain ``map``, when n < min_n (always,
-    without floors) or one worker is left. A pool costs a few ms per call
-    whatever the work, so the draws in all decide whether it pays; small
-    samples lose even with many draws. The rows go in balanced contiguous
-    ranges, one per worker, and a row depends only on (writer input, seed,
-    r), not on the worker count.
+    The one replication driver. Every worker calls the one ``write``,
+    which keeps no scratch between calls. At most one worker per row, per
+    usable core, per requested thread and per the caller's
+    ``max_workers``; inline, with a plain ``map``, when one is left, as
+    always by default. The rows go in balanced contiguous ranges, one per
+    worker, and a row depends only on (writer input, seed, r), not on the
+    worker count.
     """
-    if not is_integer(threads) or threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    M = np.empty((reps, 6 * T))
+    threads = check_count("threads", threads, 1)
+    M = np.empty((reps, width))
 
     def fill(start: int, stop: int) -> None:
-        write = worker()
         for r in range(start, stop):
             write(rep_rng(seed, r), M[r])
 
-    workers = 1 if n < min_n else max(1, min(threads, reps, reps * n // min_units, _usable_cores()))
+    workers = max(1, min(threads, reps, max_workers, _usable_cores()))
     cuts = [w * reps // workers for w in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
@@ -185,8 +181,7 @@ def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
     Adoption pairs make treatment paths irreversible by construction, so
     the result always passes panel validation.
     """
-    if not is_integer(n) or n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_count("n", n, 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z, d, y = _draw_arrays(spec, n, rng)
     width = len(str(n - 1))
@@ -278,11 +273,7 @@ def monte_carlo(
     same replications share one mean and one standard deviation call on
     their block, each row with the bits of the call on its own column.
     """
-    if not is_integer(n) or n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not is_integer(reps) or reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    n, reps = int(n), int(reps)
+    n, reps = check_count("n", n, 1), check_count("reps", reps, 1)
     if not 0.0 < spec.pz < 1.0:
         raise DegenerateInstrument(f"pz = {spec.pz} puts every unit in one instrument arm")
     targets = tuple(targets)
@@ -292,7 +283,7 @@ def monte_carlo(
     # fs_1 = P(C1) > 0 for a valid spec, so the oracle keeps every identify
     # and bounds target
     oracle = target_row(population_estimands(spec), targets, lo, hi)
-    M = _fill_rows(lambda: _cell_writer(spec, n), spec.T, reps, n, seed, threads)
+    M = _fill_rows(_cell_writer(spec, n), 6 * spec.T, reps, seed, threads)
     both_arms, *moments = moment_estimands(M)
     rows = [None] * len(oracle)
     for positions, block in target_blocks(moments, both_arms, targets, lo, hi):

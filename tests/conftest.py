@@ -76,12 +76,17 @@ def overflowing_histories(case):
     return first, zero
 
 
-def overflowing_spec_file(tmp_path, case):
-    """The spec file of ``overflowing_histories(case)`` at pz 0.5, which
-    ``DgpSpec`` refuses, so it is written from the fields alone."""
+def overflowing_spec(case):
+    """The document of a spec of ``overflowing_histories(case)`` at pz 0.5,
+    which ``DgpSpec`` refuses, so it is written from the fields alone."""
     fields = SimpleNamespace(T=2, pz=0.5, noise_sd=0.0, histories=overflowing_histories(case))
+    return spec_to_dict(fields)
+
+
+def overflowing_spec_file(tmp_path, case):
+    """The spec file of :func:`overflowing_spec`."""
     path = tmp_path / f"{case}.json"
-    path.write_text(json.dumps(spec_to_dict(fields)))
+    path.write_text(json.dumps(overflowing_spec(case)))
     return str(path)
 
 

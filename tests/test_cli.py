@@ -4,9 +4,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dynlate import cli, dgp, estimators, inference, simulate
 from dynlate.cli import main
@@ -15,7 +20,8 @@ from dynlate.panel import ingest
 
 from conftest import DATA_DIR, GOLDEN_DIR, make_homogeneity_spec, make_three_history_spec
 from conftest import make_weak_long_spec
-from conftest import overflowing_spec_file
+from conftest import overflowing_spec, overflowing_spec_file
+from reference import enumerate_histories
 
 
 def run(capsys, *argv):
@@ -248,6 +254,13 @@ def edge_panel(tmp_path):
     ])
 
 
+EDGE_EFFECTS = dgp.DgpSpec(3, 0.5, tuple(
+    dgp.HistorySpec(AdoptionPair(s1, s0), prob, (0.0,) * 3, tuple((e,) * t for t in (1, 2, 3)))
+    for s1, s0, prob, e in ((1, 2, 0.4, 1e308), (2, NEVER, 0.3, -1e308), (NEVER, NEVER, 0.3, 0.0))
+))
+"""A T=3 spec with effects of 1e308 on (1, 2) and -1e308 on (2, never)."""
+
+
 class TestFloatRangeEdge:
     """Results past the float range are refused or dropped, never an internal error.
 
@@ -299,17 +312,23 @@ class TestFloatRangeEdge:
         )
         assert (code, err) == (0, "")
 
+    def test_one_period_arm_sum_past_the_float_range(self, capsys, tmp_path):
+        # arm 0's y sum, -2e308, passes the float range: it reads -inf, as a
+        # sum over T >= 2 columns does, with no overflow warning (exit 1)
+        panel = write_panel(tmp_path, "sum.csv", [
+            "a,1,1,1,1e308", "b,1,0,0,-1e308", "c,1,1,0,0", "d,1,0,0,-1e308",
+        ])
+        code, out, err = run(capsys, "estimate", "--panel", panel)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].split()[:3] == ["1", "inf", "0.5"]
+        code, _, err = run(capsys, "bootstrap", "--panel", panel, "--reps", "20", "--seed", "1",
+                           "--bounds", "-1,1")
+        assert code == 0 and "error[" not in err
+
     @staticmethod
     def effects_spec_file(tmp_path):
-        """A T=3 spec with effects of 1e308 on (1, 2) and -1e308 on (2, never)."""
-        H, P = dgp.HistorySpec, AdoptionPair
-        spec = dgp.DgpSpec(3, 0.5, (
-            H(P(1, 2), 0.4, (0.0,) * 3, ((1e308,), (1e308,) * 2, (1e308,) * 3)),
-            H(P(2, NEVER), 0.3, (0.0,) * 3, ((-1e308,), (-1e308,) * 2, (-1e308,) * 3)),
-            H(P(NEVER, NEVER), 0.3, (0.0,) * 3, ((0.0,), (0.0,) * 2, (0.0,) * 3)),
-        ))
         spec_path = tmp_path / "edge.json"
-        dgp.save_spec(spec, str(spec_path))
+        dgp.save_spec(EDGE_EFFECTS, str(spec_path))
         return spec_path
 
     def test_bounds_past_the_float_range_show_as_inf(self, capsys, tmp_path):
@@ -386,6 +405,104 @@ class TestFloatRangeEdge:
         spec = overflowing_spec_file(tmp_path, case)
         code, out, err = run(capsys, argv[0], "--dgp", spec, *argv[1:])
         assert (code, out, err) == (2, "", f"error[E_SPEC]: {message}\n")
+
+
+def magnitudes():
+    """0.0 and floats of either sign whose magnitudes are log-uniform from 1e-3 to 1e308."""
+    sign = st.sampled_from([1.0, -1.0])
+    return st.just(0.0) | st.builds(lambda s, e: s * 10.0**e, sign, st.floats(-3.0, 308.0))
+
+
+@st.composite
+def edge_specs(draw):
+    """Spec documents over T = 1..8: a first-period complier history and up to
+    three more, every baseline, effect and ``noise_sd`` drawn by
+    :func:`magnitudes`, written from the fields alone, so specs that
+    ``DgpSpec`` refuses are drawn too."""
+    T = draw(st.integers(1, 8))
+    pool = enumerate_histories(T)
+    c1 = draw(st.sampled_from([p for p in pool if p.s1 == 1 and p.s0 >= 2]))
+    pairs = [c1, *draw(st.lists(st.sampled_from([p for p in pool if p != c1]),
+                                max_size=3, unique=True))]
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(pairs), max_size=len(pairs)))
+
+    def values(k):
+        return tuple(draw(st.lists(magnitudes(), min_size=k, max_size=k)))
+
+    histories = tuple(
+        dgp.HistorySpec(p, w / sum(weights), values(T), tuple(map(values, range(1, T + 1))))
+        for p, w in zip(pairs, weights)
+    )
+    noise_sd = abs(draw(magnitudes()))
+    return dgp.spec_to_dict(SimpleNamespace(T=T, pz=0.5, noise_sd=noise_sd, histories=histories))
+
+
+@st.composite
+def edge_panels(draw):
+    """The data lines of a panel CSV: 2 to 8 units over T = 1..8, the arms
+    alternating, each unit adopting at a drawn period or never, and every y
+    drawn by :func:`magnitudes`."""
+    T, n = draw(st.integers(1, 8)), draw(st.integers(2, 8))
+    lines = []
+    for i in range(n):
+        start = draw(st.integers(1, T + 1))
+        ys = draw(st.lists(magnitudes(), min_size=T, max_size=T))
+        lines += [f"u{i},{t},{i % 2},{int(t >= start)},{y!r}" for t, y in enumerate(ys, 1)]
+    return lines
+
+
+SMALL_PANEL = (DATA_DIR / "panel_small.csv").read_text().splitlines()[1:]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_specs(), edge_panels(),
+       st.none() | st.lists(magnitudes(), min_size=2, max_size=2).map(sorted))
+# the five float-range cases of the sweep's plan: a cell mean and an arm
+# effect difference past the range, the bounds of EDGE_EFFECTS, tight
+# bounds at +-1e308 on a first stage that never rises, and noise_sd = 1e308
+@example(overflowing_spec("cell-mean"), SMALL_PANEL, None)
+@example(overflowing_spec("arm-difference"), SMALL_PANEL, None)
+@example(dgp.spec_to_dict(EDGE_EFFECTS), SMALL_PANEL, None)
+@example(dgp.spec_to_dict(make_three_history_spec()), SMALL_PANEL, [-1e308, 1e308])
+@example(dgp.spec_to_dict(dataclasses.replace(make_three_history_spec(), noise_sd=1e308)),
+         SMALL_PANEL, None)
+def test_no_input_exits_1(capsys, spec, panel, bounds):
+    # every subcommand on specs and panels up to the float range exits 0 or 2,
+    # under tier-1's RuntimeWarning-as-error filter; a refusal prints one
+    # error[CODE] line and leaves an existing --json report as it was
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path, panel_path, report = (Path(tmp) / name
+                                         for name in ("spec.json", "panel.csv", "report.json"))
+        spec_path.write_text(json.dumps(spec))
+        panel_path.write_text("\n".join(["unit_id,period,z,d,y", *panel]) + "\n")
+        effect_bounds = [] if bounds is None else [f"--bounds={bounds[0]!r},{bounds[1]!r}"]
+        calendar = ["--assume", "calendar-homogeneity"]
+        cross = ["--assume", "cross-group-homogeneity"]
+        for source, argv in [
+            *((["--dgp", str(spec_path)], argv) for argv in (
+                ["check"], ["estimate"], ["identify", *calendar], ["bounds", *effect_bounds],
+                ["decompose", "--period", str(spec["T"])],
+                ["simulate", "--n", "50", "--seed", "1"],
+                ["montecarlo", "--n", "50", "--reps", "5", "--seed", "1", *effect_bounds],
+            )),
+            *((["--panel", str(panel_path)], argv) for argv in (
+                ["check"], ["estimate"], ["identify", *calendar],
+                ["bounds", *cross, *effect_bounds],
+                ["bootstrap", "--reps", "20", "--seed", "1", *effect_bounds],
+            )),
+        ]:
+            report.write_text("kept\n")
+            code, _, err = run(capsys, argv[0], *source, *argv[1:], "--json", str(report))
+            errors = [line for line in err.splitlines() if line.startswith("error[")]
+            assert code in (0, 2), (argv, err)
+            if code == 0:
+                assert errors == [], (argv, err)
+                json.loads(report.read_text(), parse_constant=_refuse_constant)
+            else:
+                assert len(errors) == 1 and err.endswith(errors[0] + "\n"), (argv, err)
+                assert re.fullmatch(r"error\[E_[A-Z_]+\]: .+", errors[0]), (argv, err)
+                assert report.read_text() == "kept\n", argv
 
 
 class TestCheck:

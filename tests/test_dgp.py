@@ -286,6 +286,35 @@ class TestTrueDynamicLates:
         )
         assert true_dynamic_lates(spec) == pytest.approx((0.7, 0.7, 0.7))
 
+    def test_within_four_roundings_of_the_exact_effect(self):
+        """Each period's value against the exact C1 effect E = A / P, in
+        ``Fraction``s of the spec's floats, on 200 ``random_spec`` specs.
+
+        Over C1's members h, with e_h the effect at (t, t - 1), A = sum
+        p_h e_h, P = sum p_h, K = sum |p_h e_h| / P (so |E| <= K) and u =
+        2^-53, and no product under- or overflowing:
+        - each product is rounded once, q_h = p_h e_h (1 + d_h), so sum q_h
+          = A + D with |D| <= u K P;
+        - ``fsum`` rounds each exact sum once: S = (A + D)(1 + e) and
+          P' = P (1 + g);
+        - the division rounds once: R = (S / P')(1 + r);
+        with |d_h|, |e|, |g|, |r| <= u. So R - E = E [(1 + e)(1 + r) / (1 + g)
+        - 1] + (D / P)(1 + e)(1 + r) / (1 + g), and |R - E| <= K [(3u + u^2)
+        + u (1 + u)^2] / (1 - u) = K (4u + 3u^2 + u^3) / (1 - u).
+        """
+        u = Fraction(1, 2**53)
+        rng = np.random.default_rng(1009)
+        for _ in range(200):
+            spec = random_spec(rng, T=int(rng.integers(1, 9)))
+            members = [h for h in spec.histories
+                       if h.pair.s1 == 1 and h.pair.s0 >= 2 and h.prob > 0.0]
+            total = sum(Fraction(h.prob) for h in members)
+            for t, got in enumerate(true_dynamic_lates(spec), 1):
+                terms = [Fraction(h.prob) * Fraction(h.effect(t, t - 1)) for h in members]
+                scale = sum(map(abs, terms)) / total
+                bound = scale * (4 * u + 3 * u**2 + u**3) / (1 - u)
+                assert abs(Fraction(got) - sum(terms) / total) <= bound
+
 
 class TestDecomposition:
     def test_three_history_example(self):

@@ -244,7 +244,7 @@ class TestBootstrap:
             bootstrap(panel, reps=1, alpha=0.05, seed=0)
         with pytest.raises(ValueError):
             bootstrap(panel, reps=10, alpha=0.0, seed=0)
-        with pytest.raises(ValueError, match="threads must be >= 1"):
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
             bootstrap(panel, reps=10, alpha=0.05, seed=0, threads=0)
 
     @pytest.mark.parametrize(
@@ -375,9 +375,9 @@ def test_numpy_integer_resample_counts(cast):
 @pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
 def test_resample_counts_that_are_not_integers_are_refused(value):
     panel = noisy_panel(300)
-    with pytest.raises(ValueError, match="reps must be >= 2"):
+    with pytest.raises(ValueError, match=f"^reps must be an integer >= 2, got {value!r}$"):
         bootstrap(panel, reps=value, alpha=0.1, seed=3)
-    with pytest.raises(ValueError, match="threads must be >= 1"):
+    with pytest.raises(ValueError, match=f"^threads must be an integer >= 1, got {value!r}$"):
         bootstrap(panel, reps=10, alpha=0.1, seed=3, threads=value)
 
 

@@ -154,30 +154,24 @@ def test_usable_cores_counts_the_affinity_set(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fill_rows_writes_row_r_from_its_stream(monkeypatch, threaded_pools, threads):
-    # floors forced down, so two threads split the 7 rows between two workers
+    # a ceiling of one worker per row, so two threads split the 7 rows
+    # between two workers, each calling the one writer
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
     written = []
 
-    def worker():
-        rows = []
-        written.append(rows)
+    def write(rng, out):
+        written.append(out)
+        out[:] = rng.random(len(out))
 
-        def write(rng, out):
-            rows.append(out)
-            out[:] = rng.random(len(out))
-
-        return write
-
-    T, reps, seed = 2, 7, 11
-    M = _fill_rows(worker, T, reps, 5, seed, threads, 1, 1)
+    width, reps, seed = 5, 7, 11
+    M = _fill_rows(write, width, reps, seed, threads, max_workers=reps)
     assert threaded_pools == ([2] if threads == 2 else [])
-    assert len(written) == threads  # one writer per worker
-    assert sum(map(len, written)) == reps
-    assert all(out.base is M for rows in written for out in rows)
-    want = np.array([rep_rng(seed, r).random(6 * T) for r in range(reps)])
-    assert M.shape == (reps, 6 * T) and M.tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
-        _fill_rows(worker, T, reps, 5, seed, 0, 1, 1)
+    assert len(written) == reps
+    assert all(out.base is M for out in written)
+    want = np.array([rep_rng(seed, r).random(width) for r in range(reps)])
+    assert M.shape == (reps, width) and M.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="threads must be an integer >= 1, got 0"):
+        _fill_rows(write, width, reps, seed, 0, reps)
 
 
 @pytest.mark.parametrize("cast", [np.int64, np.int32], ids=["int64", "int32"])
@@ -192,13 +186,13 @@ def test_numpy_integer_run_sizes(cast):
 @pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
 def test_run_sizes_that_are_not_integers_are_refused(value):
     spec = make_three_history_spec()
-    with pytest.raises(ValueError, match="n must be >= 1"):
+    with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {value!r}$"):
         draw_panel(spec, value, seed=3)
     for name, kwargs in (
         ("n", dict(n=value, reps=2)), ("reps", dict(n=50, reps=value)),
         ("threads", dict(n=50, reps=2, threads=value)),
     ):
-        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value!r}$"):
             monte_carlo(spec, seed=1, **kwargs)
 
 
@@ -361,11 +355,12 @@ class TestMonteCarlo:
     def test_replication_workers_capped(
         self, monkeypatch, pool_sizes, threads, reps, cores, n, workers
     ):
-        # the rule sizes the pools of _fill_rows' floors (here 200 units per
-        # sample and 1000 unit draws per worker); Monte Carlo passes none, so
-        # it starts no pool where the rule would
+        # the rule caps the caller's ceiling, here one worker per 1000 unit
+        # draws from 200 units per sample (as the bootstrap forms its own);
+        # Monte Carlo passes no ceiling, so it starts no pool where the rule would
         monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
-        _fill_rows(lambda: lambda rng, out: None, 1, reps, n, 4, threads, 200, 1000)
+        ceiling = reps * n // 1000 if n >= 200 else 1
+        _fill_rows(lambda rng, out: None, 1, reps, 4, threads, ceiling)
         assert pool_sizes == ([workers] if workers > 1 else [])
         pool_sizes.clear()
         spec = make_three_history_spec(noise_sd=0.5)
@@ -408,12 +403,12 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_rejects_nonpositive_n(self, n):
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             monte_carlo(make_three_history_spec(), n=n, reps=2, seed=1)
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_rejects_nonpositive_threads(self, threads):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
             monte_carlo(make_three_history_spec(), n=50, reps=2, seed=1, threads=threads)
 
     def test_rejects_empty_targets(self):
@@ -479,7 +474,7 @@ def kept_targets(spec, n, reps, seed, writer):
     """Each target of ``ALL_TARGETS`` over the replications of ``writer``'s rows
     that Monte Carlo keeps for it, by name."""
     lo, hi = contaminating_effect_range(spec)
-    M = _fill_rows(lambda: writer(spec, n), spec.T, reps, n, seed, 1)
+    M = _fill_rows(writer(spec, n), 6 * spec.T, reps, seed, 1)
     both_arms, *moments = moment_estimands(M)
     return {name: values[ok & both_arms]
             for name, values, ok in target_columns(*moments, ALL_TARGETS, lo, hi)}
