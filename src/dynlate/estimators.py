@@ -91,14 +91,28 @@ def moment_estimands(M: np.ndarray):
 
 
 def estimate(panel: Panel) -> EstimandSet:
-    """Sample per-period estimands: the one-row :func:`moment_estimands` call."""
-    row = arm_sums(panel.z, panel.d, panel.y)
+    """Sample per-period estimands: the one-row :func:`moment_estimands` call.
+
+    Where an arm's y sum at t passes the float range, its mean at t is
+    taken as twice its mean of y/2, exact at those magnitudes (the rule of
+    :func:`~dynlate.inference.percentile_interval`), and rf_t is the
+    difference of the arm means; a row of finite sums keeps its bits.
+    """
+    z, d, y, T = panel.z, panel.d, panel.y, panel.T
+    row = arm_sums(z, d, y)
     both_arms, *moments = moment_estimands(row[None])
     if not both_arms[0]:
         raise DegenerateInstrument("panel has a single instrument arm")
+    wide = ~np.isfinite(row[2 : 2 + 2 * T])
+    if wide.any():
+        halved = arm_sums(z, d, y / 2.0)[2 : 2 + 2 * T]
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = np.where(wide, halved, row[2 : 2 + 2 * T]) / np.repeat(row[:2], T)
+            means[wide] *= 2.0
+            moments[0] = (means[:T] - means[T:])[None]
     rf, fs, sw0, sw1 = (tuple(v[0].tolist()) for v in moments)
     return EstimandSet(
-        T=panel.T,
+        T=T,
         rf=rf,
         fs=fs,
         switch_z0=sw0,
@@ -226,9 +240,12 @@ def identify(est: EstimandSet) -> IdentifiedProfile:
 
     Only first-period relevance is required; later first stages may vanish.
     An rf or fs that is not finite is refused with :class:`NonFiniteResult`,
-    naming its period; a finite input whose profile overflows is refused
-    with :class:`RelevanceFailure`. An :func:`amplification` above
-    ``AMPLIFICATION_THRESHOLD`` (every |fs_1| < 0.01 is one) adds a warning.
+    naming its period. A finite input whose profile overflows is refused
+    with :class:`RelevanceFailure`, naming |fs_1|, where the recursion's
+    :func:`amplification` is above ``AMPLIFICATION_THRESHOLD``, and
+    otherwise with :class:`NonFiniteResult`, naming the largest |rf_t|. An
+    amplification above the threshold (every |fs_1| < 0.01 is one) adds a
+    warning.
     """
     for name, values in (("rf", est.rf), ("fs", est.fs)):
         for t, value in enumerate(values, start=1):
@@ -241,9 +258,15 @@ def identify(est: EstimandSet) -> IdentifiedProfile:
         raise RelevanceFailure("first stage at t=1 is zero")
     solved = identify_rows(np.array([est.rf]), np.array([est.fs]))[0]
     if not np.isfinite(solved).all():
-        raise RelevanceFailure(
-            f"identified profile overflows: |fs_1| = {abs(fs1):.3g} is too small"
-            f" for T = {est.T} periods"
+        if amplification(est.fs) > AMPLIFICATION_THRESHOLD:
+            raise RelevanceFailure(
+                f"identified profile overflows: |fs_1| = {abs(fs1):.3g} is too small"
+                f" for T = {est.T} periods"
+            )
+        t = max(range(est.T), key=lambda i: abs(est.rf[i]))
+        raise NonFiniteResult(
+            f"identified profile overflows the float range: |rf_{t + 1}| ="
+            f" {abs(est.rf[t]):.3g} is too large for fs_1 = {fs1:.3g}"
         )
     deltas = tuple(solved.tolist())
     residual = max(

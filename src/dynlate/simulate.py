@@ -15,9 +15,10 @@ arm's noise sum at one period is exactly N(0, noise_sd^2 n_z) given the
 counts, so the row has the law of :func:`~dynlate.estimators.arm_sums` of
 a drawn panel, though not its bits; the condition is that the noise is
 normal. Replication r draws from the stream seeded by (seed, r), so its
-row depends on nothing but the spec, n, the seed and r. The rows go into
-one array, filled in one thread, and are evaluated together, screened and
-grouped by :func:`~dynlate.estimators.target_blocks`. The oracle is the
+row depends on nothing but the spec, n, the seed and r. Only those draws
+run per replication, in one thread; one cell-by-cell pass over all the
+draws then builds every row, and the rows are evaluated together, screened
+and grouped by :func:`~dynlate.estimators.target_blocks`. The oracle is the
 one-row table of the population estimands
 (:func:`~dynlate.estimators.target_row`), so both share the targets'
 names, report order and defined-target rules.
@@ -139,35 +140,45 @@ def _draw_arrays(spec: DgpSpec, n: int, rng: np.random.Generator):
     return z.astype(np.int8), cells.d.take(cell, axis=0), y
 
 
-def _cell_writer(spec: DgpSpec, n: int):
-    """Monte Carlo's row writer: ``write(rng, out)`` draws one sample of n
-    units from the cell table and writes its moment row into ``out``.
+def _cell_rows(spec: DgpSpec, n: int, reps: int, seed: int, threads: int) -> np.ndarray:
+    """Monte Carlo's (reps, 6T) moment rows, each drawn from the cell table.
 
-    It draws the cell counts ``rng.multinomial(n, probs)``, over the cells'
+    Replication r draws, from ``rep_rng(seed, r)`` by :func:`_fill_rows`,
+    its cell counts ``rng.multinomial(n, probs)`` over the cells'
     probabilities (1 - pz) p_h, then pz p_h, divided by their sum, and then
-    ``rng.standard_normal(2T)``. The integer columns are the counts times
-    the cell features, exactly. Each arm's T y columns are its counts times
-    its cell means, added cell by cell in order (a ``cumsum``, no BLAS
-    call), plus ``noise_sd * sqrt(n_z)`` times T of the normals, arm 1's
-    first. Given the counts, that is the law of the arm's noise sums when
-    the noise is i.i.d. normal. A sum past the float range reads as inf or
+    ``rng.standard_normal(2T)``; nothing else runs per replication. The
+    counts keep their int64 bits in the draw row, so they are exact for
+    every n. One pass over all rows then builds the moment rows. The
+    integer columns are the counts times the cell features, exactly. Each
+    arm's T y columns are its counts times its cell means, added cell by
+    cell in cell order into one (reps, 2, T) accumulator (no BLAS call),
+    plus ``noise_sd * sqrt(n_z)`` times T of the normals, arm 1's first.
+    Given the counts, that is the law of the arm's noise sums when the
+    noise is i.i.d. normal. A sum past the float range reads as inf or
     nan, which :func:`~dynlate.estimators.target_columns` never marks ok.
     """
     cells, T, H = spec.cells, spec.T, len(spec.histories)
     probs = np.concatenate([(1.0 - spec.pz) * cells.prob, spec.pz * cells.prob])
     probs /= probs.sum()
-    means = cells.mean.reshape(2, H, T)[::-1]  # arm 1 first, as in the row
 
-    def write(rng: np.random.Generator, out: np.ndarray) -> None:
-        counts = rng.multinomial(n, probs)
-        np.matmul(counts, cells.features, out=out)
-        noise = rng.standard_normal(2 * T)
-        with np.errstate(over="ignore", invalid="ignore"):
-            noise *= np.repeat(spec.noise_sd * np.sqrt(out[:2]), T)
-            sums = np.multiply(counts.reshape(2, H, 1)[::-1], means).cumsum(axis=1)[:, -1]
-            np.add(sums.reshape(-1), noise, out=out[2 : 2 + 2 * T])
+    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
+        out[: 2 * H].view(np.int64)[:] = rng.multinomial(n, probs)
+        rng.standard_normal(out=out[2 * H :])
 
-    return write
+    draws = _fill_rows(draw, 2 * H + 2 * T, reps, seed, threads)
+    counts = draws[:, : 2 * H].view(np.int64)
+    rows = np.matmul(counts, cells.features, out=np.empty((reps, 6 * T)))
+    arms = counts.reshape(reps, 2, H, 1)[:, ::-1]  # arm 1 first, as in the row
+    means = cells.mean.reshape(2, H, T)[::-1]
+    noise = draws[:, 2 * H :].reshape(reps, 2, T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise *= spec.noise_sd * np.sqrt(rows[:, :2, None])
+        sums = arms[:, :, 0] * means[:, 0]
+        for h in range(1, H):
+            sums += arms[:, :, h] * means[:, h]
+        sums += noise
+    rows[:, 2 : 2 + 2 * T] = sums.reshape(reps, 2 * T)
+    return rows
 
 
 def draw_panel(spec: DgpSpec, n: int, seed: int) -> Panel:
@@ -260,11 +271,13 @@ def monte_carlo(
     contaminating-effect envelope. The oracle is the one-row target table
     of the population estimands, under the population zero rule; a target
     it leaves undefined has no row. Each replication's moment row is drawn
-    from the cell table by :func:`_cell_writer`: it has the law of
+    from the cell table by :func:`_cell_rows`: it has the law of
     :func:`~dynlate.estimators.arm_sums` of a drawn panel when the noise is
-    normal, as every spec's is, but not its bits. The rows come from
-    :func:`_fill_rows` in one thread: a row is a few tens of microseconds
-    of work that holds the interpreter lock, so no worker pool pays.
+    normal, as every spec's is, but not its bits. Its draws come from
+    :func:`_fill_rows` in one thread: a replication draws a multinomial and
+    2T normals, about 15 microseconds that hold the interpreter lock and
+    are mostly seeding its stream, so no worker pool pays; the rows are
+    then built in one vectorised pass.
     ``threads`` is checked and has no other effect; a replication's row
     depends only on (spec, n, seed, r), so the summary is the same for any
     ``threads`` and the first k replications of a longer run are those of
@@ -283,7 +296,7 @@ def monte_carlo(
     # fs_1 = P(C1) > 0 for a valid spec, so the oracle keeps every identify
     # and bounds target
     oracle = target_row(population_estimands(spec), targets, lo, hi)
-    M = _fill_rows(_cell_writer(spec, n), 6 * spec.T, reps, seed, threads)
+    M = _cell_rows(spec, n, reps, seed, threads)
     both_arms, *moments = moment_estimands(M)
     rows = [None] * len(oracle)
     for positions, block in target_blocks(moments, both_arms, targets, lo, hi):

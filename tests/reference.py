@@ -16,7 +16,7 @@ promises the same bits, and against exact rationals elsewhere.
 - Moments and estimators: :func:`six_mask_moments`,
   :func:`concatenated_features`, :func:`row_sum_key_moments`,
   :func:`exact_identify`, :func:`exact_bound`.
-- Monte Carlo: :func:`array_writer`, :func:`cell_row`, :func:`target_values`,
+- Monte Carlo: :func:`array_rows`, :func:`cell_row`, :func:`target_values`,
   :func:`reference_monte_carlo`.
 """
 
@@ -371,34 +371,35 @@ def exact_bound(method, rf, fs, sw0, sw1, t, lo, hi):
 # Monte Carlo
 
 
-def array_writer(spec, n):
-    """A Monte Carlo row writer that draws every unit: row r is ``arm_sums`` of
+def array_rows(spec, n, reps, seed, threads):
+    """Monte Carlo rows that draw every unit: row r is ``arm_sums`` of
     ``_draw_arrays`` from the replication's stream, the rows Monte Carlo wrote
     before it drew them from the cell table. Substituted for
-    ``simulate._cell_writer``, it lets :func:`reference_monte_carlo` check
+    ``simulate._cell_rows``, it lets :func:`reference_monte_carlo` check
     ``monte_carlo``'s pipeline bit for bit; unsubstituted, it is the law
-    ``_cell_writer``'s rows must have."""
+    ``_cell_rows``' rows must have."""
 
     def write(rng, out):
         out[:] = arm_sums(*_draw_arrays(spec, n, rng))
 
-    return write
+    return simulate._fill_rows(write, 6 * spec.T, reps, seed, threads)
 
 
 def cell_row(spec, n, rng):
     """One Monte Carlo moment row drawn from the cell table, summed cell by cell
-    in Python. Checks ``simulate._cell_writer`` exactly.
+    in Python. Checks ``simulate._cell_rows`` exactly.
 
     Draws the (arm, history) cell counts, arm 0's cells first, then 2T
     standard normals: the first T are arm 1's noise sums per period, the
-    next T arm 0's, each scaled by noise_sd * sqrt(n_z).
+    next T arm 0's, each scaled by noise_sd * sqrt(n_z). The integer
+    columns are sums of Python ints, exact for every n, rounded once.
     """
     T, H = spec.T, len(spec.histories)
     shares = np.array([(1.0 - spec.pz) * h.prob for h in spec.histories]
                       + [spec.pz * h.prob for h in spec.histories])
     counts = rng.multinomial(n, shares / shares.sum()).tolist()
     normals = rng.standard_normal(2 * T).tolist()
-    row = [0.0] * (6 * T)
+    row = [0] * (6 * T)
     for c, count in enumerate(counts):
         z, h = c // H, spec.histories[c % H]
         s = h.pair.adoption(z)
@@ -413,7 +414,7 @@ def cell_row(spec, n, rng):
         scale = spec.noise_sd * math.sqrt(row[arm])
         for t in range(T):
             row[2 + arm * T + t] += scale * normals[arm * T + t]
-    return np.array(row)
+    return np.array(row, dtype=np.float64)
 
 
 def target_values(est, targets, lo, hi) -> dict[str, float]:
@@ -453,7 +454,7 @@ def target_values(est, targets, lo, hi) -> dict[str, float]:
 
 def reference_monte_carlo(spec, n, reps, seed, targets, lo, hi):
     """Monte Carlo through a validated Panel and the scalar estimators per replication.
-    Checks ``monte_carlo`` with :func:`array_writer` in place of its cell writer."""
+    Checks ``monte_carlo`` with :func:`array_rows` in place of its cell rows."""
     oracle = target_values(population_estimands(spec), targets, lo, hi)
     results = []
     for r in range(reps):

@@ -313,14 +313,14 @@ class TestFloatRangeEdge:
         assert (code, err) == (0, "")
 
     def test_one_period_arm_sum_past_the_float_range(self, capsys, tmp_path):
-        # arm 0's y sum, -2e308, passes the float range: it reads -inf, as a
-        # sum over T >= 2 columns does, with no overflow warning (exit 1)
+        # arm 0's y sum, -2e308, passes the float range with no overflow
+        # warning (exit 1); its mean, -1e308, does not, so rf_1 is 1.5e308
         panel = write_panel(tmp_path, "sum.csv", [
             "a,1,1,1,1e308", "b,1,0,0,-1e308", "c,1,1,0,0", "d,1,0,0,-1e308",
         ])
         code, out, err = run(capsys, "estimate", "--panel", panel)
         assert (code, err) == (0, "")
-        assert out.splitlines()[2].split()[:3] == ["1", "inf", "0.5"]
+        assert out.splitlines()[2].split()[:3] == ["1", "1.5e+308", "0.5"]
         code, _, err = run(capsys, "bootstrap", "--panel", panel, "--reps", "20", "--seed", "1",
                            "--bounds", "-1,1")
         assert code == 0 and "error[" not in err
@@ -368,6 +368,19 @@ class TestFloatRangeEdge:
         assert (code, out) == (2, "")
         assert err == ("error[E_NONFINITE]: rf_1 = inf is not finite:"
                        " no profile can be identified\n")
+
+    def test_identify_blames_the_reduced_form_when_fs_1_is_large(self, capsys, tmp_path):
+        # fs_1 = 0.5 and the recursion amplifies errors only 2-fold, but
+        # delta[0] = rf_1 / fs_1 = 2e308 passes the float range: rf_1's fault
+        panel = write_panel(tmp_path, "rf.csv", [
+            "a,1,1,1,1e308", "a,2,1,1,0", "b,1,0,0,-5e307", "b,2,0,0,0",
+            "c,1,1,0,0", "c,2,1,0,0", "d,1,0,0,-5e307", "d,2,0,0,0",
+        ])
+        code, out, err = run(capsys, "identify", "--panel", panel,
+                             "--assume", "calendar-homogeneity")
+        assert (code, out) == (2, "")
+        assert err == ("error[E_NONFINITE]: identified profile overflows the float range:"
+                       " |rf_1| = 1e+308 is too large for fs_1 = 0.5\n")
 
     def test_montecarlo_counts_noise_past_the_float_range_as_failed(self, capsys, tmp_path):
         # noise_sd = 1e308: every replication's noise sums overflow, so each

@@ -171,6 +171,18 @@ class TestEstimate:
         assert est.fs == (0.5, 0.5)
         assert est.rho[0] == 0.0
 
+    def test_arm_mean_in_range_whose_sum_is_not(self):
+        # arm 0's y_1 sum, -2e308, passes the float range but its mean does
+        # not: that mean is twice the mean of y/2, so rf_1 = 5e307 + 1e308;
+        # period 2's sums are finite, and rf_2 keeps the plain row's bits
+        p = Panel.from_arrays(
+            ["a", "b", "c", "d"], [1, 0, 1, 0], [[1, 1], [0, 0], [0, 0], [0, 0]],
+            [[1e308, 0.1], [-1e308, 0.7], [0.0, 0.2], [-1e308, 0.3]],
+        )
+        est = estimate(p)
+        assert est.rf == (1e308 / 2 + 1e308, (0.1 + 0.2) / 2 - (0.7 + 0.3) / 2)
+        assert est.fs == (0.5, 0.5)
+
     def test_degenerate_instrument(self):
         p = Panel.from_arrays(["a", "b"], [1, 1], [[0], [1]], [[0.0], [1.0]])
         with pytest.raises(DegenerateInstrument):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from dynlate.simulate import (
 )
 
 from conftest import GOLDEN_DIR, make_three_history_spec, make_weak_long_spec
-from randspec import random_spec, static_compliance_spec, variant_spec
-from reference import array_writer, cell_row, mean_outcome, reference_monte_carlo, where_draw
+from randspec import all_pairs_spec, random_spec, static_compliance_spec, variant_spec
+from reference import array_rows, cell_row, mean_outcome, reference_monte_carlo, where_draw
 
 P = AdoptionPair
 
@@ -429,14 +430,14 @@ class TestMonteCarlo:
 def test_monte_carlo_rows_are_arm_sums_of_the_draws(
     monkeypatch, threaded_pools, n, reps, pz, T, threads
 ):
-    # with the array writer in place of the cell writer, row r is arm_sums of
+    # with the array rows in place of the cell rows, row r is arm_sums of
     # the units drawn from stream (8, r) at any thread count, and no pool
     # starts; non-dyadic y; at pz=0.03 about a third of the 40-unit
     # replications have no z=1 unit
     rng = np.random.default_rng(T)
     spec = dataclasses.replace(random_spec(rng, T=T, noise_sd=0.6), pz=pz)
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
-    monkeypatch.setattr(simulate, "_cell_writer", array_writer)
+    monkeypatch.setattr(simulate, "_cell_rows", array_rows)
     _, rows = mc_with_rows(monkeypatch, spec, n, reps, threads)
     want = [arm_sums(*_draw_arrays(spec, n, rep_rng(8, r))) for r in range(reps)]
     assert rows.tobytes() == np.array(want).tobytes()
@@ -457,9 +458,12 @@ def test_monte_carlo_rows_are_arm_sums_of_the_draws(
 )
 @example("all-pairs", 8, 300, 3, 0.5, 0.7, 1)
 @example("negative-zero", 3, 1, 5, 0.03, 0.0, 2)
+@example("random", 4, 2**53 + 1, 3, 0.5, 1.0, 3)
+@example("all-pairs", 8, 10**17 + 1, 3, 0.3, 0.7, 4)
 def test_monte_carlo_rows_are_cell_draws(variant, T, n, reps, pz, noise_sd, seed):
     # row r is the cell draw of stream (8, r), summed cell by cell in Python:
-    # the same counts, the same normals and the same sums
+    # the same counts, the same normals and the same sums; past 2**53 units
+    # the counts stay exact until each integer column is rounded once
     rng = np.random.default_rng(seed)
     if variant == "all-pairs":
         T = 6 if T <= 4 else 8
@@ -470,11 +474,31 @@ def test_monte_carlo_rows_are_cell_draws(variant, T, n, reps, pz, noise_sd, seed
     assert np.array_equal(rows, want)
 
 
-def kept_targets(spec, n, reps, seed, writer):
-    """Each target of ``ALL_TARGETS`` over the replications of ``writer``'s rows
-    that Monte Carlo keeps for it, by name."""
+def test_monte_carlo_rows_do_not_grow_with_cells_per_row():
+    # all 73 histories at T = 8: a draw row holds 2H counts and 2T normals,
+    # 162 values; Monte Carlo's peak stays under the draw array plus three
+    # (reps, 6T) arrays of rows, so no (reps, 2H, T) temporary (19 MB here)
+    # is built. Only the estimands are targeted, so the rows, not the target
+    # table, set the peak.
+    spec = all_pairs_spec(np.random.default_rng(1), 8, 0.7)
+    H, T, reps = len(spec.histories), spec.T, 2000
+    assert H == 73
+    monte_carlo(spec, n=50, reps=2, seed=1, targets=("estimands",))
+    tracemalloc.start()
+    try:
+        monte_carlo(spec, n=10_000, reps=reps, seed=1, targets=("estimands",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    draws, rows = reps * (2 * H + 2 * T) * 8, reps * 6 * T * 8
+    assert peak <= draws + 3 * rows
+
+
+def kept_targets(spec, n, reps, seed, draw_rows):
+    """Each target of ``ALL_TARGETS`` over the replications of the rows
+    ``draw_rows(spec, n, reps, seed, threads)`` that Monte Carlo keeps for it, by name."""
     lo, hi = contaminating_effect_range(spec)
-    M = _fill_rows(writer(spec, n), 6 * spec.T, reps, seed, 1)
+    M = draw_rows(spec, n, reps, seed, 1)
     both_arms, *moments = moment_estimands(M)
     return {name: values[ok & both_arms]
             for name, values, ok in target_columns(*moments, ALL_TARGETS, lo, hi)}
@@ -499,8 +523,8 @@ def test_cell_rows_have_the_law_of_drawn_units(case):
     else:
         spec = random_spec(np.random.default_rng(500 + case), noise_sd=0.5)
         n, reps, seed = 2000, 300, 2 * case
-    cell = kept_targets(spec, n, reps, seed, simulate._cell_writer)
-    units = kept_targets(spec, n, reps, seed + 1, array_writer)
+    cell = kept_targets(spec, n, reps, seed, simulate._cell_rows)
+    units = kept_targets(spec, n, reps, seed + 1, array_rows)
     for name, x in cell.items():
         y = units[name]
         se = math.sqrt(x.var(ddof=1) / len(x) + y.var(ddof=1) / len(y))
@@ -590,7 +614,7 @@ def test_draw_arrays_match_two_table_reference(variant, T, n, pz, noise_sd, seed
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_table_matches_scalar_reference(T, n, reps, pz, lo8, width8, targets, seed):
-    # With the array writer substituted, the rows are those the reference
+    # With the array rows substituted, the rows are those the reference
     # draws. Tiny n leaves some replications with a single arm or a zero
     # first stage; lo > 0 and hi < 0 drop the sign-restricted bound methods.
     rng = np.random.default_rng(seed)
@@ -598,6 +622,6 @@ def test_table_matches_scalar_reference(T, n, reps, pz, lo8, width8, targets, se
     lo, hi = lo8 / 8.0, (lo8 + width8) / 8.0
     targets = tuple(targets)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(simulate, "_cell_writer", array_writer)
+        monkeypatch.setattr(simulate, "_cell_rows", array_rows)
         got = monte_carlo(spec, n=n, reps=reps, seed=seed, targets=targets, lo=lo, hi=hi)
     assert got == reference_monte_carlo(spec, n, reps, seed, targets, lo, hi)
