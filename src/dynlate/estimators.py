@@ -34,12 +34,15 @@ KNOWN_ASSUMPTIONS = (CALENDAR_HOMOGENEITY, CROSS_GROUP_HOMOGENEITY, NO_LATE_SWIT
 def moment_features(z: np.ndarray, d: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-unit columns whose (weighted) sums over units are the moment row.
 
-    Layout: [z, 1-z, z*y (T), (1-z)*y (T), z*d (T), (1-z)*d (T),
+    Layout: [z, 1-z, z*y/2 (T), (1-z)*y/2 (T), z*d (T), (1-z)*d (T),
     z*switch (T-1), (1-z)*switch (T-1)], where switch_t = 1{d_t=1, d_1=0}.
+    Halved, an arm's y sum stays finite up to twice the float range, and
+    exact (a |y| below 2**-1021 may lose its last bit) until
+    :func:`moment_estimands` doubles once.
     """
     on = np.asarray(z, dtype=np.float64)[:, None]
     arms = (on, 1.0 - on)
-    blocks = [arm * x for x in (y, d, d[:, 1:] > d[:, :1]) for arm in arms]
+    blocks = [arm * x for x in (0.5 * y, d, d[:, 1:] > d[:, :1]) for arm in arms]
     return np.concatenate([*arms, *blocks], axis=1)
 
 
@@ -58,8 +61,8 @@ def unit_sums(y: np.ndarray) -> np.ndarray:
 def arm_sums(z: np.ndarray, d: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The moment row of one sample: :func:`moment_features` summed over units.
 
-    One gather of each arm's rows, which may be empty; y sums in unit order
-    (:func:`unit_sums`).
+    One gather of each arm's rows, which may be empty, halved in place; y
+    sums in unit order (:func:`unit_sums`).
     """
     T = y.shape[1]
     on = z == 1
@@ -68,7 +71,13 @@ def arm_sums(z: np.ndarray, d: np.ndarray, y: np.ndarray) -> np.ndarray:
     paths = np.empty((2 * T - 1, len(z)), dtype=np.int8)
     paths[:T] = d.T
     np.greater(paths[1:T], paths[0], out=paths[T:])
-    y1, y0 = (unit_sums(y.take(arm, axis=0)) for arm in arms)
+
+    def half_sums(arm: np.ndarray) -> np.ndarray:
+        part = y.take(arm, axis=0)
+        part *= 0.5  # in place: one arm's copy at a time
+        return unit_sums(part)
+
+    y1, y0 = map(half_sums, arms)
     p1, p0 = (paths.take(arm, axis=1).sum(axis=1) for arm in arms)
     counts = [len(arm) for arm in arms]
     return np.concatenate([counts, y1, y0, p1[:T], p0[:T], p1[T:], p0[T:]], dtype=np.float64)
@@ -77,42 +86,32 @@ def arm_sums(z: np.ndarray, d: np.ndarray, y: np.ndarray) -> np.ndarray:
 def moment_estimands(M: np.ndarray):
     """(both_arms, rf, fs, sw0, sw1) of every moment row of ``M``.
 
-    rf_t and fs_t are differences of arm means of y and d; sw0 and sw1 are
-    the arm-wise shares of units treated at t but not at 1. Rows without
-    both arms hold NaN, and an rf past the float range an infinity.
+    rf_t and fs_t are differences of arm means of y and d, rf_t doubled
+    from the layout of :func:`moment_features`; sw0 and sw1 are the
+    arm-wise shares of units treated at t but not at 1. Rows without both
+    arms hold NaN, and an rf past the float range an infinity.
     """
     T = M.shape[1] // 6
     n1, n0 = M[:, :1], M[:, 1:2]
     sums = np.split(M[:, 2:], np.cumsum([T, T, T, T, T - 1]), axis=1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         y1, y0, d1, d0, sw1, sw0 = (s / n for s, n in zip(sums, (n1, n0) * 3))
-        rf = y1 - y0
+        rf = 2.0 * (y1 - y0)
     return (n1[:, 0] > 0) & (n0[:, 0] > 0), rf, d1 - d0, sw0, sw1
 
 
 def estimate(panel: Panel) -> EstimandSet:
-    """Sample per-period estimands: the one-row :func:`moment_estimands` call.
-
-    Where an arm's y sum at t passes the float range, its mean at t is
-    taken as twice its mean of y/2, exact at those magnitudes (the rule of
-    :func:`~dynlate.inference.percentile_interval`), and rf_t is the
-    difference of the arm means; a row of finite sums keeps its bits.
-    """
-    z, d, y, T = panel.z, panel.d, panel.y, panel.T
-    row = arm_sums(z, d, y)
+    """Sample per-period estimands: the one-row :func:`moment_estimands`
+    call on :func:`arm_sums`, whose halved y sums (the layout of
+    :func:`moment_features`) keep an arm mean whose sum passes the float
+    range by less than a factor of two."""
+    row = arm_sums(panel.z, panel.d, panel.y)
     both_arms, *moments = moment_estimands(row[None])
     if not both_arms[0]:
         raise DegenerateInstrument("panel has a single instrument arm")
-    wide = ~np.isfinite(row[2 : 2 + 2 * T])
-    if wide.any():
-        halved = arm_sums(z, d, y / 2.0)[2 : 2 + 2 * T]
-        with np.errstate(over="ignore", invalid="ignore"):
-            means = np.where(wide, halved, row[2 : 2 + 2 * T]) / np.repeat(row[:2], T)
-            means[wide] *= 2.0
-            moments[0] = (means[:T] - means[T:])[None]
     rf, fs, sw0, sw1 = (tuple(v[0].tolist()) for v in moments)
     return EstimandSet(
-        T=T,
+        T=panel.T,
         rf=rf,
         fs=fs,
         switch_z0=sw0,

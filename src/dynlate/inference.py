@@ -4,8 +4,8 @@ Resampling keeps each unit's whole time series intact (within-unit serial
 dependence is the object of study, so the unit is the exchangeable block).
 Intervals are percentile intervals; no asymptotic theory is used anywhere.
 A resample's moment row is its counts times
-:func:`~dynlate.estimators.moment_features`, summed by cell; as for
-``estimate`` and Monte Carlo, :func:`~dynlate.estimators.moment_estimands`
+:func:`~dynlate.estimators.moment_features` (which defines its layout),
+summed by cell; as for ``estimate`` and Monte Carlo, ``moment_estimands``
 reads it. Resample r draws its multinomial counts from a stream seeded by
 (seed, r), and one worker of :func:`~dynlate.simulate._fill_rows` computes
 its whole row without a BLAS call, so the row depends only on (panel,
@@ -41,18 +41,14 @@ def percentile_interval(values: np.ndarray, alpha: float) -> np.ndarray:
     from 1 with linear interpolation at position 1 + q(B - 1) (numpy's
     "linear" method). ``values`` is partitioned in place, so the quantiles
     take no copy of it: pass an array that is not needed afterwards.
-    Interpolating between finite order statistics more than the float
-    range apart overflows in numpy's b - a; such an end is taken as twice
-    the quantile of its column halved, which is exact at those magnitudes,
-    and every other end keeps its bits.
+    ``values`` is halved in place first and the quantiles doubled, the
+    rule of :func:`~dynlate.estimators.moment_features`: numpy interpolates
+    as a + (b - a) g, and b - a of finite order statistics more than the
+    float range apart would overflow; of their halves it does not.
     """
+    values *= 0.5
     q = [alpha / 2.0, 1.0 - alpha / 2.0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends = np.quantile(values, q, axis=0, method="linear", overwrite_input=True)
-        bad = ~np.isfinite(ends)
-        if bad.any():
-            ends[bad] = 2.0 * np.quantile(values / 2.0, q, axis=0, method="linear")[bad]
-    return ends
+    return 2.0 * np.quantile(values, q, axis=0, method="linear", overwrite_input=True)
 
 
 @dataclass(frozen=True)
@@ -129,8 +125,9 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     intp, times the cells' integer features: exact. Its 2T y columns are
     each arm's outcomes weighted by the counts and summed in cell order
     (``einsum``), so with non-dyadic y their last bits can differ from
-    ``arm_sums``' unit order. No step calls BLAS. From ``_FILL_MIN_N``
-    units, :func:`~dynlate.simulate._fill_rows` may start one worker per
+    ``arm_sums``' unit order; the copy of y is halved, as in the layout of
+    ``moment_features``. No step calls BLAS. From ``_FILL_MIN_N`` units,
+    :func:`~dynlate.simulate._fill_rows` may start one worker per
     ``_FILL_MIN_UNITS`` unit draws; one worker writes a whole row, so it
     depends only on (panel, seed, r): not on ``threads``, ``reps``,
     execution order or the BLAS thread count. Working set beyond the panel
@@ -152,6 +149,7 @@ def _resample_moments(panel: Panel, reps: int, seed: int, threads: int) -> np.nd
     ys = np.empty((T, n))
     for t in range(T):  # take(axis=1) of y.T first copies it whole; "raise" buffers out
         panel.y[:, t].take(order, out=ys[t], mode="clip")
+    ys *= 0.5
     rank = np.empty_like(order)
     rank[order] = np.arange(n)
     del key, order

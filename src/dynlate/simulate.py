@@ -8,9 +8,10 @@ and ``normal``, and takes its paths and means from the table.
 A Monte Carlo replication draws no units. Its moment row is a function of
 its 2H cell counts and of each (arm, period) sum of noise, so it draws
 those: the counts from one multinomial over the cells, then 2T standard
-normals. The integer columns are the counts times the cell features,
-exactly; each y column is the arm's counts times its cell means plus
-``noise_sd * sqrt(n_z)`` times one normal. With i.i.d. normal noise, an
+normals. In the layout of :func:`~dynlate.estimators.moment_features`,
+the integer columns are the counts times the cell features, exactly;
+each y column is the arm's counts times its halved cell means plus
+``noise_sd / 2 * sqrt(n_z)`` times one normal. With i.i.d. normal noise, an
 arm's noise sum at one period is exactly N(0, noise_sd^2 n_z) given the
 counts, so the row has the law of :func:`~dynlate.estimators.arm_sums` of
 a drawn panel, though not its bits; the condition is that the noise is
@@ -148,11 +149,12 @@ def _cell_rows(spec: DgpSpec, n: int, reps: int, seed: int, threads: int) -> np.
     probabilities (1 - pz) p_h, then pz p_h, divided by their sum, and then
     ``rng.standard_normal(2T)``; nothing else runs per replication. The
     counts keep their int64 bits in the draw row, so they are exact for
-    every n. One pass over all rows then builds the moment rows. The
-    integer columns are the counts times the cell features, exactly. Each
-    arm's T y columns are its counts times its cell means, added cell by
-    cell in cell order into one (reps, 2, T) accumulator (no BLAS call),
-    plus ``noise_sd * sqrt(n_z)`` times T of the normals, arm 1's first.
+    every n. One pass over all rows then builds the moment rows, in the
+    layout of ``moment_features``: the integer columns are the counts times
+    the cell features, exactly. Each arm's T y columns are its counts times
+    its halved cell means, added cell by cell in cell order into one (reps,
+    2, T) accumulator (no BLAS call), plus ``noise_sd / 2 * sqrt(n_z)``
+    times T of the normals, arm 1's first.
     Given the counts, that is the law of the arm's noise sums when the
     noise is i.i.d. normal. A sum past the float range reads as inf or
     nan, which :func:`~dynlate.estimators.target_columns` never marks ok.
@@ -169,10 +171,10 @@ def _cell_rows(spec: DgpSpec, n: int, reps: int, seed: int, threads: int) -> np.
     counts = draws[:, : 2 * H].view(np.int64)
     rows = np.matmul(counts, cells.features, out=np.empty((reps, 6 * T)))
     arms = counts.reshape(reps, 2, H, 1)[:, ::-1]  # arm 1 first, as in the row
-    means = cells.mean.reshape(2, H, T)[::-1]
+    means = 0.5 * cells.mean.reshape(2, H, T)[::-1]
     noise = draws[:, 2 * H :].reshape(reps, 2, T)
     with np.errstate(over="ignore", invalid="ignore"):
-        noise *= spec.noise_sd * np.sqrt(rows[:, :2, None])
+        noise *= 0.5 * spec.noise_sd * np.sqrt(rows[:, :2, None])
         sums = arms[:, :, 0] * means[:, 0]
         for h in range(1, H):
             sums += arms[:, :, h] * means[:, h]
@@ -214,8 +216,8 @@ class TargetSummary:
 
     ``mean`` and ``bias`` are None without a kept replication, and ``sd``
     with fewer than two. Each is None as well where it is not finite: kept
-    replications are finite, but far apart ones can overflow the float
-    range in their sum or in their squared deviations.
+    replications are finite, but their sum can overflow the float range,
+    equal large values too, and far apart ones their squared deviations.
     """
 
     name: str

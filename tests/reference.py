@@ -270,10 +270,10 @@ def six_mask_moments(z, d, y):
 
 def concatenated_features(panel):
     """Reference feature matrix: one temporary per column block, then np.concatenate.
-    Checks ``moment_features`` bit for bit."""
+    Checks ``moment_features`` bit for bit, y halved as in its layout."""
     z = panel.z.astype(np.float64)[:, None]
     zc = 1.0 - z
-    y = panel.y
+    y = panel.y / 2
     d = panel.d.astype(np.float64)
     s = ((panel.d[:, 1:] == 1) & (panel.d[:, :1] == 0)).astype(np.float64)
     return np.concatenate([z, zc, z * y, zc * y, z * d, zc * d, z * s, zc * s], axis=1)
@@ -283,14 +283,14 @@ def row_sum_key_moments(panel, reps, seed):
     """Reference resample rows: the cell key sums d's rows and the cells
     start where the sorted key steps; the sort, the gather and the
     per-resample sums are those of ``_resample_moments``, which this checks
-    bit for bit."""
+    bit for bit; y is halved, as in the layout of ``moment_features``."""
     n, T = panel.n, panel.T
     key = panel.z.astype(np.intp) * (T + 1) + panel.d.sum(axis=1)
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     first = order[starts]
     features = moment_features(panel.z[first], panel.d[first], np.zeros((len(first), T)))
-    ys = panel.y.T.take(order, axis=1)
+    ys = panel.y.T.take(order, axis=1) / 2
     n0 = int(np.count_nonzero(panel.z == 0))
     M = np.empty((reps, 6 * T))
     for r in range(reps):
@@ -392,7 +392,8 @@ def cell_row(spec, n, rng):
     Draws the (arm, history) cell counts, arm 0's cells first, then 2T
     standard normals: the first T are arm 1's noise sums per period, the
     next T arm 0's, each scaled by noise_sd * sqrt(n_z). The integer
-    columns are sums of Python ints, exact for every n, rounded once.
+    columns are sums of Python ints, exact for every n, rounded once. The
+    y columns sum halves, as in the layout of ``moment_features``.
     """
     T, H = spec.T, len(spec.histories)
     shares = np.array([(1.0 - spec.pz) * h.prob for h in spec.histories]
@@ -406,12 +407,12 @@ def cell_row(spec, n, rng):
         arm = 1 - z  # column offset within each block: arm 1 first
         row[arm] += count
         for t in range(1, T + 1):
-            row[2 + arm * T + t - 1] += count * mean_outcome(h, t, s)
+            row[2 + arm * T + t - 1] += count * mean_outcome(h, t, s) / 2
             row[2 + (2 + arm) * T + t - 1] += count * treated(h.pair, z, t)
             if t >= 2:
                 row[2 + 4 * T + arm * (T - 1) + t - 2] += count * (1 < s <= t)
     for arm in (0, 1):
-        scale = spec.noise_sd * math.sqrt(row[arm])
+        scale = spec.noise_sd / 2 * math.sqrt(row[arm])
         for t in range(T):
             row[2 + arm * T + t] += scale * normals[arm * T + t]
     return np.array(row, dtype=np.float64)

@@ -321,9 +321,12 @@ class TestFloatRangeEdge:
         code, out, err = run(capsys, "estimate", "--panel", panel)
         assert (code, err) == (0, "")
         assert out.splitlines()[2].split()[:3] == ["1", "1.5e+308", "0.5"]
-        code, _, err = run(capsys, "bootstrap", "--panel", panel, "--reps", "20", "--seed", "1",
-                           "--bounds", "-1,1")
+        code, out, err = run(capsys, "bootstrap", "--panel", panel, "--reps", "20", "--seed", "1",
+                             "--bounds", "-1,1")
         assert code == 0 and "error[" not in err
+        # the resamples read the same arm mean: rf[1] keeps a row
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
+        assert rows["rf[1]"][0] == "1.5e+308" and int(rows["rf[1]"][3]) > 0
 
     @staticmethod
     def effects_spec_file(tmp_path):

@@ -71,6 +71,22 @@ class TestPercentileInterval:
         assert got[:, 0].tolist() == [-9.5e307, 9.5e307]
         assert np.array_equal(got[:, 1].view(np.uint64), want.view(np.uint64))
 
+    def test_finite_ends_keep_the_bits_of_numpy_linear(self):
+        # halving and doubling are exact at these magnitudes, so each end
+        # numpy's own "linear" quantile gives as finite keeps its bits
+        rng = np.random.default_rng(12)
+        for _ in range(3000):
+            B, k, alpha = int(rng.integers(2, 601)), int(rng.integers(1, 5)), rng.uniform()
+            while alpha == 0.0:
+                alpha = rng.uniform()
+            values = rng.choice([-1.0, 1.0], (B, k)) * 10.0 ** rng.uniform(-300, 307, (B, k))
+            q = [alpha / 2.0, 1.0 - alpha / 2.0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.quantile(values, q, axis=0, method="linear")
+            got = percentile_interval(values.copy(), alpha)
+            finite = np.isfinite(want)
+            assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+
 
 @pytest.mark.parametrize("T", [1, 2, 5])
 def test_features_match_concatenated_reference_bitwise(T):

@@ -314,6 +314,18 @@ class TestMonteCarlo:
         for row in summary.rows:
             assert all(x is None or math.isfinite(x) for x in (row.mean, row.bias, row.sd))
 
+    def test_arm_mean_in_range_whose_sum_is_not(self):
+        # arm 1 holds every complier, y_1 = 1e308: two or more of them sum
+        # past the float range, but their mean is in it, as estimate reads it
+        spec = DgpSpec(1, 0.5, (HistorySpec(P(1, NEVER), 1.0, (0.0,), ((1e308,),)),))
+        summary = monte_carlo(spec, n=4, reps=50, seed=3, targets=("estimands",))
+        kept = summary.row("fs[1]").n_ok
+        assert 0 < kept < 50
+        for name in ("rf[1]", "iv[1]"):
+            row = summary.row(name)
+            # the mean of equal large values overflows in its sum
+            assert (row.n_ok, row.mean, row.sd) == (kept, None, None)
+
     @pytest.mark.parametrize("case, n, reps", [("small", 300, 13), ("single-arm", 3, 60),
                                                ("large", 5000, 120)])
     def test_replications_run_inline(self, monkeypatch, threaded_pools, case, n, reps):
@@ -542,7 +554,7 @@ def test_cell_rows_have_the_law_of_drawn_units(case):
 def test_expected_cell_row_reads_the_oracle(case):
     # the noise-free expected moment row of a study, built from its cell
     # table alone: cell shares (1 - pz) p_h and pz p_h times the integer
-    # features, and each arm's shares times its cell means
+    # features, and each arm's shares times its halved cell means
     if isinstance(case, str):
         spec = load_spec(GOLDEN_DIR / f"spec_t4_{case}.json")
     else:
@@ -551,8 +563,8 @@ def test_expected_cell_row_reads_the_oracle(case):
     probs = np.array([h.prob for h in spec.histories])
     shares = np.concatenate([(1.0 - spec.pz) * probs, spec.pz * probs])
     row = shares @ table.features
-    row[2 : 2 + T] = shares[H:] @ table.mean[H:]
-    row[2 + T : 2 + 2 * T] = shares[:H] @ table.mean[:H]
+    row[2 : 2 + T] = shares[H:] @ table.mean[H:] / 2
+    row[2 + T : 2 + 2 * T] = shares[:H] @ table.mean[:H] / 2
     both_arms, rf, fs, sw0, sw1 = moment_estimands(row[None])
     pop = population_estimands(spec)
     assert both_arms.tolist() == [True]
