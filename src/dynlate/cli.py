@@ -33,6 +33,7 @@ from .estimators import (
     identify as identify_fn,
     negative_weight_diagnostic,
     outcome_range_bounds,
+    refuse_nonfinite_rf,
     selected_methods,
 )
 from .panel import ingest, serialize
@@ -235,7 +236,10 @@ def check(panel_path, dgp_path, json_path):
 @json_opt
 def estimate(panel_path, dgp_path, json_path):
     """Per-period reduced forms, first stages, and IV ratios."""
-    est = _estimands(*_load_inputs(panel_path, dgp_path))
+    panel, spec = _load_inputs(panel_path, dgp_path)
+    est = _estimands(panel, spec)
+    if panel is not None:
+        refuse_nonfinite_rf(panel, est)
     flags = negative_weight_diagnostic(est)
     outputs = {
         "estimands": reporting.estimands_to_dict(est),

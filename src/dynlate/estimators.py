@@ -123,6 +123,28 @@ def estimate(panel: Panel) -> EstimandSet:
     )
 
 
+def refuse_nonfinite_rf(panel: Panel, est: EstimandSet) -> None:
+    """Refuse ``est = estimate(panel)`` with :class:`NonFiniteResult` where an
+    rf_t is not finite, naming the first such period and what left the
+    float range: an arm's y sum, which the halved sums of :func:`arm_sums`
+    hold only up to twice the float range, or the difference of two finite
+    arm means. Only a refusal recomputes the moment row."""
+    t = next((t for t, rf in enumerate(est.rf, start=1) if not math.isfinite(rf)), None)
+    if t is None:
+        return
+    row = arm_sums(panel.z, panel.d, panel.y)
+    for z, half_sum in ((1, row[1 + t]), (0, row[1 + panel.T + t])):
+        if not math.isfinite(half_sum):
+            raise NonFiniteResult(
+                f"rf_{t} is not finite: the y sum of arm z={z} at t={t} passes twice"
+                " the float range"
+            )
+    raise NonFiniteResult(
+        f"rf_{t} is not finite: the arm means of y at t={t} differ by more than the"
+        " float range"
+    )
+
+
 UNTESTABLE_NOTE = (
     "exclusion, independence, and first-period monotonicity are not testable "
     "from (z, d, y) alone; they are recorded as assumed"

@@ -15,14 +15,16 @@ each y column is the arm's counts times its halved cell means plus
 arm's noise sum at one period is exactly N(0, noise_sd^2 n_z) given the
 counts, so the row has the law of :func:`~dynlate.estimators.arm_sums` of
 a drawn panel, though not its bits; the condition is that the noise is
-normal. Replication r draws from the stream seeded by (seed, r), so its
-row depends on nothing but the spec, n, the seed and r. Only those draws
-run per replication, in one thread; one cell-by-cell pass over all the
-draws then builds every row, and the rows are evaluated together, screened
-and grouped by :func:`~dynlate.estimators.target_blocks`. The oracle is the
-one-row table of the population estimands
-(:func:`~dynlate.estimators.target_row`), so both share the targets'
-names, report order and defined-target rules.
+normal. A call seeds no stream per replication: it spawns two streams
+from its seed and draws every replication's counts from the first and
+every replication's normals from the second, one call each. Both draw
+row by row, so replication r's row depends on nothing but the spec, n,
+the seed and r, and the first k rows of a longer call are those of a
+k-row call. One cell-by-cell pass over the two draw arrays then builds
+every row, and the rows are evaluated together, screened and grouped by
+:func:`~dynlate.estimators.target_blocks`. The oracle is the one-row
+table of the population estimands (:func:`~dynlate.estimators.target_row`),
+so both share the targets' names, report order and defined-target rules.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from .panel import Panel
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
-    """The RNG stream of replication (or bootstrap resample) ``rep``."""
+    """The RNG stream of bootstrap resample ``rep``, and of replication ``rep``
+    of the unit-drawing reference rows ``tests/reference.py::array_rows``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
@@ -63,7 +66,7 @@ def _fill_rows(write, width: int, reps: int, seed: int, threads: int,
     """The (reps, width) rows of ``reps`` replications, row r written by
     ``write(rep_rng(seed, r), M[r])``.
 
-    The one replication driver. Every worker calls the one ``write``,
+    The bootstrap's resample driver. Every worker calls the one ``write``,
     which keeps no scratch between calls. At most one worker per row, per
     usable core, per requested thread and per the caller's
     ``max_workers``; inline, with a plain ``map``, when one is left, as
@@ -141,20 +144,20 @@ def _draw_arrays(spec: DgpSpec, n: int, rng: np.random.Generator):
     return z.astype(np.int8), cells.d.take(cell, axis=0), y
 
 
-def _cell_rows(spec: DgpSpec, n: int, reps: int, seed: int, threads: int) -> np.ndarray:
+def _cell_rows(spec: DgpSpec, n: int, reps: int, seed: int) -> np.ndarray:
     """Monte Carlo's (reps, 6T) moment rows, each drawn from the cell table.
 
-    Replication r draws, from ``rep_rng(seed, r)`` by :func:`_fill_rows`,
-    its cell counts ``rng.multinomial(n, probs)`` over the cells'
-    probabilities (1 - pz) p_h, then pz p_h, divided by their sum, and then
-    ``rng.standard_normal(2T)``; nothing else runs per replication. The
-    counts keep their int64 bits in the draw row, so they are exact for
-    every n. One pass over all rows then builds the moment rows, in the
-    layout of ``moment_features``: the integer columns are the counts times
-    the cell features, exactly. Each arm's T y columns are its counts times
-    its halved cell means, added cell by cell in cell order into one (reps,
-    2, T) accumulator (no BLAS call), plus ``noise_sd / 2 * sqrt(n_z)``
-    times T of the normals, arm 1's first.
+    Two streams spawned from ``SeedSequence(seed)`` hold every draw. The
+    first draws the (reps, 2H) cell counts, ``multinomial(n, probs,
+    size=reps)`` over the cells' probabilities (1 - pz) p_h, then pz p_h,
+    divided by their sum; the second the (reps, 2, T) normals, arm 1's
+    first. Both draw row by row, so row r depends only on (spec, n, seed,
+    r). The counts are int64, exact for every n. One pass over all rows
+    then builds the moment rows, in the layout of ``moment_features``: the
+    integer columns are the counts times the cell features, exactly. Each
+    arm's T y columns are its counts times its halved cell means, added
+    cell by cell in cell order into one (reps, 2, T) accumulator (no BLAS
+    call), plus ``noise_sd / 2 * sqrt(n_z)`` times its T normals.
     Given the counts, that is the law of the arm's noise sums when the
     noise is i.i.d. normal. A sum past the float range reads as inf or
     nan, which :func:`~dynlate.estimators.target_columns` never marks ok.
@@ -162,17 +165,12 @@ def _cell_rows(spec: DgpSpec, n: int, reps: int, seed: int, threads: int) -> np.
     cells, T, H = spec.cells, spec.T, len(spec.histories)
     probs = np.concatenate([(1.0 - spec.pz) * cells.prob, spec.pz * cells.prob])
     probs /= probs.sum()
-
-    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
-        out[: 2 * H].view(np.int64)[:] = rng.multinomial(n, probs)
-        rng.standard_normal(out=out[2 * H :])
-
-    draws = _fill_rows(draw, 2 * H + 2 * T, reps, seed, threads)
-    counts = draws[:, : 2 * H].view(np.int64)
+    rng_c, rng_y = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    counts = rng_c.multinomial(n, probs, size=reps)
+    noise = rng_y.standard_normal((reps, 2, T))
     rows = np.matmul(counts, cells.features, out=np.empty((reps, 6 * T)))
     arms = counts.reshape(reps, 2, H, 1)[:, ::-1]  # arm 1 first, as in the row
     means = 0.5 * cells.mean.reshape(2, H, T)[::-1]
-    noise = draws[:, 2 * H :].reshape(reps, 2, T)
     with np.errstate(over="ignore", invalid="ignore"):
         noise *= 0.5 * spec.noise_sd * np.sqrt(rows[:, :2, None])
         sums = arms[:, :, 0] * means[:, 0]
@@ -275,20 +273,20 @@ def monte_carlo(
     it leaves undefined has no row. Each replication's moment row is drawn
     from the cell table by :func:`_cell_rows`: it has the law of
     :func:`~dynlate.estimators.arm_sums` of a drawn panel when the noise is
-    normal, as every spec's is, but not its bits. Its draws come from
-    :func:`_fill_rows` in one thread: a replication draws a multinomial and
-    2T normals, about 15 microseconds that hold the interpreter lock and
-    are mostly seeding its stream, so no worker pool pays; the rows are
-    then built in one vectorised pass.
-    ``threads`` is checked and has no other effect; a replication's row
-    depends only on (spec, n, seed, r), so the summary is the same for any
-    ``threads`` and the first k replications of a longer run are those of
-    a k-replication run. Replications with both arms
-    go to :func:`~dynlate.estimators.target_blocks`; targets that keep the
-    same replications share one mean and one standard deviation call on
-    their block, each row with the bits of the call on its own column.
+    normal, as every spec's is, but not its bits. A call draws every
+    replication's counts and normals in two calls on two streams spawned
+    from ``seed``, in one thread, and builds the rows in one vectorised
+    pass; no worker pool pays for that. ``threads`` is checked and has no
+    other effect; a replication's row depends only on (spec, n, seed, r),
+    so the summary is the same for any ``threads`` and the first k
+    replications of a longer run are those of a k-replication run.
+    Replications with both arms go to
+    :func:`~dynlate.estimators.target_blocks`; targets that keep the same
+    replications share one mean and one standard deviation call on their
+    block, each row with the bits of the call on its own column.
     """
     n, reps = check_count("n", n, 1), check_count("reps", reps, 1)
+    check_count("threads", threads, 1)
     if not 0.0 < spec.pz < 1.0:
         raise DegenerateInstrument(f"pz = {spec.pz} puts every unit in one instrument arm")
     targets = tuple(targets)
@@ -298,7 +296,7 @@ def monte_carlo(
     # fs_1 = P(C1) > 0 for a valid spec, so the oracle keeps every identify
     # and bounds target
     oracle = target_row(population_estimands(spec), targets, lo, hi)
-    M = _cell_rows(spec, n, reps, seed, threads)
+    M = _cell_rows(spec, n, reps, seed)
     both_arms, *moments = moment_estimands(M)
     rows = [None] * len(oracle)
     for positions, block in target_blocks(moments, both_arms, targets, lo, hi):

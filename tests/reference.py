@@ -371,10 +371,10 @@ def exact_bound(method, rf, fs, sw0, sw1, t, lo, hi):
 # Monte Carlo
 
 
-def array_rows(spec, n, reps, seed, threads):
+def array_rows(spec, n, reps, seed):
     """Monte Carlo rows that draw every unit: row r is ``arm_sums`` of
-    ``_draw_arrays`` from the replication's stream, the rows Monte Carlo wrote
-    before it drew them from the cell table. Substituted for
+    ``_draw_arrays`` from the stream ``rep_rng(seed, r)``, the rows Monte
+    Carlo wrote before it drew them from the cell table. Substituted for
     ``simulate._cell_rows``, it lets :func:`reference_monte_carlo` check
     ``monte_carlo``'s pipeline bit for bit; unsubstituted, it is the law
     ``_cell_rows``' rows must have."""
@@ -382,24 +382,21 @@ def array_rows(spec, n, reps, seed, threads):
     def write(rng, out):
         out[:] = arm_sums(*_draw_arrays(spec, n, rng))
 
-    return simulate._fill_rows(write, 6 * spec.T, reps, seed, threads)
+    return simulate._fill_rows(write, 6 * spec.T, reps, seed, 1)
 
 
-def cell_row(spec, n, rng):
-    """One Monte Carlo moment row drawn from the cell table, summed cell by cell
-    in Python. Checks ``simulate._cell_rows`` exactly.
+def cell_row(spec, counts, normals):
+    """One Monte Carlo moment row built from one replication's draws, summed
+    cell by cell in Python. Checks the build pass of ``simulate._cell_rows``
+    exactly.
 
-    Draws the (arm, history) cell counts, arm 0's cells first, then 2T
-    standard normals: the first T are arm 1's noise sums per period, the
-    next T arm 0's, each scaled by noise_sd * sqrt(n_z). The integer
-    columns are sums of Python ints, exact for every n, rounded once. The
-    y columns sum halves, as in the layout of ``moment_features``.
+    ``counts`` are the 2H (arm, history) cell counts, arm 0's cells first;
+    ``normals`` are 2T standard normals: the first T are arm 1's noise sums
+    per period, the next T arm 0's, each scaled by noise_sd * sqrt(n_z).
+    The integer columns are sums of Python ints, exact for every n, rounded
+    once. The y columns sum halves, as in the layout of ``moment_features``.
     """
     T, H = spec.T, len(spec.histories)
-    shares = np.array([(1.0 - spec.pz) * h.prob for h in spec.histories]
-                      + [spec.pz * h.prob for h in spec.histories])
-    counts = rng.multinomial(n, shares / shares.sum()).tolist()
-    normals = rng.standard_normal(2 * T).tolist()
     row = [0] * (6 * T)
     for c, count in enumerate(counts):
         z, h = c // H, spec.histories[c % H]

@@ -254,6 +254,12 @@ def edge_panel(tmp_path):
     ])
 
 
+FLOAT_RANGE_APART = [
+    "a,1,1,1,1e308", "a,2,1,1,1e308", "b,1,0,0,-1e308", "b,2,0,0,-1e308",
+]
+"""A two-unit panel whose arm means, +-1e308, differ by more than the float range."""
+
+
 EDGE_EFFECTS = dgp.DgpSpec(3, 0.5, tuple(
     dgp.HistorySpec(AdoptionPair(s1, s0), prob, (0.0,) * 3, tuple((e,) * t for t in (1, 2, 3)))
     for s1, s0, prob, e in ((1, 2, 0.4, 1e308), (2, NEVER, 0.3, -1e308), (NEVER, NEVER, 0.3, 0.0))
@@ -298,14 +304,32 @@ class TestFloatRangeEdge:
         # iv[1] = rf_1 / fs_1 and the bounds' rf_2 / fs_1 overflow in every resample
         assert "rf[1]" in names and "iv[1]" not in names and "general_lower[2]" not in names
 
+    @pytest.mark.parametrize("rows, message", [
+        (["a,1,1,1,1e308", "b,1,1,1,1e308", "c,1,1,1,1e308", "d,1,1,1,1e308", "e,1,0,0,0"],
+         "the y sum of arm z=1 at t=1 passes twice the float range"),
+        (FLOAT_RANGE_APART, "the arm means of y at t=1 differ by more than the float range"),
+    ], ids=["arm-sum", "arm-difference"])
+    @pytest.mark.parametrize("json_report", [False, True], ids=["table", "json"])
+    def test_estimate_refuses_a_reduced_form_past_the_float_range(
+        self, capsys, tmp_path, rows, message, json_report
+    ):
+        # four units of y = 1e308 in one arm sum past even the halved range;
+        # two arm means of +-1e308 are finite, their difference is not
+        report = tmp_path / "report.json"
+        argv = ["--json", str(report)] if json_report else []
+        code, out, err = run(capsys, "estimate", "--panel",
+                             write_panel(tmp_path, "edge.csv", rows), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error[E_NONFINITE]: rf_1 is not finite: {message}\n"
+        assert not report.exists()
+
     def test_arm_means_a_float_range_apart(self, capsys, tmp_path):
-        # rf_1 = 1e308 - (-1e308) overflows in the difference of the arm means
-        panel = write_panel(tmp_path, "two.csv", [
-            "a,1,1,1,1e308", "a,2,1,1,1e308", "b,1,0,0,-1e308", "b,2,0,0,-1e308",
-        ])
+        # rf_1 = 1e308 - (-1e308) overflows in the difference of the arm means:
+        # estimate refuses it, the bootstrap drops what overflows
+        panel = write_panel(tmp_path, "two.csv", FLOAT_RANGE_APART)
         code, out, err = run(capsys, "estimate", "--panel", panel)
-        assert (code, err) == (0, "")
-        assert out.splitlines()[2].split()[:3] == ["1", "inf", "1"]
+        assert (code, out) == (2, "")
+        assert err.startswith("error[E_NONFINITE]: rf_1 is not finite")
         code, _, err = run(
             capsys, "bootstrap", "--panel", panel, "--reps", "30", "--seed", "1",
             "--bounds", "-1,1",

@@ -473,25 +473,34 @@ def test_monte_carlo_rows_are_arm_sums_of_the_draws(
 @example("random", 4, 2**53 + 1, 3, 0.5, 1.0, 3)
 @example("all-pairs", 8, 10**17 + 1, 3, 0.3, 0.7, 4)
 def test_monte_carlo_rows_are_cell_draws(variant, T, n, reps, pz, noise_sd, seed):
-    # row r is the cell draw of stream (8, r), summed cell by cell in Python:
-    # the same counts, the same normals and the same sums; past 2**53 units
-    # the counts stay exact until each integer column is rounded once
+    # row r is built, cell by cell in Python, from row r of the counts and of
+    # the normals of the two streams spawned from seed 8: the same counts,
+    # the same normals and the same sums; past 2**53 units the counts stay
+    # exact until each integer column is rounded once. Both draw row by row,
+    # so a shorter run's rows are the first rows of a longer one
     rng = np.random.default_rng(seed)
     if variant == "all-pairs":
         T = 6 if T <= 4 else 8
     spec = dataclasses.replace(variant_spec(variant, T, noise_sd, rng), pz=pz)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _, rows = mc_with_rows(monkeypatch, spec, n, reps, threads=1)
-    want = np.array([cell_row(spec, n, rep_rng(8, r)) for r in range(reps)])
+        _, first = mc_with_rows(monkeypatch, spec, n, (reps + 1) // 2, threads=1)
+    shares = np.array([(1.0 - pz) * h.prob for h in spec.histories]
+                      + [pz * h.prob for h in spec.histories])
+    counts_rng, normals_rng = map(np.random.default_rng, np.random.SeedSequence(8).spawn(2))
+    counts = counts_rng.multinomial(n, shares / shares.sum(), size=reps).tolist()
+    normals = normals_rng.standard_normal((reps, 2 * spec.T)).tolist()
+    want = np.array([cell_row(spec, c, z) for c, z in zip(counts, normals)])
     assert np.array_equal(rows, want)
+    assert np.array_equal(first.view(np.uint64), rows[: len(first)].view(np.uint64))
 
 
 def test_monte_carlo_rows_do_not_grow_with_cells_per_row():
-    # all 73 histories at T = 8: a draw row holds 2H counts and 2T normals,
-    # 162 values; Monte Carlo's peak stays under the draw array plus three
-    # (reps, 6T) arrays of rows, so no (reps, 2H, T) temporary (19 MB here)
-    # is built. Only the estimands are targeted, so the rows, not the target
-    # table, set the peak.
+    # all 73 histories at T = 8: the two draw arrays hold a replication's
+    # 2H counts and its 2T normals, 162 values; Monte Carlo's peak stays
+    # under those two arrays plus three (reps, 6T) arrays of rows, so no
+    # (reps, 2H, T) temporary (19 MB here) is built. Only the estimands are
+    # targeted, so the rows, not the target table, set the peak.
     spec = all_pairs_spec(np.random.default_rng(1), 8, 0.7)
     H, T, reps = len(spec.histories), spec.T, 2000
     assert H == 73
@@ -508,9 +517,9 @@ def test_monte_carlo_rows_do_not_grow_with_cells_per_row():
 
 def kept_targets(spec, n, reps, seed, draw_rows):
     """Each target of ``ALL_TARGETS`` over the replications of the rows
-    ``draw_rows(spec, n, reps, seed, threads)`` that Monte Carlo keeps for it, by name."""
+    ``draw_rows(spec, n, reps, seed)`` that Monte Carlo keeps for it, by name."""
     lo, hi = contaminating_effect_range(spec)
-    M = draw_rows(spec, n, reps, seed, 1)
+    M = draw_rows(spec, n, reps, seed)
     both_arms, *moments = moment_estimands(M)
     return {name: values[ok & both_arms]
             for name, values, ok in target_columns(*moments, ALL_TARGETS, lo, hi)}
